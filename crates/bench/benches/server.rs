@@ -20,7 +20,7 @@ use std::time::Instant;
 
 /// The PR this tree corresponds to; stamped into `BENCH_server.json`
 /// and its cross-PR history so regressions are attributable.
-const PR: u32 = 10;
+const PR: u32 = 13;
 
 use bw_core::fsutil;
 use bw_server::{CellSpec, CellStatus, Client, Journal, JournalRecord, Server, ServerConfig};

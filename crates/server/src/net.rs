@@ -60,10 +60,11 @@ impl Listener {
     /// for logs and fault-injection site ids.
     pub(crate) fn accept(&self) -> IoResult<(Stream, String)> {
         match self {
-            Listener::Tcp(l) => l.accept().map(|(s, peer)| {
-                let label = peer.to_string();
-                (Stream::Tcp(s), label)
-            }),
+            Listener::Tcp(l) => {
+                let (s, peer) = l.accept()?;
+                s.set_nodelay(true)?;
+                Ok((Stream::Tcp(s), peer.to_string()))
+            }
             #[cfg(unix)]
             Listener::Unix(l, addr) => l
                 .accept()
@@ -72,7 +73,11 @@ impl Listener {
     }
 }
 
-/// One connected socket.
+/// One connected socket. TCP streams disable Nagle's algorithm
+/// (`TCP_NODELAY`): both ends write each frame as soon as it is
+/// encoded, and a reply is many small frames, so coalescing would hold
+/// every frame after the first until the peer's delayed ACK (~40 ms on
+/// Linux) instead of sending it at once. Unix sockets never delay.
 pub(crate) enum Stream {
     Tcp(TcpStream),
     #[cfg(unix)]
@@ -96,7 +101,9 @@ impl Stream {
                 ));
             }
         }
-        TcpStream::connect(addr).map(Stream::Tcp)
+        let s = TcpStream::connect(addr)?;
+        s.set_nodelay(true)?;
+        Ok(Stream::Tcp(s))
     }
 
     /// Clones the socket handle (independent read/write halves).
@@ -156,5 +163,29 @@ impl Write for Stream {
             #[cfg(unix)]
             Stream::Unix(s) => s.flush(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn nodelay(s: &Stream) -> bool {
+        match s {
+            Stream::Tcp(s) => s.nodelay().expect("read TCP_NODELAY"),
+            #[cfg(unix)]
+            Stream::Unix(_) => panic!("expected a TCP stream"),
+        }
+    }
+
+    #[test]
+    fn tcp_streams_disable_nagle_at_both_ends() {
+        let listener = Listener::bind("127.0.0.1:0").expect("bind");
+        let client = Stream::connect(&listener.local_addr()).expect("connect");
+        let (server, _) = listener.accept().expect("accept");
+        assert!(nodelay(&client), "connected stream");
+        assert!(nodelay(&server), "accepted stream");
+        // A cloned half shares the socket, and so the option.
+        assert!(nodelay(&server.try_clone().expect("clone")), "cloned half");
     }
 }

@@ -352,6 +352,50 @@ fn garbage_after_handshake_gets_typed_error() {
     server.shutdown();
 }
 
+/// A pre-handshake frame of a mebibyte of `[` is refused at the
+/// parser's nesting limit with a typed error and a close. The recursive
+/// parser must not overflow the connection thread's stack, which would
+/// abort the whole daemon; a new client is served afterwards.
+#[test]
+fn deeply_nested_frame_gets_typed_error_and_daemon_keeps_serving() {
+    let server = launch(ServerConfig {
+        cache_dir: None,
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let mut sock = std::net::TcpStream::connect(server.addr()).expect("connect");
+    let body = vec![b'['; 1 << 20];
+    let len = u32::try_from(body.len()).expect("frame length");
+    sock.write_all(&len.to_be_bytes()).expect("send length");
+    sock.write_all(&body).expect("send body");
+    match read_frame(&mut sock)
+        .expect("reply")
+        .map(|v| ServerMsg::from_value(&v))
+    {
+        Some(Ok(ServerMsg::Error { message })) => {
+            assert!(message.contains("handshake failed"), "{message}");
+            assert!(message.contains("nesting deeper than"), "{message}");
+        }
+        other => panic!("expected a typed nesting error, got {other:?}"),
+    }
+    assert!(
+        read_frame(&mut sock).expect("close").is_none(),
+        "server closes after the refused frame"
+    );
+
+    let mut client = Client::connect(server.addr()).expect("connect after the deep frame");
+    let replies = client
+        .run_cells(1, &[cell("gzip", "Bim_4k", 600)])
+        .expect("collect");
+    assert!(
+        matches!(replies[0].status, CellStatus::Ok(_)),
+        "{:?}",
+        replies[0].status
+    );
+    client.bye();
+    server.shutdown();
+}
+
 /// A peer with the wrong magic is told exactly what the daemon
 /// expected.
 #[test]

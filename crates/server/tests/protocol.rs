@@ -5,12 +5,15 @@
 
 use proptest::prelude::*;
 
+use bw_core::{RunCache, RunPlan, Runner};
 use bw_server::protocol::{
     encode_frame, read_frame, CellReply, CellStatus, ClientMsg, RefuseReason, ServerMsg, WireError,
     MAX_FRAME,
 };
-use bw_server::request::CellSpec;
-use serde::Value;
+use bw_server::request::{resolve_cell, CellSpec};
+use bw_server::JournalRecord;
+use serde::{Serialize, Value};
+use serde_json::parse_value_str;
 
 const BENCHMARKS: [&str; 4] = ["gzip", "gcc", "mcf", "vortex"];
 const PREDICTORS: [&str; 4] = ["Bim_4k", "Gsh_1_16k_12", "Hybrid_1", "PAs_1k_2k_4"];
@@ -179,4 +182,99 @@ fn non_utf8_body_is_malformed() {
         read_frame(&mut reader),
         Err(WireError::Malformed(_))
     ));
+}
+
+/// The vendored JSON parser refuses arrays and objects nested deeper
+/// than this (its `MAX_DEPTH`), so a hostile frame cannot overflow the
+/// stack of the recursive parser.
+const PARSER_DEPTH_LIMIT: usize = 128;
+
+/// Array/object nesting depth of a document; a scalar is 0.
+fn nesting(v: &Value) -> usize {
+    match v {
+        Value::Arr(items) => 1 + items.iter().map(nesting).max().unwrap_or(0),
+        Value::Obj(pairs) => 1 + pairs.iter().map(|(_, v)| nesting(v)).max().unwrap_or(0),
+        _ => 0,
+    }
+}
+
+/// Every document the workspace writes and reads back nests far below
+/// the parser's limit: a run-cache entry (envelope and the payload it
+/// wraps), a cell reply frame carrying a whole `RunResult`, and a
+/// journal plan line. Each is measured for one cell of every predictor
+/// family and the deepest kept.
+#[test]
+fn written_documents_nest_far_below_the_parser_limit() {
+    let specs: Vec<CellSpec> = PREDICTORS
+        .iter()
+        .map(|p| CellSpec {
+            benchmark: "gzip".to_string(),
+            predictor: (*p).to_string(),
+            warmup_insts: 2000,
+            measure_insts: 1000,
+            seed: 3,
+            banked: true,
+        })
+        .collect();
+    let cells: Vec<_> = specs
+        .iter()
+        .map(|s| resolve_cell(s).expect("resolve"))
+        .collect();
+    let dir = std::env::temp_dir().join(format!("bw-server-nesting-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = RunCache::new(&dir);
+    let mut plan = RunPlan::new();
+    for c in &cells {
+        plan.add_labeled(c.model, c.predictor.config(), &c.cfg, c.label.clone());
+    }
+    let mut outputs = Runner::serial()
+        .cached(cache.clone())
+        .run_supervised(&plan, |_| {});
+
+    let mut deepest = [0; 4];
+    for c in &cells {
+        let result = outputs.remove(&c.key).expect("cell result");
+        let entry = std::fs::read_to_string(cache.path_for(&c.key)).expect("cache entry");
+        let envelope = parse_value_str(&entry).expect("envelope");
+        let Some(Value::Str(payload)) = envelope.get("payload") else {
+            panic!("envelope lacks its payload string");
+        };
+        let payload = parse_value_str(payload).expect("payload");
+        let reply = frame_round_trip(
+            &ServerMsg::Cell(CellReply {
+                req: 1,
+                cell: 0,
+                status: CellStatus::Ok(Box::new(result.to_value())),
+            })
+            .to_value(),
+        );
+        let depths = [nesting(&envelope), nesting(&payload), nesting(&reply)];
+        for (d, n) in deepest.iter_mut().zip(depths) {
+            *d = (*d).max(n);
+        }
+        // The reply, as deep as any of them, still parses wrapped in
+        // arrays up to the limit itself.
+        let wrap = PARSER_DEPTH_LIMIT - nesting(&reply);
+        let text = serde_json::to_string(&reply).expect("render");
+        let wrapped = "[".repeat(wrap) + &text + &"]".repeat(wrap);
+        assert!(
+            parse_value_str(&wrapped).is_ok(),
+            "{text} wrapped to the limit"
+        );
+    }
+    let line = JournalRecord::Plan {
+        token: "session".to_string(),
+        req: 1,
+        cells: specs,
+        priority: false,
+    }
+    .to_line();
+    let (_, body) = line.split_once(' ').expect("checksummed line");
+    let journal = parse_value_str(body).expect("journal body");
+    deepest[3] = nesting(&journal);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Pinned, so a format change that nests deeper is seen here first:
+    // cache envelope, cache payload, cell reply frame, journal line.
+    assert_eq!(deepest, [1, 6, 6, 3]);
 }
