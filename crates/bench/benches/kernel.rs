@@ -1,6 +1,8 @@
 //! The hot-path kernel bench: ns/inst of the trace-replay warm path,
 //! scalar protocol over the streaming reader versus batched protocol
-//! over the decoded bitcode reader, plus one-cell strict-vs-supervised
+//! over the decoded bitcode reader, the cycle-level detailed phase
+//! (ns/inst, the share of cycles it ticks rather than fast-forwards,
+//! and machine construction), plus one-cell strict-vs-supervised
 //! overhead — written to `BENCH_kernel.json` at the repo root.
 //!
 //! Follows the vendored criterion shim's conventions: measurement only
@@ -14,14 +16,14 @@ use std::time::Instant;
 
 /// The PR this tree corresponds to; stamped into `BENCH_kernel.json`
 /// and its cross-PR history so regressions are attributable.
-const PR: u32 = 7;
+const PR: u32 = 15;
 
 use bw_arrays::{ModelKind, TechParams};
 use bw_core::trace::{DecodedTrace, Trace, TraceReader};
 use bw_core::zoo::NamedPredictor;
 use bw_core::{fsutil, record_trace, RunPlan, Runner, SimConfig};
 use bw_uarch::{Machine, SimStats, UarchConfig};
-use bw_workload::benchmark;
+use bw_workload::{benchmark, BenchmarkModel};
 
 struct Budget {
     mode: &'static str,
@@ -111,6 +113,84 @@ fn replay_batched(
     (ns, *m.stats())
 }
 
+/// What one detailed-phase sample measured.
+struct Detailed {
+    /// `Machine::with_power`, nanoseconds.
+    new_ns: f64,
+    /// The measured `run`, nanoseconds.
+    run_ns: f64,
+    /// Instructions the run committed.
+    insts: u64,
+    /// Cycles the run simulated, and of those, the ones it ticked.
+    cycles: u64,
+    ticked: u64,
+}
+
+/// Builds a generated-workload machine (timed), warms it, then runs
+/// the detailed phase (timed).
+fn detailed(model: &BenchmarkModel, cfg: &UarchConfig, warm: u64, measure: u64) -> Detailed {
+    let program = model.build_program(1);
+    let t = Instant::now();
+    let mut m = Machine::with_power(
+        cfg,
+        &program,
+        model,
+        1,
+        NamedPredictor::Gshare16k12.config(),
+        ModelKind::WithColumnDecoders,
+        false,
+        &TechParams::default(),
+    );
+    let new_ns = t.elapsed().as_nanos() as f64;
+    m.warmup(warm);
+    let (insts, cycles, ticked) = (m.stats().committed, m.stats().cycles, m.ticked_cycles());
+    let t = Instant::now();
+    m.run(measure);
+    let run_ns = t.elapsed().as_nanos() as f64;
+    Detailed {
+        new_ns,
+        run_ns,
+        insts: m.stats().committed - insts,
+        cycles: m.stats().cycles - cycles,
+        ticked: m.ticked_cycles() - ticked,
+    }
+}
+
+/// `true` if `Machine::run`, which fast-forwards dead cycles, ends in
+/// exactly the state of ticking every cycle under its stop rule: the
+/// same stats, predictor totals, and every unit's energy bit for bit.
+fn run_matches_tick_loop(
+    model: &BenchmarkModel,
+    cfg: &UarchConfig,
+    warm: u64,
+    measure: u64,
+) -> bool {
+    let program = model.build_program(1);
+    let build = || {
+        let mut m = Machine::new(
+            cfg,
+            &program,
+            model,
+            1,
+            NamedPredictor::Gshare16k12.config(),
+        );
+        m.warmup(warm);
+        m
+    };
+    let mut fast = build();
+    fast.run(measure);
+    let mut reference = build();
+    let target = reference.stats().committed + measure;
+    let cycle_cap = reference.stats().cycles + measure * 40 + 100_000;
+    while reference.stats().committed < target && reference.stats().cycles < cycle_cap {
+        reference.tick();
+    }
+    let bits = |m: &Machine<'_>| m.power_report().energy_j.map(f64::to_bits);
+    fast.stats() == reference.stats()
+        && fast.bpred_totals() == reference.bpred_totals()
+        && bits(&fast) == bits(&reference)
+}
+
 /// Runs `f` `samples` times; returns the minimum warm-phase
 /// nanoseconds and the last run's stats.
 fn sample_replay(samples: u32, mut f: impl FnMut() -> (f64, SimStats)) -> (f64, SimStats) {
@@ -125,12 +205,22 @@ fn sample_replay(samples: u32, mut f: impl FnMut() -> (f64, SimStats)) -> (f64, 
 }
 
 /// One cross-PR history row: the replay-kernel ns/inst pair measured
-/// at a given PR (full mode only, so rows stay comparable).
+/// at a given PR (full mode only, so rows stay comparable), and the
+/// detailed-phase record, which rows from before it was measured lack.
 #[derive(Clone, Copy)]
 struct HistoryRow {
     pr: u32,
     scalar: f64,
     batched: f64,
+    detailed: Option<DetailedRow>,
+}
+
+/// The detailed-phase fields of a history row.
+#[derive(Clone, Copy)]
+struct DetailedRow {
+    ns_per_inst: f64,
+    ticked_share: f64,
+    machine_new_us: f64,
 }
 
 /// Extracts a numeric field from a flat JSON object fragment. The
@@ -161,10 +251,25 @@ fn load_history(prev: &str) -> Vec<HistoryRow> {
                 field_num(obj, "scalar_ns_per_inst"),
                 field_num(obj, "batched_ns_per_inst"),
             ) {
+                let detailed = match (
+                    field_num(obj, "detailed_ns_per_inst"),
+                    field_num(obj, "ticked_share"),
+                    field_num(obj, "machine_new_us"),
+                ) {
+                    (Some(ns_per_inst), Some(ticked_share), Some(machine_new_us)) => {
+                        Some(DetailedRow {
+                            ns_per_inst,
+                            ticked_share,
+                            machine_new_us,
+                        })
+                    }
+                    _ => None,
+                };
                 rows.push(HistoryRow {
                     pr: pr as u32,
                     scalar,
                     batched,
+                    detailed,
                 });
             }
         }
@@ -178,6 +283,7 @@ fn load_history(prev: &str) -> Vec<HistoryRow> {
                 pr: 5,
                 scalar,
                 batched,
+                detailed: None,
             });
         }
     }
@@ -187,19 +293,10 @@ fn load_history(prev: &str) -> Vec<HistoryRow> {
 /// Appends (or, on a re-run of the same PR, replaces) this tree's row.
 /// Quick-mode numbers are not comparable across PRs and never enter
 /// the history.
-fn update_history(
-    mut rows: Vec<HistoryRow>,
-    mode: &str,
-    scalar: f64,
-    batched: f64,
-) -> Vec<HistoryRow> {
+fn update_history(mut rows: Vec<HistoryRow>, mode: &str, row: HistoryRow) -> Vec<HistoryRow> {
     if mode == "full" {
-        rows.retain(|r| r.pr != PR);
-        rows.push(HistoryRow {
-            pr: PR,
-            scalar,
-            batched,
-        });
+        rows.retain(|r| r.pr != row.pr);
+        rows.push(row);
     }
     rows.sort_by_key(|r| r.pr);
     rows
@@ -209,8 +306,14 @@ fn history_json(rows: &[HistoryRow]) -> String {
     let body: Vec<String> = rows
         .iter()
         .map(|r| {
+            let detailed = r.detailed.map_or(String::new(), |d| {
+                format!(
+                    ", \"detailed_ns_per_inst\": {:.2}, \"ticked_share\": {:.4}, \"machine_new_us\": {:.1}",
+                    d.ns_per_inst, d.ticked_share, d.machine_new_us
+                )
+            });
             format!(
-                "    {{ \"pr\": {}, \"scalar_ns_per_inst\": {:.2}, \"batched_ns_per_inst\": {:.2} }}",
+                "    {{ \"pr\": {}, \"scalar_ns_per_inst\": {:.2}, \"batched_ns_per_inst\": {:.2}{detailed} }}",
                 r.pr, r.scalar, r.batched
             )
         })
@@ -270,6 +373,34 @@ fn main() {
         "audited replay diverged from the bench kernel"
     );
 
+    // The detailed phase: the cycle-level run after the warm-up, on a
+    // generated workload, and the machine construction before it.
+    // Each figure is its least-noise (minimum) sample.
+    let samples: Vec<Detailed> = (0..budget.samples)
+        .map(|_| detailed(model, &uarch, budget.warm_insts, budget.measure_insts))
+        .collect();
+    let det = samples
+        .iter()
+        .min_by(|a, b| a.run_ns.total_cmp(&b.run_ns))
+        .expect("at least one sample");
+    let new_ns = samples
+        .iter()
+        .map(|d| d.new_ns)
+        .fold(f64::INFINITY, f64::min);
+    let det_row = DetailedRow {
+        ns_per_inst: det.run_ns / det.insts as f64,
+        ticked_share: det.ticked as f64 / det.cycles as f64,
+        machine_new_us: new_ns / 1e3,
+    };
+
+    // Byte-identity: the fast-forwarding run equals ticking each cycle.
+    let run_identical =
+        run_matches_tick_loop(model, &uarch, budget.warm_insts, budget.measure_insts);
+    assert!(
+        run_identical,
+        "Machine::run diverged from the one-cycle tick loop"
+    );
+
     // One-cell experiment, strict vs supervised execution.
     let plan = {
         let mut plan = RunPlan::new();
@@ -304,6 +435,14 @@ fn main() {
     );
     println!("kernel/speedup: {speedup:.2}x (batch_identical {batch_identical}, audit_clean {audit_clean})");
     println!(
+        "kernel/detailed: {:.1} ns/inst ({} insts), {:.1}% of {} cycles ticked, machine {:.1} us (run_identical {run_identical})",
+        det_row.ns_per_inst,
+        det.insts,
+        det_row.ticked_share * 100.0,
+        det.cycles,
+        det_row.machine_new_us
+    );
+    println!(
         "kernel/one_cell: strict {:.1} ns/inst, supervised {:.1} ns/inst ({cell_insts} insts)",
         per_cell(strict_ns),
         per_cell(supervised_ns)
@@ -322,8 +461,12 @@ fn main() {
     let history = update_history(
         load_history(&prev),
         budget.mode,
-        per(scalar_ns),
-        per(batched_ns),
+        HistoryRow {
+            pr: PR,
+            scalar: per(scalar_ns),
+            batched: per(batched_ns),
+            detailed: Some(det_row),
+        },
     );
 
     let json = format!(
@@ -334,6 +477,8 @@ fn main() {
          \"scalar_ns_per_inst\": {scalar:.2},\n    \"batched_ns_per_inst\": {batched:.2},\n    \
          \"speedup\": {speedup:.3},\n    \"decode_ms_one_time\": {decode_ms:.3},\n    \
          \"batch_identical\": {batch_identical},\n    \"audit_clean\": {audit_clean}\n  }},\n  \
+         \"detailed\": {{\n    \"ns_per_inst\": {det_ns:.2},\n    \"ticked_share\": {ticked:.4},\n    \
+         \"machine_new_us\": {new_us:.1},\n    \"run_identical\": {run_identical}\n  }},\n  \
          \"one_cell\": {{\n    \"strict_ns_per_inst\": {strict:.2},\n    \
          \"supervised_ns_per_inst\": {supervised:.2}\n  }},\n  \
          \"history\": {history}\n}}\n",
@@ -347,6 +492,9 @@ fn main() {
         scalar = per(scalar_ns),
         batched = per(batched_ns),
         decode_ms = decode_ns / 1e6,
+        det_ns = det_row.ns_per_inst,
+        ticked = det_row.ticked_share,
+        new_us = det_row.machine_new_us,
         strict = per_cell(strict_ns),
         supervised = per_cell(supervised_ns),
         history = history_json(&history),

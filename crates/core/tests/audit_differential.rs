@@ -2,18 +2,73 @@
 //!
 //! The sanitizer must be observation-only: enabling it may never
 //! change simulation results. This test pins that down with random
-//! seeds — a Bimodal run with the audit registry attached must produce
+//! seeds — a run with the audit registry attached must produce
 //! byte-identical statistics, energy, and predictor totals to the same
 //! run without it, and must report zero invariant violations.
+//!
+//! An audited machine also ticks every cycle, while a plain one
+//! fast-forwards dead cycles, so this is equally the differential of
+//! the fast-forward against the one-cycle reference. Beyond Bimodal on
+//! the base machine it covers a hybrid under both-strong pipeline
+//! gating (fetch held by gating, not stalls) and PPD scenario 2
+//! (partial predictor lookups).
 //!
 //! Run with `cargo test -p bw-core --features audit`.
 
 #![cfg(feature = "audit")]
 
+use bw_core::power::PpdScenario;
+use bw_core::uarch::UarchConfig;
 use bw_core::workload::benchmark;
 use bw_core::{simulate, simulate_audited, SimConfig};
-use bw_predictors::PredictorConfig;
+use bw_predictors::{HybridConfig, PredictorConfig};
 use proptest::prelude::*;
+
+const NAMES: [&str; 4] = ["gzip", "twolf", "swim", "vortex"];
+
+/// Runs one cell with and without the sanitizer and checks that the
+/// audited run is clean and identical to the plain one.
+fn audit_is_observation_only(
+    bench_idx: usize,
+    seed: u64,
+    uarch: UarchConfig,
+    predictor: PredictorConfig,
+) {
+    let model = benchmark(NAMES[bench_idx]).expect("registry benchmark");
+    let cfg = SimConfig::builder()
+        .seed(seed)
+        .warmup_insts(8_000)
+        .measure_insts(6_000)
+        .uarch(uarch)
+        .build()
+        .expect("valid config");
+
+    let plain = simulate(model, predictor, &cfg);
+    let (audited, violations) = simulate_audited(model, predictor, &cfg);
+
+    assert!(
+        violations.is_empty(),
+        "audit violations on seed {seed}: {:?}",
+        violations
+    );
+    // Byte-identical observable state: stats, energy, totals.
+    assert_eq!(format!("{:?}", plain.stats), format!("{:?}", audited.stats));
+    assert_eq!(
+        format!("{:?}", plain.energy),
+        format!("{:?}", audited.energy)
+    );
+    assert_eq!(
+        format!("{:?}", plain.totals),
+        format!("{:?}", audited.totals)
+    );
+    assert_eq!(plain.predictor, audited.predictor);
+    // And the headline scalars bit-for-bit, not just via Debug.
+    assert_eq!(
+        plain.total_energy_j().to_bits(),
+        audited.total_energy_j().to_bits()
+    );
+    assert_eq!(plain.ipc().to_bits(), audited.ipc().to_bits());
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
@@ -23,31 +78,38 @@ proptest! {
         bench_idx in 0usize..4,
         log_entries in 9u32..13,
     ) {
-        let names = ["gzip", "twolf", "swim", "vortex"];
-        let model = benchmark(names[bench_idx]).expect("registry benchmark");
-        let cfg = SimConfig::builder()
-            .seed(seed)
-            .warmup_insts(8_000)
-            .measure_insts(6_000)
-            .build()
-            .expect("valid config");
-        let predictor = PredictorConfig::bimodal(1u64 << log_entries);
-
-        let plain = simulate(model, predictor, &cfg);
-        let (audited, violations) = simulate_audited(model, predictor, &cfg);
-
-        prop_assert!(
-            violations.is_empty(),
-            "audit violations on seed {seed}: {:?}",
-            violations
+        audit_is_observation_only(
+            bench_idx,
+            seed,
+            UarchConfig::alpha21264_like(),
+            PredictorConfig::bimodal(1u64 << log_entries),
         );
-        // Byte-identical observable state: stats, energy, totals.
-        prop_assert_eq!(format!("{:?}", plain.stats), format!("{:?}", audited.stats));
-        prop_assert_eq!(format!("{:?}", plain.energy), format!("{:?}", audited.energy));
-        prop_assert_eq!(format!("{:?}", plain.totals), format!("{:?}", audited.totals));
-        prop_assert_eq!(plain.predictor, audited.predictor);
-        // And the headline scalars bit-for-bit, not just via Debug.
-        prop_assert_eq!(plain.total_energy_j().to_bits(), audited.total_energy_j().to_bits());
-        prop_assert_eq!(plain.ipc().to_bits(), audited.ipc().to_bits());
+    }
+
+    #[test]
+    fn gated_hybrid_audit_is_observation_only(
+        seed in 1u64..10_000,
+        bench_idx in 0usize..4,
+        threshold in 0u32..3,
+    ) {
+        audit_is_observation_only(
+            bench_idx,
+            seed,
+            UarchConfig::alpha21264_like().with_gating(threshold),
+            PredictorConfig::Hybrid(HybridConfig::tiny_hybrid0()),
+        );
+    }
+
+    #[test]
+    fn ppd_scenario_two_audit_is_observation_only(
+        seed in 1u64..10_000,
+        bench_idx in 0usize..4,
+    ) {
+        audit_is_observation_only(
+            bench_idx,
+            seed,
+            UarchConfig::alpha21264_like().with_ppd(PpdScenario::Two),
+            PredictorConfig::Hybrid(HybridConfig::alpha_21264()),
+        );
     }
 }

@@ -63,7 +63,29 @@ impl ChipPower {
 
     /// Accounts one cycle of activity.
     pub fn tick(&mut self, act: &Activity, bact: &BpredActivity) {
-        self.cycles += 1;
+        self.tick_repeat(act, bact, 1);
+    }
+
+    /// Accounts `n` consecutive cycles of the same activity; `n = 0` is
+    /// a no-op.
+    ///
+    /// Bit-identical to `n` calls of [`tick`](Self::tick): each unit's
+    /// per-cycle increment is computed once and added `n` times, in
+    /// order, so no floating-point sum is reordered or folded into a
+    /// multiplication.
+    pub fn tick_repeat(&mut self, act: &Activity, bact: &BpredActivity, n: u64) {
+        self.cycles += n;
+        let inc = self.cycle_energy_j(act, bact);
+        for _ in 0..n {
+            for (e, inc) in self.energy_j.iter_mut().zip(inc) {
+                *e += inc;
+            }
+        }
+    }
+
+    /// Each unit's energy for one cycle of this activity, indexed by
+    /// [`Unit::index`].
+    fn cycle_energy_j(&self, act: &Activity, bact: &BpredActivity) -> [f64; 12] {
         let frac = |used: u32, unit: Unit| -> f64 {
             let ports = self.budget.ports[unit.index()].max(1);
             (f64::from(used) / f64::from(ports)).min(1.0)
@@ -81,12 +103,13 @@ impl ChipPower {
             (Unit::ResultBus, frac(act.resultbus, Unit::ResultBus)),
             (Unit::Clock, (f64::from(act.clock_64ths) / 64.0).min(1.0)),
         ];
+        let mut inc = [0.0; 12];
         for (unit, activity) in uses {
             let max_e = self.budget.max_power_w[unit.index()] * self.cycle_s;
-            self.energy_j[unit.index()] +=
-                max_e * (CC3_IDLE_FRACTION + (1.0 - CC3_IDLE_FRACTION) * activity);
+            inc[unit.index()] = max_e * (CC3_IDLE_FRACTION + (1.0 - CC3_IDLE_FRACTION) * activity);
         }
-        self.energy_j[Unit::Bpred.index()] += self.bpred.cycle_energy_j(bact);
+        inc[Unit::Bpred.index()] = self.bpred.cycle_energy_j(bact);
+        inc
     }
 
     /// The report so far.
@@ -283,5 +306,77 @@ mod tests {
         assert_eq!(r.cycles, 0);
         assert_eq!(r.avg_power_w(), 0.0);
         assert_eq!(r.total_energy_j(), 0.0);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::bpred::BpredOptions;
+    use bw_predictors::{HybridConfig, PredictorConfig};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        /// `tick_repeat(n)` leaves every unit's energy bit-identical to
+        /// `n` calls of `tick`, starting from an arbitrary prior state.
+        #[test]
+        fn tick_repeat_is_bit_identical_to_repeated_ticks(
+            units in proptest::collection::vec(0u32..16, 11..12),
+            bpred in proptest::collection::vec(0u32..4, 9..10),
+            warm in 0u32..5,
+            n_idx in 0usize..4,
+        ) {
+            let n = [0u64, 1, 2, 1000][n_idx];
+            let act = Activity {
+                rename: units[0],
+                window: units[1],
+                lsq: units[2],
+                regfile: units[3],
+                icache: units[4],
+                dcache: units[5],
+                dcache2: units[6],
+                ialu: units[7],
+                falu: units[8],
+                resultbus: units[9],
+                clock_64ths: units[10] * 4,
+            };
+            let bact = BpredActivity {
+                dir_lookups: bpred[0],
+                dir_partial_lookups: bpred[1],
+                dir_updates: bpred[2],
+                btb_lookups: bpred[3],
+                btb_partial_lookups: bpred[4],
+                btb_updates: bpred[5],
+                ras_ops: bpred[6],
+                ppd_lookups: bpred[7],
+                ppd_updates: bpred[8],
+            };
+            let tech = TechParams::default();
+            let power = BpredPower::new(
+                &PredictorConfig::Hybrid(HybridConfig::alpha_21264()).build().storages(),
+                &tech,
+                BpredOptions {
+                    ppd: Some(crate::PpdScenario::Two),
+                    ..BpredOptions::default()
+                },
+            );
+            let mut looped = ChipPower::new(&tech, power);
+            // A nonzero starting point, so the adds are not from 0.
+            let busy = Activity { window: 3, clock_64ths: 40, ..Activity::default() };
+            for _ in 0..warm {
+                looped.tick(&busy, &BpredActivity { dir_lookups: 1, ..BpredActivity::idle() });
+            }
+            let mut repeated = looped.clone();
+            for _ in 0..n {
+                looped.tick(&act, &bact);
+            }
+            repeated.tick_repeat(&act, &bact, n);
+            let (l, r) = (looped.report(), repeated.report());
+            prop_assert_eq!(l.cycles, r.cycles);
+            for (a, b) in l.energy_j.iter().zip(&r.energy_j) {
+                prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
     }
 }

@@ -4,9 +4,9 @@
 //!
 //! [`TraceReader`](crate::TraceReader) pays per record on the replay
 //! hot path: every instruction re-decodes its PC through the program
-//! image's binary search, every conditional outcome pulls an RLE run
-//! cursor, every address a LEB128 varint delta. [`DecodedTrace`] pays
-//! those costs exactly once, up front:
+//! image (a block lookup plus hashing), every conditional outcome
+//! pulls an RLE run cursor, every address a LEB128 varint delta.
+//! [`DecodedTrace`] pays those costs exactly once, up front:
 //!
 //! * the program's two code regions are decoded into flat
 //!   [`DecodedInst`] tables indexed by PC slot (decode becomes one

@@ -137,7 +137,7 @@ impl Invariant<AuditView> for OccupancyBounds {
 }
 
 /// The RUU must stay sorted by sequence number; squash and dispatch
-/// both rely on it (binary-search wakeup, tail-drain squash).
+/// both rely on it (producer lookup at dispatch, tail-drain squash).
 struct WindowOrdering;
 
 impl Invariant<AuditView> for WindowOrdering {
@@ -321,7 +321,7 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
                 .ruu
                 .iter()
                 .zip(self.ruu.iter().skip(1))
-                .all(|(a, b)| a.fi.seq < b.fi.seq),
+                .all(|(a, b)| a.seq < b.seq),
             ..AuditView::default()
         }
     }

@@ -1,65 +1,55 @@
 //! Back-end stages: dispatch, issue, writeback (branch resolution and
 //! squash), and commit.
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 
 use bw_types::{Addr, CtiKind, OpClass, Seq};
 
-use crate::inflight::{EntryState, FetchedInst, RuuEntry};
+use crate::inflight::{EntryState, FetchedInst, LsqEntry, NO_PRODUCER};
 use crate::machine::Machine;
 
 impl<S: bw_workload::InstSource> Machine<'_, S> {
-    /// Finds the RUU index of the entry with sequence number `seq`.
+    /// The absolute RUU position of the in-flight producer `seq` of the
+    /// instruction `consumer` about to dispatch at the RUU tail, if the
+    /// producer is still in flight.
     ///
-    /// The RUU is ordered by strictly increasing `seq` but may contain
-    /// gaps where squashed allocations used to be, so this is a binary
-    /// search rather than an offset computation.
-    fn entry_index(&self, seq: Seq) -> Option<usize> {
-        let front = self.ruu.front()?.fi.seq;
-        if seq < front {
-            return None;
-        }
-        let mut lo = 0usize;
-        let mut hi = self.ruu.len().min((seq - front + 1) as usize);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            match self.ruu[mid].fi.seq.cmp(&seq) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Equal => return Some(mid),
-                std::cmp::Ordering::Greater => hi = mid,
+    /// Every in-flight instruction between the two sits between them in
+    /// the seq-ordered RUU, so the producer is at most `consumer - seq`
+    /// positions below the tail: exactly there unless a squash left a
+    /// gap in between, in which case it is a few positions higher.
+    fn producer_position(&self, seq: Seq, consumer: Seq) -> Option<u64> {
+        let tail = self.ruu_tail();
+        let mut pos = tail.saturating_sub(consumer - seq).max(self.ruu_head);
+        while pos < tail {
+            match self.window.seq(pos).cmp(&seq) {
+                Ordering::Less => pos += 1,
+                Ordering::Equal => return Some(pos),
+                Ordering::Greater => break,
             }
         }
         None
     }
 
-    /// `true` if the producer with sequence number `seq` has a result
-    /// available (committed, squashed-gap, or completed in-window).
-    fn producer_done(&self, seq: Seq) -> bool {
-        match self.entry_index(seq) {
-            None => true,
-            Some(idx) => self.ruu[idx].state == EntryState::Completed,
-        }
-    }
-
     /// Commit stage: retire completed instructions in order.
     pub(crate) fn commit(&mut self) {
         for _ in 0..self.cfg.commit_width {
-            let Some(head) = self.ruu.front() else { break };
-            if head.state != EntryState::Completed {
+            if self.ruu.is_empty() || self.window.state(self.ruu_head) != EntryState::Completed {
                 break;
             }
-            let entry = self.ruu.pop_front().expect("checked nonempty");
+            let fi = self.ruu.pop_front().expect("checked nonempty");
+            self.ruu_head += 1;
+            self.progressed = true;
             debug_assert!(
-                entry.fi.on_correct_path,
+                fi.on_correct_path,
                 "wrong-path instruction reached commit (seq {})",
-                entry.fi.seq
+                fi.seq
             );
-            if entry.is_mem() {
-                debug_assert_eq!(self.lsq.front(), Some(&entry.fi.seq));
+            if fi.inst.op.is_mem() {
+                debug_assert_eq!(self.lsq.front().map(|e| e.seq), Some(fi.seq));
                 self.lsq.pop_front();
-                if entry.fi.inst.op == OpClass::Store {
+                if fi.inst.op == OpClass::Store {
                     // Stores write the D-cache at retirement.
-                    let addr = entry.fi.data_addr.expect("stores have addresses");
+                    let addr = fi.data_addr.expect("stores have addresses");
                     self.act.dcache += 1;
                     if !self.dcache.access(addr, true).hit {
                         self.act.dcache2 += 1;
@@ -71,8 +61,8 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
             self.stats.committed += 1;
             self.committed_now += 1;
 
-            if let Some(cti) = entry.fi.inst.cti {
-                let branch = entry.fi.branch.expect("CTIs carry branch state");
+            if let Some(cti) = fi.inst.cti {
+                let branch = fi.branch.expect("CTIs carry branch state");
                 let actual = branch.actual.expect("correct-path CTIs resolved");
                 self.stats.cti_committed += 1;
                 self.stats.cti_distance_sum += self.stats.committed - self.last_cti_at;
@@ -90,56 +80,56 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
                     if pred.outcome == actual.outcome {
                         self.stats.cond_correct += 1;
                     }
-                    self.predictor
-                        .commit(entry.fi.inst.pc, actual.outcome, &pred);
+                    self.predictor.commit(fi.inst.pc, actual.outcome, &pred);
                     if !self.cfg.speculative_history {
                         // Commit-time history update (the baseline the
                         // speculative scheme improves on).
-                        self.predictor.spec_push(entry.fi.inst.pc, actual.outcome);
+                        self.predictor.spec_push(fi.inst.pc, actual.outcome);
                     }
                     self.bact.dir_updates += 1;
                     if let Some(jrs) = &mut self.jrs {
-                        jrs.update(
-                            entry.fi.inst.pc,
-                            pred.meta.ghist,
-                            pred.outcome == actual.outcome,
-                        );
+                        jrs.update(fi.inst.pc, pred.meta.ghist, pred.outcome == actual.outcome);
                     }
                 }
                 if actual.outcome.is_taken() {
                     match &mut self.nlp {
-                        Some(nlp) => nlp.train(entry.fi.inst.pc, actual.next_pc),
-                        None => self.btb.update(entry.fi.inst.pc, actual.next_pc),
+                        Some(nlp) => nlp.train(fi.inst.pc, actual.next_pc),
+                        None => self.btb.update(fi.inst.pc, actual.next_pc),
                     }
                     self.bact.btb_updates += 1;
                 }
             }
             #[cfg(feature = "audit")]
-            self.audit_commit_check(entry.fi.seq, entry.fi.on_correct_path);
+            self.audit_commit_check(fi.seq, fi.on_correct_path);
         }
     }
 
     /// Writeback: drain due completions; resolve branches (squash +
     /// redirect on mispredicts).
     pub(crate) fn writeback(&mut self) {
-        while let Some(&Reverse((cycle, seq))) = self.completions.peek() {
+        while let Some(&Reverse((cycle, seq, pos))) = self.completions.peek() {
             if cycle > self.cycle {
                 break;
             }
             self.completions.pop();
-            let Some(idx) = self.entry_index(seq) else {
-                continue;
-            };
-            let entry = &mut self.ruu[idx];
-            if entry.state != EntryState::Issued || entry.completes_at != cycle {
+            self.progressed = true;
+            // A squash hands its positions back, so an event from a
+            // squashed allocation finds its position past the tail or
+            // taken by a younger instruction.
+            if !(self.ruu_head..self.ruu_tail()).contains(&pos) || self.window.seq(pos) != seq {
                 continue; // stale event from a squashed allocation
             }
-            entry.state = EntryState::Completed;
+            debug_assert_eq!(
+                self.window.state(pos),
+                EntryState::Issued,
+                "one completion event per issued instruction"
+            );
+            self.window.set_state(pos, EntryState::Completed);
             self.act.window += 1;
             self.act.resultbus += 1;
             self.act.regfile += 1;
 
-            let fi = entry.fi;
+            let fi = self.ruu[(pos - self.ruu_head) as usize];
             if let Some(branch) = fi.branch {
                 if branch.low_conf {
                     self.low_conf_inflight = self.low_conf_inflight.saturating_sub(1);
@@ -168,24 +158,16 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
     /// Removes every in-flight instruction younger than `seq`,
     /// repairing speculative predictor/RAS state youngest-first.
     pub(crate) fn squash_younger_than(&mut self, seq: Seq) {
-        // Collect squashed instructions from all pipeline holding
-        // structures: fetch queue, decode pipe, RUU tail.
-        let mut squashed: Vec<FetchedInst> = Vec::new();
-        squashed.extend(self.fetch_queue.drain(..));
-        for stage in &mut self.decode_pipe {
-            squashed.append(stage);
-        }
-        while self.ruu.back().is_some_and(|e| e.fi.seq > seq) {
-            let e = self.ruu.pop_back().expect("checked nonempty");
-            squashed.push(e.fi);
-        }
-        self.lsq.retain(|&s| s <= seq);
-
-        self.stats.squashed_insts += squashed.len() as u64;
-        // Repair youngest-first.
-        squashed.sort_by_key(|fi| Reverse(fi.seq));
-        for fi in &squashed {
-            debug_assert!(fi.seq > seq);
+        // The holding structures already order the squashed
+        // instructions: the fetch queue holds the youngest, then come
+        // the decode latches from stage 0 (youngest) on, then the RUU
+        // tail. Each is oldest-first, so walk each backwards.
+        let mut squashed = 0u64;
+        let mut last = Seq::MAX;
+        let mut undo = |fi: &FetchedInst| {
+            debug_assert!(fi.seq > seq && fi.seq < last, "repair runs youngest-first");
+            last = fi.seq;
+            squashed += 1;
             if let Some(b) = &fi.branch {
                 if b.low_conf {
                     self.low_conf_inflight = self.low_conf_inflight.saturating_sub(1);
@@ -197,7 +179,21 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
                     self.ras.restore(rc);
                 }
             }
+        };
+        self.fetch_queue.iter().rev().for_each(&mut undo);
+        for stage in &self.decode_pipe {
+            stage.iter().rev().for_each(&mut undo);
         }
+        while let Some(fi) = self.ruu.back().filter(|fi| fi.seq > seq) {
+            undo(fi);
+            self.ruu.pop_back();
+        }
+        self.fetch_queue.clear();
+        for stage in &mut self.decode_pipe {
+            stage.clear();
+        }
+        self.lsq.retain(|e| e.seq <= seq);
+        self.stats.squashed_insts += squashed;
     }
 
     /// Issue stage: wake ready instructions and start execution.
@@ -213,19 +209,25 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
             if total_left == 0 {
                 break;
             }
-            // Wakeup.
-            if self.ruu[idx].state == EntryState::Waiting {
-                let deps = self.ruu[idx].deps;
-                let ready = deps.iter().flatten().all(|&p| self.producer_done(p));
-                if ready {
-                    self.ruu[idx].state = EntryState::Ready;
+            let pos = self.ruu_head + idx as u64;
+            // Wakeup: a producer is done once it has completed or left
+            // the window below the head (a squashed producer takes its
+            // consumers with it).
+            if self.window.state(pos) == EntryState::Waiting {
+                let ready =
+                    self.window.producers(pos).iter().all(|&p| {
+                        p < self.ruu_head || self.window.state(p) == EntryState::Completed
+                    });
+                if !ready {
+                    continue;
                 }
-            }
-            if self.ruu[idx].state != EntryState::Ready {
+                self.window.set_state(pos, EntryState::Ready);
+                self.progressed = true;
+            } else if self.window.state(pos) != EntryState::Ready {
                 continue;
             }
 
-            let op = self.ruu[idx].fi.inst.op;
+            let op = self.ruu[idx].inst.op;
             // Port/FU availability.
             let ok = match op {
                 OpClass::IntAlu | OpClass::Cti => int_left > 0,
@@ -238,58 +240,38 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
                 continue;
             }
 
-            // Loads: memory disambiguation against older stores.
-            if op == OpClass::Load {
-                let (can_issue, forwarded) = self.load_disambiguation(idx);
-                if !can_issue {
-                    continue;
-                }
-                let seq = self.ruu[idx].fi.seq;
-                let addr = self.ruu[idx].fi.data_addr.expect("loads have addresses");
-                let latency = if forwarded {
-                    1
-                } else {
+            let seq = self.ruu[idx].seq;
+            let latency = match op {
+                OpClass::IntAlu | OpClass::Cti | OpClass::Store => 1,
+                OpClass::IntMul => 3,
+                OpClass::FpAlu => 2,
+                OpClass::FpMul => 4,
+                // Memory disambiguation: every older store's address is
+                // known at dispatch, so a load always issues, forwarding
+                // from an older store to its block.
+                OpClass::Load if self.load_forwards(idx) => 1,
+                OpClass::Load => {
+                    let addr = self.ruu[idx].data_addr.expect("loads have addresses");
                     self.load_latency(addr)
-                };
-                let entry = &mut self.ruu[idx];
-                entry.state = EntryState::Issued;
-                entry.addr_known = true;
-                entry.completes_at = self.cycle + u64::from(latency);
-                self.completions.push(Reverse((entry.completes_at, seq)));
-                mem_left -= 1;
-            } else {
-                let latency = match op {
-                    OpClass::IntAlu | OpClass::Cti => 1,
-                    OpClass::IntMul => 3,
-                    OpClass::FpAlu => 2,
-                    OpClass::FpMul => 4,
-                    OpClass::Store => 1,
-                    OpClass::Load => unreachable!("handled above"),
-                };
-                let seq = self.ruu[idx].fi.seq;
-                let entry = &mut self.ruu[idx];
-                entry.state = EntryState::Issued;
-                if op == OpClass::Store {
-                    entry.addr_known = true;
-                    mem_left -= 1;
-                } else {
-                    match op {
-                        OpClass::IntAlu | OpClass::Cti => int_left -= 1,
-                        OpClass::IntMul => {
-                            int_left -= 1;
-                            mul_left -= 1;
-                        }
-                        OpClass::FpAlu => fp_left -= 1,
-                        OpClass::FpMul => {
-                            fp_left -= 1;
-                            fpmul_left -= 1;
-                        }
-                        _ => {}
-                    }
                 }
-                entry.completes_at = self.cycle + latency;
-                self.completions.push(Reverse((entry.completes_at, seq)));
+            };
+            match op {
+                OpClass::IntAlu | OpClass::Cti => int_left -= 1,
+                OpClass::IntMul => {
+                    int_left -= 1;
+                    mul_left -= 1;
+                }
+                OpClass::FpAlu => fp_left -= 1,
+                OpClass::FpMul => {
+                    fp_left -= 1;
+                    fpmul_left -= 1;
+                }
+                OpClass::Load | OpClass::Store => mem_left -= 1,
             }
+            self.window.set_state(pos, EntryState::Issued);
+            let completes_at = self.cycle + u64::from(latency);
+            self.completions.push(Reverse((completes_at, seq, pos)));
+            self.progressed = true;
 
             total_left -= 1;
             self.issued_now += 1;
@@ -304,35 +286,15 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
         }
     }
 
-    /// Checks whether the load at RUU index `idx` may issue.
-    /// Returns `(can_issue, forwarded_from_store)`.
-    fn load_disambiguation(&self, idx: usize) -> (bool, bool) {
+    /// `true` if an older store in the LSQ writes the 8-byte block the
+    /// load at RUU index `idx` reads, so the load forwards from it.
+    fn load_forwards(&self, idx: usize) -> bool {
         let load = &self.ruu[idx];
-        let load_seq = load.fi.seq;
-        let load_addr = load.fi.data_addr.expect("loads have addresses");
-        let load_block = load_addr.0 & !7;
-        for &seq in &self.lsq {
-            if seq >= load_seq {
-                break;
-            }
-            let Some(sidx) = self.entry_index(seq) else {
-                continue;
-            };
-            let e = &self.ruu[sidx];
-            if e.fi.inst.op != OpClass::Store {
-                continue;
-            }
-            if !e.addr_known {
-                // Conservative: wait until all older store addresses
-                // are known.
-                return (false, false);
-            }
-            let saddr = e.fi.data_addr.expect("stores have addresses");
-            if saddr.0 & !7 == load_block {
-                return (true, true);
-            }
-        }
-        (true, false)
+        let block = load.data_addr.expect("loads have addresses").0 & !7;
+        self.lsq
+            .iter()
+            .take_while(|e| e.seq < load.seq)
+            .any(|e| e.store_block == Some(block))
     }
 
     /// D-cache access latency for a load, charging activity.
@@ -364,41 +326,47 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
     /// buffer.
     pub(crate) fn dispatch(&mut self) {
         // Retire the oldest stage into the window.
-        let depth = self.decode_pipe.len();
-        let oldest = depth - 1;
-        while let Some(&fi) = self.decode_pipe[oldest].first() {
+        let oldest = self.decode_pipe.len() - 1;
+        let mut taken = 0;
+        while let Some(&fi) = self.decode_pipe[oldest].get(taken) {
             if self.ruu.len() >= self.cfg.ruu_size as usize {
                 break;
             }
             if fi.inst.op.is_mem() && self.lsq.len() >= self.cfg.lsq_size as usize {
                 break;
             }
-            self.decode_pipe[oldest].remove(0);
-            let deps = compute_deps(&fi);
+            taken += 1;
+            self.progressed = true;
             if fi.inst.op.is_mem() {
-                self.lsq.push_back(fi.seq);
+                // Store addresses are produced by the address-generation
+                // path as soon as the store dispatches; the data operand
+                // is what the store may still wait on. Loads can
+                // therefore disambiguate against it immediately.
+                let store_block = (fi.inst.op == OpClass::Store)
+                    .then(|| fi.data_addr.expect("stores have addresses").0 & !7);
+                self.lsq.push_back(LsqEntry {
+                    seq: fi.seq,
+                    store_block,
+                });
             }
-            let addr_known_at_dispatch = fi.inst.op == OpClass::Store;
             debug_assert!(
-                self.ruu.back().is_none_or(|e| e.fi.seq < fi.seq),
+                self.ruu.back().is_none_or(|e| e.seq < fi.seq),
                 "RUU must stay seq-ordered"
             );
-            let mut entry = RuuEntry::new(fi, deps);
-            // Store addresses are produced by the address-generation
-            // path as soon as the store dispatches; the data operand is
-            // what the store may still wait on. Loads can therefore
-            // disambiguate against it immediately.
-            entry.addr_known = addr_known_at_dispatch;
-            self.ruu.push_back(entry);
+            let producers = self.resolve_producers(&fi);
+            self.window.allocate(self.ruu_tail(), fi.seq, producers);
+            self.ruu.push_back(fi);
             self.act.rename += 1;
             self.act.window += 1;
         }
+        self.decode_pipe[oldest].drain(..taken);
 
         // Shift the latch pipeline where possible (in-order, rigid).
+        // Swapping with the empty latch ahead keeps both buffers.
         for i in (0..oldest).rev() {
             if self.decode_pipe[i + 1].is_empty() && !self.decode_pipe[i].is_empty() {
-                let stage = std::mem::take(&mut self.decode_pipe[i]);
-                self.decode_pipe[i + 1] = stage;
+                self.decode_pipe.swap(i, i + 1);
+                self.progressed = true;
             }
         }
 
@@ -409,16 +377,20 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
                     break;
                 };
                 self.decode_pipe[0].push(fi);
+                self.progressed = true;
             }
         }
     }
-}
 
-/// Synthesizes RUU dependency links from an instruction's dependency
-/// distances.
-fn compute_deps(fi: &FetchedInst) -> [Option<Seq>; 2] {
-    let d = fi.inst.dep_distances();
-    let resolve =
-        |dist: Option<u8>| -> Option<Seq> { dist.and_then(|k| fi.seq.checked_sub(u64::from(k))) };
-    [resolve(d[0]), resolve(d[1])]
+    /// Resolves an instruction's source operands, given as dependency
+    /// distances, to their producers' absolute RUU positions, or to
+    /// [`NO_PRODUCER`] when the producer has already committed or was
+    /// squashed. Producers are older, so they dispatched already.
+    fn resolve_producers(&self, fi: &FetchedInst) -> [u64; 2] {
+        fi.inst.dep_distances().map(|dist| {
+            dist.and_then(|k| fi.seq.checked_sub(u64::from(k)))
+                .and_then(|seq| self.producer_position(seq, fi.seq))
+                .unwrap_or(NO_PRODUCER)
+        })
+    }
 }

@@ -27,7 +27,9 @@ struct Line {
 /// A write-back, write-allocate set-associative cache with true LRU.
 ///
 /// The cache models hits/misses and dirty evictions; data contents are
-/// not stored (the simulator is a performance/power model).
+/// not stored (the simulator is a performance/power model). All sets
+/// live in one flat line array, set `s` at `s * assoc..(s + 1) * assoc`,
+/// so building a cache is one allocation.
 ///
 /// # Examples
 ///
@@ -47,9 +49,12 @@ struct Line {
 #[derive(Clone, Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    lines: Vec<Line>,
+    assoc: usize,
     set_mask: u64,
     line_shift: u32,
+    /// Set-index bits: a line number shifted right by this is its tag.
+    set_bits: u32,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -87,9 +92,11 @@ impl Cache {
         assert!(n_sets.is_power_of_two(), "set count must be a power of two");
         Cache {
             cfg,
-            sets: vec![vec![Line::default(); cfg.assoc as usize]; n_sets as usize],
+            lines: vec![Line::default(); lines as usize],
+            assoc: cfg.assoc as usize,
             set_mask: n_sets - 1,
             line_shift: cfg.line_bytes.trailing_zeros(),
+            set_bits: n_sets.trailing_zeros(),
             tick: 0,
             hits: 0,
             misses: 0,
@@ -102,12 +109,11 @@ impl Cache {
         self.cfg
     }
 
-    fn set_and_tag(&self, addr: Addr) -> (usize, u64) {
+    /// The line-array range of `addr`'s set, and its tag.
+    fn set_and_tag(&self, addr: Addr) -> (std::ops::Range<usize>, u64) {
         let line = addr.0 >> self.line_shift;
-        (
-            (line & self.set_mask) as usize,
-            line >> self.set_mask.count_ones(),
-        )
+        let first = (line & self.set_mask) as usize * self.assoc;
+        (first..first + self.assoc, line >> self.set_bits)
     }
 
     /// Records a hit that bypassed the full lookup: the warm path's
@@ -123,7 +129,7 @@ impl Cache {
         self.tick += 1;
         let tick = self.tick;
         let (set, tag) = self.set_and_tag(addr);
-        let ways = &mut self.sets[set];
+        let ways = &mut self.lines[set];
         if let Some(line) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
             line.lru = tick;
             line.dirty |= is_write;
@@ -155,7 +161,7 @@ impl Cache {
     #[must_use]
     pub fn probe(&self, addr: Addr) -> bool {
         let (set, tag) = self.set_and_tag(addr);
-        self.sets[set].iter().any(|l| l.valid && l.tag == tag)
+        self.lines[set].iter().any(|l| l.valid && l.tag == tag)
     }
 
     /// (hits, misses) so far.

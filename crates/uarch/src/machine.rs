@@ -17,7 +17,7 @@ use bw_workload::{BenchmarkModel, InstSource, StaticProgram, Thread};
 
 use crate::cache::{Cache, Tlb};
 use crate::config::UarchConfig;
-use crate::inflight::{BranchState, FetchedInst, RuuEntry};
+use crate::inflight::{BranchState, FetchedInst, LsqEntry, Window};
 use crate::stats::SimStats;
 
 /// The cycle-level out-of-order machine.
@@ -50,11 +50,18 @@ pub struct Machine<'p, S: InstSource = Thread<'p>> {
     pub(crate) fetch_stall_until: Cycle,
     pub(crate) fetch_queue: VecDeque<FetchedInst>,
     /// Decode + extra rename stages; index 0 is the youngest stage.
-    pub(crate) decode_pipe: VecDeque<Vec<FetchedInst>>,
-    // Backend.
-    pub(crate) ruu: VecDeque<RuuEntry>,
-    pub(crate) lsq: VecDeque<Seq>,
-    pub(crate) completions: BinaryHeap<Reverse<(Cycle, Seq)>>,
+    pub(crate) decode_pipe: Vec<Vec<FetchedInst>>,
+    // Backend. The RUU holds the instructions; their execution state
+    // lives in `window`.
+    pub(crate) ruu: VecDeque<FetchedInst>,
+    /// Absolute RUU position of `ruu[0]` (see [`Window`]).
+    pub(crate) ruu_head: u64,
+    /// Execution state, sequence number and producers of every RUU
+    /// entry, by position.
+    pub(crate) window: Window,
+    pub(crate) lsq: VecDeque<LsqEntry>,
+    /// Completion events: (cycle, sequence number, RUU position).
+    pub(crate) completions: BinaryHeap<Reverse<(Cycle, Seq, u64)>>,
     // Pipeline gating.
     pub(crate) low_conf_inflight: u32,
     // Bookkeeping.
@@ -71,6 +78,12 @@ pub struct Machine<'p, S: InstSource = Thread<'p>> {
     pub(crate) fetched_now: u32,
     pub(crate) issued_now: u32,
     pub(crate) committed_now: u32,
+    /// Whether any stage changed pipeline state this cycle (see
+    /// [`run`](Self::run)).
+    pub(crate) progressed: bool,
+    /// Cycles advanced by [`tick`](Self::tick), as opposed to accounted
+    /// by the fast-forward.
+    pub(crate) ticks: u64,
     // Runtime sanitizer (observation-only; None unless enabled).
     #[cfg(feature = "audit")]
     pub(crate) audit: Option<Box<crate::audit::AuditState>>,
@@ -209,8 +222,10 @@ impl<'p, S: InstSource> Machine<'p, S> {
             on_correct_path: true,
             fetch_stall_until: 0,
             fetch_queue: VecDeque::with_capacity(cfg.fetch_buffer as usize + 8),
-            decode_pipe: VecDeque::from(vec![Vec::new(); depth]),
+            decode_pipe: vec![Vec::with_capacity(cfg.decode_width as usize); depth],
             ruu: VecDeque::with_capacity(cfg.ruu_size as usize),
+            ruu_head: 1,
+            window: Window::new(cfg.ruu_size),
             lsq: VecDeque::with_capacity(cfg.lsq_size as usize),
             completions: BinaryHeap::new(),
             low_conf_inflight: 0,
@@ -226,6 +241,8 @@ impl<'p, S: InstSource> Machine<'p, S> {
             fetched_now: 0,
             issued_now: 0,
             committed_now: 0,
+            progressed: false,
+            ticks: 0,
             #[cfg(feature = "audit")]
             audit: None,
         }
@@ -234,10 +251,13 @@ impl<'p, S: InstSource> Machine<'p, S> {
     /// One-line internal state summary (debugging aid).
     #[must_use]
     pub fn debug_state(&self) -> String {
-        let head = self.ruu.front().map(|e| {
+        let head = self.ruu.front().map(|fi| {
             format!(
-                "{:?}/{:?}/seq{}/deps{:?}/c@{}",
-                e.fi.inst.op, e.state, e.fi.seq, e.deps, e.completes_at
+                "{:?}/{:?}/seq{}/producers{:?}",
+                fi.inst.op,
+                self.window.state(self.ruu_head),
+                fi.seq,
+                self.window.producers(self.ruu_head),
             )
         });
         format!(
@@ -278,6 +298,14 @@ impl<'p, S: InstSource> Machine<'p, S> {
     #[must_use]
     pub fn stats(&self) -> &SimStats {
         &self.stats
+    }
+
+    /// Cycles simulated one by one through [`tick`](Self::tick). The
+    /// rest of [`SimStats::cycles`] are dead cycles that
+    /// [`run`](Self::run) accounted in bulk.
+    #[must_use]
+    pub fn ticked_cycles(&self) -> u64 {
+        self.ticks
     }
 
     /// Energy/power report so far.
@@ -456,12 +484,21 @@ impl<'p, S: InstSource> Machine<'p, S> {
 
     /// Runs until `max_commits` instructions have committed (or a
     /// safety cycle cap is hit). Returns committed instructions.
+    ///
+    /// The result is bit-identical to calling [`tick`](Self::tick)
+    /// under the same stop rule: after a cycle in which no stage
+    /// changed pipeline state, the identical cycles up to the next
+    /// completion event or the end of a fetch stall are accounted in
+    /// one step.
     pub fn run(&mut self, max_commits: u64) -> u64 {
         let target = self.stats.committed + max_commits;
         // Deadlock guard: generous for low-IPC phases.
         let cycle_cap = self.cycle + max_commits * 40 + 100_000;
         while self.stats.committed < target && self.cycle < cycle_cap {
             self.tick();
+            if !self.progressed {
+                self.skip_dead_cycles(cycle_cap);
+            }
         }
         debug_assert!(
             self.stats.committed >= target,
@@ -472,14 +509,64 @@ impl<'p, S: InstSource> Machine<'p, S> {
         self.stats.committed
     }
 
+    /// Accounts, in one step, the cycles after a tick that changed no
+    /// pipeline state, up to (not including) the next cycle in which
+    /// something can happen, and never past `cycle_cap`.
+    ///
+    /// A tick reads only pipeline state and the cycle number, and it
+    /// reads the cycle number only to pop due completion events and to
+    /// test `fetch_stall_until`. Once a tick changed nothing, every
+    /// later tick therefore repeats it exactly (same stalls, same
+    /// activity) until a completion event falls due or the fetch stall
+    /// ends. The skipped cycles add to the cycle counts, to the gated
+    /// cycles when gating rather than the stall held fetch, and to the
+    /// energy through [`ChipPower::tick_repeat`], which is
+    /// bit-identical to ticking them one by one.
+    ///
+    /// A machine with the audit sanitizer attached ticks every cycle,
+    /// since the sanitizer observes each one.
+    fn skip_dead_cycles(&mut self, cycle_cap: Cycle) {
+        #[cfg(feature = "audit")]
+        if self.audit.is_some() {
+            return;
+        }
+        let mut last = cycle_cap;
+        if let Some(&Reverse((due, _, _))) = self.completions.peek() {
+            last = last.min(due - 1);
+        }
+        if self.fetch_stall_until > self.cycle {
+            last = last.min(self.fetch_stall_until - 1);
+        }
+        let n = last.saturating_sub(self.cycle);
+        if n == 0 {
+            return;
+        }
+        debug_assert_eq!(
+            self.bact,
+            BpredActivity::idle(),
+            "a dead tick has no predictor activity"
+        );
+        if self.cycle >= self.fetch_stall_until && self.gating_active() {
+            self.stats.gated_cycles += n;
+        }
+        self.cycle += n;
+        self.stats.cycles += n;
+        self.bpred_totals.cycles += n;
+        let act = self.act;
+        let bact = self.bact;
+        self.power.tick_repeat(&act, &bact, n);
+    }
+
     /// Advances one cycle.
     pub fn tick(&mut self) {
         self.cycle += 1;
+        self.ticks += 1;
         self.act = Activity::default();
         self.bact = BpredActivity::default();
         self.fetched_now = 0;
         self.issued_now = 0;
         self.committed_now = 0;
+        self.progressed = false;
         #[cfg(feature = "audit")]
         self.audit_begin_cycle();
 
@@ -510,6 +597,12 @@ impl<'p, S: InstSource> Machine<'p, S> {
         self.audit_cycle_check();
     }
 
+    /// Absolute RUU position one past the youngest entry: where the
+    /// next dispatch goes.
+    pub(crate) fn ruu_tail(&self) -> u64 {
+        self.ruu_head + self.ruu.len() as u64
+    }
+
     pub(crate) fn gating_active(&self) -> bool {
         self.cfg
             .gating
@@ -538,6 +631,7 @@ impl<'p, S: InstSource> Machine<'p, S> {
 
         // Active fetch cycle: the I-cache, direction predictor and BTB
         // are accessed in parallel (or the PPD gates the latter two).
+        self.progressed = true;
         self.stats.fetch_active_cycles += 1;
         self.act.icache += 1;
 

@@ -4,8 +4,8 @@
 
 use crate::{Machine, UarchConfig};
 use bw_power::PpdScenario;
-use bw_predictors::{HybridConfig, PredictorConfig};
-use bw_workload::benchmark;
+use bw_predictors::{HybridComponent, HybridConfig, PredictorConfig};
+use bw_workload::{all_benchmarks, benchmark};
 
 fn machine_for<'p>(
     program: &'p bw_workload::StaticProgram,
@@ -326,6 +326,131 @@ fn next_line_predictor_front_end_works() {
     // Direction accuracy is a property of the direction predictor, not
     // the target structure.
     assert!((nlp.stats().direction_accuracy() - btb.stats().direction_accuracy()).abs() < 0.01);
+}
+
+/// The predictor zoo of the paper's figures plus hybrid_0 (the gating
+/// study's tiny hybrid), as `bw_core::zoo` configures them.
+fn zoo() -> Vec<PredictorConfig> {
+    let hybrid = |selector_entries, selector_hist_bits, global_entries, global_hist_bits, local| {
+        let (bht_entries, hist_bits, pht_entries) = local;
+        PredictorConfig::Hybrid(HybridConfig {
+            selector_entries,
+            selector_hist_bits,
+            global_entries,
+            global_hist_bits,
+            global_xor: false,
+            component: HybridComponent::Local {
+                bht_entries,
+                hist_bits,
+                pht_entries,
+            },
+        })
+    };
+    vec![
+        PredictorConfig::bimodal(128),
+        PredictorConfig::bimodal(4 * 1024),
+        PredictorConfig::bimodal(8 * 1024),
+        PredictorConfig::bimodal(16 * 1024),
+        PredictorConfig::gas(4 * 1024, 5),
+        PredictorConfig::gas(32 * 1024, 8),
+        PredictorConfig::gshare(16 * 1024, 12),
+        PredictorConfig::gshare(32 * 1024, 12),
+        hybrid(1024, 3, 2048, 4, (512, 2, 512)),
+        PredictorConfig::Hybrid(HybridConfig::alpha_21264()),
+        hybrid(8 * 1024, 10, 16 * 1024, 7, (1024, 8, 4096)),
+        hybrid(8 * 1024, 6, 16 * 1024, 7, (1024, 8, 4096)),
+        PredictorConfig::pas(1024, 4, 2048),
+        PredictorConfig::pas(4096, 8, 16 * 1024),
+        PredictorConfig::Hybrid(HybridConfig::tiny_hybrid0()),
+    ]
+}
+
+/// The machine variants whose dead cycles differ in kind: memory
+/// stalls, fetch stalls, gating holds, PPD-gated fetch, commit-time
+/// history, next-line misfetch bubbles, and small and large windows.
+fn variants() -> Vec<(&'static str, UarchConfig)> {
+    let base = UarchConfig::alpha21264_like();
+    let mut small = base.clone();
+    small.ruu_size = 40;
+    small.lsq_size = 20;
+    let mut large = base.clone();
+    large.ruu_size = 160;
+    vec![
+        ("base", base.clone()),
+        ("both-strong gating N=0", base.clone().with_gating(0)),
+        ("both-strong gating N=2", base.clone().with_gating(2)),
+        ("JRS gating N=1", base.clone().with_jrs_gating(1)),
+        ("PPD scenario 1", base.clone().with_ppd(PpdScenario::One)),
+        ("PPD scenario 2", base.clone().with_ppd(PpdScenario::Two)),
+        (
+            "commit-time history",
+            base.clone().with_commit_time_history(),
+        ),
+        (
+            "next-line predictor",
+            base.clone().with_next_line_predictor(),
+        ),
+        ("RUU 40 / LSQ 20", small),
+        ("RUU 160", large),
+    ]
+}
+
+/// [`Machine::run`] with every cycle ticked: the reference the
+/// fast-forward must match, under `run`'s own stop rule.
+fn tick_loop(m: &mut Machine<'_>, max_commits: u64) {
+    let target = m.stats.committed + max_commits;
+    let cycle_cap = m.cycle + max_commits * 40 + 100_000;
+    while m.stats.committed < target && m.cycle < cycle_cap {
+        m.tick();
+    }
+}
+
+#[test]
+fn fast_forward_is_bit_identical_to_ticking_every_cycle() {
+    let zoo = zoo();
+    let (mut cells, mut cycles, mut ticked) = (0usize, 0u64, 0u64);
+    for (label, cfg) in variants() {
+        for model in all_benchmarks() {
+            let pred = zoo[cells % zoo.len()];
+            cells += 1;
+            let seed = 1 + cells as u64;
+            let program = model.build_program(seed);
+            let build = || {
+                let mut m = Machine::new(&cfg, &program, model, seed, pred);
+                m.warmup(3_000);
+                m
+            };
+            let (mut fast, mut reference) = (build(), build());
+            // Two chunks, as the drive loop calls it.
+            fast.run(1_500);
+            fast.run(2_500);
+            tick_loop(&mut reference, 1_500);
+            tick_loop(&mut reference, 2_500);
+
+            let cell = format!("{label} / {} / {}", model.name, pred.build().describe());
+            assert_eq!(fast.stats(), reference.stats(), "{cell}: stats");
+            assert_eq!(
+                fast.bpred_totals(),
+                reference.bpred_totals(),
+                "{cell}: totals"
+            );
+            let (f, r) = (fast.power_report(), reference.power_report());
+            assert_eq!(f.cycles, r.cycles, "{cell}: energy cycles");
+            for (unit, (a, b)) in f.energy_j.iter().zip(&r.energy_j).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "{cell}: energy of unit {unit}");
+            }
+            assert_eq!(reference.ticked_cycles(), reference.stats().cycles);
+            cycles += fast.stats().cycles;
+            ticked += fast.ticked_cycles();
+        }
+    }
+    assert_eq!(cells, 220);
+    // The oracle is inert unless the fast-forward actually skipped.
+    assert!(
+        ticked * 10 < cycles * 9,
+        "only {} of {cycles} cycles skipped",
+        cycles - ticked
+    );
 }
 
 mod machine_proptests {

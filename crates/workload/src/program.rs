@@ -145,11 +145,14 @@ impl InstMix {
 pub struct StaticProgram {
     pub(crate) salt: u64,
     main_blocks: Vec<Block>,
-    main_starts: Vec<u64>,
     main_end: Addr,
     func_blocks: Vec<Block>,
-    func_starts: Vec<u64>,
     func_end: Addr,
+    /// Index into `main_blocks` of the block holding each main-region
+    /// instruction slot, so decoding a PC is one table read.
+    main_slot_block: Vec<u32>,
+    /// The same table for the function region.
+    func_slot_block: Vec<u32>,
     behaviors: Vec<Behavior>,
     mix: InstMix,
     /// Optional explicit op class per main-region instruction slot
@@ -187,6 +190,14 @@ pub enum LayoutError {
         /// Op entries supplied.
         got: usize,
     },
+    /// A region holds more instruction slots than
+    /// [`MAX_REGION_SLOTS`](StaticProgram::MAX_REGION_SLOTS).
+    RegionTooLarge {
+        /// `"main"` or `"func"`.
+        region: &'static str,
+        /// Instruction slots the region's blocks cover.
+        slots: u64,
+    },
 }
 
 impl std::fmt::Display for LayoutError {
@@ -211,6 +222,13 @@ impl std::fmt::Display for LayoutError {
                     "op table has {got} entries but the main region has {expect} slots"
                 )
             }
+            LayoutError::RegionTooLarge { region, slots } => {
+                write!(
+                    f,
+                    "{region} region covers {slots} instruction slots (limit {})",
+                    StaticProgram::MAX_REGION_SLOTS
+                )
+            }
         }
     }
 }
@@ -218,6 +236,14 @@ impl std::fmt::Display for LayoutError {
 impl std::error::Error for LayoutError {}
 
 impl StaticProgram {
+    /// The most instruction slots one code region may cover (64 MiB of
+    /// code; the largest built-in program lays out about 57k).
+    ///
+    /// Decoding reads a per-slot block table built with the program, so
+    /// the limit bounds that table (4 bytes a slot) for any input,
+    /// including a corrupt deserialized image.
+    pub const MAX_REGION_SLOTS: u64 = 1 << 24;
+
     /// Builds a program from explicit parts (used by the benchmark
     /// generator).
     ///
@@ -239,8 +265,13 @@ impl StaticProgram {
     }
 
     /// Builds a program from explicit parts, validating the layout:
-    /// blocks must be laid out contiguously from their region bases and
-    /// every conditional terminator's site must have a behaviour entry.
+    /// blocks must be laid out contiguously from their region bases,
+    /// every conditional terminator's site must have a behaviour entry,
+    /// and neither region may exceed
+    /// [`MAX_REGION_SLOTS`](Self::MAX_REGION_SLOTS).
+    ///
+    /// Every program, generated or deserialized, is assembled here,
+    /// which is also where the slot-to-block decode table is built.
     ///
     /// This is the non-panicking entry point deserializers (e.g. the
     /// `bw-trace` program image) use, so corrupt inputs surface as
@@ -263,6 +294,8 @@ impl StaticProgram {
         if !func_blocks.is_empty() {
             check_contiguous(&func_blocks, FUNC_BASE, "func")?;
         }
+        let main_slot_block = slot_table(&main_blocks, "main")?;
+        let func_slot_block = slot_table(&func_blocks, "func")?;
         for b in main_blocks.iter().chain(&func_blocks) {
             if let Terminator::CondBranch { site, .. } = b.term {
                 if site as usize >= behaviors.len() {
@@ -273,18 +306,16 @@ impl StaticProgram {
                 }
             }
         }
-        let main_starts = main_blocks.iter().map(|b| b.start.0).collect();
-        let func_starts: Vec<u64> = func_blocks.iter().map(|b| b.start.0).collect();
         let main_end = main_blocks.last().map_or(CODE_BASE, Block::end);
         let func_end = func_blocks.last().map_or(FUNC_BASE, Block::end);
         Ok(StaticProgram {
             salt,
             main_blocks,
-            main_starts,
             main_end,
             func_blocks,
-            func_starts,
             func_end,
+            main_slot_block,
+            func_slot_block,
             behaviors,
             mix,
             main_ops: Vec::new(),
@@ -379,13 +410,14 @@ impl StaticProgram {
 
     /// Decodes the instruction at `pc`. Pure: depends only on `pc` and
     /// the program.
+    ///
+    /// Inside a laid-out region the containing block comes from the
+    /// slot-to-block table, so decoding costs one table read and no
+    /// search.
     #[must_use]
     pub fn decode(&self, pc: Addr) -> DecodedInst {
-        if pc >= CODE_BASE && pc < self.main_end {
-            return self.decode_in(&self.main_blocks, &self.main_starts, pc, true);
-        }
-        if pc >= FUNC_BASE && pc < self.func_end {
-            return self.decode_in(&self.func_blocks, &self.func_starts, pc, false);
+        if let Some((block, is_main)) = self.block_at(pc) {
+            return self.decode_in(block, pc, is_main);
         }
         self.decode_wild(pc)
     }
@@ -397,9 +429,22 @@ impl StaticProgram {
         (pc >= CODE_BASE && pc < self.main_end) || (pc >= FUNC_BASE && pc < self.func_end)
     }
 
-    fn decode_in(&self, blocks: &[Block], starts: &[u64], pc: Addr, is_main: bool) -> DecodedInst {
-        let idx = starts.partition_point(|&s| s <= pc.0) - 1;
-        let block = &blocks[idx];
+    /// The laid-out block holding `pc`, and whether it is in the main
+    /// region; `None` for wild addresses.
+    fn block_at(&self, pc: Addr) -> Option<(&Block, bool)> {
+        let slot = |base: Addr| ((pc.0 - base.0) / INST_BYTES) as usize;
+        if pc >= CODE_BASE && pc < self.main_end {
+            let idx = self.main_slot_block[slot(CODE_BASE)];
+            return Some((&self.main_blocks[idx as usize], true));
+        }
+        if pc >= FUNC_BASE && pc < self.func_end {
+            let idx = self.func_slot_block[slot(FUNC_BASE)];
+            return Some((&self.func_blocks[idx as usize], false));
+        }
+        None
+    }
+
+    fn decode_in(&self, block: &Block, pc: Addr, is_main: bool) -> DecodedInst {
         debug_assert!(pc >= block.start && pc < block.end());
         let slot = (pc.0 - block.start.0) / INST_BYTES;
         if slot < u64::from(block.body_len) {
@@ -441,25 +486,29 @@ impl StaticProgram {
         }
     }
 
+    /// The binary-search decoder the slot table replaced, kept as the
+    /// differential reference for [`decode`](Self::decode).
+    #[cfg(test)]
+    pub(crate) fn decode_reference(&self, pc: Addr) -> DecodedInst {
+        let search = |blocks: &[Block]| blocks.partition_point(|b| b.start <= pc) - 1;
+        if pc >= CODE_BASE && pc < self.main_end {
+            let block = &self.main_blocks[search(&self.main_blocks)];
+            return self.decode_in(block, pc, true);
+        }
+        if pc >= FUNC_BASE && pc < self.func_end {
+            let block = &self.func_blocks[search(&self.func_blocks)];
+            return self.decode_in(block, pc, false);
+        }
+        self.decode_wild(pc)
+    }
+
     /// Targets of an indirect jump terminator at `pc`, if any.
     #[must_use]
     pub fn indirect_targets(&self, pc: Addr) -> Option<[Addr; 4]> {
-        let lookup = |blocks: &[Block], starts: &[u64]| -> Option<[Addr; 4]> {
-            let idx = starts.partition_point(|&s| s <= pc.0).checked_sub(1)?;
-            let block = &blocks[idx];
-            if block.term_pc() == pc {
-                if let Terminator::IndirectJump { targets } = block.term {
-                    return Some(targets);
-                }
-            }
-            None
-        };
-        if pc >= CODE_BASE && pc < self.main_end {
-            lookup(&self.main_blocks, &self.main_starts)
-        } else if pc >= FUNC_BASE && pc < self.func_end {
-            lookup(&self.func_blocks, &self.func_starts)
-        } else {
-            None
+        let (block, _) = self.block_at(pc)?;
+        match block.term {
+            Terminator::IndirectJump { targets } if block.term_pc() == pc => Some(targets),
+            _ => None,
         }
     }
 
@@ -530,6 +579,20 @@ impl StaticProgram {
             _ => self.body_inst(pc),
         }
     }
+}
+
+/// The slot-to-block table of one region: entry `i` is the index of the
+/// block holding the region's `i`-th instruction slot.
+fn slot_table(blocks: &[Block], region: &'static str) -> Result<Vec<u32>, LayoutError> {
+    let slots: u64 = blocks.iter().map(Block::len_insts).sum();
+    if slots > StaticProgram::MAX_REGION_SLOTS {
+        return Err(LayoutError::RegionTooLarge { region, slots });
+    }
+    let mut table = Vec::with_capacity(slots as usize);
+    for (idx, b) in blocks.iter().enumerate() {
+        table.resize(table.len() + b.len_insts() as usize, idx as u32);
+    }
+    Ok(table)
 }
 
 fn check_contiguous(blocks: &[Block], base: Addr, region: &'static str) -> Result<(), LayoutError> {
@@ -702,5 +765,144 @@ mod tests {
         let p = tiny_program();
         assert_eq!(p.indirect_targets(p.main_blocks()[1].term_pc()), None);
         assert_eq!(p.indirect_targets(CODE_BASE), None);
+    }
+
+    #[test]
+    fn oversized_region_is_rejected() {
+        let huge = Block {
+            start: CODE_BASE,
+            body_len: StaticProgram::MAX_REGION_SLOTS as u32,
+            term: Terminator::Return,
+        };
+        let err = StaticProgram::try_from_parts(0, vec![huge], vec![], vec![], NO_MIX).unwrap_err();
+        assert_eq!(
+            err,
+            LayoutError::RegionTooLarge {
+                region: "main",
+                slots: StaticProgram::MAX_REGION_SLOTS + 1,
+            }
+        );
+    }
+
+    const NO_MIX: InstMix = InstMix {
+        load: 0.0,
+        store: 0.0,
+        fp_alu: 0.0,
+        fp_mul: 0.0,
+        int_mul: 0.0,
+    };
+
+    /// The PCs the decode differential checks: every slot of both
+    /// regions, the addresses around each region boundary (aligned and
+    /// not), and `wild` pseudo-random addresses anywhere.
+    fn probe_pcs(p: &StaticProgram, wild: u64, seed: u64) -> Vec<Addr> {
+        let main_slots = (p.main_end.0 - CODE_BASE.0) / INST_BYTES;
+        let func_slots = (p.func_end.0 - FUNC_BASE.0) / INST_BYTES;
+        let mut pcs: Vec<Addr> = (0..main_slots)
+            .map(|i| CODE_BASE.offset_insts(i))
+            .chain((0..func_slots).map(|i| FUNC_BASE.offset_insts(i)))
+            .collect();
+        for edge in [CODE_BASE, p.main_end, FUNC_BASE, p.func_end] {
+            for delta in [-8i64, -4, -1, 0, 1, 3, 4, 8] {
+                pcs.push(Addr(edge.0.wrapping_add_signed(delta)));
+            }
+        }
+        pcs.extend([Addr(0), Addr(u64::MAX), Addr(!3)]);
+        pcs.extend((0..wild).map(|i| Addr(mix2(i, seed))));
+        pcs
+    }
+
+    fn assert_decoders_agree(p: &StaticProgram, label: &str, seed: u64) {
+        for pc in probe_pcs(p, 1_000, seed) {
+            assert_eq!(
+                p.decode(pc),
+                p.decode_reference(pc),
+                "{label}: decoders disagree at {pc}"
+            );
+            let reference = p.decode_reference(pc);
+            if reference
+                .cti
+                .is_some_and(|c| c.kind == CtiKind::IndirectJump)
+            {
+                assert!(
+                    !p.in_code_region(pc) || p.indirect_targets(pc).is_some(),
+                    "{label}: indirect jump at {pc} lost its targets"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn decode_table_matches_binary_search_on_every_model() {
+        for model in crate::all_benchmarks() {
+            for seed in [1, 7, 42] {
+                let p = model.build_program(seed);
+                assert_decoders_agree(&p, &format!("{} seed {seed}", model.name), seed);
+            }
+        }
+    }
+
+    #[test]
+    fn decode_table_matches_binary_search_with_explicit_ops() {
+        let p = crate::benchmark("gcc").unwrap().build_program(3);
+        let ops: Vec<OpClass> = p
+            .main_blocks()
+            .iter()
+            .flat_map(|b| {
+                (0..b.body_len)
+                    .map(|i| [OpClass::Load, OpClass::Store, OpClass::IntMul][i as usize % 3])
+                    .chain(std::iter::once(OpClass::Cti))
+            })
+            .collect();
+        let p = p.with_explicit_main_ops(ops).unwrap();
+        assert_decoders_agree(&p, "gcc with explicit ops", 3);
+        assert_decoders_agree(&tiny_program(), "tiny", 0);
+    }
+
+    /// The program image of the checked-in trace fixture, deserialized
+    /// by `bw-trace` through [`StaticProgram::try_from_parts`], decodes
+    /// like the reference. `bw-trace` links its own build of this
+    /// crate, whose types are distinct from this test's, so the image
+    /// is matched part for part (by `Debug`) against the generator's
+    /// program for the fixture's model and seed, and its table decoder
+    /// is compared against the reference decoder of that twin.
+    #[test]
+    fn decode_table_matches_binary_search_on_trace_fixture() {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../trace/tests/data/gzip-quick.bwt");
+        let trace = bw_trace::Trace::load(&path).expect("fixture loads");
+        let image = trace.program();
+        let twin = crate::benchmark(&trace.meta().name)
+            .unwrap()
+            .build_program(trace.meta().seed);
+        let image_parts = format!(
+            "{:?} {:?} {:?} {:?} {:?} {:?}",
+            image.main_blocks(),
+            image.func_blocks(),
+            image.behaviors(),
+            image.salt(),
+            image.inst_mix(),
+            image.main_ops()
+        );
+        let twin_parts = format!(
+            "{:?} {:?} {:?} {:?} {:?} {:?}",
+            twin.main_blocks(),
+            twin.func_blocks(),
+            twin.behaviors(),
+            twin.salt(),
+            twin.inst_mix(),
+            twin.main_ops()
+        );
+        assert!(
+            image_parts == twin_parts,
+            "the fixture's program image is not the generator's program"
+        );
+        for pc in probe_pcs(&twin, 1_000, trace.meta().seed) {
+            assert_eq!(
+                format!("{:?}", image.decode(pc)),
+                format!("{:?}", twin.decode_reference(pc)),
+                "fixture image decodes differently at {pc}"
+            );
+        }
     }
 }
