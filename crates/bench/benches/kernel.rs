@@ -21,7 +21,9 @@ const PR: u32 = 15;
 use bw_arrays::{ModelKind, TechParams};
 use bw_core::trace::{DecodedTrace, Trace, TraceReader};
 use bw_core::zoo::NamedPredictor;
-use bw_core::{fsutil, record_trace, RunPlan, Runner, SimConfig};
+use bw_core::{
+    fsutil, record_trace, simulate_with, RunPlan, Runner, SimConfig, SimControl, SimSource,
+};
 use bw_uarch::{Machine, SimStats, UarchConfig};
 use bw_workload::{benchmark, BenchmarkModel};
 
@@ -363,9 +365,15 @@ fn main() {
     );
 
     // Sanitizer: the batched replay path stays invariant-clean.
-    let (audited, violations) =
-        bw_core::simulate_trace_audited(&trace, NamedPredictor::Gshare16k12.config(), &sim_cfg)
-            .expect("record_trace sized the trace for sim_cfg");
+    let mut violations = Vec::new();
+    let audited = simulate_with(
+        SimSource::Trace(&trace),
+        NamedPredictor::Gshare16k12.config(),
+        &sim_cfg,
+        SimControl::default().audit_into(&mut violations),
+    )
+    .expect("record_trace sized the trace for sim_cfg")
+    .expect("no token, cannot cancel");
     let audit_clean = violations.is_empty();
     assert!(audit_clean, "audit violations on replay: {violations:?}");
     assert_eq!(

@@ -38,7 +38,10 @@ fn drive_batched(cfg: PredictorConfig, n: u64) -> u64 {
         batch.clear();
         preds.clear();
         for _ in 0..256.min(n - i) {
-            batch.push(Addr(0x1000 + (i % 509) * 8), Outcome::from_bool(i % 3 != 0));
+            batch.push(
+                Addr(0x1000 + (i % 509) * 8),
+                Outcome::from_bool(!i.is_multiple_of(3)),
+            );
             i += 1;
         }
         p.lookup_batch(&batch, &mut preds);

@@ -7,9 +7,6 @@
 //! * `repair` — same scan, then evict every corrupt entry and stray
 //!   `.tmp` staging file (stale entries are left alone — they are
 //!   replaced lazily on the next store of their key). Exits 0.
-//!   With `--migrate`, first moves legacy flat-layout entries into
-//!   their two-level shard subdirectories (a pure rename pass, safe
-//!   to re-run).
 //! * `evict` — trim the cache to a size budget, least-recently-used
 //!   entries first: `--max-bytes N` and/or `--max-entries N` set the
 //!   budget (omitting both just prints current usage). Foreign files
@@ -27,8 +24,7 @@ use bw_core::{CacheBudget, RunCache};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: cache <verify|repair|evict> [--cache-dir DIR] [--migrate] \
-         [--max-bytes N] [--max-entries N]"
+        "usage: cache <verify|repair|evict> [--cache-dir DIR] [--max-bytes N] [--max-entries N]"
     );
     std::process::exit(2);
 }
@@ -37,7 +33,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut mode: Option<String> = None;
     let mut dir: Option<PathBuf> = None;
-    let mut migrate = false;
     let mut budget = CacheBudget::default();
     let mut i = 0;
     while i < args.len() {
@@ -50,7 +45,6 @@ fn main() {
                     None => usage(),
                 }
             }
-            "--migrate" => migrate = true,
             "--max-bytes" => {
                 i += 1;
                 match args.get(i).and_then(|v| v.parse::<u64>().ok()) {
@@ -70,10 +64,6 @@ fn main() {
         i += 1;
     }
     let Some(mode) = mode else { usage() };
-    if migrate && mode != "repair" {
-        eprintln!("--migrate only applies to `repair`");
-        usage();
-    }
     if !budget.is_unbounded() && mode != "evict" {
         eprintln!("--max-bytes/--max-entries only apply to `evict`");
         usage();
@@ -94,10 +84,6 @@ fn main() {
         return;
     }
 
-    if migrate {
-        let moved = cache.migrate();
-        println!("migrated {moved} flat entr(ies) into shard subdirectories");
-    }
     let audit = match mode.as_str() {
         "verify" => cache.verify_dir(),
         _ => cache.repair(),

@@ -15,7 +15,7 @@ use bw_core::experiments::{
 use bw_workload::{all_benchmarks, specfp, specint, specint7};
 
 fn main() {
-    let cli = Cli::parse();
+    let cli = Cli::parse_local();
     let cfg = &cli.cfg;
     let runner = cli.runner();
     let trace_insts = (cfg.warmup_insts + cfg.measure_insts).max(2_000_000);

@@ -11,7 +11,7 @@
 //! * `--trace FILE` — sweep binaries only: replay a recorded `.bwt`
 //!   trace (see the `trace` binary) instead of generating the
 //!   workload; the suite argument is ignored and the figure renders
-//!   the trace's workload.
+//!   the trace's workload. The other binaries refuse it (exit 2).
 //! * `--jobs N` — worker threads (default: all available cores).
 //! * `--cache-dir DIR` — run-cache location (default `results/cache`).
 //! * `--no-cache` — simulate everything, ignore and don't write the
@@ -35,7 +35,8 @@
 //!   of simulating locally, and render from the streamed results. The
 //!   daemon deduplicates in-flight cells across every connected
 //!   client and serves its shared run cache. Incompatible with
-//!   `--trace` and `--audit` (those are local-execution modes).
+//!   `--trace` and `--audit` (those are local-execution modes). The
+//!   other binaries refuse it (exit 2).
 //!
 //! Builds with the `fault-inject` feature additionally honour the
 //! `BW_FAULT` environment variable (`kind[:param][xN]@target` clauses,
@@ -107,6 +108,30 @@ impl Cli {
     pub fn parse() -> Cli {
         arm_faults_from_env();
         Self::parse_from(std::env::args().skip(1).collect())
+    }
+
+    /// [`Cli::parse`] for the binaries that simulate locally without a
+    /// figure sweep (`paper`, `table2`, `fig14` and the study
+    /// binaries): `--server` and `--trace` only route sweeps, so here
+    /// they exit 2 with the usage line instead of being ignored.
+    #[must_use]
+    pub fn parse_local() -> Cli {
+        let cli = Cli::parse();
+        if let Some(flag) = cli.sweep_only_flag() {
+            bad_flag(&format!("{flag} only applies to the sweep-figure binaries"));
+        }
+        cli
+    }
+
+    /// The first flag set that only the sweep-figure binaries honour.
+    fn sweep_only_flag(&self) -> Option<&'static str> {
+        if self.server.is_some() {
+            Some("--server")
+        } else if self.trace.is_some() {
+            Some("--trace")
+        } else {
+            None
+        }
     }
 
     fn parse_from(args: Vec<String>) -> Cli {
@@ -290,10 +315,11 @@ fn parse_path(args: &[String], i: usize, flag: &str) -> String {
 }
 
 /// Parses the common CLI flags (no `--csv` handling) into a
-/// [`SimConfig`] — kept for binaries that only need a budget.
+/// [`SimConfig`] — kept for binaries that only need a budget. Refuses
+/// the sweep-only flags like [`Cli::parse_local`].
 #[must_use]
 pub fn config_from_args() -> SimConfig {
-    Cli::parse().cfg
+    Cli::parse_local().cfg
 }
 
 /// Writes CSV content atomically (stage + rename), logging the
@@ -451,7 +477,7 @@ impl StudyOut {
 /// body a [`Runner`] and a progress callback, then print (and
 /// optionally CSV-export) what it returns.
 pub fn study_main(run: impl FnOnce(&Runner, &Cli, &mut (dyn FnMut(&str) + Send)) -> StudyOut) {
-    let cli = Cli::parse();
+    let cli = Cli::parse_local();
     let runner = cli.runner();
     let mut progress = progress_line();
     let out = run(&runner, &cli, &mut progress);
@@ -528,6 +554,19 @@ mod tests {
         assert_eq!(
             parse(&["--server", "127.0.0.1:7381"]).server.as_deref(),
             Some("127.0.0.1:7381")
+        );
+    }
+
+    #[test]
+    fn sweep_only_flags_are_caught_for_local_binaries() {
+        assert_eq!(parse(&["--quick", "--seed", "3"]).sweep_only_flag(), None);
+        assert_eq!(
+            parse(&["--server", "127.0.0.1:1"]).sweep_only_flag(),
+            Some("--server")
+        );
+        assert_eq!(
+            parse(&["--trace", "gzip.bwt"]).sweep_only_flag(),
+            Some("--trace")
         );
     }
 

@@ -10,6 +10,9 @@
 //!   simulation of a benchmark model under a predictor configuration,
 //!   producing a [`RunResult`] with performance statistics, per-unit
 //!   energy, and re-priceable predictor activity totals.
+//!   [`simulate_trace`] replays a recording instead, and
+//!   [`simulate_with`] is the one body behind both, with a
+//!   [`SimControl`] for cancellation and the runtime sanitizer.
 //! * [`RunPlan`] / [`Runner`] / [`RunCache`] — the unified experiment
 //!   engine: figures declare the runs they need in a deduplicated
 //!   plan; the runner executes it on a worker pool, serving repeats
@@ -47,16 +50,13 @@ pub mod zoo;
 
 pub use runner::{
     CacheAudit, CacheBudget, CacheEntry, CacheLookup, EvictReport, RunCache, RunKey, RunPlan,
-    RunSet, Runner, WorkloadId,
+    Runner, WorkloadId,
 };
 #[cfg(feature = "audit")]
+pub use sim::audit_replay_roundtrip;
 pub use sim::{
-    audit_replay_roundtrip, simulate_audited, simulate_audited_ctl, simulate_trace_audited,
-    simulate_trace_audited_ctl,
-};
-pub use sim::{
-    bpred_share, check_trace_budget, record_trace, simulate, simulate_ctl, simulate_trace,
-    simulate_trace_ctl, ConfigError, RunResult, SimConfig, SimConfigBuilder, TraceRunError,
+    bpred_share, check_trace_budget, record_trace, simulate, simulate_trace, simulate_with,
+    ConfigError, RunResult, SimConfig, SimConfigBuilder, SimControl, SimSource, TraceRunError,
 };
 #[cfg(feature = "audit")]
 pub use supervise::supervision_violations;

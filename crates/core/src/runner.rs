@@ -43,12 +43,15 @@ use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Duration;
 
 use bw_predictors::PredictorConfig;
 use bw_trace::Trace;
 use bw_workload::BenchmarkModel;
 
-use crate::sim::{fnv1a, RunResult, SimConfig, TraceRunError};
+use crate::sim::{
+    fnv1a, simulate_with, RunResult, SimConfig, SimControl, SimSource, TraceRunError,
+};
 use crate::supervise::{
     attempt_run, CancelToken, Cancelled, Quarantine, RunFailure, RunOutcome, SupervisedRunSet,
     Supervision, QUARANTINE_FILE,
@@ -298,57 +301,12 @@ impl RunPlan {
     }
 }
 
-/// The results of an executed [`RunPlan`], keyed by [`RunKey`].
-pub struct RunSet {
-    results: HashMap<RunKey, RunResult>,
-    executed: usize,
-    cache_hits: usize,
-}
-
-impl RunSet {
-    /// Borrows the result for `key`, if the plan contained it.
-    #[must_use]
-    pub fn get(&self, key: &RunKey) -> Option<&RunResult> {
-        self.results.get(key)
-    }
-
-    /// Removes and returns the result for `key` (each planned key is
-    /// present exactly once).
-    pub fn remove(&mut self, key: &RunKey) -> Option<RunResult> {
-        self.results.remove(key)
-    }
-
-    /// Number of results held.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.results.len()
-    }
-
-    /// Whether the set is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.results.is_empty()
-    }
-
-    /// How many runs were actually simulated (cache misses).
-    #[must_use]
-    pub fn executed(&self) -> usize {
-        self.executed
-    }
-
-    /// How many runs were served from the [`RunCache`].
-    #[must_use]
-    pub fn cache_hits(&self) -> usize {
-        self.cache_hits
-    }
-}
-
 /// Executes [`RunPlan`]s: cache lookups first, then the misses on a
 /// scoped worker pool.
 ///
 /// Runs are deterministic functions of their [`RunKey`] inputs and
-/// share no state, so the returned [`RunSet`] is identical whatever
-/// the job count — parallelism changes wall-clock time only.
+/// share no state, so the returned [`SupervisedRunSet`] is identical
+/// whatever the job count — parallelism changes wall-clock time only.
 pub struct Runner {
     jobs: usize,
     cache: Option<RunCache>,
@@ -450,52 +408,36 @@ impl Runner {
         self.cache.as_ref()
     }
 
-    /// Executes one planned simulation, auditing if enabled.
-    fn execute(&self, e: &PlanEntry) -> RunResult {
-        self.execute_ctl(e, None).expect("no token, cannot cancel")
-    }
-
-    /// Cancellable form of [`execute`](Runner::execute): the sim loop
-    /// polls `token` between instruction chunks. Under `fault-inject`
-    /// the entry's label becomes the thread's ambient injection scope,
-    /// so faults can target runs by the same labels a human sees in
-    /// progress output.
+    /// Simulates one planned run under `token`, auditing if enabled.
+    /// Under `fault-inject` the entry's label becomes the thread's
+    /// ambient injection scope, so faults can target runs by the same
+    /// labels a human sees in progress output.
     ///
     /// # Errors
     ///
     /// [`Cancelled`] when the token fired before the run completed.
-    fn execute_ctl(
-        &self,
-        e: &PlanEntry,
-        token: Option<&CancelToken>,
-    ) -> Result<RunResult, Cancelled> {
+    fn simulate_entry(&self, e: &PlanEntry, token: &CancelToken) -> Result<RunResult, Cancelled> {
         #[cfg(feature = "fault-inject")]
         let _scope = bw_fault::ScopeGuard::enter(&e.label);
+        let source = match &e.source {
+            PlanSource::Model(model) => SimSource::Model(model),
+            PlanSource::Trace(trace) => SimSource::Trace(trace),
+        };
+        let ctl = SimControl::default().cancel_on(token);
         #[cfg(feature = "audit")]
-        if let Some(sink) = &self.audit_sink {
-            let (r, violations) = match &e.source {
-                PlanSource::Model(model) => {
-                    crate::simulate_audited_ctl(model, e.key.predictor, &e.cfg, token)?
-                }
-                PlanSource::Trace(trace) => {
-                    crate::simulate_trace_audited_ctl(trace, e.key.predictor, &e.cfg, token)
-                        .expect("trace budget was validated at plan time")?
-                }
-            };
-            if !violations.is_empty() {
-                sink.lock().expect("audit sink lock").extend(violations);
-            }
-            return Ok(r);
+        let mut violations = Vec::new();
+        #[cfg(feature = "audit")]
+        let ctl = match &self.audit_sink {
+            Some(_) => ctl.audit_into(&mut violations),
+            None => ctl,
+        };
+        let run = simulate_with(source, e.key.predictor, &e.cfg, ctl)
+            .expect("trace budget was validated at plan time");
+        #[cfg(feature = "audit")]
+        if let (Some(sink), false) = (&self.audit_sink, violations.is_empty()) {
+            sink.lock().expect("audit sink lock").extend(violations);
         }
-        match &e.source {
-            PlanSource::Model(model) => {
-                crate::sim::simulate_ctl(model, e.key.predictor, &e.cfg, token)
-            }
-            PlanSource::Trace(trace) => {
-                crate::sim::simulate_trace_ctl(trace, e.key.predictor, &e.cfg, token)
-                    .expect("trace budget was validated at plan time")
-            }
-        }
+        run
     }
 
     /// The worker count this runner uses.
@@ -504,102 +446,39 @@ impl Runner {
         self.jobs
     }
 
-    /// Executes every run in `plan`, returning the keyed results.
+    /// Executes every run in `plan` under a strict policy: one
+    /// attempt, no watchdog, no quarantine.
     ///
     /// `progress` receives each entry's label as it starts (from
     /// worker threads when running parallel, hence `Send`).
     ///
     /// A cache entry that fails validation (corrupt file) is evicted
-    /// and the run re-executes — identical to a miss. For typed
-    /// failure reporting instead of unwinding, see
+    /// and the run re-executes, as on a miss. For typed failure
+    /// reporting instead of unwinding, see
     /// [`run_supervised`](Runner::run_supervised).
     ///
     /// # Panics
     ///
-    /// Panics if a worker thread panics (a simulation bug). Results
-    /// completed by other workers before the panic are still stored to
-    /// the cache first, so a re-invocation resumes instead of
-    /// restarting.
-    pub fn run(&self, plan: &RunPlan, mut progress: impl FnMut(&str) + Send) -> RunSet {
-        let mut results = HashMap::with_capacity(plan.entries.len());
-        let mut misses: Vec<&PlanEntry> = Vec::new();
-        for e in &plan.entries {
-            match self.probe_cache(e) {
-                CacheLookup::Hit(r) => {
-                    results.insert(e.key, *r);
-                }
-                CacheLookup::Corrupt(path) => {
-                    if let Some(c) = self.effective_cache() {
-                        c.evict(&path);
-                    }
-                    misses.push(e);
-                }
-                CacheLookup::Miss => misses.push(e),
-            }
+    /// Panics, naming the run, if a simulation fails (a simulation
+    /// bug). No run starts after the first failure, but runs already in
+    /// flight on other workers finish and are stored to the cache
+    /// first, so a re-invocation resumes instead of restarting.
+    pub fn run(&self, plan: &RunPlan, progress: impl FnMut(&str) + Send) -> SupervisedRunSet {
+        const STRICT: Supervision = Supervision {
+            run_timeout: None,
+            max_attempts: 1,
+            backoff: Duration::ZERO,
+            quarantine_after: 0,
+        };
+        let set = self.run_plan(plan, STRICT, true, progress);
+        if let Some(f) = set
+            .failures()
+            .iter()
+            .find(|f| f.outcome.is_terminal_failure())
+        {
+            panic!("{f}");
         }
-        let cache_hits = results.len();
-        let executed = misses.len();
-
-        if self.jobs <= 1 || misses.len() <= 1 {
-            for e in &misses {
-                progress(&e.label);
-                let r = self.execute(e);
-                if let Some(c) = self.effective_cache() {
-                    c.store(&e.key, &r);
-                }
-                results.insert(e.key, r);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let abort = AtomicBool::new(false);
-            let panicked: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-            let done: Mutex<Vec<(RunKey, RunResult)>> = Mutex::new(Vec::with_capacity(executed));
-            let progress: Mutex<&mut (dyn FnMut(&str) + Send)> = Mutex::new(&mut progress);
-            std::thread::scope(|s| {
-                for _ in 0..self.jobs.min(misses.len()) {
-                    s.spawn(|| loop {
-                        if abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(e) = misses.get(i) else { break };
-                        (progress.lock().expect("progress lock"))(&e.label);
-                        // Isolate the panic so siblings finish their
-                        // in-flight runs (and cache them) instead of
-                        // having the scope tear the whole sweep down
-                        // with the results lost.
-                        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            self.execute(e)
-                        })) {
-                            Ok(r) => {
-                                if let Some(c) = self.effective_cache() {
-                                    c.store(&e.key, &r);
-                                }
-                                done.lock().expect("result lock").push((e.key, r));
-                            }
-                            Err(payload) => {
-                                abort.store(true, Ordering::Relaxed);
-                                let mut slot = panicked.lock().expect("panic slot lock");
-                                if slot.is_none() {
-                                    *slot = Some(payload);
-                                }
-                                break;
-                            }
-                        }
-                    });
-                }
-            });
-            results.extend(done.into_inner().expect("result lock"));
-            if let Some(payload) = panicked.into_inner().expect("panic slot lock") {
-                std::panic::resume_unwind(payload);
-            }
-        }
-
-        RunSet {
-            results,
-            executed,
-            cache_hits,
-        }
+        set
     }
 
     /// Probes the cache for one entry (fault-injection hook included:
@@ -624,17 +503,32 @@ impl Runner {
     /// reached the quarantine threshold are skipped outright.
     ///
     /// Healthy runs produce results identical to
-    /// [`run`](Runner::run) — supervision is pure bookkeeping around
-    /// the same deterministic simulations.
+    /// [`run`](Runner::run) — both are the same loop, and supervision
+    /// is pure bookkeeping around the same deterministic simulations.
     pub fn run_supervised(
         &self,
         plan: &RunPlan,
+        progress: impl FnMut(&str) + Send,
+    ) -> SupervisedRunSet {
+        self.run_plan(plan, self.supervision.clone(), false, progress)
+    }
+
+    /// The one execution loop: cache probes in plan order, then the
+    /// misses on `min(jobs, misses)` workers (inline when that is one),
+    /// each under [`attempt_run`] with `sup`. `fail_fast` stops handing
+    /// out misses after the first terminal failure, lets panics print
+    /// as usual and leaves the persistent quarantine ledger alone; runs
+    /// already in flight finish and reach the cache either way.
+    fn run_plan(
+        &self,
+        plan: &RunPlan,
+        sup: Supervision,
+        fail_fast: bool,
         mut progress: impl FnMut(&str) + Send,
     ) -> SupervisedRunSet {
-        let sup = self.supervision.clone();
         let mut quarantine = match self.effective_cache() {
-            Some(c) => Quarantine::load(c.dir().join(QUARANTINE_FILE)),
-            None => Quarantine::ephemeral(),
+            Some(c) if !fail_fast => Quarantine::load(c.dir().join(QUARANTINE_FILE)),
+            _ => Quarantine::ephemeral(),
         };
 
         let mut results = HashMap::with_capacity(plan.entries.len());
@@ -645,23 +539,22 @@ impl Runner {
         let mut cache_hits = 0;
         let mut quarantined = 0;
         let mut corrupt_evicted = 0;
+        let failure = |e: &PlanEntry, outcome| RunFailure {
+            key: e.key,
+            label: e.label.clone(),
+            outcome,
+        };
 
         for (i, e) in plan.entries.iter().enumerate() {
             if sup.quarantine_after > 0 {
                 if let Some(q) = quarantine.entry(e.key.digest()) {
                     if q.failures >= sup.quarantine_after {
                         quarantined += 1;
-                        failures.push((
-                            i,
-                            RunFailure {
-                                key: e.key,
-                                label: e.label.clone(),
-                                outcome: RunOutcome::Quarantined {
-                                    failures: q.failures,
-                                    last_error: q.last_error.clone(),
-                                },
-                            },
-                        ));
+                        let outcome = RunOutcome::Quarantined {
+                            failures: q.failures,
+                            last_error: q.last_error.clone(),
+                        };
+                        failures.push((i, failure(e, outcome)));
                         continue;
                     }
                 }
@@ -680,90 +573,55 @@ impl Runner {
                         c.evict(&path);
                     }
                     corrupt_evicted += 1;
-                    failures.push((
-                        i,
-                        RunFailure {
-                            key: e.key,
-                            label: e.label.clone(),
-                            outcome: RunOutcome::CacheCorrupt { path },
-                        },
-                    ));
+                    failures.push((i, failure(e, RunOutcome::CacheCorrupt { path })));
                     misses.push((i, e));
                 }
                 CacheLookup::Miss => misses.push((i, e)),
             }
         }
         let executed = misses.len();
-        let abort = Arc::new(AtomicBool::new(false));
+
+        let next = AtomicUsize::new(0);
+        let stop = AtomicBool::new(false);
         let retries = AtomicUsize::new(0);
-
-        let attempt = |e: &PlanEntry| -> RunOutcome {
-            let (outcome, tries) =
-                attempt_run(&sup, &abort, |token| self.execute_ctl(e, Some(token)));
-            retries.fetch_add(tries as usize, Ordering::Relaxed);
-            if let RunOutcome::Ok(r) = &outcome {
-                if let Some(c) = self.effective_cache() {
-                    c.store(&e.key, r);
+        let done: Mutex<Vec<(usize, RunOutcome)>> = Mutex::new(Vec::with_capacity(executed));
+        let progress: Mutex<&mut (dyn FnMut(&str) + Send)> = Mutex::new(&mut progress);
+        let work = || {
+            while !stop.load(Ordering::Relaxed) {
+                let Some(&(i, e)) = misses.get(next.fetch_add(1, Ordering::Relaxed)) else {
+                    break;
+                };
+                (progress.lock().expect("progress lock"))(&e.label);
+                let (outcome, tries) =
+                    attempt_run(&sup, !fail_fast, |token| self.simulate_entry(e, token));
+                retries.fetch_add(tries as usize, Ordering::Relaxed);
+                match &outcome {
+                    RunOutcome::Ok(r) => {
+                        if let Some(c) = self.effective_cache() {
+                            c.store(&e.key, r);
+                        }
+                    }
+                    _ if fail_fast => stop.store(true, Ordering::Relaxed),
+                    _ => {}
                 }
+                done.lock().expect("result lock").push((i, outcome));
             }
-            outcome
         };
-
-        if self.jobs <= 1 || misses.len() <= 1 {
-            for (i, e) in &misses {
-                progress(&e.label);
-                match attempt(e) {
-                    RunOutcome::Ok(r) => {
-                        results.insert(e.key, *r);
-                    }
-                    outcome => failures.push((
-                        *i,
-                        RunFailure {
-                            key: e.key,
-                            label: e.label.clone(),
-                            outcome,
-                        },
-                    )),
+        match self.jobs.min(misses.len()) {
+            0 | 1 => work(),
+            workers => std::thread::scope(|s| {
+                for _ in 0..workers {
+                    s.spawn(work);
                 }
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let done: Mutex<Vec<(usize, RunKey, String, RunOutcome)>> =
-                Mutex::new(Vec::with_capacity(executed));
-            let attempt = &attempt;
-            let progress: Mutex<&mut (dyn FnMut(&str) + Send)> = Mutex::new(&mut progress);
-            std::thread::scope(|s| {
-                for _ in 0..self.jobs.min(misses.len()) {
-                    s.spawn(|| loop {
-                        let slot = next.fetch_add(1, Ordering::Relaxed);
-                        let Some((i, e)) = misses.get(slot) else {
-                            break;
-                        };
-                        (progress.lock().expect("progress lock"))(&e.label);
-                        let outcome = attempt(e);
-                        done.lock().expect("result lock").push((
-                            *i,
-                            e.key,
-                            e.label.clone(),
-                            outcome,
-                        ));
-                    });
+            }),
+        }
+        for (i, outcome) in done.into_inner().expect("result lock") {
+            let e = &plan.entries[i];
+            match outcome {
+                RunOutcome::Ok(r) => {
+                    results.insert(e.key, *r);
                 }
-            });
-            for (i, key, label, outcome) in done.into_inner().expect("result lock") {
-                match outcome {
-                    RunOutcome::Ok(r) => {
-                        results.insert(key, *r);
-                    }
-                    outcome => failures.push((
-                        i,
-                        RunFailure {
-                            key,
-                            label,
-                            outcome,
-                        },
-                    )),
-                }
+                outcome => failures.push((i, failure(e, outcome))),
             }
         }
 
@@ -787,8 +645,10 @@ impl Runner {
             retries: u32::try_from(retries.into_inner()).unwrap_or(u32::MAX),
             supervision: sup,
         };
+        // A fail-fast stop leaves runs unaccounted for on purpose; the
+        // caller panics on it.
         #[cfg(feature = "audit")]
-        if let Some(sink) = &self.audit_sink {
+        if let (Some(sink), false) = (&self.audit_sink, stop.into_inner()) {
             let violations = crate::supervise::supervision_violations(plan, &set);
             if !violations.is_empty() {
                 sink.lock().expect("audit sink lock").extend(violations);
@@ -875,7 +735,7 @@ impl CacheBudget {
 /// One cache entry as enumerated by [`RunCache::entries`].
 #[derive(Clone, Debug)]
 pub struct CacheEntry {
-    /// Where the entry lives (sharded or legacy flat layout).
+    /// Where the entry lives, inside its shard subdirectory.
     pub path: PathBuf,
     /// The key digest parsed from the file name.
     pub digest: u64,
@@ -913,6 +773,29 @@ impl EvictReport {
     }
 }
 
+/// Opens a cache file's outer envelope: the parsed identity + result
+/// payload once the checksum over its exact bytes verifies, `None` for
+/// an envelope of another format version (stale, not damage: the next
+/// store replaces it), `Err` for anything damaged.
+#[cfg(feature = "serde")]
+fn open_envelope(text: &str) -> Result<Option<serde::Value>, ()> {
+    use serde::{Deserialize, Value};
+    let v = serde_json::parse_value_str(text).map_err(drop)?;
+    let version = v.get("format_version").ok_or(())?;
+    if u32::from_value(version).map_err(drop)? != CACHE_FORMAT_VERSION {
+        return Ok(None);
+    }
+    let (Some(Value::Str(checksum)), Some(Value::Str(payload))) =
+        (v.get("checksum"), v.get("payload"))
+    else {
+        return Err(());
+    };
+    if *checksum != format!("{:016x}", fnv1a(payload.as_bytes())) {
+        return Err(());
+    }
+    serde_json::parse_value_str(payload).map(Some).map_err(drop)
+}
+
 /// A persistent content-addressed store of completed runs.
 ///
 /// One JSON file per [`RunKey`] under the cache directory, named
@@ -920,10 +803,10 @@ impl EvictReport {
 /// fan out into 256 shard subdirectories keyed by the top byte of the
 /// key digest (`<dir>/<aa>/<benchmark>-<digest>.json`), so a corpus of
 /// thousands of `name@digest` trace entries does not pile into one
-/// flat directory. Caches written by earlier versions stored entries
-/// flat at the root; [`load_checked`] still reads those transparently,
-/// and [`migrate`](RunCache::migrate) moves them into their shards.
-/// Each file is an outer envelope —
+/// flat directory. Files at the root (the quarantine ledger, the
+/// daemon's flight journal, or entries a pre-sharding version left
+/// there) are never entries: such a cache simply re-simulates its
+/// cells once. Each file is an outer envelope —
 /// format version, FNV-1a checksum, and the serialized identity +
 /// result payload as one string — so [`load_checked`] distinguishes a
 /// *stale* entry (old format version: silently a miss) from a
@@ -1017,15 +900,6 @@ impl RunCache {
             .join(Self::file_name_for(key))
     }
 
-    /// Where the pre-sharding flat layout stored this key. Still read
-    /// transparently on a sharded-path miss, so old caches keep
-    /// serving hits; [`migrate`](RunCache::migrate) moves such entries
-    /// into their shards.
-    #[must_use]
-    pub fn legacy_path_for(&self, key: &RunKey) -> PathBuf {
-        self.dir.join(Self::file_name_for(key))
-    }
-
     /// Loads a cached result, or `None` on miss / stale format /
     /// corruption (never panics, whatever the file contains).
     #[must_use]
@@ -1049,46 +923,14 @@ impl RunCache {
     #[cfg(feature = "serde")]
     pub fn load_checked(&self, key: &RunKey) -> CacheLookup {
         use serde::{Deserialize, Value};
-        // Probe the sharded location first, then fall back to the
-        // pre-sharding flat layout so old caches keep serving hits.
-        let (path, text) = {
-            let sharded = self.path_for(key);
-            match std::fs::read_to_string(&sharded) {
-                Ok(text) => (sharded, text),
-                Err(_) => {
-                    let legacy = self.legacy_path_for(key);
-                    match std::fs::read_to_string(&legacy) {
-                        Ok(text) => (legacy, text),
-                        Err(_) => return CacheLookup::Miss,
-                    }
-                }
-            }
-        };
-        let corrupt = || CacheLookup::Corrupt(path.clone());
-        let Ok(v) = serde_json::parse_value_str(&text) else {
-            return corrupt();
-        };
-        let Some(version) = v
-            .get("format_version")
-            .and_then(|f| u32::from_value(f).ok())
-        else {
-            return corrupt();
-        };
-        if version != CACHE_FORMAT_VERSION {
-            // A recognizable envelope from another format generation:
-            // not damage, just a stale entry the next store replaces.
+        let path = self.path_for(key);
+        let Ok(text) = std::fs::read_to_string(&path) else {
             return CacheLookup::Miss;
-        }
-        let (Some(Value::Str(checksum)), Some(Value::Str(payload))) =
-            (v.get("checksum"), v.get("payload"))
-        else {
-            return corrupt();
         };
-        if *checksum != format!("{:016x}", fnv1a(payload.as_bytes())) {
-            return corrupt();
-        }
-        let Ok(p) = serde_json::parse_value_str(payload) else {
-            return corrupt();
+        let p = match open_envelope(&text) {
+            Ok(Some(p)) => p,
+            Ok(None) => return CacheLookup::Miss,
+            Err(()) => return CacheLookup::Corrupt(path),
         };
         if p.get("benchmark") != Some(&Value::Str(key.benchmark().to_string()))
             || p.get("predictor") != Some(&Value::Str(format!("{:?}", key.predictor())))
@@ -1101,7 +943,7 @@ impl RunCache {
         }
         match p.get("result").map(RunResult::from_value) {
             Some(Ok(r)) => CacheLookup::Hit(Box::new(r)),
-            _ => corrupt(),
+            _ => CacheLookup::Corrupt(path),
         }
     }
 
@@ -1140,76 +982,65 @@ impl RunCache {
             ("payload".into(), Value::Str(payload_text)),
         ]);
         if let Ok(text) = serde_json::to_string_pretty(&v) {
-            if bw_types::fsutil::atomic_write(&self.path_for(key), text.as_bytes()).is_ok() {
-                // The sharded entry now supersedes any flat-layout
-                // leftover for the same key; drop it so verify passes
-                // don't double-count the identity.
-                self.evict(&self.legacy_path_for(key));
-            }
+            let _ = bw_types::fsutil::atomic_write(&self.path_for(key), text.as_bytes());
         }
     }
 
-    /// Validates every file in the cache directory: JSON envelope,
+    /// Every file in the cache directory, sorted, each with whether it
+    /// sits in a shard subdirectory (only those can be entries). Other
+    /// subdirectories are not ours to judge. A missing directory is
+    /// empty.
+    fn files(&self) -> Vec<(PathBuf, bool)> {
+        let Ok(root) = std::fs::read_dir(&self.dir) else {
+            return Vec::new();
+        };
+        let mut files = Vec::new();
+        for e in root.filter_map(Result::ok) {
+            let path = e.path();
+            if !path.is_dir() {
+                files.push((path, false));
+            } else if path
+                .file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(Self::is_shard_name)
+            {
+                if let Ok(shard) = std::fs::read_dir(&path) {
+                    files.extend(shard.filter_map(|e| e.ok().map(|e| (e.path(), true))));
+                }
+            }
+        }
+        files.sort();
+        files
+    }
+
+    /// Validates every entry in the cache's shards: JSON envelope,
     /// checksum, payload decode, and that the file name's digest stem
     /// matches the identity recorded inside. Also reports stray `.tmp`
-    /// staging files. A missing directory is an empty (clean) cache.
+    /// staging files anywhere in the cache. Other root-level files
+    /// (the quarantine ledger, the flight journal) are not entries. A
+    /// missing directory is an empty (clean) cache.
     #[must_use]
     #[cfg(feature = "serde")]
     pub fn verify_dir(&self) -> CacheAudit {
-        use serde::{Deserialize, Value};
+        use serde::Deserialize;
         let mut audit = CacheAudit::default();
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return audit;
-        };
-        // Root entries (legacy flat layout plus the quarantine ledger)
-        // and the contents of shard subdirectories; other directories
-        // are not ours to judge.
-        let mut paths: Vec<PathBuf> = Vec::new();
-        for e in entries.filter_map(Result::ok) {
-            let path = e.path();
+        for (path, sharded) in self.files() {
             let name = path
                 .file_name()
                 .map(|n| n.to_string_lossy().into_owned())
                 .unwrap_or_default();
-            if path.is_dir() {
-                if Self::is_shard_name(&name) {
-                    if let Ok(sub) = std::fs::read_dir(&path) {
-                        paths.extend(sub.filter_map(|e| e.ok().map(|e| e.path())));
-                    }
-                }
-                continue;
-            }
-            paths.push(path);
-        }
-        paths.sort();
-        for path in paths {
-            let name = path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            if name == QUARANTINE_FILE {
-                continue;
-            }
             if name.ends_with(".tmp") {
                 audit.stray_tmp.push(path);
                 continue;
             }
+            if !sharded {
+                continue;
+            }
             let valid = (|| -> Option<bool> {
                 let text = std::fs::read_to_string(&path).ok()?;
-                let v = serde_json::parse_value_str(&text).ok()?;
-                let version = u32::from_value(v.get("format_version")?).ok()?;
-                if version != CACHE_FORMAT_VERSION {
+                let Some(p) = open_envelope(&text).ok()? else {
                     return Some(false); // stale, not corrupt
-                }
-                let (Value::Str(checksum), Value::Str(payload)) =
-                    (v.get("checksum")?, v.get("payload")?)
-                else {
-                    return None;
                 };
-                if *checksum != format!("{:016x}", fnv1a(payload.as_bytes())) {
-                    return None;
-                }
-                let p = serde_json::parse_value_str(payload).ok()?;
                 let benchmark = String::from_value(p.get("benchmark")?).ok()?;
                 let predictor = String::from_value(p.get("predictor")?).ok()?;
                 let cfg_digest = String::from_value(p.get("cfg_digest")?).ok()?;
@@ -1242,98 +1073,26 @@ impl RunCache {
         audit
     }
 
-    /// Moves legacy flat-layout entries into their shard
-    /// subdirectories, returning how many files moved.
-    ///
-    /// Only files matching the cache naming scheme
-    /// (`<name>-<16 hex digits>.json`) are touched; the digest in the
-    /// file name decides the shard, so even a stale-format entry lands
-    /// where its next store would. Corrupt files that happen to carry
-    /// a well-formed name move too — [`repair`](RunCache::repair)
-    /// remains the tool that deletes them. Purely a rename pass: needs
-    /// no `serde`, safe to re-run, a no-op on an already-sharded (or
-    /// missing) cache.
-    pub fn migrate(&self) -> usize {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return 0;
-        };
-        let mut paths: Vec<PathBuf> = entries
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| !p.is_dir())
-            .collect();
-        paths.sort();
-        let mut moved = 0;
-        for path in paths {
-            let name = path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            let Some(digest_hex) = name
-                .strip_suffix(".json")
-                .and_then(|stem| stem.rsplit_once('-'))
-                .map(|(_, d)| d)
-                .filter(|d| d.len() == 16 && d.bytes().all(|b| b.is_ascii_hexdigit()))
-            else {
-                continue; // quarantine.json, stray tmp, foreign files
-            };
-            let Ok(digest) = u64::from_str_radix(digest_hex, 16) else {
-                continue;
-            };
-            let shard = self.dir.join(Self::shard_name(digest));
-            if std::fs::create_dir_all(&shard).is_err() {
-                continue;
-            }
-            if std::fs::rename(&path, shard.join(&name)).is_ok() {
-                moved += 1;
-            }
-        }
-        moved
-    }
-
-    /// Every entry in the cache (root legacy layout plus shard
-    /// subdirectories) matching the cache naming scheme
-    /// (`<name>-<16 hex digits>.json`), with its key digest, byte
-    /// size, and last-accessed rank. Foreign files — the quarantine
-    /// ledger, the flight journal, stray `.tmp` staging files — are
-    /// not entries and are never returned (so never evicted by
-    /// budget).
+    /// Every entry in the cache's shard subdirectories matching the
+    /// cache naming scheme (`<name>-<16 hex digits>.json`), with its
+    /// key digest, byte size, and last-accessed rank. Root-level files
+    /// — the quarantine ledger, the flight journal, pre-sharding
+    /// entries — and stray `.tmp` staging files are not entries and
+    /// are never returned (so never evicted by budget).
     #[must_use]
     pub fn entries(&self) -> Vec<CacheEntry> {
-        let Ok(root) = std::fs::read_dir(&self.dir) else {
-            return Vec::new();
-        };
-        let mut paths: Vec<PathBuf> = Vec::new();
-        for e in root.filter_map(Result::ok) {
-            let path = e.path();
-            if path.is_dir() {
-                let name = path
-                    .file_name()
-                    .map(|n| n.to_string_lossy().into_owned())
-                    .unwrap_or_default();
-                if Self::is_shard_name(&name) {
-                    if let Ok(sub) = std::fs::read_dir(&path) {
-                        paths.extend(sub.filter_map(|e| e.ok().map(|e| e.path())));
-                    }
-                }
-                continue;
-            }
-            paths.push(path);
-        }
-        paths.sort();
         let mut entries = Vec::new();
-        for path in paths {
-            let name = path
+        for (path, _) in self.files().into_iter().filter(|(_, sharded)| *sharded) {
+            let Some(digest) = path
                 .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            let Some(digest) = name
-                .strip_suffix(".json")
+                .and_then(|n| n.to_str())
+                .and_then(|n| n.strip_suffix(".json"))
                 .and_then(|stem| stem.rsplit_once('-'))
                 .map(|(_, d)| d)
                 .filter(|d| d.len() == 16 && d.bytes().all(|b| b.is_ascii_hexdigit()))
                 .and_then(|d| u64::from_str_radix(d, 16).ok())
             else {
-                continue; // quarantine.json, journal, stray tmp, foreign
+                continue; // stray tmp, foreign
             };
             let Ok(meta) = std::fs::metadata(&path) else {
                 continue;
@@ -1535,19 +1294,17 @@ mod tests {
         assert!(!RunCache::is_shard_name("ab c"));
         assert!(!RunCache::is_shard_name("AB"));
         assert!(!RunCache::is_shard_name("abc"));
-        // The legacy path is the same file name, flat at the root.
-        assert_eq!(
-            cache.legacy_path_for(&key).file_name(),
-            path.file_name(),
-            "flat and sharded layouts share the file name"
-        );
-        assert_eq!(cache.legacy_path_for(&key).parent().unwrap(), cache.dir());
     }
 
+    /// A file at the cache root is never an entry: an entry moved to
+    /// the flat pre-sharding location misses, `verify_dir` neither
+    /// counts nor flags it or the daemon's flight journal, `repair`
+    /// leaves both alone, and a fresh store lands in the shard beside
+    /// the flat copy.
     #[cfg(feature = "serde")]
     #[test]
-    fn cache_reads_legacy_flat_entries_and_migrates_them() {
-        let dir = std::env::temp_dir().join(format!("bw-cache-shard-{}", std::process::id()));
+    fn root_level_entry_files_are_ignored() {
+        let dir = std::env::temp_dir().join(format!("bw-cache-flat-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = RunCache::new(&dir);
         let cfg = SimConfig::quick(11);
@@ -1555,31 +1312,21 @@ mod tests {
         let key = RunKey::new(m, NamedPredictor::Bim128.config(), &cfg);
         let result = crate::sim::simulate(m, NamedPredictor::Bim128.config(), &cfg);
 
-        // Simulate a pre-sharding cache: store, then move the entry to
-        // the flat location an old version would have used.
         cache.store(&key, &result);
-        std::fs::rename(cache.path_for(&key), cache.legacy_path_for(&key)).unwrap();
-        assert!(
-            matches!(cache.load_checked(&key), CacheLookup::Hit(_)),
-            "flat legacy entries must keep serving hits"
-        );
+        let flat = dir.join(cache.path_for(&key).file_name().unwrap());
+        std::fs::rename(cache.path_for(&key), &flat).unwrap();
+        let journal = dir.join("flight-journal.bwj");
+        std::fs::write(&journal, "0123 {\"type\":\"x\"}\n").unwrap();
+        assert!(matches!(cache.load_checked(&key), CacheLookup::Miss));
+        let audit = cache.repair();
+        assert_eq!((audit.ok, audit.stale), (0, 0), "{}", audit.summary());
+        assert!(audit.is_clean(), "{}", audit.summary());
+        assert!(flat.is_file() && journal.is_file());
 
-        // Migration moves it into its shard; reads keep working.
-        assert_eq!(cache.migrate(), 1);
-        assert!(!cache.legacy_path_for(&key).exists());
-        assert!(cache.path_for(&key).is_file());
+        cache.store(&key, &result);
         assert!(matches!(cache.load_checked(&key), CacheLookup::Hit(_)));
-        assert_eq!(cache.migrate(), 0, "already sharded: nothing to move");
-
-        // verify_dir descends into shards and still counts the entry.
-        let audit = cache.verify_dir();
-        assert_eq!(audit.ok, 1, "{}", audit.summary());
-        assert!(audit.is_clean());
-
-        // A fresh store of the same key evicts a flat-layout leftover.
-        std::fs::copy(cache.path_for(&key), cache.legacy_path_for(&key)).unwrap();
-        cache.store(&key, &result);
-        assert!(!cache.legacy_path_for(&key).exists());
+        assert_eq!(cache.verify_dir().ok, 1);
+        assert!(flat.is_file());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

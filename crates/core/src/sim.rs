@@ -489,41 +489,127 @@ fn drive<S: InstSource>(
     Ok(())
 }
 
-/// Runs one benchmark under one predictor configuration.
-///
-/// Builds the program, fast-forwards `cfg.warmup_insts` trace-style,
-/// then simulates `cfg.measure_insts` committed instructions under
-/// full cycle-level detail with power accounting.
-#[must_use]
-pub fn simulate(
-    model: &'static BenchmarkModel,
-    predictor: PredictorConfig,
-    cfg: &SimConfig,
-) -> RunResult {
-    simulate_ctl(model, predictor, cfg, None).expect("no token, cannot cancel")
+/// Where a simulation's oracle instruction stream comes from.
+#[derive(Clone, Copy, Debug)]
+pub enum SimSource<'a> {
+    /// Generate mode: a built-in benchmark model, built for
+    /// `cfg.seed`.
+    Model(&'static BenchmarkModel),
+    /// Replay mode: a recorded trace.
+    Trace(&'a Trace),
 }
 
-/// Cancellable form of [`simulate`], used by the supervised runner:
-/// the drive loop polls `token` every [`CANCEL_CHECK_INSTS`]
-/// instructions and abandons the run when it fires. With `token`
-/// `None` the result is identical to [`simulate`].
+/// Run-time controls of one [`simulate_with`] call: an optional cancel
+/// token and, with the `audit` feature, a sink for the runtime
+/// sanitizer's violations. The default controls nothing, and no
+/// control changes a result.
+#[derive(Debug, Default)]
+pub struct SimControl<'a> {
+    token: Option<&'a CancelToken>,
+    #[cfg(feature = "audit")]
+    audit: Option<&'a mut Vec<bw_uarch::audit::Violation>>,
+}
+
+impl<'a> SimControl<'a> {
+    /// Polls `token` every [`CANCEL_CHECK_INSTS`] instructions and
+    /// abandons the run when it fires.
+    #[must_use]
+    pub fn cancel_on(mut self, token: &'a CancelToken) -> Self {
+        self.token = Some(token);
+        self
+    }
+
+    /// Runs under the runtime sanitizer: every cycle, commit and
+    /// misprediction recovery is checked against the audit invariants,
+    /// and violations are appended to `sink`. The sanitizer is
+    /// observation-only, so the [`RunResult`] is byte-identical to an
+    /// unaudited run's.
+    #[cfg(feature = "audit")]
+    #[must_use]
+    pub fn audit_into(mut self, sink: &'a mut Vec<bw_uarch::audit::Violation>) -> Self {
+        self.audit = Some(sink);
+        self
+    }
+}
+
+/// Runs one simulation — the body behind [`simulate`],
+/// [`simulate_trace`] and the [`Runner`](crate::Runner).
+///
+/// Builds the machine for `source`, fast-forwards `cfg.warmup_insts`
+/// trace-style, then simulates `cfg.measure_insts` committed
+/// instructions under full cycle-level detail with power accounting.
+///
+/// A trace source builds the machine exactly as its model would —
+/// same sizing, same power model — but takes the oracle stream from
+/// the recording instead of a live workload thread, so replaying a
+/// trace recorded from a benchmark model yields byte-identical
+/// [`SimStats`] to generating that workload, while skipping all
+/// behaviour-automaton and hash-draw work. The trace is decoded once
+/// up front into its bitcode form ([`DecodedTrace`]) and replayed
+/// through the zero-copy [`DecodedReader`](bw_trace::DecodedReader),
+/// which is tested in `bw-trace` to produce the same step stream as
+/// the streaming [`TraceReader`](bw_trace::TraceReader). `cfg.seed`
+/// does not influence replay (the stream is frozen in the trace), but
+/// it still participates in cache keying via the config digest.
 ///
 /// # Errors
 ///
-/// [`Cancelled`] when the token fired before the run completed.
-pub fn simulate_ctl(
-    model: &'static BenchmarkModel,
+/// The outer error is [`TraceRunError::BudgetExceedsTrace`] when a
+/// trace source is shorter than warmup + measure (+ in-flight slack),
+/// checked before anything is built. The inner [`Cancelled`] reports
+/// that `ctl`'s token fired before the run completed.
+pub fn simulate_with(
+    source: SimSource<'_>,
     predictor: PredictorConfig,
     cfg: &SimConfig,
-    token: Option<&CancelToken>,
+    ctl: SimControl<'_>,
+) -> Result<Result<RunResult, Cancelled>, TraceRunError> {
+    Ok(match source {
+        SimSource::Model(model) => {
+            let program = model.build_program(cfg.seed);
+            let machine = Machine::with_power(
+                &cfg.uarch, &program, model, cfg.seed, predictor, cfg.kind, cfg.banked, &cfg.tech,
+            );
+            run_machine(machine, model.name, predictor, cfg, ctl)
+        }
+        SimSource::Trace(trace) => {
+            check_trace_budget(trace, cfg)?;
+            let decoded = DecodedTrace::new(trace);
+            let machine = Machine::with_source(
+                &cfg.uarch,
+                trace.program(),
+                decoded.reader(),
+                trace.meta().working_set,
+                predictor,
+                cfg.kind,
+                cfg.banked,
+                &cfg.tech,
+            );
+            run_machine(machine, &trace.meta().name, predictor, cfg, ctl)
+        }
+    })
+}
+
+/// Drives a constructed machine under `ctl` and assembles its
+/// [`RunResult`].
+fn run_machine<S: InstSource>(
+    mut machine: Machine<'_, S>,
+    benchmark: &str,
+    predictor: PredictorConfig,
+    cfg: &SimConfig,
+    ctl: SimControl<'_>,
 ) -> Result<RunResult, Cancelled> {
-    let program = model.build_program(cfg.seed);
-    let mut machine = Machine::with_power(
-        &cfg.uarch, &program, model, cfg.seed, predictor, cfg.kind, cfg.banked, &cfg.tech,
-    );
-    drive(&mut machine, cfg, token)?;
+    #[cfg(feature = "audit")]
+    if ctl.audit.is_some() {
+        machine.enable_audit(benchmark);
+    }
+    drive(&mut machine, cfg, ctl.token)?;
+    #[cfg(feature = "audit")]
+    if let Some(sink) = ctl.audit {
+        sink.extend(machine.take_audit_violations());
+    }
     Ok(RunResult {
-        benchmark: model.name.to_string(),
+        benchmark: benchmark.to_string(),
         predictor: predictor.build().describe(),
         stats: *machine.stats(),
         energy: machine.power_report(),
@@ -532,50 +618,22 @@ pub fn simulate_ctl(
     })
 }
 
-/// Like [`simulate`], but with the runtime sanitizer enabled: every
-/// cycle, commit, and misprediction recovery is checked against the
-/// audit invariants, and any violations are returned alongside the
-/// (otherwise identical) result.
-///
-/// The sanitizer is observation-only — the [`RunResult`] is
-/// byte-identical to what [`simulate`] produces for the same inputs.
-#[cfg(feature = "audit")]
+/// Runs one benchmark under one predictor configuration
+/// ([`simulate_with`] on a [`SimSource::Model`]).
 #[must_use]
-pub fn simulate_audited(
+pub fn simulate(
     model: &'static BenchmarkModel,
     predictor: PredictorConfig,
     cfg: &SimConfig,
-) -> (RunResult, Vec<bw_uarch::audit::Violation>) {
-    simulate_audited_ctl(model, predictor, cfg, None).expect("no token, cannot cancel")
-}
-
-/// Cancellable form of [`simulate_audited`].
-///
-/// # Errors
-///
-/// [`Cancelled`] when the token fired before the run completed.
-#[cfg(feature = "audit")]
-pub fn simulate_audited_ctl(
-    model: &'static BenchmarkModel,
-    predictor: PredictorConfig,
-    cfg: &SimConfig,
-    token: Option<&CancelToken>,
-) -> Result<(RunResult, Vec<bw_uarch::audit::Violation>), Cancelled> {
-    let program = model.build_program(cfg.seed);
-    let mut machine = Machine::with_power(
-        &cfg.uarch, &program, model, cfg.seed, predictor, cfg.kind, cfg.banked, &cfg.tech,
-    );
-    machine.enable_audit(model.name);
-    drive(&mut machine, cfg, token)?;
-    let result = RunResult {
-        benchmark: model.name.to_string(),
-        predictor: predictor.build().describe(),
-        stats: *machine.stats(),
-        energy: machine.power_report(),
-        totals: machine.bpred_totals(),
-        bpred_power: machine.bpred_power().clone(),
-    };
-    Ok((result, machine.take_audit_violations()))
+) -> RunResult {
+    simulate_with(
+        SimSource::Model(model),
+        predictor,
+        cfg,
+        SimControl::default(),
+    )
+    .expect("a model has no trace budget")
+    .expect("no token, cannot cancel")
 }
 
 /// Why a trace-driven run could not start.
@@ -624,25 +682,7 @@ pub fn check_trace_budget(trace: &Trace, cfg: &SimConfig) -> Result<(), TraceRun
 }
 
 /// Runs one recorded trace under one predictor configuration
-/// (replay mode).
-///
-/// The machine is constructed exactly as [`simulate`] constructs it —
-/// same sizing, same power model — but its oracle instruction stream
-/// comes from the recording instead of a live workload thread, so
-/// replaying a trace recorded from a benchmark model yields
-/// byte-identical [`SimStats`] to generating that workload, while
-/// skipping all behaviour-automaton and hash-draw work.
-///
-/// The trace is decoded once up front into its bitcode form
-/// ([`DecodedTrace`]) and replayed through the zero-copy
-/// [`DecodedReader`](bw_trace::DecodedReader), so the hot loop pays no
-/// per-record varint/RLE work; the decoded form is guaranteed (and
-/// tested in `bw-trace`) to produce the same step stream as the
-/// streaming [`TraceReader`](bw_trace::TraceReader).
-///
-/// `cfg.seed` does not influence replay (the stream is frozen in the
-/// trace), but it still participates in cache keying via the config
-/// digest.
+/// ([`simulate_with`] on a [`SimSource::Trace`]).
 ///
 /// # Errors
 ///
@@ -653,99 +693,13 @@ pub fn simulate_trace(
     predictor: PredictorConfig,
     cfg: &SimConfig,
 ) -> Result<RunResult, TraceRunError> {
-    Ok(simulate_trace_ctl(trace, predictor, cfg, None)?.expect("no token, cannot cancel"))
-}
-
-/// Cancellable form of [`simulate_trace`]: the budget check stays an
-/// outer [`TraceRunError`]; the inner result reports cancellation.
-///
-/// # Errors
-///
-/// [`TraceRunError::BudgetExceedsTrace`] if the recording is shorter
-/// than warmup + measure (+ in-flight slack).
-pub fn simulate_trace_ctl(
-    trace: &Trace,
-    predictor: PredictorConfig,
-    cfg: &SimConfig,
-    token: Option<&CancelToken>,
-) -> Result<Result<RunResult, Cancelled>, TraceRunError> {
-    check_trace_budget(trace, cfg)?;
-    let decoded = DecodedTrace::new(trace);
-    let mut machine = Machine::with_source(
-        &cfg.uarch,
-        trace.program(),
-        decoded.reader(),
-        trace.meta().working_set,
+    Ok(simulate_with(
+        SimSource::Trace(trace),
         predictor,
-        cfg.kind,
-        cfg.banked,
-        &cfg.tech,
-    );
-    if drive(&mut machine, cfg, token).is_err() {
-        return Ok(Err(Cancelled));
-    }
-    Ok(Ok(RunResult {
-        benchmark: trace.meta().name.clone(),
-        predictor: predictor.build().describe(),
-        stats: *machine.stats(),
-        energy: machine.power_report(),
-        totals: machine.bpred_totals(),
-        bpred_power: machine.bpred_power().clone(),
-    }))
-}
-
-/// Like [`simulate_trace`], but with the runtime sanitizer enabled.
-///
-/// # Errors
-///
-/// Same as [`simulate_trace`].
-#[cfg(feature = "audit")]
-pub fn simulate_trace_audited(
-    trace: &Trace,
-    predictor: PredictorConfig,
-    cfg: &SimConfig,
-) -> Result<(RunResult, Vec<bw_uarch::audit::Violation>), TraceRunError> {
-    Ok(simulate_trace_audited_ctl(trace, predictor, cfg, None)?.expect("no token, cannot cancel"))
-}
-
-/// Cancellable form of [`simulate_trace_audited`].
-///
-/// # Errors
-///
-/// Same as [`simulate_trace_ctl`].
-#[cfg(feature = "audit")]
-#[allow(clippy::type_complexity)] // mirror of simulate_trace_ctl with audit evidence
-pub fn simulate_trace_audited_ctl(
-    trace: &Trace,
-    predictor: PredictorConfig,
-    cfg: &SimConfig,
-    token: Option<&CancelToken>,
-) -> Result<Result<(RunResult, Vec<bw_uarch::audit::Violation>), Cancelled>, TraceRunError> {
-    check_trace_budget(trace, cfg)?;
-    let decoded = DecodedTrace::new(trace);
-    let mut machine = Machine::with_source(
-        &cfg.uarch,
-        trace.program(),
-        decoded.reader(),
-        trace.meta().working_set,
-        predictor,
-        cfg.kind,
-        cfg.banked,
-        &cfg.tech,
-    );
-    machine.enable_audit(&trace.meta().name);
-    if drive(&mut machine, cfg, token).is_err() {
-        return Ok(Err(Cancelled));
-    }
-    let result = RunResult {
-        benchmark: trace.meta().name.clone(),
-        predictor: predictor.build().describe(),
-        stats: *machine.stats(),
-        energy: machine.power_report(),
-        totals: machine.bpred_totals(),
-        bpred_power: machine.bpred_power().clone(),
-    };
-    Ok(Ok((result, machine.take_audit_violations())))
+        cfg,
+        SimControl::default(),
+    )?
+    .expect("no token, cannot cancel"))
 }
 
 /// Records `model` into a trace sized for `cfg`'s budget (warmup +

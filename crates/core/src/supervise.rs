@@ -1,11 +1,11 @@
 //! Supervised execution: panic isolation, watchdog cancellation,
 //! bounded retry with backoff, and the persistent quarantine.
 //!
-//! [`Runner::run`](crate::Runner::run) treats a failing simulation as
-//! a process-level event: a panic unwinds the sweep. This module is
-//! the machinery behind
-//! [`Runner::run_supervised`](crate::Runner::run_supervised), which
-//! turns each planned run into a typed [`RunOutcome`] instead:
+//! This module is the machinery behind the runner's one execution loop,
+//! which turns each planned run into a typed [`RunOutcome`].
+//! [`Runner::run_supervised`](crate::Runner::run_supervised) reports
+//! those outcomes; [`Runner::run`](crate::Runner::run) runs the same
+//! loop under a strict policy and panics on the first terminal one:
 //!
 //! ```text
 //!             ┌───────────── quarantined? ──────────► Quarantined
@@ -38,7 +38,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Once};
+use std::sync::Once;
 use std::time::{Duration, Instant};
 
 use crate::runner::RunKey;
@@ -55,8 +55,9 @@ pub const QUARANTINE_FORMAT_VERSION: u32 = 1;
 // Cancellation
 // ---------------------------------------------------------------------
 
-/// Cooperative cancellation for one run attempt: an externally
-/// settable flag plus an optional wall-clock deadline (the watchdog).
+/// Cooperative cancellation for one run attempt: a flag set by
+/// [`cancel`](CancelToken::cancel) plus an optional wall-clock deadline
+/// (the watchdog).
 ///
 /// The sim loop polls [`is_cancelled`](CancelToken::is_cancelled)
 /// every instruction chunk; there is no watchdog *thread* — the
@@ -64,7 +65,7 @@ pub const QUARANTINE_FORMAT_VERSION: u32 = 1;
 /// latency by the wall-clock cost of one chunk.
 #[derive(Debug)]
 pub struct CancelToken {
-    flag: Arc<AtomicBool>,
+    flag: AtomicBool,
     deadline: Option<Instant>,
 }
 
@@ -74,7 +75,7 @@ impl CancelToken {
     #[must_use]
     pub fn unbounded() -> Self {
         CancelToken {
-            flag: Arc::new(AtomicBool::new(false)),
+            flag: AtomicBool::new(false),
             deadline: None,
         }
     }
@@ -83,23 +84,12 @@ impl CancelToken {
     #[must_use]
     pub fn with_timeout(timeout: Duration) -> Self {
         CancelToken {
-            flag: Arc::new(AtomicBool::new(false)),
+            flag: AtomicBool::new(false),
             deadline: Some(Instant::now() + timeout),
         }
     }
 
-    /// A token sharing an external abort flag (pool-wide cancellation)
-    /// with an optional per-attempt deadline starting now.
-    #[must_use]
-    pub(crate) fn shared(flag: Arc<AtomicBool>, timeout: Option<Duration>) -> Self {
-        CancelToken {
-            flag,
-            deadline: timeout.map(|t| Instant::now() + t),
-        }
-    }
-
-    /// Requests cancellation (also cancels every token sharing this
-    /// flag).
+    /// Requests cancellation.
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::Relaxed);
     }
@@ -252,6 +242,8 @@ impl std::fmt::Display for RunFailure {
 // ---------------------------------------------------------------------
 
 /// Supervision policy for [`Runner::run_supervised`](crate::Runner::run_supervised).
+/// [`Runner::run`](crate::Runner::run) uses a fixed strict policy:
+/// one attempt, no watchdog, no quarantine.
 #[derive(Clone, Debug)]
 pub struct Supervision {
     /// Per-attempt wall-clock watchdog; `None` disables the deadline.
@@ -479,27 +471,33 @@ fn is_trace_payload(message: &str) -> bool {
 /// Executes one run under the supervision policy: `catch_unwind`
 /// isolation, a fresh [`CancelToken`] (watchdog) per attempt, and
 /// bounded retry with linear backoff. Returns the outcome plus the
-/// number of retries consumed.
+/// number of retries consumed. Nothing outside the attempt cancels
+/// it: a sibling's failure never stops a run in flight.
 ///
 /// `exec` must be deterministic-or-transient: a deterministic failure
 /// exhausts the attempt budget and is reported; a transient one (seen
 /// under fault injection with a bounded firing budget, or a timeout on
 /// a loaded machine) succeeds on retry.
-pub(crate) fn attempt_run<F>(
-    sup: &Supervision,
-    abort: &Arc<AtomicBool>,
-    exec: F,
-) -> (RunOutcome, u32)
+///
+/// With `quiet`, a panic prints nothing (its payload is reported
+/// through the outcome); without, the panic hook reports it with its
+/// location as usual, which is what a strict run wants for debugging.
+pub(crate) fn attempt_run<F>(sup: &Supervision, quiet: bool, exec: F) -> (RunOutcome, u32)
 where
     F: Fn(&CancelToken) -> Result<RunResult, Cancelled>,
 {
-    install_quiet_panic_hook();
+    if quiet {
+        install_quiet_panic_hook();
+    }
     let mut attempts = 0u32;
     loop {
         attempts += 1;
-        let token = CancelToken::shared(Arc::clone(abort), sup.run_timeout);
+        let token = match sup.run_timeout {
+            Some(timeout) => CancelToken::with_timeout(timeout),
+            None => CancelToken::unbounded(),
+        };
         let caught = {
-            let _quiet = QuietGuard::engage();
+            let _quiet = quiet.then(QuietGuard::engage);
             catch_unwind(AssertUnwindSafe(|| exec(&token)))
         };
         let outcome = match caught {
@@ -517,7 +515,7 @@ where
                 }
             }
         };
-        if attempts >= sup.max_attempts || abort.load(Ordering::Relaxed) {
+        if attempts >= sup.max_attempts {
             return (outcome, attempts - 1);
         }
         std::thread::sleep(sup.backoff.saturating_mul(attempts));
@@ -853,8 +851,7 @@ mod tests {
             backoff: Duration::ZERO,
             ..Supervision::default()
         };
-        let abort = Arc::new(AtomicBool::new(false));
-        let (outcome, retries) = attempt_run(&sup, &abort, |_| panic!("deliberate test panic"));
+        let (outcome, retries) = attempt_run(&sup, true, |_| panic!("deliberate test panic"));
         match outcome {
             RunOutcome::Panicked { message, attempts } => {
                 assert_eq!(attempts, 3);
@@ -871,8 +868,7 @@ mod tests {
             max_attempts: 1,
             ..Supervision::default()
         };
-        let abort = Arc::new(AtomicBool::new(false));
-        let (outcome, _) = attempt_run(&sup, &abort, |_| {
+        let (outcome, _) = attempt_run(&sup, true, |_| {
             panic!("trace 'gzip-quick' exhausted after 42 instructions; record a longer trace")
         });
         assert!(
@@ -889,8 +885,7 @@ mod tests {
             backoff: Duration::ZERO,
             ..Supervision::default()
         };
-        let abort = Arc::new(AtomicBool::new(false));
-        let (outcome, retries) = attempt_run(&sup, &abort, |token| {
+        let (outcome, retries) = attempt_run(&sup, true, |token| {
             assert!(!token.is_cancelled(), "fresh token starts clean");
             Err(Cancelled)
         });

@@ -11,7 +11,9 @@
 //! the fast-forward against the one-cycle reference. Beyond Bimodal on
 //! the base machine it covers a hybrid under both-strong pipeline
 //! gating (fetch held by gating, not stalls) and PPD scenario 2
-//! (partial predictor lookups).
+//! (partial predictor lookups). Each cell is also recorded and
+//! replayed, audited and plain, since the trace source runs through
+//! the same simulate body.
 //!
 //! Run with `cargo test -p bw-core --features audit`.
 
@@ -20,14 +22,53 @@
 use bw_core::power::PpdScenario;
 use bw_core::uarch::UarchConfig;
 use bw_core::workload::benchmark;
-use bw_core::{simulate, simulate_audited, SimConfig};
+use bw_core::{
+    record_trace, simulate, simulate_trace, simulate_with, RunResult, SimConfig, SimControl,
+    SimSource, Violation,
+};
 use bw_predictors::{HybridConfig, PredictorConfig};
 use proptest::prelude::*;
 
 const NAMES: [&str; 4] = ["gzip", "twolf", "swim", "vortex"];
 
-/// Runs one cell with and without the sanitizer and checks that the
-/// audited run is clean and identical to the plain one.
+/// Runs `source` under the sanitizer, returning the result and the
+/// violations it reported.
+fn audited(
+    source: SimSource<'_>,
+    predictor: PredictorConfig,
+    cfg: &SimConfig,
+) -> (RunResult, Vec<Violation>) {
+    let mut violations = Vec::new();
+    let ctl = SimControl::default().audit_into(&mut violations);
+    let run = simulate_with(source, predictor, cfg, ctl)
+        .expect("the trace covers the budget")
+        .expect("no token, cannot cancel");
+    (run, violations)
+}
+
+/// Byte-identical observable state: stats, energy, totals, and the
+/// headline scalars bit-for-bit, not just via Debug.
+fn assert_identical(plain: &RunResult, audited: &RunResult) {
+    assert_eq!(format!("{:?}", plain.stats), format!("{:?}", audited.stats));
+    assert_eq!(
+        format!("{:?}", plain.energy),
+        format!("{:?}", audited.energy)
+    );
+    assert_eq!(
+        format!("{:?}", plain.totals),
+        format!("{:?}", audited.totals)
+    );
+    assert_eq!(plain.predictor, audited.predictor);
+    assert_eq!(
+        plain.total_energy_j().to_bits(),
+        audited.total_energy_j().to_bits()
+    );
+    assert_eq!(plain.ipc().to_bits(), audited.ipc().to_bits());
+}
+
+/// Runs one cell with and without the sanitizer, generated and
+/// replayed from its recording, and checks that each audited run is
+/// clean and identical to its plain twin.
 fn audit_is_observation_only(
     bench_idx: usize,
     seed: u64,
@@ -44,30 +85,21 @@ fn audit_is_observation_only(
         .expect("valid config");
 
     let plain = simulate(model, predictor, &cfg);
-    let (audited, violations) = simulate_audited(model, predictor, &cfg);
-
+    let (run, violations) = audited(SimSource::Model(model), predictor, &cfg);
     assert!(
         violations.is_empty(),
-        "audit violations on seed {seed}: {:?}",
-        violations
+        "audit violations on seed {seed}: {violations:?}"
     );
-    // Byte-identical observable state: stats, energy, totals.
-    assert_eq!(format!("{:?}", plain.stats), format!("{:?}", audited.stats));
-    assert_eq!(
-        format!("{:?}", plain.energy),
-        format!("{:?}", audited.energy)
+    assert_identical(&plain, &run);
+
+    let trace = record_trace(model, &cfg);
+    let replay = simulate_trace(&trace, predictor, &cfg).expect("record_trace sized the trace");
+    let (run, violations) = audited(SimSource::Trace(&trace), predictor, &cfg);
+    assert!(
+        violations.is_empty(),
+        "audit violations replaying seed {seed}: {violations:?}"
     );
-    assert_eq!(
-        format!("{:?}", plain.totals),
-        format!("{:?}", audited.totals)
-    );
-    assert_eq!(plain.predictor, audited.predictor);
-    // And the headline scalars bit-for-bit, not just via Debug.
-    assert_eq!(
-        plain.total_energy_j().to_bits(),
-        audited.total_energy_j().to_bits()
-    );
-    assert_eq!(plain.ipc().to_bits(), audited.ipc().to_bits());
+    assert_identical(&replay, &run);
 }
 
 proptest! {

@@ -1,7 +1,6 @@
-//! Run-cache budget and maintenance tests: LRU eviction under byte
-//! and entry budgets, pin protection for in-flight digests, and
-//! `migrate` idempotency — alone, twice, and racing a concurrent
-//! store.
+//! Run-cache budget tests: LRU eviction under byte and entry budgets,
+//! pin protection for in-flight digests, and the foreign files beside
+//! the entries that no budget may touch.
 //!
 //! Run with `cargo test -p bw-core --features serde`.
 
@@ -131,13 +130,18 @@ fn zero_budget_spares_pinned_inflight_entries() {
 }
 
 /// Foreign files beside the entries — the quarantine ledger, the
-/// flight journal, staging leftovers — are not cache entries and are
-/// never evicted, even by a zero budget.
+/// flight journal, staging leftovers, an entry left at the root by the
+/// pre-sharding flat layout — are not cache entries and are never
+/// evicted, even by a zero budget.
 #[test]
 fn eviction_never_touches_ledger_journal_or_staging_files() {
     let dir = scratch("foreign");
     let cache = RunCache::new(dir.clone());
-    fill(&cache, &[31]);
+    let keys = fill(&cache, &[31]);
+    let flat = dir.join(cache.path_for(&keys[0]).file_name().unwrap());
+    std::fs::copy(cache.path_for(&keys[0]), &flat).unwrap();
+    assert_eq!(cache.entries().len(), 1, "the flat copy is not an entry");
+    assert_eq!(cache.usage(), (std::fs::metadata(&flat).unwrap().len(), 1));
     bw_core::fsutil::atomic_write(
         &dir.join("quarantine.json"),
         b"{\"format_version\": 1, \"entries\": []}",
@@ -155,64 +159,10 @@ fn eviction_never_touches_ledger_journal_or_staging_files() {
     assert!(dir.join("quarantine.json").is_file());
     assert!(dir.join("flight-journal.bwj").is_file());
     assert!(dir.join("partial.json.tmp.keep").is_file());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// `migrate` is idempotent: the first pass moves every legacy flat
-/// entry into its shard, the second finds nothing to do, and entries
-/// load identically afterward.
-#[test]
-fn migrate_twice_moves_once_and_loses_nothing() {
-    let dir = scratch("migrate-twice");
-    let cache = RunCache::new(dir.clone());
-    let keys = fill(&cache, &[41, 42, 43]);
-    // Rebuild the legacy flat layout: move each sharded entry to the
-    // cache root, as an old-version writer would have left it.
-    for key in &keys {
-        std::fs::rename(cache.path_for(key), cache.legacy_path_for(key)).unwrap();
-    }
-
-    assert_eq!(cache.migrate(), 3, "first pass moves every flat entry");
-    assert_eq!(cache.migrate(), 0, "second pass is a no-op");
-    for key in &keys {
-        assert!(cache.path_for(key).is_file(), "entry is in its shard");
-        assert!(!cache.legacy_path_for(key).is_file());
-        assert!(matches!(cache.load_checked(key), CacheLookup::Hit(_)));
-    }
-    assert_eq!(cache.usage().1, 3);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// `migrate` racing a concurrent store: the rename pass and a writer
-/// adding new sharded entries interleave without losing either the
-/// migrated legacy entries or the freshly stored ones.
-#[test]
-fn migrate_concurrent_with_store_keeps_every_entry() {
-    let dir = scratch("migrate-race");
-    let cache = RunCache::new(dir.clone());
-    let legacy_keys = fill(&cache, &[51, 52, 53, 54]);
-    for key in &legacy_keys {
-        std::fs::rename(cache.path_for(key), cache.legacy_path_for(key)).unwrap();
-    }
-
-    let writer_cache = cache.clone();
-    let writer = std::thread::spawn(move || {
-        // Fresh stores land directly in shards while migrate renames
-        // the legacy files.
-        fill(&writer_cache, &[61, 62, 63])
-    });
-    let mut moved = cache.migrate();
-    let stored_keys = writer.join().expect("writer thread");
-    // A second pass catches any file the first enumerated around.
-    moved += cache.migrate();
-
-    assert_eq!(moved, 4, "every legacy entry migrated exactly once");
-    for key in legacy_keys.iter().chain(&stored_keys) {
-        assert!(
-            matches!(cache.load_checked(key), CacheLookup::Hit(_)),
-            "no entry may be lost by the race"
-        );
-    }
-    assert_eq!(cache.usage().1, 7);
+    assert!(flat.is_file());
+    assert!(
+        matches!(cache.load_checked(&keys[0]), CacheLookup::Miss),
+        "with the shard copy gone, the flat copy serves no hit"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

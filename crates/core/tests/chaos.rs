@@ -197,6 +197,50 @@ fn strict_run_drains_completed_results_before_panicking() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Strict mode fails fast: once a run fails, no further run starts,
+/// and the panic names the failed run (its payload alone does not say
+/// which cell it came from).
+#[test]
+fn strict_run_stops_at_the_first_failure_and_names_it() {
+    let _gate = serial();
+    let dir = temp_dir("fail-fast");
+    let cfg = tiny_cfg(31);
+    let (plan, cells) = labelled_plan(&cfg);
+    let runner = Runner::serial().cached(RunCache::new(dir.clone()));
+
+    bw_fault::arm(FaultPlan::new(5).fault(FaultKind::Panic, "cell-b"));
+    let _disarm = Disarm;
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {})); // silence the expected unwind
+    let outcome =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| runner.run(&plan, |_| {})));
+    std::panic::set_hook(hook);
+    let payload = outcome
+        .err()
+        .expect("strict mode must propagate the failure");
+    let message = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+        .unwrap_or_default();
+    assert!(
+        message.contains("cell-b"),
+        "panic must name the run: {message}"
+    );
+
+    bw_fault::disarm();
+    let cache = RunCache::new(dir.clone());
+    for (label, key) in &cells {
+        if label == "cell-c" || label == "cell-d" {
+            assert!(
+                cache.load(key).is_none(),
+                "{label} started after the failure"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The acceptance differential: three distinct faults (panic, stall
 /// past the watchdog, cache corruption) are injected into a cached
 /// supervised sweep. The sweep completes; the three failures are

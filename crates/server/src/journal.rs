@@ -369,7 +369,7 @@ mod tests {
         // and half its bytes missing.
         let torn = records[1].to_line();
         let mut bytes = std::fs::read(journal.path()).unwrap();
-        bytes.extend_from_slice(torn[..torn.len() / 2].as_bytes());
+        bytes.extend_from_slice(&torn.as_bytes()[..torn.len() / 2]);
         std::fs::write(journal.path(), bytes).unwrap();
 
         let replay = journal.replay();

@@ -4,7 +4,7 @@
 //! set with completed cells served from the cache/journal, never
 //! re-simulated.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use bw_core::{RunCache, RunPlan, Runner};
@@ -30,9 +30,9 @@ fn cell(benchmark: &str, predictor: &str, seed: u64) -> CellSpec {
     }
 }
 
-fn config(cache: &PathBuf) -> ServerConfig {
+fn config(cache: &Path) -> ServerConfig {
     ServerConfig {
-        cache_dir: Some(cache.clone()),
+        cache_dir: Some(cache.to_path_buf()),
         workers: 2,
         quota: 200,
         queue_capacity: 1024,

@@ -574,9 +574,6 @@ fn check_thread_spawn(rule: &Rule, sf: &SourceFile, out: &mut Vec<Violation>) {
         "crates/core/src/runner.rs",
         "crates/server/src/daemon.rs",
         "crates/bench/benches/server.rs",
-        // The cache-maintenance race tests (migrate vs. concurrent
-        // store) need a bare writer thread.
-        "crates/core/tests/cache_budget.rs",
     ];
     if SANCTIONED.contains(&sf.rel.as_str()) || sf.rel.starts_with("crates/server/tests/") {
         return;

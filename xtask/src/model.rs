@@ -530,11 +530,7 @@ fn parse_impl(toks: &[Token], at: usize) -> Option<ParsedImpl> {
                 // part of the self-type path.
                 in_where = true;
             }
-            Tok::Ident(w) => {
-                if depth_angle <= 0 && !in_where {
-                    segs.push(w.clone());
-                }
-            }
+            Tok::Ident(w) if depth_angle <= 0 && !in_where => segs.push(w.clone()),
             _ => {}
         }
         j += 1;
@@ -693,35 +689,34 @@ fn scan_taints(body: &[Token], map_names: &BTreeSet<String>) -> Vec<Taint> {
                     }
                 }
             }
-            m if MAP_ITER_METHODS.contains(&m) => {
-                // `.iter()` etc. — resolve the receiver: bare tracked
-                // name, or `self.field` with a tracked field name.
-                if i >= 2
-                    && body[i - 1].is_punct('.')
-                    && matches!(body.get(i + 1).map(|t| &t.tok), Some(Tok::Punct('(')))
-                {
-                    if let Some(recv) = body[i - 2].ident() {
-                        let is_field = recv != "self"
-                            && i >= 4
-                            && body[i - 3].is_punct('.')
-                            && body[i - 4].is_ident("self");
-                        let tracked = if is_field || body.get(i.wrapping_sub(3)).is_none() {
-                            map_names.contains(recv)
-                        } else if recv == "self" {
-                            false
-                        } else {
-                            // Bare local: previous token must not be
-                            // `.` (that would make it someone else's
-                            // field).
-                            !body[i - 3].is_punct('.') && map_names.contains(recv)
-                        };
-                        if tracked {
-                            out.push(Taint {
-                                kind: TaintKind::MapIter,
-                                line,
-                                what: format!("{recv}.{m}()"),
-                            });
-                        }
+            // `.iter()` etc. — resolve the receiver: bare tracked name,
+            // or `self.field` with a tracked field name.
+            m if MAP_ITER_METHODS.contains(&m)
+                && i >= 2
+                && body[i - 1].is_punct('.')
+                && matches!(body.get(i + 1).map(|t| &t.tok), Some(Tok::Punct('('))) =>
+            {
+                if let Some(recv) = body[i - 2].ident() {
+                    let is_field = recv != "self"
+                        && i >= 4
+                        && body[i - 3].is_punct('.')
+                        && body[i - 4].is_ident("self");
+                    let tracked = if is_field || body.get(i.wrapping_sub(3)).is_none() {
+                        map_names.contains(recv)
+                    } else if recv == "self" {
+                        false
+                    } else {
+                        // Bare local: previous token must not be
+                        // `.` (that would make it someone else's
+                        // field).
+                        !body[i - 3].is_punct('.') && map_names.contains(recv)
+                    };
+                    if tracked {
+                        out.push(Taint {
+                            kind: TaintKind::MapIter,
+                            line,
+                            what: format!("{recv}.{m}()"),
+                        });
                     }
                 }
             }

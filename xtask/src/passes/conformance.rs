@@ -56,8 +56,8 @@ pub fn run(ws: &Workspace, out: &mut Vec<Finding>) {
             let scope_allows =
                 |rule: &str| file.source.scope_suppressed(imp.line, imp.end_line, rule);
 
-            if !(imp.methods.contains("lookup_batch") && imp.methods.contains("commit_batch"))
-                && !scope_allows("batch-override")
+            if !(scope_allows("batch-override")
+                || imp.methods.contains("lookup_batch") && imp.methods.contains("commit_batch"))
             {
                 out.push(Finding {
                     file: file.rel.clone(),

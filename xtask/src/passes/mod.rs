@@ -230,7 +230,7 @@ thread_local! {
     /// passes run strictly before the unused-suppression sweep on the
     /// same thread.
     static MANIFEST_USED: std::cell::RefCell<BTreeSet<(String, usize, String)>> =
-        std::cell::RefCell::new(BTreeSet::new());
+        const { std::cell::RefCell::new(BTreeSet::new()) };
 }
 
 fn manifest_markers(m: &crate::model::Manifest) -> Vec<(usize, String)> {
