@@ -12,8 +12,7 @@ use crate::timing;
 /// comparators and tag drivers) for all array structures; Figure 2
 /// compares the two. `WithColumnDecoders` is the paper's "new" model and
 /// the default everywhere else in this reproduction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum ModelKind {
     /// The original Wattch 1.02 model: no column decoder term, physical
     /// organization picked to be as square as possible.
@@ -43,8 +42,7 @@ impl ModelKind {
 /// * PPD timing Scenario 2 (Section 4.2) stops a gated access *after*
 ///   the bitlines but *before* the column multiplexor, so only the
 ///   [`post_mux`](EnergyBreakdown::post_mux) portion is saved.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct EnergyBreakdown {
     /// Row predecoder + wordline-select NOR energy.
     pub row_decoder: f64,

@@ -27,8 +27,7 @@
 /// assert_eq!(btb.sets(), 1024);
 /// assert_eq!(btb.bits_read_per_access(), 2 * (30 + 21));
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct ArraySpec {
     /// Number of logical entries (across all ways).
     pub entries: u64,
@@ -130,8 +129,7 @@ impl ArraySpec {
 ///
 /// `mux_degree` sets share one physical row; the column decoder selects
 /// among them. `rows * cols == total_bits` always holds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct ArrayOrg {
     /// Physical wordlines.
     pub rows: u64,
@@ -157,8 +155,7 @@ impl ArrayOrg {
 /// candidates and keeps the one with the minimum energy-delay product,
 /// which noticeably improves access time for the 8K- and 32K-entry
 /// predictors.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum SquarifyGoal {
     /// Minimize |rows − cols| (Wattch 1.02 behaviour, the "old" curve).
     AsSquareAsPossible,

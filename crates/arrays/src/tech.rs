@@ -24,8 +24,7 @@
 /// assert_eq!(tech.freq_hz, 1.2e9);
 /// assert!(tech.cycle_s() > 0.0);
 /// ```
-#[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct TechParams {
     /// Supply voltage in volts.
     pub vdd: f64,

@@ -238,10 +238,11 @@ fn main() -> ExitCode {
             attempts: retries,
             ..RetryPolicy::default()
         };
-        let (replies, report) = match client.run_cells_with_retry(1, &specs, priority, &policy) {
-            Ok(r) => r,
-            Err(e) => return fail(&format!("submit: {e}")),
-        };
+        let (replies, report) =
+            match client.run_cells_with_retry(1, &specs, priority, &policy, |_, _| {}) {
+                Ok(r) => r,
+                Err(e) => return fail(&format!("submit: {e}")),
+            };
         let received: Vec<u64> = replies.iter().map(|r| r.cell).collect();
         for reply in &replies {
             let label = labels.get(reply.cell as usize).map_or("?", String::as_str);

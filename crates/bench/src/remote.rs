@@ -14,12 +14,10 @@
 //! cells are reported on stderr, every healthy row still renders, and
 //! the caller exits nonzero.
 
-use std::time::Duration;
-
 use bw_core::experiments::SweepRow;
 use bw_core::zoo::NamedPredictor;
 use bw_core::{RunResult, SimConfig};
-use bw_server::{CellSpec, CellStatus, Client, ClientError, RetryPolicy, ServerMsg};
+use bw_server::{CellSpec, CellStatus, Client, ClientError, RetryPolicy};
 use bw_workload::BenchmarkModel;
 use serde::Deserialize;
 
@@ -114,72 +112,37 @@ pub fn remote_sweep_rows(
 
     let mut client = Client::connect(addr)?;
     const REQ: u64 = 1;
-    client.submit(REQ, &specs)?;
+    let mut seen = 0usize;
+    // Backpressure retries resubmit only the retryably-refused cells
+    // (quota / queue-full), backing off with the deterministic-jitter
+    // schedule so parallel figure binaries desynchronize instead of
+    // stampeding the daemon in step.
+    let (replies, report) = client.run_cells_with_retry(
+        REQ,
+        &specs,
+        false,
+        &RetryPolicy::default(),
+        |reply, attempt| {
+            let Some((_, label)) = cells.get(reply.cell as usize) else {
+                return;
+            };
+            if attempt == 1 {
+                seen += 1;
+                progress(&format!("{label} ({seen}/{} remote)", cells.len()));
+            } else {
+                progress(&format!("{label} (retry {})", attempt - 1));
+            }
+        },
+    )?;
+    client.ack(REQ, &replies.iter().map(|r| r.cell).collect::<Vec<_>>())?;
+    client.bye();
 
     let mut statuses: Vec<Option<CellStatus>> = vec![None; cells.len()];
-    let mut seen = 0usize;
-    let mut received = Vec::new();
-    loop {
-        match client.next_msg()? {
-            Some(ServerMsg::Cell(reply)) if reply.req == REQ => {
-                let idx = reply.cell as usize;
-                if idx < statuses.len() && statuses[idx].is_none() {
-                    seen += 1;
-                    received.push(reply.cell);
-                    if let Some((_, label)) = cells.get(idx) {
-                        progress(&format!("{label} ({seen}/{} remote)", cells.len()));
-                    }
-                    statuses[idx] = Some(reply.status);
-                }
-            }
-            Some(ServerMsg::Done { req, .. }) if req == REQ => break,
-            Some(ServerMsg::Error { message }) => return Err(ClientError::Server(message)),
-            Some(_) => {}
-            None => {
-                return Err(ClientError::Wire(bw_server::WireError::Closed(
-                    "daemon closed the stream before Done".to_string(),
-                )))
-            }
+    for reply in replies {
+        if let Some(slot @ None) = statuses.get_mut(reply.cell as usize) {
+            *slot = Some(reply.status);
         }
     }
-    client.ack(REQ, &received)?;
-
-    // Backpressure retries: resubmit only the retryably-refused cells
-    // (quota / queue-full) under derived request ids, backing off with
-    // the deterministic-jitter schedule so parallel figure binaries
-    // desynchronize instead of stampeding the daemon in step.
-    let policy = RetryPolicy::default();
-    let (mut attempts, mut retried) = (1_u32, 0_usize);
-    for attempt in 1..policy.attempts {
-        let pending: Vec<usize> = statuses
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| {
-                matches!(s, Some(CellStatus::Refused { reason, .. }) if reason.is_retryable())
-            })
-            .map(|(i, _)| i)
-            .collect();
-        if pending.is_empty() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(policy.delay_ms(attempt, REQ)));
-        let retry_specs: Vec<CellSpec> = pending.iter().map(|&i| specs[i].clone()).collect();
-        let sub_req = REQ ^ (u64::from(attempt) << 48) ^ 0x5261_7472_7900_0000;
-        client.submit(sub_req, &retry_specs)?;
-        let replies = client.collect_request(sub_req)?;
-        client.ack(sub_req, &replies.iter().map(|r| r.cell).collect::<Vec<_>>())?;
-        for sub in replies {
-            if let Some(&orig) = pending.get(sub.cell as usize) {
-                if let Some((_, label)) = cells.get(orig) {
-                    progress(&format!("{label} (retry {attempt})"));
-                }
-                statuses[orig] = Some(sub.status);
-            }
-        }
-        attempts = attempt + 1;
-        retried += pending.len();
-    }
-    client.bye();
 
     let mut rows = Vec::new();
     let mut failures = Vec::new();
@@ -214,7 +177,7 @@ pub fn remote_sweep_rows(
         rows,
         failures,
         planned: specs.len(),
-        attempts,
-        retried,
+        attempts: report.attempts,
+        retried: report.retried,
     })
 }

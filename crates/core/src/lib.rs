@@ -16,7 +16,7 @@
 //! * [`RunPlan`] / [`Runner`] / [`RunCache`] — the unified experiment
 //!   engine: figures declare the runs they need in a deduplicated
 //!   plan; the runner executes it on a worker pool, serving repeats
-//!   from a persistent content-addressed cache (`serde` feature).
+//!   from a persistent content-addressed cache.
 //! * [`experiments`] — one module per table/figure of the paper's
 //!   evaluation, each a thin view that plans its runs, asks a
 //!   [`Runner`] for results, and renders typed rows into text tables.

@@ -17,8 +17,6 @@
 //!   to serial execution.
 //! * [`RunCache`] — a persistent content-addressed store of completed
 //!   [`RunResult`]s under `results/cache/`, keyed by the run's digest.
-//!   Requires the `serde` feature; without it the cache type still
-//!   exists but loads nothing and stores nothing.
 //!
 //! # Examples
 //!
@@ -777,7 +775,6 @@ impl EvictReport {
 /// payload once the checksum over its exact bytes verifies, `None` for
 /// an envelope of another format version (stale, not damage: the next
 /// store replaces it), `Err` for anything damaged.
-#[cfg(feature = "serde")]
 fn open_envelope(text: &str) -> Result<Option<serde::Value>, ()> {
     use serde::{Deserialize, Value};
     let v = serde_json::parse_value_str(text).map_err(drop)?;
@@ -820,12 +817,7 @@ fn open_envelope(text: &str) -> Result<Option<serde::Value>, ()> {
 /// byte-identical file) — concurrent writers racing on one key are
 /// harmless.
 ///
-/// With the `serde` feature disabled the cache is inert: [`load`]
-/// always misses and [`store`] does nothing.
-///
-/// [`load`]: RunCache::load
 /// [`load_checked`]: RunCache::load_checked
-/// [`store`]: RunCache::store
 #[derive(Clone, Debug)]
 pub struct RunCache {
     dir: PathBuf,
@@ -920,7 +912,6 @@ impl RunCache {
     /// file, or a stale format version) from a corrupt entry that
     /// should be evicted and reported.
     #[must_use]
-    #[cfg(feature = "serde")]
     pub fn load_checked(&self, key: &RunKey) -> CacheLookup {
         use serde::{Deserialize, Value};
         let path = self.path_for(key);
@@ -952,7 +943,6 @@ impl RunCache {
     /// interrupted writer damages nothing. Failures (e.g. an
     /// unwritable directory) are swallowed: the cache is an
     /// accelerator, not a ledger.
-    #[cfg(feature = "serde")]
     pub fn store(&self, key: &RunKey, result: &RunResult) {
         use serde::{Serialize, Value};
         let payload = Value::Obj(vec![
@@ -1020,7 +1010,6 @@ impl RunCache {
     /// (the quarantine ledger, the flight journal) are not entries. A
     /// missing directory is an empty (clean) cache.
     #[must_use]
-    #[cfg(feature = "serde")]
     pub fn verify_dir(&self) -> CacheAudit {
         use serde::Deserialize;
         let mut audit = CacheAudit::default();
@@ -1064,7 +1053,6 @@ impl RunCache {
     /// entries and stray `.tmp` staging files), returning the audit
     /// that drove the evictions. Stale-format entries are left alone —
     /// they are replaced lazily on their next store.
-    #[cfg(feature = "serde")]
     pub fn repair(&self) -> CacheAudit {
         let audit = self.verify_dir();
         for path in audit.corrupt.iter().chain(&audit.stray_tmp) {
@@ -1169,30 +1157,6 @@ impl RunCache {
         report.retained = count;
         report.retained_bytes = bytes;
         report
-    }
-
-    /// Probes the cache — inert without the `serde` feature.
-    #[must_use]
-    #[cfg(not(feature = "serde"))]
-    pub fn load_checked(&self, _key: &RunKey) -> CacheLookup {
-        CacheLookup::Miss
-    }
-
-    /// Stores a result — inert without the `serde` feature.
-    #[cfg(not(feature = "serde"))]
-    pub fn store(&self, _key: &RunKey, _result: &RunResult) {}
-
-    /// Verifies the directory — inert without the `serde` feature.
-    #[must_use]
-    #[cfg(not(feature = "serde"))]
-    pub fn verify_dir(&self) -> CacheAudit {
-        CacheAudit::default()
-    }
-
-    /// Repairs the directory — inert without the `serde` feature.
-    #[cfg(not(feature = "serde"))]
-    pub fn repair(&self) -> CacheAudit {
-        CacheAudit::default()
     }
 }
 
@@ -1301,7 +1265,6 @@ mod tests {
     /// counts nor flags it or the daemon's flight journal, `repair`
     /// leaves both alone, and a fresh store lands in the shard beside
     /// the flat copy.
-    #[cfg(feature = "serde")]
     #[test]
     fn root_level_entry_files_are_ignored() {
         let dir = std::env::temp_dir().join(format!("bw-cache-flat-{}", std::process::id()));

@@ -751,7 +751,6 @@ pub fn bpred_share(run: &RunResult) -> f64 {
     run.bpred_energy_j() / run.total_energy_j()
 }
 
-#[cfg(feature = "serde")]
 mod serde_impls {
     //! Hand-written (de)serialization for [`RunResult`].
     //!

@@ -546,9 +546,7 @@ pub struct QuarantineEntry {
 /// A malformed or missing file loads as an empty ledger — the
 /// quarantine degrades exactly like the cache it sits next to.
 pub(crate) struct Quarantine {
-    /// Ledger file (persistence is serde-gated; without it the path is
-    /// carried but never read).
-    #[cfg_attr(not(feature = "serde"), allow(dead_code))]
+    /// Ledger file; `None` for an in-memory ledger.
     path: Option<PathBuf>,
     /// Ordered so ledger persistence iterates deterministically.
     entries: BTreeMap<u64, QuarantineEntry>,
@@ -593,7 +591,6 @@ impl Quarantine {
     }
 }
 
-#[cfg(feature = "serde")]
 mod quarantine_persist {
     use super::{Quarantine, QuarantineEntry, QUARANTINE_FORMAT_VERSION};
     use serde::{Deserialize, Serialize, Value};
@@ -673,27 +670,13 @@ mod quarantine_persist {
     }
 }
 
-#[cfg(not(feature = "serde"))]
-impl Quarantine {
-    /// Without `serde` the ledger is in-memory only.
-    pub(crate) fn load(path: PathBuf) -> Self {
-        let _ = path;
-        Quarantine::ephemeral()
-    }
-
-    /// Without `serde` nothing is persisted.
-    pub(crate) fn save(&self) {}
-}
-
 /// A read-only snapshot of the quarantine ledger beside a run cache.
 ///
 /// Services fronting the runner (the `bw-server` daemon) use this at
 /// admission time: a key whose recorded failures have crossed the
 /// supervision threshold is refused fast with a typed error instead of
 /// rediscovering the failure per request. Like the supervised runner's
-/// own load, a missing or malformed ledger is an empty view; without
-/// the `serde` feature the view is always empty (nothing persists the
-/// ledger either).
+/// own load, a missing or malformed ledger is an empty view.
 pub struct QuarantineView {
     entries: BTreeMap<u64, (u32, String)>,
 }

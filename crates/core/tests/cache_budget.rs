@@ -4,8 +4,6 @@
 //!
 //! Run with `cargo test -p bw-core --features serde`.
 
-#![cfg(feature = "serde")]
-
 use std::path::PathBuf;
 
 use bw_core::workload::benchmark;

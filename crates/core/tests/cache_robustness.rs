@@ -5,8 +5,6 @@
 //!
 //! Run with `cargo test -p bw-core --features serde`.
 
-#![cfg(feature = "serde")]
-
 use std::path::PathBuf;
 use std::sync::OnceLock;
 

@@ -6,7 +6,7 @@
 //!
 //! Run with `cargo test -p bw-core --features serde,fault-inject`.
 
-#![cfg(all(feature = "serde", feature = "fault-inject"))]
+#![cfg(feature = "fault-inject")]
 
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};

@@ -135,7 +135,6 @@ fn generous_deadline_does_not_fire() {
     assert!(set.get(&key).is_some());
 }
 
-#[cfg(feature = "serde")]
 mod persistent {
     use super::*;
     use std::path::PathBuf;

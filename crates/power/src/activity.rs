@@ -6,8 +6,7 @@
 /// The core fills one of these per cycle; each field is the number of
 /// port-uses of the corresponding unit. Under cc3 gating a unit's
 /// power scales linearly with `used / ports` (clamped to 1).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct Activity {
     /// Instructions renamed/dispatched this cycle.
     pub rename: u32,
@@ -41,8 +40,7 @@ pub struct Activity {
 /// Lookups are charged per *active fetch cycle* (the paper's modified
 /// Wattch fetch accounting), not per branch; a PPD turns full lookups
 /// into skipped or partial ones.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct BpredActivity {
     /// Full direction-predictor lookups (all component arrays read).
     pub dir_lookups: u32,

@@ -7,8 +7,7 @@ use crate::activity::BpredActivity;
 use crate::units::CC3_IDLE_FRACTION;
 
 /// Which PPD timing scenario is modelled (Section 4.2, Figure 15b).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum PpdScenario {
     /// Scenario 1: the PPD is fast enough to sequence before the
     /// BTB/direction-predictor access; a gated lookup is skipped
@@ -21,8 +20,7 @@ pub enum PpdScenario {
 }
 
 /// Configuration of the predictor power model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct BpredOptions {
     /// Array power model (Figure 2's old-vs-new comparison).
     pub kind: ModelKind,

@@ -126,8 +126,7 @@ impl ChipPower {
 /// Per-unit energy totals over a run, with the paper's metrics
 /// (Section 2.3): average instantaneous power, energy, and
 /// energy-delay product.
-#[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct EnergyReport {
     /// Joules per unit, indexed by [`Unit::index`].
     pub energy_j: [f64; 12],

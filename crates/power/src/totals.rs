@@ -18,8 +18,7 @@ use crate::units::CC3_IDLE_FRACTION;
 /// *would* suppress the lookup; on a machine without a PPD those cycles
 /// performed full lookups. This split is what makes post-hoc PPD
 /// pricing possible.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct BpredTotals {
     /// Cycles simulated.
     pub cycles: u64,

@@ -6,8 +6,7 @@ pub const CC3_IDLE_FRACTION: f64 = 0.10;
 
 /// The chip units tracked by the power model, mirroring Wattch's
 /// breakdown of a Wattch/SimpleScalar out-of-order core.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum Unit {
     /// Register rename logic (RAT + dependence check).
     Rename,
@@ -86,8 +85,7 @@ impl Unit {
 /// 2.0 V / 1200 MHz, calibrated so that typical SPECint activity lands
 /// in the 30–40 W chip-power range the paper reports (Figure 7b), with
 /// the branch predictor contributing roughly 10 %.
-#[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct UnitBudget {
     /// Maximum power in watts, by [`Unit::index`]. `Bpred`'s slot is
     /// ignored (computed from its arrays instead).

@@ -7,8 +7,7 @@ use crate::hybrid::Hybrid;
 use crate::twolevel::{TwoLevelGlobal, TwoLevelLocal};
 
 /// The second (non-global) component of a hybrid predictor.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum HybridComponent {
     /// A PAs-style local-history predictor.
     Local {
@@ -27,8 +26,7 @@ pub enum HybridComponent {
 }
 
 /// Configuration of a hybrid predictor (Section 3.1's four + hybrid_0).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct HybridConfig {
     /// Selector/chooser table entries.
     pub selector_entries: u64,
@@ -95,8 +93,7 @@ impl HybridConfig {
 /// let p = cfg.build();
 /// assert!(p.describe().starts_with("gshare"));
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum PredictorConfig {
     /// PC-indexed two-bit counters.
     Bimodal {

@@ -6,8 +6,7 @@ use bw_types::{Addr, Outcome};
 
 /// The role an array structure plays inside the branch-prediction
 //  machinery — used by the power model to attribute per-access energy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum StorageRole {
     /// A pattern history table of saturating counters.
     Pht,
@@ -31,8 +30,7 @@ pub enum StorageRole {
 /// front-end lookup (the paper charges one lookup per active fetch
 /// cycle); `writes_per_update` is how many writes one commit-time
 /// update performs.
-#[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Storage {
     /// What the array is.
     pub role: StorageRole,
@@ -46,8 +44,7 @@ pub struct Storage {
 
 /// Everything a predictor needs at commit time to train the entry it
 /// actually read, plus what the confidence estimator needs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct PredMeta {
     /// Global history value used to form the index.
     pub ghist: u64,
@@ -58,8 +55,7 @@ pub struct PredMeta {
 }
 
 /// A branch prediction with its training metadata.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct Prediction {
     /// Predicted direction.
     pub outcome: Outcome,
@@ -77,8 +73,7 @@ pub struct Prediction {
 /// Restoring checkpoints youngest-first undoes the speculative history
 /// pollution of a squashed path (the speculative-update-with-repair
 /// scheme of Skadron et al. that the paper models).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct HistCheckpoint {
     /// Global history register value before this branch's speculative
     /// shift.
@@ -95,8 +90,7 @@ pub struct HistCheckpoint {
 /// Named fields replace the bare `(Prediction, HistCheckpoint)` tuple
 /// the trait used to return — positional access made swapped-element
 /// bugs invisible at call sites.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct LookupResult {
     /// The prediction, carrying its commit-time training metadata.
     pub pred: Prediction,

@@ -21,6 +21,8 @@
 use std::io::Write;
 use std::time::Duration;
 
+use serde::Serialize;
+
 use crate::net::Stream;
 use crate::protocol::{
     encode_frame, hello_with, read_frame, CellReply, CellStatus, ClientMsg, ServerMsg, WireError,
@@ -245,10 +247,23 @@ impl Client {
     /// [`ClientError::Wire`] if the connection dies first.
     pub fn collect_request(&mut self, req: u64) -> Result<Vec<CellReply>, ClientError> {
         let mut replies = Vec::new();
+        self.stream_request(req, |reply| replies.push(reply))?;
+        replies.sort_by_key(|r| r.cell);
+        Ok(replies)
+    }
+
+    /// Hands each reply for request `req` to `on_reply` as it arrives,
+    /// until the request's `done` frame. Frames for other requests on
+    /// this connection are discarded.
+    fn stream_request(
+        &mut self,
+        req: u64,
+        mut on_reply: impl FnMut(CellReply),
+    ) -> Result<(), ClientError> {
         loop {
             match self.next_msg()? {
-                Some(ServerMsg::Cell(reply)) if reply.req == req => replies.push(reply),
-                Some(ServerMsg::Done { req: done, .. }) if done == req => break,
+                Some(ServerMsg::Cell(reply)) if reply.req == req => on_reply(reply),
+                Some(ServerMsg::Done { req: done, .. }) if done == req => return Ok(()),
                 Some(ServerMsg::Error { message }) => return Err(ClientError::Server(message)),
                 Some(_) => {}
                 None => {
@@ -258,8 +273,6 @@ impl Client {
                 }
             }
         }
-        replies.sort_by_key(|r| r.cell);
-        Ok(replies)
     }
 
     /// Submits `cells` as request `req` and waits for all replies —
@@ -284,6 +297,11 @@ impl Client {
     /// cell indices. Non-retryable refusals (bad request, quarantine)
     /// and failures are returned as-is.
     ///
+    /// `on_reply` sees every reply as it arrives, under its original
+    /// cell index, with the attempt that produced it (1 for the first
+    /// submit). The retries' derived requests are acked here; acking
+    /// `req` itself is left to the caller.
+    ///
     /// # Errors
     ///
     /// As [`Client::run_cells`]; an exhausted retry budget is not an
@@ -295,9 +313,15 @@ impl Client {
         cells: &[CellSpec],
         priority: bool,
         policy: &RetryPolicy,
+        mut on_reply: impl FnMut(&CellReply, u32),
     ) -> Result<(Vec<CellReply>, RetryReport), ClientError> {
         self.submit_with(req, cells, priority)?;
-        let mut replies = self.collect_request(req)?;
+        let mut replies = Vec::with_capacity(cells.len());
+        self.stream_request(req, |reply| {
+            on_reply(&reply, 1);
+            replies.push(reply);
+        })?;
+        replies.sort_by_key(|r| r.cell);
         let mut report = RetryReport {
             attempts: 1,
             retried: 0,
@@ -326,15 +350,19 @@ impl Client {
             // on this connection.
             let sub_req = req ^ (u64::from(attempt) << 48) ^ 0x5261_7472_7900_0000;
             self.submit_with(sub_req, &specs, priority)?;
-            for sub in self.collect_request(sub_req)? {
+            let mut received = Vec::with_capacity(pending.len());
+            self.stream_request(sub_req, |sub| {
+                received.push(sub.cell);
                 let Some(&orig) = pending.get(usize::try_from(sub.cell).unwrap_or(usize::MAX))
                 else {
-                    continue;
+                    return;
                 };
                 if let Some(slot) = replies.iter_mut().find(|r| r.cell == orig) {
                     slot.status = sub.status;
+                    on_reply(slot, attempt + 1);
                 }
-            }
+            })?;
+            self.ack(sub_req, &received)?;
             report.attempts = attempt + 1;
             report.retried += pending.len();
         }

@@ -38,9 +38,9 @@
 
 use std::path::{Path, PathBuf};
 
-use serde::Value;
+use serde::{Deserialize, Serialize};
 
-use crate::protocol::{field, str_field, u64_field, WireError};
+use crate::protocol::WireError;
 use crate::request::CellSpec;
 
 /// The journal's file name inside the cache directory.
@@ -58,7 +58,12 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// One journal record. See the module docs for when each is written.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(
+    tag = "type",
+    rename_all = "kebab-case",
+    expecting = "journal record type"
+)]
 pub enum JournalRecord {
     /// A session token was issued.
     Session {
@@ -87,123 +92,19 @@ pub enum JournalRecord {
     },
     /// A flight's result was stored in the run cache.
     Done {
-        /// The completed [`RunKey`](bw_core::RunKey) digest.
+        /// The completed [`RunKey`](bw_core::RunKey) digest, written
+        /// as 16 hex digits.
+        #[serde(with = "hex16")]
         digest: u64,
     },
 }
 
 impl JournalRecord {
-    /// Serializes to the line-body JSON shape.
-    #[must_use]
-    pub fn to_value(&self) -> Value {
-        match self {
-            JournalRecord::Session { token } => Value::Obj(vec![
-                ("type".into(), Value::Str("session".into())),
-                ("token".into(), Value::Str(token.clone())),
-            ]),
-            JournalRecord::Plan {
-                token,
-                req,
-                cells,
-                priority,
-            } => Value::Obj(vec![
-                ("type".into(), Value::Str("plan".into())),
-                ("token".into(), Value::Str(token.clone())),
-                ("req".into(), Value::U64(*req)),
-                (
-                    "cells".into(),
-                    Value::Arr(cells.iter().map(CellSpec::to_value).collect()),
-                ),
-                ("priority".into(), Value::Bool(*priority)),
-            ]),
-            JournalRecord::Ack { token, req, cells } => Value::Obj(vec![
-                ("type".into(), Value::Str("ack".into())),
-                ("token".into(), Value::Str(token.clone())),
-                ("req".into(), Value::U64(*req)),
-                (
-                    "cells".into(),
-                    Value::Arr(cells.iter().map(|c| Value::U64(*c)).collect()),
-                ),
-            ]),
-            JournalRecord::Done { digest } => Value::Obj(vec![
-                ("type".into(), Value::Str("done".into())),
-                ("digest".into(), Value::Str(format!("{digest:016x}"))),
-            ]),
-        }
-    }
-
-    /// Decodes from the line-body JSON shape, validating every field.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Malformed`] naming the first offense.
-    pub fn from_value(v: &Value) -> Result<Self, WireError> {
-        let kind = str_field(v, "type")?;
-        match kind.as_str() {
-            "session" => Ok(JournalRecord::Session {
-                token: str_field(v, "token")?,
-            }),
-            "plan" => {
-                let cells = match field(v, "cells")? {
-                    Value::Arr(items) => items
-                        .iter()
-                        .map(CellSpec::from_value)
-                        .collect::<Result<Vec<_>, _>>()?,
-                    other => {
-                        return Err(WireError::Malformed(format!(
-                            "plan `cells` must be an array, got {other:?}"
-                        )))
-                    }
-                };
-                Ok(JournalRecord::Plan {
-                    token: str_field(v, "token")?,
-                    req: u64_field(v, "req")?,
-                    cells,
-                    priority: crate::protocol::bool_field(v, "priority")?,
-                })
-            }
-            "ack" => {
-                let cells = match field(v, "cells")? {
-                    Value::Arr(items) => items
-                        .iter()
-                        .map(|item| match item {
-                            Value::U64(n) => Ok(*n),
-                            other => Err(WireError::Malformed(format!(
-                                "ack cells must be indices, got {other:?}"
-                            ))),
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                    other => {
-                        return Err(WireError::Malformed(format!(
-                            "ack `cells` must be an array, got {other:?}"
-                        )))
-                    }
-                };
-                Ok(JournalRecord::Ack {
-                    token: str_field(v, "token")?,
-                    req: u64_field(v, "req")?,
-                    cells,
-                })
-            }
-            "done" => {
-                let hex = str_field(v, "digest")?;
-                let digest = (hex.len() == 16)
-                    .then(|| u64::from_str_radix(&hex, 16).ok())
-                    .flatten()
-                    .ok_or_else(|| WireError::Malformed(format!("bad done digest `{hex}`")))?;
-                Ok(JournalRecord::Done { digest })
-            }
-            other => Err(WireError::Malformed(format!(
-                "unknown journal record type `{other}`"
-            ))),
-        }
-    }
-
     /// Renders the record as one checksummed journal line (no
     /// trailing newline).
     #[must_use]
     pub fn to_line(&self) -> String {
-        let body = serde_json::to_string(&self.to_value()).unwrap_or_default();
+        let body = serde_json::to_string(self).unwrap_or_default();
         format!("{:016x} {body}", fnv1a(body.as_bytes()))
     }
 
@@ -227,8 +128,25 @@ impl JournalRecord {
                 "journal line fails its checksum (torn tail or damage)".into(),
             ));
         }
-        let v = serde_json::parse_value_str(body).map_err(|e| WireError::Malformed(e.0))?;
-        JournalRecord::from_value(&v)
+        let v = serde_json::parse_value_str(body)?;
+        Ok(JournalRecord::from_value(&v)?)
+    }
+}
+
+/// The `done` digest's codec: a string of exactly 16 hex digits.
+mod hex16 {
+    use serde::{Deserialize, Error, Value};
+
+    pub fn to_value(digest: &u64) -> Value {
+        Value::Str(format!("{digest:016x}"))
+    }
+
+    pub fn from_value(v: &Value) -> Result<u64, Error> {
+        let hex = String::from_value(v)?;
+        (hex.len() == 16)
+            .then(|| u64::from_str_radix(&hex, 16).ok())
+            .flatten()
+            .ok_or_else(|| Error::msg(format!("bad done digest `{hex}`")))
     }
 }
 
@@ -354,6 +272,21 @@ mod tests {
         for record in sample_records() {
             let back = JournalRecord::from_line(&record.to_line()).expect("parse back");
             assert_eq!(back, record);
+        }
+    }
+
+    #[test]
+    fn done_digests_must_be_sixteen_hex_digits() {
+        for digest in [
+            "\"abc\"",
+            "\"000000000000000g\"",
+            "\"00000000000000001\"",
+            "17",
+        ] {
+            let body = format!(r#"{{"type":"done","digest":{digest}}}"#);
+            let line = format!("{:016x} {body}", fnv1a(body.as_bytes()));
+            let err = JournalRecord::from_line(&line).expect_err(&body);
+            assert!(err.to_string().contains("digest"), "{err}");
         }
     }
 

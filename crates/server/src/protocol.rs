@@ -13,10 +13,15 @@
 //! becomes a typed [`WireError`], never a panic. The property tests in
 //! `tests/protocol.rs` drive corrupted and truncated frames through
 //! these paths.
+//!
+//! The messages derive their codecs: an internally tagged enum
+//! (`{"type": "hello-ack", ...}`) with kebab-case tags. Only
+//! [`CellReply`] is written by hand, because its status flattens into
+//! the frame. `tests/protocol.rs` pins the bytes of every message.
 
 use std::io::Read;
 
-use serde::Value;
+use serde::{Deserialize, Serialize, Value};
 
 use crate::request::CellSpec;
 
@@ -69,6 +74,12 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+impl From<serde::Error> for WireError {
+    fn from(e: serde::Error) -> Self {
+        WireError::Malformed(e.0)
+    }
+}
+
 fn io_err(e: &std::io::Error) -> WireError {
     WireError::Io(e.to_string())
 }
@@ -80,7 +91,7 @@ fn io_err(e: &std::io::Error) -> WireError {
 /// [`WireError::TooLarge`] if the serialized payload exceeds
 /// [`MAX_FRAME`].
 pub fn encode_frame(v: &Value) -> Result<Vec<u8>, WireError> {
-    let text = serde_json::to_string(v).map_err(|e| WireError::Malformed(e.0))?;
+    let text = serde_json::to_string(v)?;
     let bytes = text.as_bytes();
     if bytes.len() > MAX_FRAME {
         return Err(WireError::TooLarge(bytes.len()));
@@ -130,50 +141,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Value>, WireError> {
     }
     let text = std::str::from_utf8(&body)
         .map_err(|_| WireError::Malformed("frame body is not UTF-8".to_string()))?;
-    serde_json::parse_value_str(text)
-        .map(Some)
-        .map_err(|e| WireError::Malformed(e.0))
-}
-
-// ---------------------------------------------------------------------
-// Field accessors (validate-at-decode helpers)
-// ---------------------------------------------------------------------
-
-pub(crate) fn field<'v>(v: &'v Value, key: &str) -> Result<&'v Value, WireError> {
-    v.get(key)
-        .ok_or_else(|| WireError::Malformed(format!("missing field `{key}`")))
-}
-
-pub(crate) fn str_field(v: &Value, key: &str) -> Result<String, WireError> {
-    match field(v, key)? {
-        Value::Str(s) => Ok(s.clone()),
-        other => Err(WireError::Malformed(format!(
-            "field `{key}` must be a string, got {other:?}"
-        ))),
-    }
-}
-
-pub(crate) fn u64_field(v: &Value, key: &str) -> Result<u64, WireError> {
-    match field(v, key)? {
-        Value::U64(n) => Ok(*n),
-        Value::I64(n) if *n >= 0 => Ok(u64::try_from(*n).unwrap_or(0)),
-        other => Err(WireError::Malformed(format!(
-            "field `{key}` must be a non-negative integer, got {other:?}"
-        ))),
-    }
-}
-
-pub(crate) fn bool_field(v: &Value, key: &str) -> Result<bool, WireError> {
-    match field(v, key)? {
-        Value::Bool(b) => Ok(*b),
-        other => Err(WireError::Malformed(format!(
-            "field `{key}` must be a boolean, got {other:?}"
-        ))),
-    }
-}
-
-fn msg_type(v: &Value) -> Result<String, WireError> {
-    str_field(v, "type")
+    Ok(Some(serde_json::parse_value_str(text)?))
 }
 
 // ---------------------------------------------------------------------
@@ -181,7 +149,12 @@ fn msg_type(v: &Value) -> Result<String, WireError> {
 // ---------------------------------------------------------------------
 
 /// Frames a client sends.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(
+    tag = "type",
+    rename_all = "kebab-case",
+    expecting = "client message type"
+)]
 pub enum ClientMsg {
     /// Version handshake; must be the first frame on a connection.
     Hello {
@@ -192,7 +165,8 @@ pub enum ClientMsg {
         /// A session token from a previous connection's
         /// [`ServerMsg::HelloAck`], to reattach to that session's
         /// journaled requests. `None` (or a token the daemon no longer
-        /// knows) starts a fresh session.
+        /// knows) starts a fresh session. Encoded as `null`; a hello
+        /// without the field decodes as `None`.
         session: Option<String>,
     },
     /// A sweep request: a client-chosen request id and the cells to
@@ -230,127 +204,21 @@ pub enum ClientMsg {
 }
 
 impl ClientMsg {
-    /// Serializes to the wire shape.
-    #[must_use]
-    pub fn to_value(&self) -> Value {
-        match self {
-            ClientMsg::Hello {
-                magic,
-                protocol,
-                session,
-            } => {
-                let mut pairs = vec![
-                    ("type".into(), Value::Str("hello".into())),
-                    ("magic".into(), Value::Str(magic.clone())),
-                    ("protocol".into(), Value::U64(u64::from(*protocol))),
-                ];
-                if let Some(token) = session {
-                    pairs.push(("session".into(), Value::Str(token.clone())));
-                }
-                Value::Obj(pairs)
-            }
-            ClientMsg::Submit {
-                req,
-                cells,
-                priority,
-            } => Value::Obj(vec![
-                ("type".into(), Value::Str("submit".into())),
-                ("req".into(), Value::U64(*req)),
-                (
-                    "cells".into(),
-                    Value::Arr(cells.iter().map(CellSpec::to_value).collect()),
-                ),
-                ("priority".into(), Value::Bool(*priority)),
-            ]),
-            ClientMsg::Ack { req, cells } => Value::Obj(vec![
-                ("type".into(), Value::Str("ack".into())),
-                ("req".into(), Value::U64(*req)),
-                (
-                    "cells".into(),
-                    Value::Arr(cells.iter().map(|c| Value::U64(*c)).collect()),
-                ),
-            ]),
-            ClientMsg::Resume => Value::Obj(vec![("type".into(), Value::Str("resume".into()))]),
-            ClientMsg::Stats => Value::Obj(vec![("type".into(), Value::Str("stats".into()))]),
-            ClientMsg::Bye => Value::Obj(vec![("type".into(), Value::Str("bye".into()))]),
-        }
-    }
-
     /// Decodes from the wire shape, validating every field.
     ///
     /// # Errors
     ///
     /// [`WireError::Malformed`] naming the first missing or
-    /// wrongly-typed field.
+    /// wrongly-typed field, or the unknown message type.
     pub fn from_value(v: &Value) -> Result<Self, WireError> {
-        match msg_type(v)?.as_str() {
-            "hello" => Ok(ClientMsg::Hello {
-                magic: str_field(v, "magic")?,
-                protocol: u32::try_from(u64_field(v, "protocol")?)
-                    .map_err(|_| WireError::Malformed("protocol out of range".into()))?,
-                session: match v.get("session") {
-                    None | Some(Value::Null) => None,
-                    Some(Value::Str(s)) => Some(s.clone()),
-                    Some(other) => {
-                        return Err(WireError::Malformed(format!(
-                            "field `session` must be a string, got {other:?}"
-                        )))
-                    }
-                },
-            }),
-            "submit" => {
-                let cells = match field(v, "cells")? {
-                    Value::Arr(items) => items
-                        .iter()
-                        .map(CellSpec::from_value)
-                        .collect::<Result<Vec<_>, _>>()?,
-                    other => {
-                        return Err(WireError::Malformed(format!(
-                            "field `cells` must be an array, got {other:?}"
-                        )))
-                    }
-                };
-                Ok(ClientMsg::Submit {
-                    req: u64_field(v, "req")?,
-                    cells,
-                    priority: bool_field(v, "priority")?,
-                })
-            }
-            "ack" => {
-                let cells = match field(v, "cells")? {
-                    Value::Arr(items) => items
-                        .iter()
-                        .map(|item| match item {
-                            Value::U64(n) => Ok(*n),
-                            other => Err(WireError::Malformed(format!(
-                                "ack cells must be indices, got {other:?}"
-                            ))),
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                    other => {
-                        return Err(WireError::Malformed(format!(
-                            "field `cells` must be an array, got {other:?}"
-                        )))
-                    }
-                };
-                Ok(ClientMsg::Ack {
-                    req: u64_field(v, "req")?,
-                    cells,
-                })
-            }
-            "resume" => Ok(ClientMsg::Resume),
-            "stats" => Ok(ClientMsg::Stats),
-            "bye" => Ok(ClientMsg::Bye),
-            other => Err(WireError::Malformed(format!(
-                "unknown client message type `{other}`"
-            ))),
-        }
+        Ok(<Self as Deserialize>::from_value(v)?)
     }
 }
 
 /// Why a cell was refused at admission — the daemon's typed
-/// backpressure/shed vocabulary.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// backpressure/shed vocabulary. On the wire, a kebab-case string.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "kebab-case", expecting = "refuse reason")]
 pub enum RefuseReason {
     /// The client already has its quota of in-flight cells on this
     /// connection; resubmit after some replies arrive.
@@ -367,7 +235,7 @@ pub enum RefuseReason {
 }
 
 impl RefuseReason {
-    /// Stable wire name.
+    /// Stable wire name, the string the derive encodes.
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
@@ -375,18 +243,6 @@ impl RefuseReason {
             RefuseReason::QueueFull => "queue-full",
             RefuseReason::Quarantined => "quarantined",
             RefuseReason::BadRequest => "bad-request",
-        }
-    }
-
-    /// Parses a wire name.
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "quota" => Some(RefuseReason::Quota),
-            "queue-full" => Some(RefuseReason::QueueFull),
-            "quarantined" => Some(RefuseReason::Quarantined),
-            "bad-request" => Some(RefuseReason::BadRequest),
-            _ => None,
         }
     }
 
@@ -435,8 +291,67 @@ pub struct CellReply {
     pub status: CellStatus,
 }
 
+// The status flattens into the reply object (`"status": "refused"`
+// beside `reason` and `detail`), a shape no derive attribute spells
+// without reshaping `CellStatus`.
+impl Serialize for CellReply {
+    fn to_value(&self) -> Value {
+        let mut pairs = vec![
+            ("req".into(), Value::U64(self.req)),
+            ("cell".into(), Value::U64(self.cell)),
+        ];
+        let text = |s: &str| Value::Str(s.to_string());
+        match &self.status {
+            CellStatus::Ok(result) => {
+                pairs.push(("status".into(), text("ok")));
+                pairs.push(("result".into(), (**result).clone()));
+            }
+            CellStatus::Refused { reason, detail } => {
+                pairs.push(("status".into(), text("refused")));
+                pairs.push(("reason".into(), reason.to_value()));
+                pairs.push(("detail".into(), text(detail)));
+            }
+            CellStatus::Failed { outcome, detail } => {
+                pairs.push(("status".into(), text("failed")));
+                pairs.push(("outcome".into(), text(outcome)));
+                pairs.push(("detail".into(), text(detail)));
+            }
+        }
+        Value::Obj(pairs)
+    }
+}
+
+impl Deserialize for CellReply {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let field = |key: &str| serde::obj_get(v, key);
+        let text = |key: &str| String::from_value(field(key)?);
+        let status = match text("status")?.as_str() {
+            "ok" => CellStatus::Ok(Box::new(field("result")?.clone())),
+            "refused" => CellStatus::Refused {
+                reason: RefuseReason::from_value(field("reason")?)?,
+                detail: text("detail")?,
+            },
+            "failed" => CellStatus::Failed {
+                outcome: text("outcome")?,
+                detail: text("detail")?,
+            },
+            other => return Err(serde::Error::msg(format!("unknown cell status `{other}`"))),
+        };
+        Ok(CellReply {
+            req: u64::from_value(field("req")?)?,
+            cell: u64::from_value(field("cell")?)?,
+            status,
+        })
+    }
+}
+
 /// Frames the server sends.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(
+    tag = "type",
+    rename_all = "kebab-case",
+    expecting = "server message type"
+)]
 pub enum ServerMsg {
     /// Handshake acknowledgement with the daemon's admission limits
     /// and the connection's session identity.
@@ -496,165 +411,14 @@ pub enum ServerMsg {
 }
 
 impl ServerMsg {
-    /// Serializes to the wire shape.
-    #[must_use]
-    pub fn to_value(&self) -> Value {
-        match self {
-            ServerMsg::HelloAck {
-                protocol,
-                quota,
-                queue_capacity,
-                session,
-                resumed,
-            } => Value::Obj(vec![
-                ("type".into(), Value::Str("hello-ack".into())),
-                ("protocol".into(), Value::U64(u64::from(*protocol))),
-                ("quota".into(), Value::U64(*quota)),
-                ("queue_capacity".into(), Value::U64(*queue_capacity)),
-                ("session".into(), Value::Str(session.clone())),
-                ("resumed".into(), Value::Bool(*resumed)),
-            ]),
-            ServerMsg::Resumed { reqs } => Value::Obj(vec![
-                ("type".into(), Value::Str("resumed".into())),
-                (
-                    "reqs".into(),
-                    Value::Arr(reqs.iter().map(|r| Value::U64(*r)).collect()),
-                ),
-            ]),
-            ServerMsg::Cell(reply) => {
-                let mut pairs = vec![
-                    ("type".into(), Value::Str("cell".into())),
-                    ("req".into(), Value::U64(reply.req)),
-                    ("cell".into(), Value::U64(reply.cell)),
-                ];
-                match &reply.status {
-                    CellStatus::Ok(result) => {
-                        pairs.push(("status".into(), Value::Str("ok".into())));
-                        pairs.push(("result".into(), (**result).clone()));
-                    }
-                    CellStatus::Refused { reason, detail } => {
-                        pairs.push(("status".into(), Value::Str("refused".into())));
-                        pairs.push(("reason".into(), Value::Str(reason.as_str().into())));
-                        pairs.push(("detail".into(), Value::Str(detail.clone())));
-                    }
-                    CellStatus::Failed { outcome, detail } => {
-                        pairs.push(("status".into(), Value::Str("failed".into())));
-                        pairs.push(("outcome".into(), Value::Str(outcome.clone())));
-                        pairs.push(("detail".into(), Value::Str(detail.clone())));
-                    }
-                }
-                Value::Obj(pairs)
-            }
-            ServerMsg::Done {
-                req,
-                ok,
-                refused,
-                failed,
-            } => Value::Obj(vec![
-                ("type".into(), Value::Str("done".into())),
-                ("req".into(), Value::U64(*req)),
-                ("ok".into(), Value::U64(*ok)),
-                ("refused".into(), Value::U64(*refused)),
-                ("failed".into(), Value::U64(*failed)),
-            ]),
-            ServerMsg::Stats {
-                executed,
-                queued,
-                inflight,
-            } => Value::Obj(vec![
-                ("type".into(), Value::Str("stats".into())),
-                ("executed".into(), Value::U64(*executed)),
-                ("queued".into(), Value::U64(*queued)),
-                ("inflight".into(), Value::U64(*inflight)),
-            ]),
-            ServerMsg::Error { message } => Value::Obj(vec![
-                ("type".into(), Value::Str("error".into())),
-                ("message".into(), Value::Str(message.clone())),
-            ]),
-        }
-    }
-
     /// Decodes from the wire shape, validating every field.
     ///
     /// # Errors
     ///
     /// [`WireError::Malformed`] naming the first missing or
-    /// wrongly-typed field.
+    /// wrongly-typed field, or the unknown message type.
     pub fn from_value(v: &Value) -> Result<Self, WireError> {
-        match msg_type(v)?.as_str() {
-            "hello-ack" => Ok(ServerMsg::HelloAck {
-                protocol: u32::try_from(u64_field(v, "protocol")?)
-                    .map_err(|_| WireError::Malformed("protocol out of range".into()))?,
-                quota: u64_field(v, "quota")?,
-                queue_capacity: u64_field(v, "queue_capacity")?,
-                session: str_field(v, "session")?,
-                resumed: bool_field(v, "resumed")?,
-            }),
-            "resumed" => {
-                let reqs = match field(v, "reqs")? {
-                    Value::Arr(items) => items
-                        .iter()
-                        .map(|item| match item {
-                            Value::U64(n) => Ok(*n),
-                            other => Err(WireError::Malformed(format!(
-                                "resumed reqs must be ids, got {other:?}"
-                            ))),
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                    other => {
-                        return Err(WireError::Malformed(format!(
-                            "field `reqs` must be an array, got {other:?}"
-                        )))
-                    }
-                };
-                Ok(ServerMsg::Resumed { reqs })
-            }
-            "cell" => {
-                let status = match str_field(v, "status")?.as_str() {
-                    "ok" => CellStatus::Ok(Box::new(field(v, "result")?.clone())),
-                    "refused" => {
-                        let name = str_field(v, "reason")?;
-                        CellStatus::Refused {
-                            reason: RefuseReason::from_name(&name).ok_or_else(|| {
-                                WireError::Malformed(format!("unknown refuse reason `{name}`"))
-                            })?,
-                            detail: str_field(v, "detail")?,
-                        }
-                    }
-                    "failed" => CellStatus::Failed {
-                        outcome: str_field(v, "outcome")?,
-                        detail: str_field(v, "detail")?,
-                    },
-                    other => {
-                        return Err(WireError::Malformed(format!(
-                            "unknown cell status `{other}`"
-                        )))
-                    }
-                };
-                Ok(ServerMsg::Cell(CellReply {
-                    req: u64_field(v, "req")?,
-                    cell: u64_field(v, "cell")?,
-                    status,
-                }))
-            }
-            "done" => Ok(ServerMsg::Done {
-                req: u64_field(v, "req")?,
-                ok: u64_field(v, "ok")?,
-                refused: u64_field(v, "refused")?,
-                failed: u64_field(v, "failed")?,
-            }),
-            "stats" => Ok(ServerMsg::Stats {
-                executed: u64_field(v, "executed")?,
-                queued: u64_field(v, "queued")?,
-                inflight: u64_field(v, "inflight")?,
-            }),
-            "error" => Ok(ServerMsg::Error {
-                message: str_field(v, "message")?,
-            }),
-            other => Err(WireError::Malformed(format!(
-                "unknown server message type `{other}`"
-            ))),
-        }
+        Ok(<Self as Deserialize>::from_value(v)?)
     }
 }
 

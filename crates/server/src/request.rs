@@ -14,12 +14,10 @@
 use bw_core::zoo::NamedPredictor;
 use bw_core::{ConfigError, RunKey, SimConfig};
 use bw_workload::BenchmarkModel;
-use serde::Value;
-
-use crate::protocol::{bool_field, u64_field, WireError};
+use serde::{Deserialize, Serialize};
 
 /// One requested simulation cell, as it travels on the wire.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CellSpec {
     /// Benchmark model name (`gzip`, `gcc`, ...).
     pub benchmark: String,
@@ -49,43 +47,6 @@ impl CellSpec {
             seed: cfg.seed,
             banked: cfg.banked,
         }
-    }
-
-    /// Serializes to the wire shape.
-    #[must_use]
-    pub fn to_value(&self) -> Value {
-        Value::Obj(vec![
-            ("benchmark".into(), Value::Str(self.benchmark.clone())),
-            ("predictor".into(), Value::Str(self.predictor.clone())),
-            ("warmup_insts".into(), Value::U64(self.warmup_insts)),
-            ("measure_insts".into(), Value::U64(self.measure_insts)),
-            ("seed".into(), Value::U64(self.seed)),
-            ("banked".into(), Value::Bool(self.banked)),
-        ])
-    }
-
-    /// Decodes from the wire shape, validating every field's type.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Malformed`] naming the first missing or
-    /// wrongly-typed field.
-    pub fn from_value(v: &Value) -> Result<Self, WireError> {
-        let string = |key: &str| match v.get(key) {
-            Some(Value::Str(s)) => Ok(s.clone()),
-            Some(other) => Err(WireError::Malformed(format!(
-                "cell field `{key}` must be a string, got {other:?}"
-            ))),
-            None => Err(WireError::Malformed(format!("cell missing field `{key}`"))),
-        };
-        Ok(CellSpec {
-            benchmark: string("benchmark")?,
-            predictor: string("predictor")?,
-            warmup_insts: u64_field(v, "warmup_insts")?,
-            measure_insts: u64_field(v, "measure_insts")?,
-            seed: u64_field(v, "seed")?,
-            banked: bool_field(v, "banked")?,
-        })
     }
 }
 

@@ -11,7 +11,9 @@ use std::time::Duration;
 use bw_core::{RunCache, RunPlan, Runner, QUARANTINE_FILE};
 use bw_server::protocol::{encode_frame, hello, read_frame};
 use bw_server::request::resolve_cell;
-use bw_server::{CellSpec, CellStatus, Client, RefuseReason, Server, ServerConfig, ServerMsg};
+use bw_server::{
+    CellSpec, CellStatus, Client, RefuseReason, RetryPolicy, Server, ServerConfig, ServerMsg,
+};
 use serde::{Serialize, Value};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -189,6 +191,56 @@ fn overload_sheds_with_typed_quota_refusal() {
     let retry = client.run_cells(2, &cells[2..]).expect("retry");
     assert!(matches!(retry[0].status, CellStatus::Ok(_)));
     client.bye();
+    server.shutdown();
+}
+
+/// Backpressure retries run under derived request ids. Once the
+/// caller acks the original request, a reconnect must find nothing to
+/// resume: the retries' own deliveries are acked as they are
+/// collected, or the daemon keeps them open (and journaled) forever.
+#[test]
+fn retried_cells_leave_nothing_to_resume() {
+    let server = launch(ServerConfig {
+        cache_dir: Some(temp_dir("retry-ack")),
+        workers: 1,
+        quota: 1,
+        ..ServerConfig::default()
+    });
+    let cells: Vec<CellSpec> = (0..3).map(|i| cell("gzip", "Bim_4k", 700 + i)).collect();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let token = client.session().to_string();
+    let policy = RetryPolicy {
+        attempts: 8,
+        base_ms: 1,
+        max_ms: 4,
+    };
+    let mut seen = Vec::new();
+    let (replies, report) = client
+        .run_cells_with_retry(1, &cells, false, &policy, |reply, attempt| {
+            seen.push((reply.cell, attempt));
+        })
+        .expect("run with retries");
+    assert!(report.retried_any(), "a quota of 1 must force retries");
+    assert_eq!(replies.len(), 3);
+    for reply in &replies {
+        assert!(matches!(reply.status, CellStatus::Ok(_)), "{reply:?}");
+        assert!(seen.contains(&(reply.cell, 1)), "{seen:?}");
+    }
+    // Retried replies reach the callback under their original index.
+    assert!(
+        seen.iter().any(|&(cell, attempt)| cell > 0 && attempt > 1),
+        "{seen:?}"
+    );
+    client.ack(1, &[0, 1, 2]).expect("ack");
+    // A round trip on the same connection: the daemon has applied the
+    // acks before it answers.
+    client.stats().expect("stats");
+    client.bye();
+
+    let mut again = Client::connect_with(server.addr(), Some(&token)).expect("reconnect");
+    assert!(again.resumed());
+    assert_eq!(again.resume().expect("resume"), Vec::<u64>::new());
+    again.bye();
     server.shutdown();
 }
 
@@ -473,5 +525,45 @@ fn empty_submit_completes_immediately() {
     let replies = client.run_cells(9, &[]).expect("collect");
     assert!(replies.is_empty());
     client.bye();
+    server.shutdown();
+}
+
+/// A huge frame missing a field is refused with an error frame that
+/// names the field and stays small: the decoder never echoes the
+/// peer's frame back.
+#[test]
+fn huge_submit_missing_a_field_gets_a_short_error() {
+    let server = launch(ServerConfig {
+        workers: 0,
+        ..ServerConfig::default()
+    });
+    let mut sock = std::net::TcpStream::connect(server.addr()).expect("connect");
+    sock.write_all(&encode_frame(&hello().to_value()).expect("frame"))
+        .expect("send hello");
+    assert!(matches!(
+        read_frame(&mut sock)
+            .expect("ack")
+            .map(|v| ServerMsg::from_value(&v)),
+        Some(Ok(ServerMsg::HelloAck { .. }))
+    ));
+    let cells = vec![cell("gzip", "Bim_4k", 1).to_value(); 10_000];
+    let submit = Value::Obj(vec![
+        ("type".into(), Value::Str("submit".into())),
+        ("req".into(), Value::U64(1)),
+        ("cells".into(), Value::Arr(cells)),
+    ]);
+    sock.write_all(&encode_frame(&submit).expect("frame"))
+        .expect("send submit");
+    let reply = read_frame(&mut sock)
+        .expect("reply")
+        .expect("an error frame, not a close");
+    let bytes = canon(&reply).len();
+    assert!(bytes < 1024, "a {bytes}-byte error frame");
+    match ServerMsg::from_value(&reply) {
+        Ok(ServerMsg::Error { message }) => {
+            assert!(message.contains("`priority`"), "{message}");
+        }
+        other => panic!("expected a typed error frame, got {other:?}"),
+    }
     server.shutdown();
 }

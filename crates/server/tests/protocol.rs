@@ -12,7 +12,7 @@ use bw_server::protocol::{
 };
 use bw_server::request::{resolve_cell, CellSpec};
 use bw_server::JournalRecord;
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 use serde_json::parse_value_str;
 
 const BENCHMARKS: [&str; 4] = ["gzip", "gcc", "mcf", "vortex"];
@@ -277,4 +277,263 @@ fn written_documents_nest_far_below_the_parser_limit() {
     // Pinned, so a format change that nests deeper is seen here first:
     // cache envelope, cache payload, cell reply frame, journal line.
     assert_eq!(deepest, [1, 6, 6, 3]);
+}
+
+/// A spec whose integers sit at `u64::MAX`, the edge a JSON encoder
+/// routing integers through `f64` would round.
+fn edge_spec() -> CellSpec {
+    CellSpec {
+        benchmark: "gcc".to_string(),
+        predictor: "Gsh_1_16k_12".to_string(),
+        warmup_insts: u64::MAX,
+        measure_insts: u64::MAX - 1,
+        seed: u64::MAX,
+        banked: true,
+    }
+}
+
+fn plain_spec() -> CellSpec {
+    CellSpec {
+        benchmark: "gzip".to_string(),
+        predictor: "Bim_4k".to_string(),
+        warmup_insts: 20_000,
+        measure_insts: 10_000,
+        seed: 1,
+        banked: false,
+    }
+}
+
+fn render(v: &Value) -> String {
+    serde_json::to_string(v).expect("render")
+}
+
+/// One message of every kind beside the exact text protocol 2 has
+/// carried for it since sessions were added, as the hand-written
+/// encoders wrote it. Peers and journals written before the codecs
+/// were derived must keep decoding, and their peers must read ours.
+#[test]
+fn every_message_keeps_its_protocol_2_bytes() {
+    assert_eq!(bw_server::PROTOCOL_VERSION, 2);
+    let client = [
+        (
+            bw_server::protocol::hello_with(Some("sess-00000000002a")),
+            r#"{"type":"hello","magic":"bwsim","protocol":2,"session":"sess-00000000002a"}"#,
+        ),
+        (
+            ClientMsg::Submit {
+                req: u64::MAX,
+                cells: vec![plain_spec(), edge_spec()],
+                priority: true,
+            },
+            r#"{"type":"submit","req":18446744073709551615,"cells":[{"benchmark":"gzip","predictor":"Bim_4k","warmup_insts":20000,"measure_insts":10000,"seed":1,"banked":false},{"benchmark":"gcc","predictor":"Gsh_1_16k_12","warmup_insts":18446744073709551615,"measure_insts":18446744073709551614,"seed":18446744073709551615,"banked":true}],"priority":true}"#,
+        ),
+        (
+            ClientMsg::Ack {
+                req: u64::MAX,
+                cells: vec![0, 7, u64::MAX],
+            },
+            r#"{"type":"ack","req":18446744073709551615,"cells":[0,7,18446744073709551615]}"#,
+        ),
+        (ClientMsg::Resume, r#"{"type":"resume"}"#),
+        (ClientMsg::Stats, r#"{"type":"stats"}"#),
+        (ClientMsg::Bye, r#"{"type":"bye"}"#),
+    ];
+    for (msg, text) in client {
+        assert_eq!(render(&msg.to_value()), text);
+        assert_eq!(
+            ClientMsg::from_value(&parse_value_str(text).unwrap()),
+            Ok(msg)
+        );
+    }
+
+    let result = Value::Obj(vec![
+        ("benchmark".into(), Value::Str("gzip".into())),
+        (
+            "stats".into(),
+            Value::Obj(vec![
+                ("cycles".into(), Value::U64(u64::MAX)),
+                ("ipc".into(), Value::F64(1.25)),
+            ]),
+        ),
+        (
+            "energies".into(),
+            Value::Arr(vec![
+                Value::F64(0.5),
+                Value::I64(-3),
+                Value::Null,
+                Value::Bool(true),
+            ]),
+        ),
+    ]);
+    let refused = |reason: RefuseReason, detail: &str| {
+        ServerMsg::Cell(CellReply {
+            req: 3,
+            cell: u64::MAX,
+            status: CellStatus::Refused {
+                reason,
+                detail: detail.to_string(),
+            },
+        })
+    };
+    let server = [
+        (
+            ServerMsg::HelloAck {
+                protocol: 2,
+                quota: u64::MAX,
+                queue_capacity: 1024,
+                session: "sess-000000000001".to_string(),
+                resumed: true,
+            },
+            r#"{"type":"hello-ack","protocol":2,"quota":18446744073709551615,"queue_capacity":1024,"session":"sess-000000000001","resumed":true}"#,
+        ),
+        (
+            ServerMsg::Resumed {
+                reqs: vec![1, u64::MAX],
+            },
+            r#"{"type":"resumed","reqs":[1,18446744073709551615]}"#,
+        ),
+        (
+            ServerMsg::Resumed { reqs: vec![] },
+            r#"{"type":"resumed","reqs":[]}"#,
+        ),
+        (
+            ServerMsg::Cell(CellReply {
+                req: u64::MAX,
+                cell: 0,
+                status: CellStatus::Ok(Box::new(result)),
+            }),
+            r#"{"type":"cell","req":18446744073709551615,"cell":0,"status":"ok","result":{"benchmark":"gzip","stats":{"cycles":18446744073709551615,"ipc":1.25},"energies":[0.5,-3,null,true]}}"#,
+        ),
+        (
+            refused(RefuseReason::Quota, "quota detail"),
+            r#"{"type":"cell","req":3,"cell":18446744073709551615,"status":"refused","reason":"quota","detail":"quota detail"}"#,
+        ),
+        (
+            refused(RefuseReason::QueueFull, "queue-full detail"),
+            r#"{"type":"cell","req":3,"cell":18446744073709551615,"status":"refused","reason":"queue-full","detail":"queue-full detail"}"#,
+        ),
+        (
+            refused(RefuseReason::Quarantined, "quarantined detail"),
+            r#"{"type":"cell","req":3,"cell":18446744073709551615,"status":"refused","reason":"quarantined","detail":"quarantined detail"}"#,
+        ),
+        (
+            refused(RefuseReason::BadRequest, "bad-request detail"),
+            r#"{"type":"cell","req":3,"cell":18446744073709551615,"status":"refused","reason":"bad-request","detail":"bad-request detail"}"#,
+        ),
+        (
+            ServerMsg::Cell(CellReply {
+                req: 3,
+                cell: 1,
+                status: CellStatus::Failed {
+                    outcome: "timed-out".to_string(),
+                    detail: "timed out after 2 attempt(s)".to_string(),
+                },
+            }),
+            r#"{"type":"cell","req":3,"cell":1,"status":"failed","outcome":"timed-out","detail":"timed out after 2 attempt(s)"}"#,
+        ),
+        (
+            ServerMsg::Done {
+                req: u64::MAX,
+                ok: 1,
+                refused: 4,
+                failed: u64::MAX,
+            },
+            r#"{"type":"done","req":18446744073709551615,"ok":1,"refused":4,"failed":18446744073709551615}"#,
+        ),
+        (
+            ServerMsg::Stats {
+                executed: u64::MAX,
+                queued: 0,
+                inflight: 7,
+            },
+            r#"{"type":"stats","executed":18446744073709551615,"queued":0,"inflight":7}"#,
+        ),
+        (
+            ServerMsg::Error {
+                message: "malformed frame: \"quoted\"\tand\nnewline".to_string(),
+            },
+            r#"{"type":"error","message":"malformed frame: \"quoted\"\tand\nnewline"}"#,
+        ),
+    ];
+    for (msg, text) in server {
+        assert_eq!(render(&msg.to_value()), text);
+        assert_eq!(
+            ServerMsg::from_value(&parse_value_str(text).unwrap()),
+            Ok(msg)
+        );
+    }
+    for reason in REASONS {
+        assert_eq!(reason.to_value(), Value::Str(reason.as_str().to_string()));
+    }
+}
+
+/// The one message whose text changed when the codecs were derived: a
+/// hello without a session now says `"session":null`, which daemons
+/// of the same protocol version already accept. The older text, with
+/// no `session` key, still decodes as a sessionless hello.
+#[test]
+fn a_sessionless_hello_carries_a_null_session_and_decodes_without_one() {
+    let hello = bw_server::protocol::hello();
+    assert_eq!(
+        render(&hello.to_value()),
+        r#"{"type":"hello","magic":"bwsim","protocol":2,"session":null}"#
+    );
+    let older = r#"{"type":"hello","magic":"bwsim","protocol":2}"#;
+    assert_eq!(
+        ClientMsg::from_value(&parse_value_str(older).unwrap()),
+        Ok(hello)
+    );
+}
+
+/// One journal line of every record kind, as the daemon has always
+/// written them: existing journals replay unchanged, without a
+/// skipped line.
+#[test]
+fn every_journal_record_keeps_its_line() {
+    let lines = [
+        (
+            JournalRecord::Session {
+                token: "sess-000000000001".to_string(),
+            },
+            r#"c041a7ebbfa18caa {"type":"session","token":"sess-000000000001"}"#,
+        ),
+        (
+            JournalRecord::Plan {
+                token: "sess-000000000001".to_string(),
+                req: u64::MAX,
+                cells: vec![plain_spec(), edge_spec()],
+                priority: true,
+            },
+            r#"cc344a8967b6d9f2 {"type":"plan","token":"sess-000000000001","req":18446744073709551615,"cells":[{"benchmark":"gzip","predictor":"Bim_4k","warmup_insts":20000,"measure_insts":10000,"seed":1,"banked":false},{"benchmark":"gcc","predictor":"Gsh_1_16k_12","warmup_insts":18446744073709551615,"measure_insts":18446744073709551614,"seed":18446744073709551615,"banked":true}],"priority":true}"#,
+        ),
+        (
+            JournalRecord::Ack {
+                token: "sess-000000000001".to_string(),
+                req: u64::MAX,
+                cells: vec![0, u64::MAX],
+            },
+            r#"6e1f2468ecb213b4 {"type":"ack","token":"sess-000000000001","req":18446744073709551615,"cells":[0,18446744073709551615]}"#,
+        ),
+        (
+            JournalRecord::Done {
+                digest: 0x0000_00ab_cdef_0123,
+            },
+            r#"c45240f5a63860fe {"type":"done","digest":"000000abcdef0123"}"#,
+        ),
+    ];
+    for (record, line) in &lines {
+        assert_eq!(record.to_line(), *line);
+        assert_eq!(JournalRecord::from_line(line).as_ref(), Ok(record));
+    }
+
+    let dir = std::env::temp_dir().join(format!("bw-server-pinned-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let text: String = lines.iter().map(|(_, line)| format!("{line}\n")).collect();
+    std::fs::write(dir.join(bw_server::JOURNAL_FILE), text).expect("write journal");
+    let replay = bw_server::Journal::in_dir(&dir).replay();
+    assert_eq!(replay.skipped, 0);
+    let records: Vec<JournalRecord> = lines.into_iter().map(|(record, _)| record).collect();
+    assert_eq!(replay.records, records);
+    let _ = std::fs::remove_dir_all(&dir);
 }

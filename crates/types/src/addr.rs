@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use serde::{Deserialize, Serialize};
+
 /// The size of every instruction in the synthetic ISA, in bytes.
 ///
 /// Like the Alpha ISA modelled by the paper, all instructions are fixed
@@ -26,8 +28,9 @@ pub const INST_BYTES: u64 = 4;
 /// assert_eq!(pc.line_index(32), 0x1000 / 32);
 /// assert!(Addr(0x101c).is_line_end(32));
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(
+    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+)]
 pub struct Addr(pub u64);
 
 impl Addr {

@@ -19,8 +19,7 @@ use std::fmt;
 /// assert!(!OpClass::IntAlu.is_mem());
 /// assert!(OpClass::FpMul.is_fp());
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum OpClass {
     /// Simple integer operation (1-cycle latency).
     IntAlu,
@@ -97,8 +96,7 @@ impl fmt::Display for OpClass {
 /// assert!(CtiKind::Call.uses_ras());
 /// assert!(!CtiKind::Jump.uses_ras());
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum CtiKind {
     /// Conditional direct branch: consults the direction predictor.
     CondBranch,

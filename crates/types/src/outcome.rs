@@ -15,8 +15,7 @@ use std::fmt;
 /// assert_eq!(o.flip(), Outcome::NotTaken);
 /// assert_eq!(o.as_bit(), 1);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum Outcome {
     /// The branch was (or is predicted) not taken: control falls through.
     NotTaken,

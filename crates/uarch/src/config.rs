@@ -4,8 +4,7 @@ use crate::cache::{CacheConfig, TlbConfig};
 use bw_power::PpdScenario;
 
 /// Which confidence estimator drives pipeline gating.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum ConfidenceKind {
     /// The paper's "both strong" estimate: a branch is high-confidence
     /// when both hybrid components agree. Free, but only meaningful
@@ -18,8 +17,7 @@ pub enum ConfidenceKind {
 }
 
 /// Which structure supplies fetch targets for taken CTIs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum TargetPredictor {
     /// A separate set-associative BTB accessed in parallel with the
     /// I-cache (the paper's Table 1 machine).
@@ -31,8 +29,7 @@ pub enum TargetPredictor {
 }
 
 /// Pipeline-gating (speculation control) configuration — Section 4.3.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct GatingConfig {
     /// The threshold `N`: fetch stalls while more than `N`
     /// low-confidence branches are in flight. The paper evaluates
@@ -47,8 +44,7 @@ pub struct GatingConfig {
 /// Defaults ([`UarchConfig::alpha21264_like`]) match the paper's
 /// Table 1. Section-4 techniques (banking, PPD, gating) are options on
 /// top.
-#[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct UarchConfig {
     /// Instructions fetched per cycle (bounded by the cache line and
     /// taken branches).

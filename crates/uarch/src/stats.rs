@@ -6,8 +6,7 @@
 /// per cycle), direction-prediction accuracy, fetch/speculation volume
 /// (for pipeline gating's "total instructions"), inter-branch
 /// distances (Figure 14), and PPD gating effectiveness.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct SimStats {
     /// Cycles simulated.
     pub cycles: u64,

@@ -4,8 +4,6 @@
 //! entirely (the property behind fig05 + fig06 + fig07 sharing one
 //! sweep).
 
-#![cfg(feature = "serde")]
-
 use std::path::PathBuf;
 
 use branchwatt::workload::benchmark;

@@ -4,8 +4,6 @@
 //!
 //! (serde_json is a dev-dependency only; justification in DESIGN.md.)
 
-#![cfg(feature = "serde")]
-
 use branchwatt::power::BpredTotals;
 use branchwatt::predictors::PredictorConfig;
 use branchwatt::types::{Addr, Outcome};
