@@ -1,6 +1,6 @@
 //! Runtime invariant checking for the branchwatt simulator.
 //!
-//! This crate is the dependency-free core of the `audit` feature: a
+//! This crate is the dependency-free core of the runtime sanitizer: a
 //! generic [`Invariant`] trait, a [`Registry`] that evaluates
 //! invariants at pipeline [`Boundary`] points, and the [`Violation`]
 //! record a failed check produces.

@@ -66,4 +66,5 @@ fn main() {
     let gating = gating_rows(&runner, &specint7(), cfg, progress_line());
     progress_done();
     println!("{}", fig19_render(&gating));
+    cli.finish_audit(&runner);
 }

@@ -26,10 +26,11 @@
 //!   failure summary goes to stderr, and the exit status is nonzero.
 //! * `--fail-fast` — the pre-supervision behavior: the first failing
 //!   run unwinds the process.
-//! * `--run-timeout SECS` — per-attempt wall-clock watchdog for
-//!   supervised runs (default: none).
-//! * `--retries N` — attempts per supervised run (default 2, i.e. one
-//!   retry with backoff).
+//! * `--run-timeout SECS` — sweep binaries only: per-attempt
+//!   wall-clock watchdog for supervised runs (default: none).
+//! * `--retries N` — sweep binaries only: attempts per supervised run
+//!   (default 2, i.e. one retry with backoff). The other binaries run
+//!   their cells strictly, so they refuse both flags (exit 2).
 //! * `--server ADDR` — sweep binaries only: submit the cells to a
 //!   shared `bw-server` daemon (`host:port` or `unix:/path`) instead
 //!   of simulating locally, and render from the streamed results. The
@@ -103,7 +104,7 @@ impl Cli {
     /// Parses the common flags from `std::env::args`.
     ///
     /// Exits the process (status 2, with a usage message) on malformed
-    /// arguments.
+    /// arguments or a budget [`SimConfig::builder`] rejects.
     #[must_use]
     pub fn parse() -> Cli {
         arm_faults_from_env();
@@ -112,7 +113,8 @@ impl Cli {
 
     /// [`Cli::parse`] for the binaries that simulate locally without a
     /// figure sweep (`paper`, `table2`, `fig14` and the study
-    /// binaries): `--server` and `--trace` only route sweeps, so here
+    /// binaries): `--server` and `--trace` only route sweeps, and
+    /// `--run-timeout` and `--retries` only supervise them, so here
     /// they exit 2 with the usage line instead of being ignored.
     #[must_use]
     pub fn parse_local() -> Cli {
@@ -129,13 +131,19 @@ impl Cli {
             Some("--server")
         } else if self.trace.is_some() {
             Some("--trace")
+        } else if self.run_timeout.is_some() {
+            Some("--run-timeout")
+        } else if self.retries.is_some() {
+            Some("--retries")
         } else {
             None
         }
     }
 
     fn parse_from(args: Vec<String>) -> Cli {
+        let mut budget = SimConfig::builder();
         let mut cli = Cli {
+            // Replaced by the validated `budget` once every flag is read.
             cfg: SimConfig::paper(0xb4a2),
             csv: None,
             jobs: None,
@@ -151,25 +159,19 @@ impl Cli {
         let mut i = 0;
         while i < args.len() {
             match args[i].as_str() {
-                "--quick" => {
-                    cli.cfg.warmup_insts = 600_000;
-                    cli.cfg.measure_insts = 200_000;
-                }
-                "--paper" => {
-                    cli.cfg.warmup_insts = 3_000_000;
-                    cli.cfg.measure_insts = 1_000_000;
-                }
+                "--quick" => budget = budget.warmup_insts(600_000).measure_insts(200_000),
+                "--paper" => budget = budget.warmup_insts(3_000_000).measure_insts(1_000_000),
                 "--warmup" => {
                     i += 1;
-                    cli.cfg.warmup_insts = parse_num(&args, i, "--warmup");
+                    budget = budget.warmup_insts(parse_num(&args, i, "--warmup"));
                 }
                 "--measure" => {
                     i += 1;
-                    cli.cfg.measure_insts = parse_num(&args, i, "--measure");
+                    budget = budget.measure_insts(parse_num(&args, i, "--measure"));
                 }
                 "--seed" => {
                     i += 1;
-                    cli.cfg.seed = parse_num(&args, i, "--seed");
+                    budget = budget.seed(parse_num(&args, i, "--seed"));
                 }
                 "--csv" => {
                     i += 1;
@@ -207,6 +209,7 @@ impl Cli {
             }
             i += 1;
         }
+        cli.cfg = budget.build().unwrap_or_else(|e| bad_flag(&e.to_string()));
         cli
     }
 
@@ -567,6 +570,14 @@ mod tests {
         assert_eq!(
             parse(&["--trace", "gzip.bwt"]).sweep_only_flag(),
             Some("--trace")
+        );
+        assert_eq!(
+            parse(&["--run-timeout", "0"]).sweep_only_flag(),
+            Some("--run-timeout")
+        );
+        assert_eq!(
+            parse(&["--retries", "1"]).sweep_only_flag(),
+            Some("--retries")
         );
     }
 

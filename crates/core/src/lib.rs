@@ -52,13 +52,11 @@ pub use runner::{
     CacheAudit, CacheBudget, CacheEntry, CacheLookup, EvictReport, RunCache, RunKey, RunPlan,
     Runner, WorkloadId,
 };
-#[cfg(feature = "audit")]
 pub use sim::audit_replay_roundtrip;
 pub use sim::{
     bpred_share, check_trace_budget, record_trace, simulate, simulate_trace, simulate_with,
     ConfigError, RunResult, SimConfig, SimConfigBuilder, SimControl, SimSource, TraceRunError,
 };
-#[cfg(feature = "audit")]
 pub use supervise::supervision_violations;
 pub use supervise::{
     CancelToken, Cancelled, QuarantineView, RunFailure, RunOutcome, SupervisedRunSet, Supervision,
@@ -69,8 +67,7 @@ pub use supervise::{
 /// workspace-wide replacement for bare `std::fs::write`.
 pub use bw_types::fsutil;
 
-/// A runtime-sanitizer violation (re-export; `audit` feature).
-#[cfg(feature = "audit")]
+/// A runtime-sanitizer violation (re-export).
 pub use bw_uarch::audit::Violation;
 
 // Re-export the substrate crates so downstream users (and the root

@@ -105,9 +105,12 @@ impl WorkloadId {
 }
 
 /// Version stamp embedded in every cache file; bump on any change to
-/// the serialized layout to orphan stale entries. Version 2 wrapped
-/// the identity + result payload in an outer checksummed envelope.
-pub const CACHE_FORMAT_VERSION: u32 = 2;
+/// the serialized layout, or to how a stored number is computed, to
+/// orphan stale entries. Version 2 wrapped the identity + result
+/// payload in an outer checksummed envelope; version 3 prices energy
+/// once from integer activity sums, which moves energies in their last
+/// bits.
+pub const CACHE_FORMAT_VERSION: u32 = 3;
 
 /// The identity of one simulation run.
 ///
@@ -293,7 +296,6 @@ impl RunPlan {
 
     /// Every planned key with its progress label, in plan order (used
     /// by the supervision invariants).
-    #[cfg(feature = "audit")]
     pub(crate) fn keys_and_labels(&self) -> impl Iterator<Item = (RunKey, &str)> {
         self.entries.iter().map(|e| (e.key, e.label.as_str()))
     }
@@ -309,9 +311,8 @@ pub struct Runner {
     jobs: usize,
     cache: Option<RunCache>,
     supervision: Supervision,
-    /// Violations collected from audited simulations (audit feature;
-    /// `None` when auditing is off).
-    #[cfg(feature = "audit")]
+    /// Violations collected from audited simulations (`None` when
+    /// auditing is off).
     audit_sink: Option<Mutex<Vec<crate::Violation>>>,
 }
 
@@ -324,7 +325,6 @@ impl Runner {
             jobs: 1,
             cache: None,
             supervision: Supervision::default(),
-            #[cfg(feature = "audit")]
             audit_sink: None,
         }
     }
@@ -373,7 +373,6 @@ impl Runner {
     /// read nor written, since a cached result carries no audit
     /// evidence. Results themselves are identical to unaudited runs —
     /// the sanitizer is observation-only.
-    #[cfg(feature = "audit")]
     #[must_use]
     pub fn audited(mut self) -> Self {
         self.audit_sink = Some(Mutex::new(Vec::new()));
@@ -381,14 +380,12 @@ impl Runner {
     }
 
     /// `true` if this runner audits its simulations.
-    #[cfg(feature = "audit")]
     #[must_use]
     pub fn is_audited(&self) -> bool {
         self.audit_sink.is_some()
     }
 
     /// Drains the violations collected so far across all audited runs.
-    #[cfg(feature = "audit")]
     pub fn take_violations(&self) -> Vec<crate::Violation> {
         self.audit_sink
             .as_ref()
@@ -399,7 +396,6 @@ impl Runner {
     /// The cache to consult for this run, `None` when auditing (every
     /// audited run must actually execute).
     fn effective_cache(&self) -> Option<&RunCache> {
-        #[cfg(feature = "audit")]
         if self.audit_sink.is_some() {
             return None;
         }
@@ -422,16 +418,13 @@ impl Runner {
             PlanSource::Trace(trace) => SimSource::Trace(trace),
         };
         let ctl = SimControl::default().cancel_on(token);
-        #[cfg(feature = "audit")]
         let mut violations = Vec::new();
-        #[cfg(feature = "audit")]
         let ctl = match &self.audit_sink {
             Some(_) => ctl.audit_into(&mut violations),
             None => ctl,
         };
         let run = simulate_with(source, e.key.predictor, &e.cfg, ctl)
             .expect("trace budget was validated at plan time");
-        #[cfg(feature = "audit")]
         if let (Some(sink), false) = (&self.audit_sink, violations.is_empty()) {
             sink.lock().expect("audit sink lock").extend(violations);
         }
@@ -645,7 +638,6 @@ impl Runner {
         };
         // A fail-fast stop leaves runs unaccounted for on purpose; the
         // caller panics on it.
-        #[cfg(feature = "audit")]
         if let (Some(sink), false) = (&self.audit_sink, stop.into_inner()) {
             let violations = crate::supervise::supervision_violations(plan, &set);
             if !violations.is_empty() {

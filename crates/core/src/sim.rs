@@ -2,7 +2,7 @@
 //! results.
 
 use bw_arrays::{ModelKind, TechParams};
-use bw_power::{BpredOptions, BpredPower, BpredTotals, EnergyReport};
+use bw_power::{BpredOptions, BpredPower, BpredTotals, EnergyReport, Unit};
 use bw_predictors::PredictorConfig;
 use bw_trace::{DecodedTrace, Trace, REPLAY_SLACK_INSTS};
 use bw_uarch::{Machine, SimStats, UarchConfig};
@@ -339,12 +339,6 @@ impl RunResult {
         self.energy.energy_delay()
     }
 
-    /// Chip energy outside the predictor, joules.
-    #[must_use]
-    pub fn non_bpred_energy_j(&self) -> f64 {
-        self.total_energy_j() - self.bpred_energy_j()
-    }
-
     /// Re-prices the run's predictor energy under different power
     /// options (banking, array-model kind, PPD scenario), returning
     /// `(bpred_energy_j, total_energy_j)`.
@@ -353,11 +347,16 @@ impl RunResult {
     /// never the cycle-level activity of the machine that produced
     /// this result. The PPD options are only meaningful if the run was
     /// made on a machine with a PPD (gated-lookup counts recorded).
+    /// Under the run's own options this is the measured energy,
+    /// exactly: the machine priced its predictor the same way.
     #[must_use]
     pub fn repriced(&self, options: BpredOptions) -> (f64, f64) {
-        let model = self.bpred_power.repriced(options);
-        let bpred = model.energy_for_totals(&self.totals);
-        (bpred, self.non_bpred_energy_j() + bpred)
+        let mut energy = self.energy;
+        energy.energy_j[Unit::Bpred.index()] = self
+            .bpred_power
+            .repriced(options)
+            .energy_for_totals(&self.totals);
+        (energy.bpred_energy_j(), energy.total_energy_j())
     }
 
     /// Re-priced average powers `(bpred_w, total_w)` (same run time).
@@ -500,13 +499,11 @@ pub enum SimSource<'a> {
 }
 
 /// Run-time controls of one [`simulate_with`] call: an optional cancel
-/// token and, with the `audit` feature, a sink for the runtime
-/// sanitizer's violations. The default controls nothing, and no
-/// control changes a result.
+/// token and an optional sink for the runtime sanitizer's violations.
+/// The default controls nothing, and no control changes a result.
 #[derive(Debug, Default)]
 pub struct SimControl<'a> {
     token: Option<&'a CancelToken>,
-    #[cfg(feature = "audit")]
     audit: Option<&'a mut Vec<bw_uarch::audit::Violation>>,
 }
 
@@ -524,7 +521,6 @@ impl<'a> SimControl<'a> {
     /// and violations are appended to `sink`. The sanitizer is
     /// observation-only, so the [`RunResult`] is byte-identical to an
     /// unaudited run's.
-    #[cfg(feature = "audit")]
     #[must_use]
     pub fn audit_into(mut self, sink: &'a mut Vec<bw_uarch::audit::Violation>) -> Self {
         self.audit = Some(sink);
@@ -599,12 +595,10 @@ fn run_machine<S: InstSource>(
     cfg: &SimConfig,
     ctl: SimControl<'_>,
 ) -> Result<RunResult, Cancelled> {
-    #[cfg(feature = "audit")]
     if ctl.audit.is_some() {
         machine.enable_audit(benchmark);
     }
     drive(&mut machine, cfg, ctl.token)?;
-    #[cfg(feature = "audit")]
     if let Some(sink) = ctl.audit {
         sink.extend(machine.take_audit_violations());
     }
@@ -718,7 +712,6 @@ pub fn record_trace(model: &BenchmarkModel, cfg: &SimConfig) -> Trace {
 /// Returns the replayed result plus a violation when the invariant
 /// fails (never expected; a divergence means the recorder, the replay
 /// call-stack mirror, or the codec lost information).
-#[cfg(feature = "audit")]
 #[must_use]
 pub fn audit_replay_roundtrip(
     model: &'static BenchmarkModel,
@@ -808,7 +801,7 @@ mod serde_impls {
 mod tests {
     use super::*;
     use crate::zoo::NamedPredictor;
-    use bw_power::{PpdScenario, Unit};
+    use bw_power::PpdScenario;
     use bw_workload::benchmark;
 
     fn quick_run(pred: NamedPredictor) -> RunResult {
@@ -832,16 +825,25 @@ mod tests {
 
     #[test]
     fn repriced_identity_matches_measured_energy() {
-        // Re-pricing under the run's own options must reproduce the
-        // cycle-accumulated energy (the linear accounting is exact).
-        let r = quick_run(NamedPredictor::GAs32k8);
-        let (bpred, total) = r.repriced(r.run_options());
-        assert!(
-            (bpred - r.bpred_energy_j()).abs() < 1e-9 * r.bpred_energy_j().max(1e-12),
-            "repriced {bpred} vs measured {}",
-            r.bpred_energy_j()
-        );
-        assert!((total - r.total_energy_j()).abs() < 1e-9 * r.total_energy_j());
+        // Re-pricing under the run's own options reproduces the
+        // measured energy exactly, with and without a PPD: the machine
+        // prices its one account the same way.
+        for ppd in [None, Some(PpdScenario::One), Some(PpdScenario::Two)] {
+            let mut cfg = SimConfig::quick(3);
+            if let Some(scenario) = ppd {
+                cfg.uarch = cfg.uarch.with_ppd(scenario);
+            }
+            for bench in ["gcc", "vortex", "gzip"] {
+                let r = simulate(
+                    benchmark(bench).unwrap(),
+                    NamedPredictor::GAs32k8.config(),
+                    &cfg,
+                );
+                let (bpred, total) = r.repriced(r.run_options());
+                assert_eq!(bpred, r.bpred_energy_j(), "{bench}, PPD {ppd:?}");
+                assert_eq!(total, r.total_energy_j(), "{bench}, PPD {ppd:?}");
+            }
+        }
     }
 
     #[test]

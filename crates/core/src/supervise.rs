@@ -711,7 +711,7 @@ impl QuarantineView {
 }
 
 // ---------------------------------------------------------------------
-// Supervision invariants (audit feature)
+// Supervision invariants (runtime sanitizer)
 // ---------------------------------------------------------------------
 
 /// Audit invariants over a completed supervised execution: every
@@ -720,7 +720,6 @@ impl QuarantineView {
 /// bookkeeping counters add up.
 ///
 /// Violations mean a supervisor bug, never a simulation bug.
-#[cfg(feature = "audit")]
 #[must_use]
 pub fn supervision_violations(
     plan: &crate::RunPlan,

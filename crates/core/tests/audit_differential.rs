@@ -1,4 +1,4 @@
-//! Differential property test for the runtime sanitizer (`audit`).
+//! Differential property test for the runtime sanitizer.
 //!
 //! The sanitizer must be observation-only: enabling it may never
 //! change simulation results. This test pins that down with random
@@ -11,13 +11,9 @@
 //! the fast-forward against the one-cycle reference. Beyond Bimodal on
 //! the base machine it covers a hybrid under both-strong pipeline
 //! gating (fetch held by gating, not stalls) and PPD scenario 2
-//! (partial predictor lookups). Each cell is also recorded and
+//! (gated predictor lookups). Each cell is also recorded and
 //! replayed, audited and plain, since the trace source runs through
 //! the same simulate body.
-//!
-//! Run with `cargo test -p bw-core --features audit`.
-
-#![cfg(feature = "audit")]
 
 use bw_core::power::PpdScenario;
 use bw_core::uarch::UarchConfig;

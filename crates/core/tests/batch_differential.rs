@@ -116,7 +116,6 @@ fn batched_warmup_matches_scalar_on_decoded_trace_replay() {
 /// With the sanitizer armed, both warm paths stay invariant-clean and
 /// still agree — the batched path does not trade correctness checks
 /// for speed.
-#[cfg(feature = "audit")]
 #[test]
 fn batched_warmup_is_audit_clean_and_matches_scalar() {
     let model = benchmark("gap").unwrap();

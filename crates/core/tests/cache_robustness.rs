@@ -8,6 +8,7 @@
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
+use bw_core::runner::CACHE_FORMAT_VERSION;
 use bw_core::workload::benchmark;
 use bw_core::zoo::NamedPredictor;
 use bw_core::{CacheLookup, RunCache, RunKey, RunPlan, Runner, SimConfig};
@@ -109,14 +110,13 @@ proptest! {
     /// (to be overwritten), never an error, never a panic.
     #[test]
     fn wrong_format_version_is_a_stale_miss(version in 0u32..100) {
-        let version = if version == 2 { 3 } else { version };
+        let current = CACHE_FORMAT_VERSION;
+        let version = if version == current { current + 1 } else { version };
         let (key, bytes, _) = golden();
         let text = String::from_utf8(bytes.clone()).unwrap();
-        prop_assert!(text.contains("\"format_version\": 2"), "envelope shape changed");
-        let stale = text.replace(
-            "\"format_version\": 2",
-            &format!("\"format_version\": {version}"),
-        );
+        let field = format!("\"format_version\": {current}");
+        prop_assert!(text.contains(&field), "envelope shape changed");
+        let stale = text.replace(&field, &format!("\"format_version\": {version}"));
         let (cache, dir) = scratch("stale", stale.as_bytes());
         prop_assert!(matches!(cache.load_checked(key), CacheLookup::Miss));
         prop_assert!(cache.load(key).is_none());

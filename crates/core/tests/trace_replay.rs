@@ -110,9 +110,8 @@ fn trace_keys_dedup_and_differ_from_builtin() {
     assert_eq!(&*builtin.benchmark(), "gzip");
 }
 
-/// The `audit` invariant: record-then-replay reproduces generated
+/// The sanitizer invariant: record-then-replay reproduces generated
 /// `SimStats`, reported through the sanitizer's violation channel.
-#[cfg(feature = "audit")]
 #[test]
 fn audit_replay_roundtrip_invariant_holds() {
     let cfg = SimConfig::quick(13);

@@ -39,20 +39,21 @@ pub struct Activity {
 ///
 /// Lookups are charged per *active fetch cycle* (the paper's modified
 /// Wattch fetch accounting), not per branch; a PPD turns full lookups
-/// into skipped or partial ones.
+/// into gated ones, which the PPD scenario prices (see
+/// [`BpredPower::energy_for_totals`](crate::BpredPower::energy_for_totals)).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct BpredActivity {
     /// Full direction-predictor lookups (all component arrays read).
     pub dir_lookups: u32,
-    /// PPD Scenario-2 gated direction lookups: the access is stopped
-    /// after the bitlines, spending only the pre-mux energy.
-    pub dir_partial_lookups: u32,
+    /// Direction lookups the PPD suppressed: skipped under Scenario 1,
+    /// stopped before the column multiplexor under Scenario 2.
+    pub dir_gated: u32,
     /// Commit-time direction-predictor updates.
     pub dir_updates: u32,
     /// Full BTB lookups.
     pub btb_lookups: u32,
-    /// PPD Scenario-2 gated BTB lookups (pre-mux energy only).
-    pub btb_partial_lookups: u32,
+    /// BTB lookups the PPD suppressed.
+    pub btb_gated: u32,
     /// BTB updates (taken-branch target installs).
     pub btb_updates: u32,
     /// Return-address-stack pushes/pops.

@@ -1,4 +1,4 @@
-//! Energy-conservation auditing (the `audit` feature).
+//! Energy-conservation auditing.
 //!
 //! [`EnergyLedger`] is the power half of the runtime sanitizer: it
 //! watches the per-cycle [`EnergyReport`] stream and re-derives the

@@ -3,9 +3,6 @@
 use bw_arrays::{ArrayModel, ArraySpec, BankedArrayModel, EnergyBreakdown, ModelKind, TechParams};
 use bw_predictors::{Storage, StorageRole};
 
-use crate::activity::BpredActivity;
-use crate::units::CC3_IDLE_FRACTION;
-
 /// Which PPD timing scenario is modelled (Section 4.2, Figure 15b).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum PpdScenario {
@@ -310,32 +307,12 @@ impl BpredPower {
     pub fn max_power_w(&self, freq_hz: f64) -> f64 {
         self.max_cycle_energy_j * freq_hz
     }
-
-    /// Energy consumed by the predictor structures in one cycle with
-    /// the given activity, under cc3 gating.
-    #[must_use]
-    pub fn cycle_energy_j(&self, act: &BpredActivity) -> f64 {
-        let mut active = 0.0;
-        for a in &self.dir_arrays {
-            active += a.read.total() * a.reads_per_lookup * f64::from(act.dir_lookups);
-            active += a.read.pre_mux() * a.reads_per_lookup * f64::from(act.dir_partial_lookups);
-            active += a.write_j * a.writes_per_update * f64::from(act.dir_updates);
-        }
-        active += self.btb.read.total() * f64::from(act.btb_lookups);
-        active += self.btb.read.pre_mux() * f64::from(act.btb_partial_lookups);
-        active += self.btb.write_j * f64::from(act.btb_updates);
-        active += self.ras.read.total() * f64::from(act.ras_ops);
-        if let Some(p) = &self.ppd {
-            active += p.read.total() * f64::from(act.ppd_lookups);
-            active += p.write_j * f64::from(act.ppd_updates);
-        }
-        CC3_IDLE_FRACTION * self.max_cycle_energy_j + (1.0 - CC3_IDLE_FRACTION) * active
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BpredActivity, BpredTotals};
     use bw_predictors::PredictorConfig;
 
     fn storages(cfg: PredictorConfig) -> Vec<Storage> {
@@ -348,6 +325,13 @@ mod tests {
             btb_lookups: 1,
             ..Default::default()
         }
+    }
+
+    /// The predictor energy of one cycle of `act`.
+    fn cycle_energy_j(p: &BpredPower, act: &BpredActivity) -> f64 {
+        let mut t = BpredTotals::default();
+        t.add(act, 1);
+        p.energy_for_totals(&t)
     }
 
     #[test]
@@ -433,9 +417,9 @@ mod tests {
             &tech,
             BpredOptions::default(),
         );
-        let idle = p.cycle_energy_j(&BpredActivity::idle());
+        let idle = cycle_energy_j(&p, &BpredActivity::idle());
         assert!((idle - 0.1 * p.max_cycle_energy_j()).abs() < 1e-20);
-        let busy = p.cycle_energy_j(&full_cycle());
+        let busy = cycle_energy_j(&p, &full_cycle());
         assert!(busy > idle);
     }
 
@@ -449,7 +433,7 @@ mod tests {
         );
         let mut with_update = full_cycle();
         with_update.dir_updates = 1;
-        assert!(p.cycle_energy_j(&with_update) > p.cycle_energy_j(&full_cycle()));
+        assert!(cycle_energy_j(&p, &with_update) > cycle_energy_j(&p, &full_cycle()));
     }
 
     #[test]

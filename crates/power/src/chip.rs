@@ -1,12 +1,19 @@
-//! Chip-wide per-cycle power accounting and the energy report.
+//! Chip-wide activity accounting and the energy report.
 
 use bw_arrays::TechParams;
 
 use crate::activity::{Activity, BpredActivity};
 use crate::bpred::BpredPower;
+use crate::totals::BpredTotals;
 use crate::units::{Unit, UnitBudget, CC3_IDLE_FRACTION};
 
-/// Accumulates per-unit energy cycle by cycle.
+/// Sums a run's activity in integers and prices it at report time.
+///
+/// Under cc3 gating a unit's energy in one cycle is `max_e × (0.1 +
+/// 0.9 × min(used, ports) / ports)`, and the predictor's is linear in
+/// its access counts. So a run's energy depends only on its cycle
+/// count, each unit's sum of `min(used, ports)` over cycles, and the
+/// predictor's [`BpredTotals`]; those are all this accounts.
 ///
 /// # Examples
 ///
@@ -32,8 +39,12 @@ pub struct ChipPower {
     budget: UnitBudget,
     bpred: BpredPower,
     cycle_s: f64,
-    energy_j: [f64; 12],
-    cycles: u64,
+    /// Per unit, by [`Unit::index`], the sum over cycles of
+    /// `min(used, ports)`. The clock sums `min(clock_64ths, 64)`; the
+    /// predictor's slot stays zero, its activity is in `totals`.
+    used: [u64; 12],
+    /// The predictor's activity, and the cycle count.
+    totals: BpredTotals,
 }
 
 impl ChipPower {
@@ -50,8 +61,8 @@ impl ChipPower {
             budget,
             bpred,
             cycle_s: tech.cycle_s(),
-            energy_j: [0.0; 12],
-            cycles: 0,
+            used: [0; 12],
+            totals: BpredTotals::default(),
         }
     }
 
@@ -61,63 +72,64 @@ impl ChipPower {
         &self.bpred
     }
 
+    /// The predictor's activity so far.
+    #[must_use]
+    pub fn totals(&self) -> BpredTotals {
+        self.totals
+    }
+
     /// Accounts one cycle of activity.
     pub fn tick(&mut self, act: &Activity, bact: &BpredActivity) {
         self.tick_repeat(act, bact, 1);
     }
 
     /// Accounts `n` consecutive cycles of the same activity; `n = 0` is
-    /// a no-op.
-    ///
-    /// Bit-identical to `n` calls of [`tick`](Self::tick): each unit's
-    /// per-cycle increment is computed once and added `n` times, in
-    /// order, so no floating-point sum is reordered or folded into a
-    /// multiplication.
+    /// a no-op. Identical to `n` calls of [`tick`](Self::tick).
     pub fn tick_repeat(&mut self, act: &Activity, bact: &BpredActivity, n: u64) {
-        self.cycles += n;
-        let inc = self.cycle_energy_j(act, bact);
-        for _ in 0..n {
-            for (e, inc) in self.energy_j.iter_mut().zip(inc) {
-                *e += inc;
-            }
-        }
-    }
-
-    /// Each unit's energy for one cycle of this activity, indexed by
-    /// [`Unit::index`].
-    fn cycle_energy_j(&self, act: &Activity, bact: &BpredActivity) -> [f64; 12] {
-        let frac = |used: u32, unit: Unit| -> f64 {
-            let ports = self.budget.ports[unit.index()].max(1);
-            (f64::from(used) / f64::from(ports)).min(1.0)
-        };
-        let uses: [(Unit, f64); 11] = [
-            (Unit::Rename, frac(act.rename, Unit::Rename)),
-            (Unit::Window, frac(act.window, Unit::Window)),
-            (Unit::Lsq, frac(act.lsq, Unit::Lsq)),
-            (Unit::Regfile, frac(act.regfile, Unit::Regfile)),
-            (Unit::Icache, frac(act.icache, Unit::Icache)),
-            (Unit::Dcache, frac(act.dcache, Unit::Dcache)),
-            (Unit::Dcache2, frac(act.dcache2, Unit::Dcache2)),
-            (Unit::Ialu, frac(act.ialu, Unit::Ialu)),
-            (Unit::Falu, frac(act.falu, Unit::Falu)),
-            (Unit::ResultBus, frac(act.resultbus, Unit::ResultBus)),
-            (Unit::Clock, (f64::from(act.clock_64ths) / 64.0).min(1.0)),
+        let uses = [
+            (Unit::Rename, act.rename),
+            (Unit::Window, act.window),
+            (Unit::Lsq, act.lsq),
+            (Unit::Regfile, act.regfile),
+            (Unit::Icache, act.icache),
+            (Unit::Dcache, act.dcache),
+            (Unit::Dcache2, act.dcache2),
+            (Unit::Ialu, act.ialu),
+            (Unit::Falu, act.falu),
+            (Unit::ResultBus, act.resultbus),
+            (Unit::Clock, act.clock_64ths),
         ];
-        let mut inc = [0.0; 12];
-        for (unit, activity) in uses {
-            let max_e = self.budget.max_power_w[unit.index()] * self.cycle_s;
-            inc[unit.index()] = max_e * (CC3_IDLE_FRACTION + (1.0 - CC3_IDLE_FRACTION) * activity);
+        for (unit, used) in uses {
+            self.used[unit.index()] += n * u64::from(used.min(self.ports(unit)));
         }
-        inc[Unit::Bpred.index()] = self.bpred.cycle_energy_j(bact);
-        inc
+        self.totals.add(bact, n);
     }
 
-    /// The report so far.
+    /// What a unit's use count is a fraction of: its port count, or 64
+    /// for the clock's 64ths.
+    fn ports(&self, unit: Unit) -> u32 {
+        match unit {
+            Unit::Clock => 64,
+            _ => self.budget.ports[unit.index()].max(1),
+        }
+    }
+
+    /// The report so far: every unit priced under cc3, the predictor by
+    /// [`BpredPower::energy_for_totals`].
     #[must_use]
     pub fn report(&self) -> EnergyReport {
+        let cycles = self.totals.cycles as f64;
+        let mut energy_j = [0.0; 12];
+        for unit in Unit::ALL {
+            let i = unit.index();
+            let max_e = self.budget.max_power_w[i] * self.cycle_s;
+            let active = self.used[i] as f64 / f64::from(self.ports(unit));
+            energy_j[i] = max_e * (CC3_IDLE_FRACTION * cycles + (1.0 - CC3_IDLE_FRACTION) * active);
+        }
+        energy_j[Unit::Bpred.index()] = self.bpred.energy_for_totals(&self.totals);
         EnergyReport {
-            energy_j: self.energy_j,
-            cycles: self.cycles,
+            energy_j,
+            cycles: self.totals.cycles,
             cycle_s: self.cycle_s,
         }
     }
@@ -317,8 +329,8 @@ mod proptests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
-        /// `tick_repeat(n)` leaves every unit's energy bit-identical to
-        /// `n` calls of `tick`, starting from an arbitrary prior state.
+        /// `tick_repeat(n)` accounts exactly what `n` calls of `tick`
+        /// do, starting from an arbitrary prior state.
         #[test]
         fn tick_repeat_is_bit_identical_to_repeated_ticks(
             units in proptest::collection::vec(0u32..16, 11..12),
@@ -342,10 +354,10 @@ mod proptests {
             };
             let bact = BpredActivity {
                 dir_lookups: bpred[0],
-                dir_partial_lookups: bpred[1],
+                dir_gated: bpred[1],
                 dir_updates: bpred[2],
                 btb_lookups: bpred[3],
-                btb_partial_lookups: bpred[4],
+                btb_gated: bpred[4],
                 btb_updates: bpred[5],
                 ras_ops: bpred[6],
                 ppd_lookups: bpred[7],
@@ -371,6 +383,7 @@ mod proptests {
                 looped.tick(&act, &bact);
             }
             repeated.tick_repeat(&act, &bact, n);
+            prop_assert_eq!(looped.totals(), repeated.totals());
             let (l, r) = (looped.report(), repeated.report());
             prop_assert_eq!(l.cycles, r.cycles);
             for (a, b) in l.energy_j.iter().zip(&r.energy_j) {

@@ -3,9 +3,11 @@
 //!
 //! Follows the structure of the Wattch 1.02 model the paper extends:
 //! per-unit maximum powers derived from capacitance estimates, scaled
-//! each cycle by activity under the non-ideal aggressive clock-gating
-//! style ("cc3") — power scales linearly with port/unit usage, and
-//! inactive units still dissipate 10 % of their maximum power.
+//! by activity under the non-ideal aggressive clock-gating style
+//! ("cc3") — power scales linearly with port/unit usage, and inactive
+//! units still dissipate 10 % of their maximum power. Because that
+//! model is linear, [`ChipPower`] keeps only integer activity sums and
+//! prices them once, at report time.
 //!
 //! The branch-prediction structures get a finer-grained model
 //! ([`BpredPower`]): per-array read/write/partial-access energies from
@@ -39,7 +41,6 @@
 #![warn(missing_docs)]
 
 mod activity;
-#[cfg(feature = "audit")]
 pub mod audit;
 mod bpred;
 mod chip;

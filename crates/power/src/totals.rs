@@ -15,9 +15,9 @@ use crate::units::CC3_IDLE_FRACTION;
 /// Summed branch-prediction activity over a run.
 ///
 /// `dir_gated`/`btb_gated` count fetch-active cycles in which a PPD
-/// *would* suppress the lookup; on a machine without a PPD those cycles
-/// performed full lookups. This split is what makes post-hoc PPD
-/// pricing possible.
+/// suppressed the lookup; a machine without a PPD performs every
+/// lookup, so they stay zero there. This split is what makes post-hoc
+/// PPD pricing possible.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct BpredTotals {
     /// Cycles simulated.
@@ -43,29 +43,25 @@ pub struct BpredTotals {
 }
 
 impl BpredTotals {
-    /// Accumulates one cycle of activity.
-    ///
-    /// `dir_gated_now`/`btb_gated_now` flag whether this cycle's
-    /// lookups were PPD-gated (derived from the machine's statistics
-    /// rather than the activity struct, which drops Scenario-1 gated
-    /// lookups entirely).
-    pub fn add_cycle(&mut self, act: &BpredActivity, dir_gated_now: u64, btb_gated_now: u64) {
-        self.cycles += 1;
-        self.dir_lookups += u64::from(act.dir_lookups);
-        self.dir_gated += dir_gated_now;
-        self.dir_updates += u64::from(act.dir_updates);
-        self.btb_lookups += u64::from(act.btb_lookups);
-        self.btb_gated += btb_gated_now;
-        self.btb_updates += u64::from(act.btb_updates);
-        self.ras_ops += u64::from(act.ras_ops);
-        self.ppd_lookups += u64::from(act.ppd_lookups);
-        self.ppd_updates += u64::from(act.ppd_updates);
+    /// Accumulates `n` cycles of the same activity.
+    pub fn add(&mut self, act: &BpredActivity, n: u64) {
+        self.cycles += n;
+        self.dir_lookups += n * u64::from(act.dir_lookups);
+        self.dir_gated += n * u64::from(act.dir_gated);
+        self.dir_updates += n * u64::from(act.dir_updates);
+        self.btb_lookups += n * u64::from(act.btb_lookups);
+        self.btb_gated += n * u64::from(act.btb_gated);
+        self.btb_updates += n * u64::from(act.btb_updates);
+        self.ras_ops += n * u64::from(act.ras_ops);
+        self.ppd_lookups += n * u64::from(act.ppd_lookups);
+        self.ppd_updates += n * u64::from(act.ppd_updates);
     }
 }
 
 impl BpredPower {
     /// Total predictor energy (joules) for a run's aggregate activity,
-    /// priced under *this* model's options.
+    /// priced under *this* model's options. [`ChipPower`](crate::ChipPower)
+    /// prices its own predictor activity with it.
     ///
     /// The same [`BpredTotals`] can be re-priced under different
     /// [`BpredOptions`] by building another [`BpredPower`]:
@@ -168,12 +164,20 @@ mod tests {
             btb_lookups: 1,
             ..Default::default()
         };
-        t.add_cycle(&act, 0, 0);
-        t.add_cycle(&BpredActivity::idle(), 1, 1);
-        assert_eq!(t.cycles, 2);
+        let gated = BpredActivity {
+            dir_gated: 1,
+            btb_gated: 1,
+            ppd_lookups: 1,
+            ..Default::default()
+        };
+        t.add(&act, 1);
+        t.add(&gated, 3);
+        t.add(&BpredActivity::idle(), 0);
+        assert_eq!(t.cycles, 4);
         assert_eq!(t.dir_lookups, 1);
-        assert_eq!(t.dir_gated, 1);
-        assert_eq!(t.btb_gated, 1);
+        assert_eq!(t.dir_gated, 3);
+        assert_eq!(t.btb_gated, 3);
+        assert_eq!(t.ppd_lookups, 3);
     }
 
     #[test]

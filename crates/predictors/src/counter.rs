@@ -83,7 +83,7 @@ impl SatCounter {
 
     /// `true` if the counter value is within its representable range —
     /// a sanitizer check (the `update` state machine preserves this by
-    /// construction; the audit feature re-verifies it at runtime).
+    /// construction; the runtime sanitizer re-verifies it).
     #[must_use]
     pub fn in_range(&self) -> bool {
         self.value <= self.max

@@ -286,7 +286,7 @@ pub trait DirectionPredictor {
     }
 
     /// `true` when every saturating counter the predictor owns is
-    /// within its representable range — the audit feature's
+    /// within its representable range — the runtime sanitizer's
     /// counter-range invariant. Predictors without counter tables
     /// report `true`.
     fn counters_in_range(&self) -> bool {

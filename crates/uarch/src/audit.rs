@@ -1,4 +1,4 @@
-//! The runtime sanitizer (the `audit` feature).
+//! The runtime sanitizer.
 //!
 //! When a [`Machine`] has auditing enabled
 //! ([`Machine::enable_audit`]), an invariant [`Registry`] observes the

@@ -99,7 +99,6 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
                     self.bact.btb_updates += 1;
                 }
             }
-            #[cfg(feature = "audit")]
             self.audit_commit_check(fi.seq, fi.on_correct_path);
         }
     }
@@ -148,7 +147,6 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
                     self.fetch_pc = actual.next_pc;
                     self.on_correct_path = true;
                     self.fetch_stall_until = self.cycle + 1;
-                    #[cfg(feature = "audit")]
                     self.audit_recovery_check();
                 }
             }

@@ -44,7 +44,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-#[cfg(feature = "audit")]
 pub mod audit;
 mod backend;
 mod cache;

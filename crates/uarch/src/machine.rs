@@ -68,7 +68,6 @@ pub struct Machine<'p, S: InstSource = Thread<'p>> {
     pub(crate) cycle: Cycle,
     pub(crate) next_seq: Seq,
     pub(crate) stats: SimStats,
-    pub(crate) bpred_totals: BpredTotals,
     pub(crate) last_cond_at: u64,
     pub(crate) last_cti_at: u64,
     pub(crate) working_set: u64,
@@ -85,7 +84,6 @@ pub struct Machine<'p, S: InstSource = Thread<'p>> {
     /// by the fast-forward.
     pub(crate) ticks: u64,
     // Runtime sanitizer (observation-only; None unless enabled).
-    #[cfg(feature = "audit")]
     pub(crate) audit: Option<Box<crate::audit::AuditState>>,
 }
 
@@ -232,7 +230,6 @@ impl<'p, S: InstSource> Machine<'p, S> {
             cycle: 0,
             next_seq: 0,
             stats: SimStats::default(),
-            bpred_totals: BpredTotals::default(),
             last_cond_at: 0,
             last_cti_at: 0,
             working_set,
@@ -243,7 +240,6 @@ impl<'p, S: InstSource> Machine<'p, S> {
             committed_now: 0,
             progressed: false,
             ticks: 0,
-            #[cfg(feature = "audit")]
             audit: None,
         }
     }
@@ -273,7 +269,7 @@ impl<'p, S: InstSource> Machine<'p, S> {
     /// post-hoc re-pricing under different power-model options.
     #[must_use]
     pub fn bpred_totals(&self) -> BpredTotals {
-        self.bpred_totals
+        self.power.totals()
     }
 
     /// (hits, misses) of the L1 I-cache.
@@ -520,13 +516,11 @@ impl<'p, S: InstSource> Machine<'p, S> {
     /// activity) until a completion event falls due or the fetch stall
     /// ends. The skipped cycles add to the cycle counts, to the gated
     /// cycles when gating rather than the stall held fetch, and to the
-    /// energy through [`ChipPower::tick_repeat`], which is
-    /// bit-identical to ticking them one by one.
+    /// activity sums through [`ChipPower::tick_repeat`].
     ///
     /// A machine with the audit sanitizer attached ticks every cycle,
     /// since the sanitizer observes each one.
     fn skip_dead_cycles(&mut self, cycle_cap: Cycle) {
-        #[cfg(feature = "audit")]
         if self.audit.is_some() {
             return;
         }
@@ -551,7 +545,6 @@ impl<'p, S: InstSource> Machine<'p, S> {
         }
         self.cycle += n;
         self.stats.cycles += n;
-        self.bpred_totals.cycles += n;
         let act = self.act;
         let bact = self.bact;
         self.power.tick_repeat(&act, &bact, n);
@@ -567,23 +560,13 @@ impl<'p, S: InstSource> Machine<'p, S> {
         self.issued_now = 0;
         self.committed_now = 0;
         self.progressed = false;
-        #[cfg(feature = "audit")]
         self.audit_begin_cycle();
-
-        let dir_gated_before = self.stats.ppd_dir_gated;
-        let btb_gated_before = self.stats.ppd_btb_gated;
 
         self.commit();
         self.writeback();
         self.issue();
         self.dispatch();
         self.fetch();
-
-        self.bpred_totals.add_cycle(
-            &self.bact,
-            self.stats.ppd_dir_gated - dir_gated_before,
-            self.stats.ppd_btb_gated - btb_gated_before,
-        );
 
         // Clock network scales with overall pipeline activity.
         let work = self.fetched_now + self.issued_now + self.committed_now;
@@ -593,7 +576,6 @@ impl<'p, S: InstSource> Machine<'p, S> {
         let act = self.act;
         let bact = self.bact;
         self.power.tick(&act, &bact);
-        #[cfg(feature = "audit")]
         self.audit_cycle_check();
     }
 
@@ -649,18 +631,14 @@ impl<'p, S: InstSource> Machine<'p, S> {
             dir_charged = true;
         } else {
             self.stats.ppd_dir_gated += 1;
-            if self.cfg.ppd == Some(bw_power::PpdScenario::Two) {
-                self.bact.dir_partial_lookups += 1;
-            }
+            self.bact.dir_gated += 1;
         }
         if bits.has_cti {
             self.bact.btb_lookups += 1;
             btb_charged = true;
         } else {
             self.stats.ppd_btb_gated += 1;
-            if self.cfg.ppd == Some(bw_power::PpdScenario::Two) {
-                self.bact.btb_partial_lookups += 1;
-            }
+            self.bact.btb_gated += 1;
         }
 
         // I-cache access for this line.
@@ -694,14 +672,17 @@ impl<'p, S: InstSource> Machine<'p, S> {
             // PPD conservatism fallback: a (rare) aliased PPD entry may
             // claim the line has no conditional branch / CTI while the
             // resident line does. Hardware would take the conservative
-            // path; we charge the lookup that must then happen.
+            // path; we take the gate back and charge the full lookup
+            // that must then happen.
             if inst.is_cond_branch() && !dir_charged {
                 self.bact.dir_lookups += 1;
+                self.bact.dir_gated -= 1;
                 dir_charged = true;
                 self.stats.ppd_dir_gated = self.stats.ppd_dir_gated.saturating_sub(1);
             }
             if inst.is_cti() && !btb_charged {
                 self.bact.btb_lookups += 1;
+                self.bact.btb_gated -= 1;
                 btb_charged = true;
                 self.stats.ppd_btb_gated = self.stats.ppd_btb_gated.saturating_sub(1);
             }

@@ -3,7 +3,8 @@
 //! these runs).
 
 use crate::{Machine, UarchConfig};
-use bw_power::PpdScenario;
+use bw_arrays::TechParams;
+use bw_power::{BpredTotals, PpdScenario, Unit, UnitBudget, CC3_IDLE_FRACTION};
 use bw_predictors::{HybridComponent, HybridConfig, PredictorConfig};
 use bw_workload::{all_benchmarks, benchmark};
 
@@ -396,19 +397,53 @@ fn variants() -> Vec<(&'static str, UarchConfig)> {
 }
 
 /// [`Machine::run`] with every cycle ticked: the reference the
-/// fast-forward must match, under `run`'s own stop rule.
-fn tick_loop(m: &mut Machine<'_>, max_commits: u64) {
+/// fast-forward must match, under `run`'s own stop rule. Each ticked
+/// cycle is also priced on its own and added to `energy_j`.
+fn tick_loop(m: &mut Machine<'_>, max_commits: u64, energy_j: &mut [f64; 12]) {
     let target = m.stats.committed + max_commits;
     let cycle_cap = m.cycle + max_commits * 40 + 100_000;
     while m.stats.committed < target && m.cycle < cycle_cap {
         m.tick();
+        price_cycle(m, energy_j);
     }
+}
+
+/// Adds the energy of the cycle `m` just ticked to `energy_j`, priced
+/// on its own in f64: each unit at `max_e × (0.1 + 0.9 × min(used /
+/// ports, 1))`, the predictor at its energy for a one-cycle
+/// [`BpredTotals`].
+fn price_cycle(m: &Machine<'_>, energy_j: &mut [f64; 12]) {
+    let budget = UnitBudget::default();
+    let cycle_s = TechParams::default().cycle_s();
+    let a = m.act;
+    let port = |unit: Unit| budget.ports[unit.index()];
+    for (unit, used, ports) in [
+        (Unit::Rename, a.rename, port(Unit::Rename)),
+        (Unit::Window, a.window, port(Unit::Window)),
+        (Unit::Lsq, a.lsq, port(Unit::Lsq)),
+        (Unit::Regfile, a.regfile, port(Unit::Regfile)),
+        (Unit::Icache, a.icache, port(Unit::Icache)),
+        (Unit::Dcache, a.dcache, port(Unit::Dcache)),
+        (Unit::Dcache2, a.dcache2, port(Unit::Dcache2)),
+        (Unit::Ialu, a.ialu, port(Unit::Ialu)),
+        (Unit::Falu, a.falu, port(Unit::Falu)),
+        (Unit::ResultBus, a.resultbus, port(Unit::ResultBus)),
+        (Unit::Clock, a.clock_64ths, 64),
+    ] {
+        let max_e = budget.max_power_w[unit.index()] * cycle_s;
+        let frac = (f64::from(used) / f64::from(ports)).min(1.0);
+        energy_j[unit.index()] += max_e * (CC3_IDLE_FRACTION + (1.0 - CC3_IDLE_FRACTION) * frac);
+    }
+    let mut one = BpredTotals::default();
+    one.add(&m.bact, 1);
+    energy_j[Unit::Bpred.index()] += m.bpred_power().energy_for_totals(&one);
 }
 
 #[test]
 fn fast_forward_is_bit_identical_to_ticking_every_cycle() {
     let zoo = zoo();
     let (mut cells, mut cycles, mut ticked) = (0usize, 0u64, 0u64);
+    let mut max_rel = 0.0_f64;
     for (label, cfg) in variants() {
         for model in all_benchmarks() {
             let pred = zoo[cells % zoo.len()];
@@ -424,8 +459,9 @@ fn fast_forward_is_bit_identical_to_ticking_every_cycle() {
             // Two chunks, as the drive loop calls it.
             fast.run(1_500);
             fast.run(2_500);
-            tick_loop(&mut reference, 1_500);
-            tick_loop(&mut reference, 2_500);
+            let mut per_cycle = [0.0; 12];
+            tick_loop(&mut reference, 1_500, &mut per_cycle);
+            tick_loop(&mut reference, 2_500, &mut per_cycle);
 
             let cell = format!("{label} / {} / {}", model.name, pred.build().describe());
             assert_eq!(fast.stats(), reference.stats(), "{cell}: stats");
@@ -439,12 +475,21 @@ fn fast_forward_is_bit_identical_to_ticking_every_cycle() {
             for (unit, (a, b)) in f.energy_j.iter().zip(&r.energy_j).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "{cell}: energy of unit {unit}");
             }
+            for (unit, (a, b)) in f.energy_j.iter().zip(&per_cycle).enumerate() {
+                let rel = (a - b).abs() / b;
+                assert!(
+                    rel <= 1e-9,
+                    "{cell}: unit {unit} is {a:e} J, priced per cycle {b:e} J"
+                );
+                max_rel = max_rel.max(rel);
+            }
             assert_eq!(reference.ticked_cycles(), reference.stats().cycles);
             cycles += fast.stats().cycles;
             ticked += fast.ticked_cycles();
         }
     }
     assert_eq!(cells, 220);
+    println!("largest relative difference from per-cycle pricing: {max_rel:.1e}");
     // The oracle is inert unless the fast-forward actually skipped.
     assert!(
         ticked * 10 < cycles * 9,
@@ -499,8 +544,7 @@ mod machine_proptests {
             // Re-pricing under the run's own options is exact.
             let totals = m.bpred_totals();
             let repriced = m.bpred_power().energy_for_totals(&totals);
-            prop_assert!((repriced - r.bpred_energy_j()).abs()
-                < 1e-9 * r.bpred_energy_j().max(1e-12));
+            prop_assert_eq!(repriced, r.bpred_energy_j());
         }
     }
 }

@@ -44,28 +44,25 @@ struct Flags {
 }
 
 fn parse_flags(args: &[String]) -> Flags {
-    let mut cfg = SimConfig::paper(0xb4a2);
+    let mut cfg = SimConfig::builder();
     let mut positional = Vec::new();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--quick" => {
-                cfg.warmup_insts = 600_000;
-                cfg.measure_insts = 200_000;
-            }
+            "--quick" => cfg = cfg.warmup_insts(600_000).measure_insts(200_000),
             "--warmup" => {
                 i += 1;
-                cfg.warmup_insts = args[i].parse().unwrap_or_else(|_| usage());
+                cfg = cfg.warmup_insts(number(args.get(i)));
             }
             "--measure" => {
                 i += 1;
-                cfg.measure_insts = args[i].parse().unwrap_or_else(|_| usage());
+                cfg = cfg.measure_insts(number(args.get(i)));
             }
             "--seed" => {
                 i += 1;
-                cfg.seed = args[i].parse().unwrap_or_else(|_| usage());
+                cfg = cfg.seed(number(args.get(i)));
             }
-            "--banked" => cfg.banked = true,
+            "--banked" => cfg = cfg.banked(true),
             "--ppd" => {
                 i += 1;
                 let scenario = match args.get(i).map(String::as_str) {
@@ -73,14 +70,24 @@ fn parse_flags(args: &[String]) -> Flags {
                     Some("2") => PpdScenario::Two,
                     _ => usage(),
                 };
-                cfg.uarch = cfg.uarch.clone().with_ppd(scenario);
+                cfg = cfg.map_uarch(|u| u.with_ppd(scenario));
             }
             flag if flag.starts_with("--") => usage(),
             pos => positional.push(pos.to_string()),
         }
         i += 1;
     }
+    let cfg = cfg.build().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage()
+    });
     Flags { cfg, positional }
+}
+
+/// A value flag's number, or the usage line when it is missing or
+/// malformed.
+fn number(arg: Option<&String>) -> u64 {
+    arg.and_then(|a| a.parse().ok()).unwrap_or_else(|| usage())
 }
 
 fn cmd_list() {

@@ -14,8 +14,8 @@
 //!   forward it (`"D/f"` in the enable list), pull the dependency in
 //!   wholesale (`"dep:D"` — the marker-feature idiom), or enable it
 //!   unconditionally (`features = ["f"]` on the dependency). This is
-//!   what keeps `audit`/`serde`/`fault-inject` flowing down the
-//!   bw-power → bw-uarch → bw-core → bw-bench chain.
+//!   what keeps `fault-inject` flowing down the bw-trace → bw-core →
+//!   bw-bench chain.
 //!
 //! Manifest findings are suppressed with a `# lint: allow(<rule>)`
 //! TOML comment on or above the flagged line.
