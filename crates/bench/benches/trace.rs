@@ -1,9 +1,9 @@
 //! Criterion benches for the trace subsystem: stepping a replayed
-//! recording versus generating the workload live (replay skips all
-//! behaviour-automaton and hash-draw work, so it should win), plus
-//! the codec's encode/decode throughput.
+//! recording versus generating the workload live (both run the same
+//! stepper, but replay skips all behaviour-automaton and hash-draw
+//! work, so it should win), plus the codec's encode/decode throughput.
 
-use bw_core::trace::{record_model, DecodedTrace, TraceReader};
+use bw_core::trace::{record_model, DecodedTrace};
 use bw_workload::{benchmark, InstSource};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
@@ -23,17 +23,6 @@ fn bench_trace(c: &mut Criterion) {
             let mut ctis = 0u64;
             for _ in 0..INSTS {
                 ctis += u64::from(t.step().control.is_some());
-            }
-            black_box(ctis)
-        });
-    });
-
-    g.bench_function("replay_100k_insts", |b| {
-        b.iter(|| {
-            let mut r = TraceReader::new(&trace);
-            let mut ctis = 0u64;
-            for _ in 0..INSTS {
-                ctis += u64::from(r.step().control.is_some());
             }
             black_box(ctis)
         });

@@ -2,5 +2,6 @@
 //! Table 3's choice of four banks.
 
 fn main() {
+    bw_bench::no_args();
     println!("{}", bw_core::experiments::banking_ablation());
 }

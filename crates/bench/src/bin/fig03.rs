@@ -2,5 +2,6 @@
 //! cycle times under the old and new organizations.
 
 fn main() {
+    bw_bench::no_args();
     println!("{}", bw_core::experiments::fig03_squarification());
 }

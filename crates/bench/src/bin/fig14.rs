@@ -3,11 +3,11 @@
 //! benchmark subset.
 
 use bw_bench::config_from_args;
-use bw_core::experiments::fig14_distances;
+use bw_core::experiments::{characterization_insts, fig14_distances};
 use bw_workload::specint7;
 
 fn main() {
     let cfg = config_from_args();
-    let insts = (cfg.warmup_insts + cfg.measure_insts).max(1_000_000);
+    let insts = characterization_insts(&cfg);
     println!("{}", fig14_distances(&specint7(), insts, cfg.seed));
 }

@@ -6,19 +6,22 @@
 //! by the run plan, cached across invocations) and shared by all the
 //! figures derived from them.
 
-use bw_bench::{progress_done, progress_line, Cli};
+use bw_bench::{bad_flag, progress_done, progress_line, Cli};
 use bw_core::experiments::{
-    fig02_model_comparison, fig03_squarification, fig05_accuracy_ipc, fig06_energy, fig07_power,
-    fig11_banked_timing, fig12_13_banking, fig14_distances, fig16_fig17_render, fig19_render,
-    gating_rows, ppd_rows, sweep_rows, table1, table2, table3,
+    characterization_insts, fig02_model_comparison, fig03_squarification, fig05_accuracy_ipc,
+    fig06_energy, fig07_power, fig11_banked_timing, fig12_13_banking, fig14_distances,
+    fig16_fig17_render, fig19_render, gating_rows, ppd_rows, sweep_rows, table1, table2, table3,
 };
 use bw_workload::{all_benchmarks, specfp, specint, specint7};
 
 fn main() {
     let cli = Cli::parse_local();
+    if cli.csv.is_some() {
+        bad_flag("--csv does not apply: paper prints its tables and exports no rows");
+    }
     let cfg = &cli.cfg;
     let runner = cli.runner();
-    let trace_insts = (cfg.warmup_insts + cfg.measure_insts).max(2_000_000);
+    let trace_insts = characterization_insts(cfg);
 
     println!("{}", table1());
     let models: Vec<_> = all_benchmarks().iter().collect();

@@ -3,12 +3,12 @@
 //! paper's values.
 
 use bw_bench::config_from_args;
-use bw_core::experiments::table2;
+use bw_core::experiments::{characterization_insts, table2};
 use bw_workload::all_benchmarks;
 
 fn main() {
     let cfg = config_from_args();
-    let insts = (cfg.warmup_insts + cfg.measure_insts).max(2_000_000);
+    let insts = characterization_insts(&cfg);
     let models: Vec<_> = all_benchmarks().iter().collect();
     println!("{}", table2(&models, insts, cfg.seed));
 }

@@ -27,7 +27,7 @@ use std::path::{Path, PathBuf};
 use std::process::exit;
 
 use bw_core::trace::{characterize, import_text, record_model, REPLAY_SLACK_INSTS};
-use bw_core::trace::{Trace, TraceReader};
+use bw_core::trace::{DecodedTrace, Trace};
 use bw_core::SimConfig;
 use bw_workload::benchmark;
 
@@ -191,22 +191,18 @@ fn cmd_info(args: &[String]) {
     // The decoded bitcode form the replay hot path actually runs on:
     // one-time decode cost and flat-array footprint.
     let t0 = std::time::Instant::now();
-    let decoded = bw_core::trace::DecodedTrace::new(&trace);
+    let decoded = DecodedTrace::new(&trace);
     let decode_ms = t0.elapsed().as_secs_f64() * 1e3;
     println!("decoded bitcode   {} bytes", decoded.decoded_bytes());
     println!("decode time       {decode_ms:.2} ms (one-time, shared by all readers)");
     // A quick liveness check: replay the first few thousand steps so a
     // corrupt-but-well-formed file fails here rather than mid-figure.
-    let mut reader = TraceReader::new(&trace);
+    let mut reader = decoded.reader();
     let probe = m.insts.min(4096);
     for _ in 0..probe {
         let _ = bw_workload::InstSource::step(&mut reader);
     }
-    let mut fast = decoded.reader();
-    for _ in 0..probe {
-        let _ = bw_workload::InstSource::step(&mut fast);
-    }
-    println!("replay probe      ok ({probe} insts, streaming + decoded)");
+    println!("replay probe      ok ({probe} insts)");
 }
 
 fn cmd_import(args: &[String]) {

@@ -1,6 +1,10 @@
 //! Shared harness for the per-table/per-figure experiment binaries.
 //!
-//! Every binary accepts the same flags:
+//! Every binary that runs cells accepts the same flags (the others
+//! refuse what they cannot honour, exit 2: `paper` refuses `--csv`,
+//! the characterization binaries `table2` and `fig14` read only the
+//! budget flags through [`config_from_args`], and the fixed-model
+//! binaries take no arguments, see [`no_args`]):
 //!
 //! * `--quick` — reduced instruction budget (smoke-test scale).
 //! * `--paper` — the full budget (default): 3M-instruction warmup and
@@ -272,14 +276,21 @@ impl Cli {
     }
 }
 
-fn bad_flag(msg: &str) -> ! {
-    eprintln!("{msg}");
-    eprintln!(
+/// Refuses the command line: prints `msg` and the full usage line to
+/// stderr, then exits with status 2.
+pub fn bad_flag(msg: &str) -> ! {
+    refuse(
+        msg,
         "usage: [--quick|--paper] [--warmup N] [--measure N] [--seed N] \
          [--csv FILE] [--jobs N] [--no-cache] [--cache-dir DIR] [--audit] \
          [--trace FILE] [--keep-going|--fail-fast] [--run-timeout SECS] \
-         [--retries N] [--server ADDR]"
-    );
+         [--retries N] [--server ADDR]",
+    )
+}
+
+fn refuse(msg: &str, usage: &str) -> ! {
+    eprintln!("{msg}");
+    eprintln!("{usage}");
     std::process::exit(2);
 }
 
@@ -317,12 +328,41 @@ fn parse_path(args: &[String], i: usize, flag: &str) -> String {
     }
 }
 
-/// Parses the common CLI flags (no `--csv` handling) into a
-/// [`SimConfig`] — kept for binaries that only need a budget. Refuses
-/// the sweep-only flags like [`Cli::parse_local`].
+/// Parses the budget flags (`--quick`, `--paper`, `--warmup N`,
+/// `--measure N`, `--seed N`) into a [`SimConfig`], for the binaries
+/// that characterize workloads without running cells (`table2`,
+/// `fig14`). They have no runner, cache, audit or CSV output, so every
+/// other argument exits 2 with the usage line instead of being
+/// ignored.
 #[must_use]
 pub fn config_from_args() -> SimConfig {
-    Cli::parse_local().cfg
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "--quick" | "--paper" => {}
+            "--warmup" | "--measure" | "--seed" => {
+                rest.next();
+            }
+            other => refuse(
+                &format!("'{other}' does not apply: this binary reads only the budget flags"),
+                "usage: [--quick|--paper] [--warmup N] [--measure N] [--seed N]",
+            ),
+        }
+    }
+    Cli::parse_from(args).cfg
+}
+
+/// Exits 2 with the usage line if any argument was given: the binaries
+/// that render fixed models (`table1`, `table3`, `fig03`, `fig11`,
+/// `ext_banking`) read no flags, so none is silently ignored.
+pub fn no_args() {
+    if let Some(arg) = std::env::args().nth(1) {
+        refuse(
+            &format!("unexpected argument '{arg}'"),
+            "usage: (this binary takes no arguments)",
+        );
+    }
 }
 
 /// Writes CSV content atomically (stage + rename), logging the

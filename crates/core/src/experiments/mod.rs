@@ -45,4 +45,4 @@ pub use ext::{
 };
 pub use gating::{fig19_render, gating_rows, gating_study, GatingRow};
 pub use ppd::{fig16_fig17_render, ppd_rows, ppd_study, PpdRow};
-pub use tables::{fig14_distances, table1, table2};
+pub use tables::{characterization_insts, fig14_distances, table1, table2};

@@ -7,6 +7,7 @@ use bw_uarch::UarchConfig;
 use bw_workload::BenchmarkModel;
 
 use crate::report::{f4, pct, Table};
+use crate::SimConfig;
 
 /// Table 1: the simulated processor configuration.
 #[must_use]
@@ -97,6 +98,16 @@ pub struct TraceStats {
     pub cond_distance: f64,
     /// Mean instructions between CTIs of any kind.
     pub cti_distance: f64,
+}
+
+/// Instructions Table 2 and Figure 14 characterize each model over:
+/// the run budget, but never fewer than 2M, so a smoke budget still
+/// sees enough branches for stable frequencies and distances. The
+/// `table2`, `fig14` and `paper` binaries all take it from here, so
+/// the same flags print the same tables from each.
+#[must_use]
+pub fn characterization_insts(cfg: &SimConfig) -> u64 {
+    (cfg.warmup_insts + cfg.measure_insts).max(2_000_000)
 }
 
 /// Measures a model's branch statistics and 16K bimodal/gshare
@@ -222,6 +233,23 @@ mod tests {
         assert!(s.contains("8 cycles"));
         assert!(s.contains("2048-entry, 2-way"));
         assert!(s.contains("100 cycles"));
+    }
+
+    #[test]
+    fn characterization_budget_is_the_run_budget_floored_at_2m() {
+        let cfg = |warmup, measure| {
+            SimConfig::builder()
+                .warmup_insts(warmup)
+                .measure_insts(measure)
+                .build()
+                .expect("valid budget")
+        };
+        assert_eq!(characterization_insts(&cfg(20_000, 10_000)), 2_000_000);
+        assert_eq!(characterization_insts(&cfg(600_000, 200_000)), 2_000_000);
+        assert_eq!(
+            characterization_insts(&cfg(3_000_000, 1_000_000)),
+            4_000_000
+        );
     }
 
     #[test]

@@ -543,8 +543,9 @@ impl<'a> SimControl<'a> {
 /// behaviour-automaton and hash-draw work. The trace is decoded once
 /// up front into its bitcode form ([`DecodedTrace`]) and replayed
 /// through the zero-copy [`DecodedReader`](bw_trace::DecodedReader),
-/// which is tested in `bw-trace` to produce the same step stream as
-/// the streaming [`TraceReader`](bw_trace::TraceReader). `cfg.seed`
+/// which runs the live thread's own control algorithm (the workload's
+/// shared [`Stepper`](bw_workload::Stepper)) over the recorded
+/// choices. `cfg.seed`
 /// does not influence replay (the stream is frozen in the trace), but
 /// it still participates in cache keying via the config digest.
 ///
@@ -710,8 +711,8 @@ pub fn record_trace(model: &BenchmarkModel, cfg: &SimConfig) -> Trace {
 /// yield [`SimStats`] byte-identical to generating the workload live.
 ///
 /// Returns the replayed result plus a violation when the invariant
-/// fails (never expected; a divergence means the recorder, the replay
-/// call-stack mirror, or the codec lost information).
+/// fails (never expected; a divergence means the recorder, the decoded
+/// reader's choices, or the codec lost information).
 #[must_use]
 pub fn audit_replay_roundtrip(
     model: &'static BenchmarkModel,

@@ -2,7 +2,7 @@
 //! pin protection for in-flight digests, and the foreign files beside
 //! the entries that no budget may touch.
 //!
-//! Run with `cargo test -p bw-core --features serde`.
+//! Run with `cargo test -p bw-core`.
 
 use std::path::PathBuf;
 

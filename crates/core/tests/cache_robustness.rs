@@ -3,7 +3,7 @@
 //! `RunCache::load` never panics and never returns a wrong result, and
 //! `RunCache::repair` evicts exactly the damaged files.
 //!
-//! Run with `cargo test -p bw-core --features serde`.
+//! Run with `cargo test -p bw-core`.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;

@@ -4,7 +4,7 @@
 //! uninjected run, the cache directory holds no torn files, and a
 //! re-run after disarming heals completely.
 //!
-//! Run with `cargo test -p bw-core --features serde,fault-inject`.
+//! Run with `cargo test -p bw-core --features fault-inject`.
 
 #![cfg(feature = "fault-inject")]
 

@@ -1,12 +1,12 @@
 //! The decoded ("bitcode") form of a trace: a one-time decode of a
-//! `.bwt` stream into flat, replay-ready arrays, plus a zero-copy
-//! slice-backed reader over them.
+//! `.bwt` stream into flat, replay-ready arrays, plus the zero-copy
+//! slice-backed reader every replay runs through.
 //!
-//! [`TraceReader`](crate::TraceReader) pays per record on the replay
-//! hot path: every instruction re-decodes its PC through the program
-//! image (a block lookup plus hashing), every conditional outcome
-//! pulls an RLE run cursor, every address a LEB128 varint delta.
-//! [`DecodedTrace`] pays those costs exactly once, up front:
+//! The `.bwt` streams are compact but cost per record to read: an
+//! instruction's PC decodes through the program image (a block lookup
+//! plus hashing), a conditional outcome pulls an RLE run cursor, an
+//! address a LEB128 varint delta. [`DecodedTrace`] pays those costs
+//! exactly once, up front:
 //!
 //! * the program's two code regions are decoded into flat
 //!   [`DecodedInst`] tables indexed by PC slot (decode becomes one
@@ -15,17 +15,17 @@
 //!   the indirect-target and data-address streams into plain `u64`
 //!   arrays (each pull becomes one indexed read).
 //!
-//! [`DecodedReader`] then replays by borrowing those arrays — it owns
-//! nothing but its cursor state, so constructing one is free and many
-//! readers can share one decode. The step stream is byte-identical to
-//! `TraceReader`'s (the differential tests pin this), and the decoded
-//! form carries no digest of its own: it is a pure function of the
-//! trace, identified by the same [`Trace::digest`].
+//! [`DecodedReader`] then replays by borrowing those arrays: it runs
+//! the workload's own [`Stepper`] — the control algorithm the
+//! recording [`Thread`](bw_workload::Thread) runs — and answers its
+//! choices with indexed reads, so it owns nothing but cursor state,
+//! constructing one is free and many readers can share one decode.
+//! The decoded form carries no digest of its own: it is a pure
+//! function of the trace, identified by the same [`Trace::digest`].
 
-use bw_types::{Addr, CtiKind, Outcome};
+use bw_types::{Addr, Outcome};
 use bw_workload::{
-    Block, DecodedInst, ExecStep, InstSource, ResolvedCti, StaticProgram, CODE_BASE, FUNC_BASE,
-    MAX_CALL_DEPTH,
+    Block, Choices, DecodedInst, ExecStep, InstSource, StaticProgram, Stepper, CODE_BASE, FUNC_BASE,
 };
 
 use crate::format::Trace;
@@ -137,33 +137,32 @@ impl<'t> DecodedTrace<'t> {
         #[cfg(not(feature = "fault-inject"))]
         let (limit, injected) = (recorded, false);
         DecodedReader {
-            dec: self,
-            pc: self.trace.meta().entry,
-            ghist: 0,
-            call_stack: Vec::with_capacity(MAX_CALL_DEPTH),
-            insts: 0,
+            arch: Stepper::new(self.trace.meta().entry),
+            reads: Reads {
+                dec: self,
+                cond_pos: 0,
+                ind_pos: 0,
+                data_pos: 0,
+            },
             limit,
             injected,
-            cond_pos: 0,
-            ind_pos: 0,
-            data_pos: 0,
         }
     }
 }
 
 /// Streams a [`DecodedTrace`] as architectural execution.
 ///
-/// Mirrors [`TraceReader`](crate::TraceReader)'s control algorithm
-/// exactly — same mirrored call stack, same global-history shifts,
-/// same exhaustion panic — but every per-record decode is an indexed
-/// read of the borrowed flat arrays. The reader owns only its cursor
-/// state (zero-copy over the decode), so constructing one is free.
+/// The control algorithm is the workload's shared [`Stepper`], so the
+/// step stream is the recording thread's: conditional outcomes,
+/// indirect targets and data addresses come from the decoded streams,
+/// direct jumps and calls from the program image, and return targets
+/// from the stepper's call stack (or, for imported traces, from the
+/// indirect stream). Every choice is an indexed read of the borrowed
+/// flat arrays, and the reader owns only its cursor state (zero-copy
+/// over the decode), so constructing one is free.
 pub struct DecodedReader<'d> {
-    dec: &'d DecodedTrace<'d>,
-    pc: Addr,
-    ghist: u64,
-    call_stack: Vec<Addr>,
-    insts: u64,
+    arch: Stepper,
+    reads: Reads<'d>,
     /// Instructions the stream will actually deliver: the recording's
     /// length, or less when an armed `trunc` fault (`fault-inject`
     /// feature) simulates a truncated file.
@@ -171,6 +170,11 @@ pub struct DecodedReader<'d> {
     /// `true` when `limit` came from fault injection, so the
     /// exhaustion panic carries the injection marker.
     injected: bool,
+}
+
+/// A reader's choices: cursors into the decode's flat arrays.
+struct Reads<'d> {
+    dec: &'d DecodedTrace<'d>,
     cond_pos: usize,
     ind_pos: usize,
     data_pos: usize,
@@ -180,104 +184,87 @@ impl DecodedReader<'_> {
     /// Instructions left before the recording runs out.
     #[must_use]
     pub fn remaining(&self) -> u64 {
-        self.limit.saturating_sub(self.insts)
+        self.limit.saturating_sub(self.arch.insts())
     }
+}
 
+impl Reads<'_> {
     #[inline]
-    fn inst_at(&self, pc: Addr) -> DecodedInst {
-        if pc >= CODE_BASE && pc < self.dec.main_end {
-            self.dec.main_insts[((pc.0 - CODE_BASE.0) >> 2) as usize]
-        } else if pc >= FUNC_BASE && pc < self.dec.func_end {
-            self.dec.func_insts[((pc.0 - FUNC_BASE.0) >> 2) as usize]
+    fn next_indirect(&mut self) -> Addr {
+        let t = self.dec.indirect[self.ind_pos];
+        self.ind_pos += 1;
+        Addr(t)
+    }
+}
+
+impl Choices for Reads<'_> {
+    #[inline]
+    fn decode(&self, pc: Addr) -> DecodedInst {
+        let dec = self.dec;
+        if pc >= CODE_BASE && pc < dec.main_end {
+            dec.main_insts[((pc.0 - CODE_BASE.0) >> 2) as usize]
+        } else if pc >= FUNC_BASE && pc < dec.func_end {
+            dec.func_insts[((pc.0 - FUNC_BASE.0) >> 2) as usize]
         } else {
             // Correct-path replay never leaves the code regions; keep
-            // the per-PC decode as a fallback for exact parity with
-            // TraceReader all the same.
-            self.dec.trace.program().decode(pc)
+            // the per-PC decode as a fallback for exact parity with the
+            // recording thread all the same.
+            dec.trace.program().decode(pc)
         }
     }
 
     #[inline]
-    fn next_cond_bit(&mut self) -> u64 {
-        let i = self.cond_pos;
-        self.cond_pos += 1;
-        (self.dec.cond_bits[i >> 6] >> (i & 63)) & 1
+    fn data_addr(&mut self) -> Addr {
+        let a = self.dec.data[self.data_pos];
+        self.data_pos += 1;
+        Addr(a)
     }
 
-    fn resolve(&mut self, info: bw_workload::CtiInfo) -> ResolvedCti {
-        match info.kind {
-            CtiKind::CondBranch => {
-                let outcome = Outcome::from_bool(self.next_cond_bit() != 0);
-                self.ghist = (self.ghist << 1) | outcome.as_bit();
-                let next_pc = if outcome.is_taken() {
-                    info.target.expect("conditional branches are direct")
-                } else {
-                    self.pc.next()
-                };
-                ResolvedCti { outcome, next_pc }
-            }
-            CtiKind::Jump => ResolvedCti {
-                outcome: Outcome::Taken,
-                next_pc: info.target.expect("jumps are direct"),
-            },
-            CtiKind::Call => {
-                if self.call_stack.len() >= MAX_CALL_DEPTH {
-                    self.call_stack.remove(0);
-                }
-                self.call_stack.push(self.pc.next());
-                ResolvedCti {
-                    outcome: Outcome::Taken,
-                    next_pc: info.target.expect("calls are direct"),
-                }
-            }
-            CtiKind::Return => {
-                let next_pc = if self.dec.trace.meta().returns_in_stream {
-                    let t = self.dec.indirect[self.ind_pos];
-                    self.ind_pos += 1;
-                    Addr(t)
-                } else {
-                    self.call_stack.pop().unwrap_or(CODE_BASE)
-                };
-                ResolvedCti {
-                    outcome: Outcome::Taken,
-                    next_pc,
-                }
-            }
-            CtiKind::IndirectJump => {
-                let t = self.dec.indirect[self.ind_pos];
-                self.ind_pos += 1;
-                ResolvedCti {
-                    outcome: Outcome::Taken,
-                    next_pc: Addr(t),
-                }
-            }
+    #[inline]
+    fn cond_outcome(&mut self, _site: Option<u32>, _ghist: u64) -> Outcome {
+        let i = self.cond_pos;
+        self.cond_pos += 1;
+        Outcome::from_bool((self.dec.cond_bits[i >> 6] >> (i & 63)) & 1 != 0)
+    }
+
+    #[inline]
+    fn indirect_target(&mut self, _pc: Addr) -> Addr {
+        self.next_indirect()
+    }
+
+    #[inline]
+    fn recorded_return(&mut self) -> Option<Addr> {
+        if self.dec.trace.meta().returns_in_stream {
+            Some(self.next_indirect())
+        } else {
+            None
         }
     }
 }
 
 impl InstSource for DecodedReader<'_> {
     fn program(&self) -> &StaticProgram {
-        self.dec.trace.program()
+        self.reads.dec.trace.program()
     }
 
     fn pc(&self) -> Addr {
-        self.pc
+        self.arch.pc()
     }
 
     fn insts(&self) -> u64 {
-        self.insts
+        self.arch.insts()
     }
 
     fn global_history(&self) -> u64 {
-        self.ghist
+        self.arch.global_history()
     }
 
     fn step(&mut self) -> ExecStep {
         assert!(
-            self.insts < self.limit,
+            self.arch.insts() < self.limit,
             "trace '{}' exhausted after {} instructions; record a longer trace{}",
-            self.dec.trace.meta().name,
-            self.insts,
+            self.reads.dec.trace.meta().name,
+            self.arch.insts(),
             if self.injected {
                 // Keep in sync with bw_fault::TRACE_MARKER.
                 " (bw-fault: injected trace truncation)"
@@ -285,33 +272,7 @@ impl InstSource for DecodedReader<'_> {
                 ""
             },
         );
-        let inst = self.inst_at(self.pc);
-        self.insts += 1;
-
-        let data_addr = if inst.op.is_mem() {
-            let a = self.dec.data[self.data_pos];
-            self.data_pos += 1;
-            Some(Addr(a))
-        } else {
-            None
-        };
-
-        let control = match inst.cti {
-            None => {
-                self.pc = self.pc.next();
-                None
-            }
-            Some(info) => {
-                let resolved = self.resolve(info);
-                self.pc = resolved.next_pc;
-                Some(resolved)
-            }
-        };
-        ExecStep {
-            inst,
-            control,
-            data_addr,
-        }
+        self.arch.step(&mut self.reads)
     }
 }
 
@@ -319,8 +280,7 @@ impl InstSource for DecodedReader<'_> {
 mod tests {
     use super::*;
     use crate::record_model;
-    use crate::TraceReader;
-    use bw_workload::benchmark;
+    use bw_workload::{all_benchmarks, benchmark};
 
     fn quick_trace(name: &str, insts: u64) -> Trace {
         let model = benchmark(name).expect("built-in model");
@@ -329,30 +289,23 @@ mod tests {
     }
 
     #[test]
-    fn decoded_replay_is_byte_identical_to_streaming_replay() {
-        let trace = quick_trace("gzip", 30_000);
-        let dec = DecodedTrace::new(&trace);
-        let mut fast = dec.reader();
-        let mut slow = TraceReader::new(&trace);
-        for i in 0..30_000u64 {
-            assert_eq!(fast.pc(), slow.pc(), "pc diverged before step {i}");
-            assert_eq!(fast.step(), slow.step(), "step {i} diverged");
-            assert_eq!(fast.global_history(), slow.global_history());
-        }
-        assert_eq!(fast.insts(), slow.insts());
-        assert_eq!(fast.remaining(), slow.remaining());
-    }
-
-    #[test]
     fn decoded_replay_matches_the_live_thread() {
-        let model = benchmark("vortex").expect("built-in model");
-        let program = model.build_program(11);
-        let trace = record_model(model, &program, 11, 10_000);
-        let dec = DecodedTrace::new(&trace);
-        let mut replay = dec.reader();
-        let mut live = model.thread(&program, 11);
-        for _ in 0..10_000 {
-            assert_eq!(replay.step(), live.step());
+        for model in all_benchmarks() {
+            let program = model.build_program(11);
+            let trace = record_model(model, &program, 11, 20_000);
+            let dec = DecodedTrace::new(&trace);
+            let mut replay = dec.reader();
+            let mut live = model.thread(&program, 11);
+            for i in 0..20_000 {
+                assert_eq!(replay.step(), live.step(), "{} step {i}", model.name);
+                assert_eq!(
+                    replay.global_history(),
+                    live.global_history(),
+                    "{} history after step {i}",
+                    model.name
+                );
+            }
+            assert_eq!(replay.remaining(), 0);
         }
     }
 
@@ -384,7 +337,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "exhausted after 100 instructions")]
-    fn stepping_past_the_end_panics_like_the_streaming_reader() {
+    fn stepping_past_the_end_panics() {
         let trace = quick_trace("gzip", 100);
         let dec = DecodedTrace::new(&trace);
         let mut r = dec.reader();

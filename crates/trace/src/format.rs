@@ -59,8 +59,9 @@ pub struct TraceMeta {
     /// Architectural instructions recorded.
     pub insts: u64,
     /// When `true`, return targets are part of the indirect-target
-    /// stream instead of being re-derived from a mirrored call stack
-    /// (used by imported traces, whose call discipline is unknown).
+    /// stream instead of being re-derived from the replaying
+    /// stepper's call stack (used by imported traces, whose call
+    /// discipline is unknown).
     pub returns_in_stream: bool,
     /// The PC replay starts from.
     pub entry: Addr,
@@ -68,10 +69,10 @@ pub struct TraceMeta {
 
 /// A fully loaded (and validated) `.bwt` trace.
 ///
-/// Event streams stay in their encoded form; [`crate::TraceReader`]
-/// decodes them incrementally while replaying. [`Trace::from_bytes`]
-/// validates every section up front, so the streaming cursors never
-/// hit malformed data.
+/// Event streams stay in their encoded form until
+/// [`crate::DecodedTrace::new`] unpacks them for replay.
+/// [`Trace::from_bytes`] validates every section up front, so the
+/// stream cursors never hit malformed data.
 #[derive(Clone, Debug)]
 pub struct Trace {
     pub(crate) meta: TraceMeta,

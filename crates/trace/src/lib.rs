@@ -20,31 +20,30 @@
 //! runs, an FNV-1a content digest) — the repo vendors all dependencies
 //! and the format needs none.
 //!
-//! [`TraceReader`] implements
-//! [`InstSource`](bw_workload::InstSource), so a
-//! `bw_uarch::Machine` built over it behaves byte-identically to one
-//! built over the live [`Thread`](bw_workload::Thread) that recorded
-//! the trace: replay reproduces every outcome draw the thread made
-//! (conditional outcomes, indirect picks, data addresses) and
-//! re-derives return targets by mirroring the thread's call-stack
-//! discipline.
-//!
-//! For the replay hot path there is also a decoded "bitcode" form:
-//! [`DecodedTrace`] pays the per-record stream decoding and per-PC
-//! program decode once, up front, into flat arrays, and the zero-copy
-//! [`DecodedReader`] over them yields the same byte-identical step
-//! stream with every per-record cost replaced by an indexed read.
+//! Replay goes through a decoded "bitcode" form: [`DecodedTrace`]
+//! pays the per-record stream decoding and per-PC program decode once,
+//! up front, into flat arrays, and the zero-copy [`DecodedReader`] over
+//! them implements [`InstSource`](bw_workload::InstSource). It runs the
+//! same control algorithm as the live [`Thread`](bw_workload::Thread)
+//! that recorded the trace — the workload's shared
+//! [`Stepper`](bw_workload::Stepper) — and answers that algorithm's
+//! choices (conditional outcomes, indirect targets, data addresses)
+//! from the recorded streams, so a `bw_uarch::Machine` built over it
+//! behaves byte-identically to one built over the thread. Return
+//! targets come from the stepper's call stack, except in imported
+//! traces, which record them.
 //!
 //! # Examples
 //!
 //! ```
-//! use bw_trace::{record_model, TraceReader};
+//! use bw_trace::{record_model, DecodedTrace};
 //! use bw_workload::{benchmark, InstSource};
 //!
 //! let model = benchmark("gzip").expect("built-in");
 //! let program = model.build_program(7);
 //! let trace = record_model(model, &program, 7, 5_000);
-//! let mut replay = TraceReader::new(&trace);
+//! let decoded = DecodedTrace::new(&trace);
+//! let mut replay = decoded.reader();
 //! let mut live = model.thread(&program, 7);
 //! for _ in 0..5_000 {
 //!     assert_eq!(replay.step(), live.step());
@@ -58,14 +57,12 @@ mod codec;
 mod decoded;
 mod format;
 mod import;
-mod reader;
 mod record;
 mod stats;
 
 pub use decoded::{DecodedReader, DecodedTrace};
 pub use format::{Trace, TraceMeta, FORMAT_VERSION};
 pub use import::import_text;
-pub use reader::TraceReader;
 pub use record::{record, record_model, REPLAY_SLACK_INSTS};
 pub use stats::{characterize, TraceStats};
 

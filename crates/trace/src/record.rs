@@ -20,8 +20,9 @@ pub const REPLAY_SLACK_INSTS: u64 = 4096;
 /// data-model parameters — not on any machine configuration — so one
 /// recording replays under every predictor/power configuration. Three
 /// event streams are captured (conditional outcome bits, indirect-jump
-/// targets, data addresses); return targets are re-derived at replay
-/// time by mirroring the thread's call-stack discipline.
+/// targets, data addresses); replay runs the thread's own control
+/// algorithm (the shared [`Stepper`](bw_workload::Stepper)), whose call
+/// stack re-derives every return target.
 #[must_use]
 pub fn record(
     name: &str,
@@ -47,7 +48,7 @@ pub fn record(
                 CtiKind::CondBranch => cond.push(resolved.outcome.as_bit() as u8),
                 CtiKind::IndirectJump => indirect.push(resolved.next_pc.0),
                 // Jumps and calls are static; returns replay from the
-                // mirrored call stack.
+                // stepper's call stack.
                 CtiKind::Jump | CtiKind::Call | CtiKind::Return => {}
             }
         }

@@ -7,8 +7,8 @@ use std::fmt;
 use bw_types::CtiKind;
 use bw_workload::InstSource;
 
+use crate::decoded::DecodedTrace;
 use crate::format::Trace;
-use crate::reader::TraceReader;
 
 /// Number of buckets in the inter-branch distance histograms; the last
 /// bucket is open-ended.
@@ -78,7 +78,8 @@ impl TraceStats {
 /// recording.
 #[must_use]
 pub fn characterize(trace: &Trace, max_insts: u64) -> TraceStats {
-    let mut reader = TraceReader::new(trace);
+    let decoded = DecodedTrace::new(trace);
+    let mut reader = decoded.reader();
     let steps = trace.meta().insts.min(max_insts);
     let mut cond = 0u64;
     let mut ctis = 0u64;

@@ -2,7 +2,7 @@
 //! listing must import, replay deterministically, and survive an
 //! encode/decode round-trip; malformed listings must error.
 
-use bw_trace::{import_text, Trace, TraceReader};
+use bw_trace::{import_text, DecodedTrace, Trace};
 use bw_types::CtiKind;
 use bw_workload::InstSource;
 
@@ -37,7 +37,8 @@ fn listing_imports_and_replays() {
     assert_eq!(trace.indirect_count(), 1);
     assert_eq!(trace.data_count(), 4);
 
-    let mut r = TraceReader::new(&trace);
+    let decoded = DecodedTrace::new(&trace);
+    let mut r = decoded.reader();
     let mut kinds = Vec::new();
     let mut outcomes = Vec::new();
     let mut mem = 0u64;
@@ -74,13 +75,14 @@ fn imported_trace_roundtrips() {
     assert_eq!(back.meta().insts, trace.meta().insts);
 }
 
-/// Replay of an imported trace is deterministic: two readers over the
-/// same trace see identical streams.
+/// Replay of an imported trace is deterministic: readers over two
+/// decodes of the same trace see identical streams.
 #[test]
 fn imported_replay_is_deterministic() {
     let trace = import_text("tiny", LISTING).expect("listing imports");
-    let mut a = TraceReader::new(&trace);
-    let mut b = TraceReader::new(&trace);
+    let (da, db) = (DecodedTrace::new(&trace), DecodedTrace::new(&trace));
+    let mut a = da.reader();
+    let mut b = db.reader();
     for _ in 0..trace.meta().insts {
         assert_eq!(a.step(), b.step());
     }

@@ -6,7 +6,7 @@ use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 
-use bw_trace::{record, Trace, TraceReader};
+use bw_trace::{record, DecodedTrace, Trace};
 use bw_types::Addr;
 use bw_workload::{
     benchmark, Block, InstMix, InstSource, StaticProgram, Terminator, Thread, CODE_BASE,
@@ -50,7 +50,8 @@ fn fixture_replays_identically_to_live_thread() {
         t.meta().working_set,
         t.meta().random_frac,
     );
-    let mut replay = TraceReader::new(&t);
+    let decoded = DecodedTrace::new(&t);
+    let mut replay = decoded.reader();
     for i in 0..100_000u64 {
         assert_eq!(replay.step(), live.step(), "diverged at instruction {i}");
     }
@@ -137,7 +138,7 @@ fn empty_trace_roundtrips() {
     assert_eq!(t.data_count(), 0);
     let back = Trace::from_bytes(&t.to_bytes()).expect("empty trace decodes");
     assert_eq!(back.digest(), t.digest());
-    assert_eq!(TraceReader::new(&back).remaining(), 0);
+    assert_eq!(DecodedTrace::new(&back).reader().remaining(), 0);
 }
 
 /// A degenerate single-block program (one tight loop, no conditionals,
@@ -165,7 +166,8 @@ fn single_block_program_roundtrips() {
     let t = record("loop", &program, 1, 1 << 16, 0.0, 500);
     let back = Trace::from_bytes(&t.to_bytes()).expect("decodes");
     let mut live = Thread::with_data_model(&program, 1, 1 << 16, 0.0);
-    let mut replay = TraceReader::new(&back);
+    let decoded = DecodedTrace::new(&back);
+    let mut replay = decoded.reader();
     for i in 0..500u64 {
         assert_eq!(replay.step(), live.step(), "diverged at instruction {i}");
     }
@@ -210,7 +212,8 @@ fn indirect_heavy_program_roundtrips() {
     assert!(t.indirect_count() > 0, "indirect stream exercised");
     let back = Trace::from_bytes(&t.to_bytes()).expect("decodes");
     let mut live = Thread::with_data_model(&program, 9, 1 << 30, 1.0);
-    let mut replay = TraceReader::new(&back);
+    let decoded = DecodedTrace::new(&back);
+    let mut replay = decoded.reader();
     for i in 0..2_000u64 {
         assert_eq!(replay.step(), live.step(), "diverged at instruction {i}");
     }
@@ -241,7 +244,8 @@ proptest! {
         prop_assert_eq!(back.digest(), t.digest());
 
         let mut live = Thread::with_data_model(&program, seed, working_set, random_frac);
-        let mut replay = TraceReader::new(&back);
+        let decoded = DecodedTrace::new(&back);
+    let mut replay = decoded.reader();
         for i in 0..insts {
             let (r, l) = (replay.step(), live.step());
             prop_assert_eq!(r, l, "diverged at instruction {}", i);

@@ -19,7 +19,9 @@
 //!   footprint and data working set, calibrated against Table 2 of the
 //!   paper.
 //! * A [`Thread`] executes the architecturally-correct path (the
-//!   oracle), resolving branch outcomes in program order.
+//!   oracle), resolving branch outcomes in program order. Its control
+//!   algorithm is the [`Stepper`], which trace replay shares: a
+//!   source supplies only the per-instruction [`Choices`].
 //!
 //! # Examples
 //!
@@ -48,6 +50,7 @@ mod builder;
 mod inst;
 mod program;
 mod source;
+mod stepper;
 mod thread;
 pub(crate) mod util;
 
@@ -59,4 +62,5 @@ pub use builder::ProgramBuilder;
 pub use inst::{CtiInfo, DecodedInst};
 pub use program::{Block, InstMix, LayoutError, StaticProgram, Terminator, CODE_BASE, FUNC_BASE};
 pub use source::InstSource;
-pub use thread::{ExecStep, ResolvedCti, Thread, MAX_CALL_DEPTH};
+pub use stepper::{Choices, ExecStep, ResolvedCti, Stepper};
+pub use thread::Thread;

@@ -5,12 +5,15 @@
 //! correct-path fetch with one step from its instruction source. The
 //! source can be a live [`Thread`] (generate mode: behaviour automata
 //! evaluated on the fly) or a trace replayer (replay mode: resolved
-//! outcomes streamed from a recorded file). Both must produce the same
+//! outcomes read from a recorded file). Both must produce the same
 //! [`ExecStep`] sequence for the same workload, which is what makes
-//! record/replay byte-identical.
+//! record/replay byte-identical; both get there by running the one
+//! [`Stepper`](crate::Stepper) over their own
+//! [`Choices`](crate::Choices).
 
 use crate::program::StaticProgram;
-use crate::thread::{ExecStep, Thread};
+use crate::stepper::ExecStep;
+use crate::thread::Thread;
 use bw_types::Addr;
 
 /// A deterministic stream of architecturally executed instructions.

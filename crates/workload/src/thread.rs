@@ -1,37 +1,11 @@
 //! Architectural (correct-path) execution: the oracle.
 
 use crate::behavior::SiteState;
-use crate::program::{StaticProgram, CODE_BASE};
+use crate::inst::DecodedInst;
+use crate::program::StaticProgram;
+use crate::stepper::{Choices, ExecStep, Stepper};
 use crate::util::{mix2, unit_f64};
-use bw_types::{Addr, CtiKind, Outcome};
-
-/// Maximum architectural call depth the oracle tracks. Deeper calls
-/// recycle the oldest frame (like a RAS overflowing), which the
-/// generator's forward-only call discipline makes essentially
-/// unreachable. Public because trace replay must mirror the same
-/// call-stack discipline to reproduce return targets bit-exactly.
-pub const MAX_CALL_DEPTH: usize = 128;
-
-/// The resolved control of an architecturally executed CTI.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ResolvedCti {
-    /// Direction (always [`Outcome::Taken`] for unconditional CTIs).
-    pub outcome: Outcome,
-    /// The actual next PC after this instruction.
-    pub next_pc: Addr,
-}
-
-/// One architecturally executed instruction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ExecStep {
-    /// The decoded instruction.
-    pub inst: crate::inst::DecodedInst,
-    /// Resolved control for CTIs; `None` for straight-line
-    /// instructions.
-    pub control: Option<ResolvedCti>,
-    /// Effective address for loads/stores.
-    pub data_addr: Option<Addr>,
-}
+use bw_types::{Addr, Outcome};
 
 /// Executes a [`StaticProgram`] along the architecturally correct path,
 /// resolving branch outcomes in program order.
@@ -42,7 +16,9 @@ pub struct ExecStep {
 ///
 /// Execution is fully deterministic: outcomes derive from per-site
 /// automata fed by counter-indexed hashes, so two runs with the same
-/// program and seed produce identical instruction streams.
+/// program and seed produce identical instruction streams. The control
+/// algorithm itself is the shared [`Stepper`]; the thread only answers
+/// its choices.
 ///
 /// # Examples
 ///
@@ -58,13 +34,17 @@ pub struct ExecStep {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Thread<'p> {
+    arch: Stepper,
+    draws: Draws<'p>,
+}
+
+/// A thread's choices: behaviour automata and data-model state, all
+/// fed by one counter of hash draws.
+#[derive(Clone, Debug)]
+struct Draws<'p> {
     program: &'p StaticProgram,
-    pc: Addr,
     sites: Vec<SiteState>,
-    ghist: u64,
-    call_stack: Vec<Addr>,
     draws: u64,
-    insts: u64,
     data_salt: u64,
     working_set: u64,
     random_frac: f64,
@@ -89,130 +69,55 @@ impl<'p> Thread<'p> {
         random_frac: f64,
     ) -> Self {
         Thread {
-            program,
-            pc: program.entry(),
-            sites: vec![SiteState::default(); program.site_count()],
-            ghist: 0,
-            call_stack: Vec::with_capacity(MAX_CALL_DEPTH),
-            draws: 0,
-            insts: 0,
-            data_salt: mix2(seed, 0xda7a),
-            working_set: working_set.max(64),
-            random_frac,
-            stream_cursor: 0,
+            arch: Stepper::new(program.entry()),
+            draws: Draws {
+                program,
+                sites: vec![SiteState::default(); program.site_count()],
+                draws: 0,
+                data_salt: mix2(seed, 0xda7a),
+                working_set: working_set.max(64),
+                random_frac,
+                stream_cursor: 0,
+            },
         }
     }
 
     /// The program this thread executes.
     #[must_use]
     pub fn program(&self) -> &'p StaticProgram {
-        self.program
+        self.draws.program
     }
 
     /// The current architectural PC (next instruction to execute).
     #[must_use]
     pub fn pc(&self) -> Addr {
-        self.pc
+        self.arch.pc()
     }
 
     /// Architectural instructions executed so far.
     #[must_use]
     pub fn insts(&self) -> u64 {
-        self.insts
+        self.arch.insts()
     }
 
     /// The actual global branch-outcome history (bit 0 = most recent).
     #[must_use]
     pub fn global_history(&self) -> u64 {
-        self.ghist
+        self.arch.global_history()
     }
 
     /// Executes one instruction and returns it with resolved control.
     pub fn step(&mut self) -> ExecStep {
-        let inst = self.program.decode(self.pc);
-        debug_assert_eq!(inst.pc, self.pc);
-        self.insts += 1;
+        self.arch.step(&mut self.draws)
+    }
+}
 
-        let data_addr = if inst.op.is_mem() {
-            Some(self.next_data_addr())
-        } else {
-            None
-        };
-
-        let control = match inst.cti {
-            None => {
-                self.pc = self.pc.next();
-                None
-            }
-            Some(info) => {
-                let resolved = self.resolve_cti(info);
-                self.pc = resolved.next_pc;
-                Some(resolved)
-            }
-        };
-        ExecStep {
-            inst,
-            control,
-            data_addr,
-        }
+impl Choices for Draws<'_> {
+    fn decode(&self, pc: Addr) -> DecodedInst {
+        self.program.decode(pc)
     }
 
-    fn resolve_cti(&mut self, info: crate::inst::CtiInfo) -> ResolvedCti {
-        let direct_target = info.target;
-        match info.kind {
-            CtiKind::CondBranch => {
-                let site = info
-                    .site
-                    .expect("correct-path conditional branches have sites");
-                let behavior = *self.program.behavior(site);
-                self.draws += 1;
-                let draw = mix2(self.program.salt ^ u64::from(site), self.draws);
-                let outcome = self.sites[site as usize].next_outcome(&behavior, self.ghist, draw);
-                self.ghist = (self.ghist << 1) | outcome.as_bit();
-                let next_pc = if outcome.is_taken() {
-                    direct_target.expect("conditional branches are direct")
-                } else {
-                    self.pc.next()
-                };
-                ResolvedCti { outcome, next_pc }
-            }
-            CtiKind::Jump => ResolvedCti {
-                outcome: Outcome::Taken,
-                next_pc: direct_target.expect("jumps are direct"),
-            },
-            CtiKind::Call => {
-                if self.call_stack.len() >= MAX_CALL_DEPTH {
-                    self.call_stack.remove(0);
-                }
-                self.call_stack.push(self.pc.next());
-                ResolvedCti {
-                    outcome: Outcome::Taken,
-                    next_pc: direct_target.expect("calls are direct"),
-                }
-            }
-            CtiKind::Return => {
-                let next_pc = self.call_stack.pop().unwrap_or(CODE_BASE);
-                ResolvedCti {
-                    outcome: Outcome::Taken,
-                    next_pc,
-                }
-            }
-            CtiKind::IndirectJump => {
-                let targets = self
-                    .program
-                    .indirect_targets(self.pc)
-                    .expect("correct-path indirect jumps come from blocks");
-                self.draws += 1;
-                let pick = mix2(self.program.salt ^ self.pc.0, self.draws) as usize % 4;
-                ResolvedCti {
-                    outcome: Outcome::Taken,
-                    next_pc: targets[pick],
-                }
-            }
-        }
-    }
-
-    fn next_data_addr(&mut self) -> Addr {
+    fn data_addr(&mut self) -> Addr {
         const DATA_BASE: u64 = 0x1000_0000;
         /// Stack/locals region that dominates accesses (high temporal
         /// locality, L1-resident).
@@ -241,13 +146,31 @@ impl<'p> Thread<'p> {
         };
         Addr(DATA_BASE + (offset & !7))
     }
+
+    fn cond_outcome(&mut self, site: Option<u32>, ghist: u64) -> Outcome {
+        let site = site.expect("correct-path conditional branches have sites");
+        let behavior = *self.program.behavior(site);
+        self.draws += 1;
+        let draw = mix2(self.program.salt ^ u64::from(site), self.draws);
+        self.sites[site as usize].next_outcome(&behavior, ghist, draw)
+    }
+
+    fn indirect_target(&mut self, pc: Addr) -> Addr {
+        let targets = self
+            .program
+            .indirect_targets(pc)
+            .expect("correct-path indirect jumps come from blocks");
+        self.draws += 1;
+        let pick = mix2(self.program.salt ^ pc.0, self.draws) as usize % 4;
+        targets[pick]
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::behavior::Behavior;
-    use crate::program::{Block, Terminator, FUNC_BASE};
+    use crate::program::{Block, Terminator, CODE_BASE, FUNC_BASE};
 
     fn looped_program() -> StaticProgram {
         // b0: 1 body + cond site 0 (loop period 4) back to b0

@@ -1,6 +1,6 @@
-//! Round-trip tests for the optional `serde` feature: configurations
-//! and results serialize to JSON and come back intact, enabling
-//! experiment pipelines that persist runs.
+//! Round-trip tests for the serde derives: configurations and results
+//! serialize to JSON and come back intact, enabling experiment
+//! pipelines that persist runs.
 //!
 //! (serde_json is a dev-dependency only; justification in DESIGN.md.)
 
