@@ -1,12 +1,11 @@
 //! Extension study: the BTB size/associativity design space the paper
 //! defers, measured with the gshare-16K direction predictor.
 
-use bw_bench::StudyOut;
 use bw_core::experiments::btb_study;
 use bw_workload::specint7;
 
 fn main() {
-    bw_bench::study_main(|runner, cli, progress| {
-        StudyOut::text(btb_study(runner, &specint7(), &cli.cfg, progress))
+    bw_bench::text_study_main(|runner, cli, progress| {
+        btb_study(runner, &specint7(), &cli.cfg, progress)
     });
 }

@@ -2,12 +2,11 @@
 //! commit-time history update — quantifying why the paper's simulator
 //! models the former.
 
-use bw_bench::StudyOut;
 use bw_core::experiments::spec_history_study;
 use bw_workload::specint7;
 
 fn main() {
-    bw_bench::study_main(|runner, cli, progress| {
-        StudyOut::text(spec_history_study(runner, &specint7(), &cli.cfg, progress))
+    bw_bench::text_study_main(|runner, cli, progress| {
+        spec_history_study(runner, &specint7(), &cli.cfg, progress)
     });
 }

@@ -2,12 +2,11 @@
 //! machine's other levers (window size, memory latency, pipeline
 //! depth), for context around the predictor's lever.
 
-use bw_bench::StudyOut;
 use bw_core::experiments::machine_ablation;
 use bw_workload::specint7;
 
 fn main() {
-    bw_bench::study_main(|runner, cli, progress| {
-        StudyOut::text(machine_ablation(runner, &specint7(), &cli.cfg, progress))
+    bw_bench::text_study_main(|runner, cli, progress| {
+        machine_ablation(runner, &specint7(), &cli.cfg, progress)
     });
 }

@@ -12,7 +12,7 @@ fn main() {
         let rows = ppd_rows(runner, &specint7(), &cli.cfg, progress);
         StudyOut {
             text: fig16_fig17_render(&rows),
-            csv: Some(ppd_csv(&rows)),
+            csv: ppd_csv(&rows),
         }
     });
 }

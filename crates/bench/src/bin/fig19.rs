@@ -12,7 +12,7 @@ fn main() {
         let rows = gating_rows(runner, &specint7(), &cli.cfg, progress);
         StudyOut {
             text: fig19_render(&rows),
-            csv: Some(gating_csv(&rows)),
+            csv: gating_csv(&rows),
         }
     });
 }

@@ -1,10 +1,11 @@
 //! Shared harness for the per-table/per-figure experiment binaries.
 //!
 //! Every binary that runs cells accepts the same flags (the others
-//! refuse what they cannot honour, exit 2: `paper` refuses `--csv`,
-//! the characterization binaries `table2` and `fig14` read only the
-//! budget flags through [`config_from_args`], and the fixed-model
-//! binaries take no arguments, see [`no_args`]):
+//! refuse what they cannot honour, exit 2: `paper` and the text-only
+//! studies ([`text_study_main`]) refuse `--csv`, the characterization
+//! binaries `table2` and `fig14` read only the budget flags through
+//! [`config_from_args`], and the fixed-model binaries take no
+//! arguments, see [`no_args`]):
 //!
 //! * `--quick` — reduced instruction budget (smoke-test scale).
 //! * `--paper` — the full budget (default): 3M-instruction warmup and
@@ -53,7 +54,8 @@
 //! argument parsing, [`Runner`] construction (worker pool + persistent
 //! [`RunCache`]), the stderr progress line, and CSV output. A sweep
 //! binary is one [`sweep_figure_main`] call; a study binary is one
-//! [`study_main`] call.
+//! [`study_main`] call, or one [`text_study_main`] call if it exports
+//! no rows.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -504,36 +506,44 @@ pub fn sweep_figure_main(
 pub struct StudyOut {
     /// The rendered text, printed to stdout.
     pub text: String,
-    /// Machine-readable rows for `--csv`, if the study exports any.
-    pub csv: Option<String>,
+    /// Machine-readable rows, written to the `--csv` file.
+    pub csv: String,
 }
 
-impl StudyOut {
-    /// A text-only study result.
-    #[must_use]
-    pub fn text(text: String) -> Self {
-        StudyOut { text, csv: None }
-    }
-}
-
-/// The whole main function of a study binary: parse flags, hand the
-/// body a [`Runner`] and a progress callback, then print (and
-/// optionally CSV-export) what it returns.
+/// The whole main function of a study binary that exports rows: parse
+/// flags, hand the body a [`Runner`] and a progress callback, then
+/// print its text and, with `--csv`, write its rows.
 pub fn study_main(run: impl FnOnce(&Runner, &Cli, &mut (dyn FnMut(&str) + Send)) -> StudyOut) {
     let cli = Cli::parse_local();
-    let runner = cli.runner();
-    let mut progress = progress_line();
-    let out = run(&runner, &cli, &mut progress);
-    progress_done();
-    cli.finish_audit(&runner);
+    let out = run_study(&cli, run);
     if let Some(path) = &cli.csv {
-        if let Some(rows) = &out.csv {
-            write_csv(path, rows);
-        } else {
-            eprintln!("  (this study has no CSV export; --csv ignored)");
-        }
+        write_csv(path, &out.csv);
     }
     println!("{}", out.text);
+}
+
+/// [`study_main`] for a study that only renders text: it refuses
+/// `--csv` (exit 2) before any cell runs.
+pub fn text_study_main(run: impl FnOnce(&Runner, &Cli, &mut (dyn FnMut(&str) + Send)) -> String) {
+    let cli = Cli::parse_local();
+    if cli.csv.is_some() {
+        bad_flag("--csv does not apply: this study prints text and exports no rows");
+    }
+    println!("{}", run_study(&cli, run));
+}
+
+/// Runs a study body with the progress line on stderr, then reports
+/// the audit.
+fn run_study<T>(
+    cli: &Cli,
+    run: impl FnOnce(&Runner, &Cli, &mut (dyn FnMut(&str) + Send)) -> T,
+) -> T {
+    let runner = cli.runner();
+    let mut progress = progress_line();
+    let out = run(&runner, cli, &mut progress);
+    progress_done();
+    cli.finish_audit(&runner);
+    out
 }
 
 #[cfg(test)]

@@ -57,6 +57,37 @@ fn paper_refuses_csv() {
 }
 
 #[test]
+fn text_only_studies_refuse_csv() {
+    let csv = scratch_path("study.csv");
+    let csv = csv.to_str().expect("utf-8 temp path");
+    for bin in [
+        env!("CARGO_BIN_EXE_ext_btb"),
+        env!("CARGO_BIN_EXE_ext_history"),
+        env!("CARGO_BIN_EXE_ext_jrs"),
+        env!("CARGO_BIN_EXE_ext_machine"),
+        env!("CARGO_BIN_EXE_ext_nextline"),
+        env!("CARGO_BIN_EXE_ext_ppd"),
+    ] {
+        let stderr = assert_refused(
+            bin,
+            &[
+                "--warmup",
+                "2000",
+                "--measure",
+                "1000",
+                "--no-cache",
+                "--jobs",
+                "1",
+                "--csv",
+                csv,
+            ],
+        );
+        assert!(!stderr.contains("running:"), "{bin} ran cells: {stderr}");
+    }
+    assert!(!std::path::Path::new(csv).exists(), "no CSV is written");
+}
+
+#[test]
 fn characterization_binaries_refuse_all_but_the_budget_flags() {
     let csv = scratch_path("chars.csv");
     let csv = csv.to_str().expect("utf-8 temp path");

@@ -1,10 +1,10 @@
 //! Table 1 (machine configuration), Table 2 (benchmark summary) and
 //! Figure 14 (inter-branch distances).
 
-use bw_predictors::PredictorConfig;
+use bw_predictors::{DirectionPredictor, PredictorConfig};
 use bw_types::CtiKind;
 use bw_uarch::UarchConfig;
-use bw_workload::BenchmarkModel;
+use bw_workload::{BenchmarkModel, ExecStep};
 
 use crate::report::{f4, pct, Table};
 use crate::SimConfig;
@@ -111,51 +111,102 @@ pub fn characterization_insts(cfg: &SimConfig) -> u64 {
 }
 
 /// Measures a model's branch statistics and 16K bimodal/gshare
-/// accuracies trace-style (the methodology behind Table 2).
+/// accuracies trace-style (the methodology behind Table 2) over the
+/// first `insts` instructions of its correct-path stream.
+///
+/// Only the CTIs are read, so the thread runs a basic block at a time
+/// ([`Thread::step_to_cti`](bw_workload::Thread::step_to_cti)); each
+/// CTI keeps its index in the stream, so the warm-up cut and the
+/// budget fall exactly where a per-instruction loop puts them.
 #[must_use]
 pub fn trace_stats(model: &BenchmarkModel, insts: u64, seed: u64) -> TraceStats {
     let program = model.build_program(seed);
     let mut thread = model.thread(&program, seed);
-    let mut bimod = PredictorConfig::bimodal(16 * 1024).build();
-    let mut gshare = PredictorConfig::gshare(16 * 1024, 12).build();
-    let warmup = insts * 2 / 5;
-    let (mut cond, mut uncond) = (0u64, 0u64);
-    let (mut b_ok, mut g_ok, mut scored) = (0u64, 0u64, 0u64);
+    let mut tally = Tally::new(insts);
+    loop {
+        let step = thread.step_to_cti();
+        let i = thread.insts() - 1;
+        if i >= insts {
+            return tally.finish();
+        }
+        tally.cti(i, &step);
+    }
+}
 
-    for i in 0..insts {
-        let step = thread.step();
-        if let Some(cti) = step.inst.cti {
-            if cti.kind == CtiKind::CondBranch {
-                cond += 1;
-                let actual = step.control.expect("resolved").outcome;
-                let pc = step.inst.pc;
-                for (pred, ok) in [(&mut bimod, &mut b_ok), (&mut gshare, &mut g_ok)] {
-                    let r = pred.lookup(pc);
-                    if r.pred.outcome != actual {
-                        pred.repair(&r.ckpt);
-                        pred.spec_push(pc, actual);
-                    }
-                    if i > warmup && r.pred.outcome == actual {
-                        *ok += 1;
-                    }
-                    pred.commit(pc, actual, &r.pred);
-                }
-                if i > warmup {
-                    scored += 1;
-                }
-            } else {
-                uncond += 1;
-            }
+/// The counts behind [`TraceStats`], fed one CTI at a time.
+///
+/// The predictors run the scalar lookup/repair/commit protocol, one
+/// branch at a time: batched lookups only guarantee the trained state,
+/// not the predictions that are scored here.
+struct Tally {
+    insts: u64,
+    warmup: u64,
+    bimod: Box<dyn DirectionPredictor + Send>,
+    gshare: Box<dyn DirectionPredictor + Send>,
+    cond: u64,
+    uncond: u64,
+    b_ok: u64,
+    g_ok: u64,
+    scored: u64,
+}
+
+impl Tally {
+    fn new(insts: u64) -> Self {
+        Tally {
+            insts,
+            warmup: insts * 2 / 5,
+            bimod: PredictorConfig::bimodal(16 * 1024).build(),
+            gshare: PredictorConfig::gshare(16 * 1024, 12).build(),
+            cond: 0,
+            uncond: 0,
+            b_ok: 0,
+            g_ok: 0,
+            scored: 0,
         }
     }
-    let cti_total = cond + uncond;
-    TraceStats {
-        cond_freq: cond as f64 / insts as f64,
-        uncond_freq: uncond as f64 / insts as f64,
-        bimod16k: b_ok as f64 / scored.max(1) as f64,
-        gshare16k: g_ok as f64 / scored.max(1) as f64,
-        cond_distance: insts as f64 / cond.max(1) as f64,
-        cti_distance: insts as f64 / cti_total.max(1) as f64,
+
+    /// Counts `step`, the CTI at index `i` of the stream; conditional
+    /// branches past the warm-up train both predictors and are scored.
+    fn cti(&mut self, i: u64, step: &ExecStep) {
+        let cti = step.inst.cti.expect("a CTI step");
+        if cti.kind != CtiKind::CondBranch {
+            self.uncond += 1;
+            return;
+        }
+        self.cond += 1;
+        let actual = step.control.expect("resolved").outcome;
+        let pc = step.inst.pc;
+        let scoring = i > self.warmup;
+        for (pred, ok) in [
+            (&mut self.bimod, &mut self.b_ok),
+            (&mut self.gshare, &mut self.g_ok),
+        ] {
+            let r = pred.lookup(pc);
+            if r.pred.outcome != actual {
+                pred.repair(&r.ckpt);
+                pred.spec_push(pc, actual);
+            }
+            if scoring && r.pred.outcome == actual {
+                *ok += 1;
+            }
+            pred.commit(pc, actual, &r.pred);
+        }
+        if scoring {
+            self.scored += 1;
+        }
+    }
+
+    fn finish(self) -> TraceStats {
+        let insts = self.insts as f64;
+        let scored = self.scored.max(1) as f64;
+        TraceStats {
+            cond_freq: self.cond as f64 / insts,
+            uncond_freq: self.uncond as f64 / insts,
+            bimod16k: self.b_ok as f64 / scored,
+            gshare16k: self.g_ok as f64 / scored,
+            cond_distance: insts / self.cond.max(1) as f64,
+            cti_distance: insts / (self.cond + self.uncond).max(1) as f64,
+        }
     }
 }
 
@@ -223,7 +274,7 @@ pub fn fig14_distances(models: &[&'static BenchmarkModel], insts: u64, seed: u64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bw_workload::{benchmark, specint7};
+    use bw_workload::{all_benchmarks, benchmark, specint7};
 
     #[test]
     fn table1_contains_paper_values() {
@@ -250,6 +301,56 @@ mod tests {
             characterization_insts(&cfg(3_000_000, 1_000_000)),
             4_000_000
         );
+    }
+
+    /// The per-instruction loop [`trace_stats`] replaced: every
+    /// instruction is stepped and decoded, and each CTI is counted at
+    /// its index.
+    fn trace_stats_reference(model: &BenchmarkModel, insts: u64, seed: u64) -> TraceStats {
+        let program = model.build_program(seed);
+        let mut thread = model.thread(&program, seed);
+        let mut tally = Tally::new(insts);
+        for i in 0..insts {
+            let step = thread.step();
+            if step.inst.cti.is_some() {
+                tally.cti(i, &step);
+            }
+        }
+        tally.finish()
+    }
+
+    #[test]
+    fn block_stepping_matches_the_per_instruction_reference() {
+        // The small budgets end in the first blocks; 99 999 and 100 000
+        // are one instruction apart, so the cut falls at different
+        // points of a block's body.
+        for m in all_benchmarks() {
+            for seed in [1, 2, 7] {
+                for insts in [1, 7, 1000, 99_999, 100_000] {
+                    let (got, want) = (
+                        trace_stats(m, insts, seed),
+                        trace_stats_reference(m, insts, seed),
+                    );
+                    let bits = |s: TraceStats| {
+                        [
+                            s.cond_freq,
+                            s.uncond_freq,
+                            s.bimod16k,
+                            s.gshare16k,
+                            s.cond_distance,
+                            s.cti_distance,
+                        ]
+                        .map(f64::to_bits)
+                    };
+                    assert_eq!(
+                        bits(got),
+                        bits(want),
+                        "{} seed {seed} insts {insts}: {got:?} vs {want:?}",
+                        m.name
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -416,7 +416,7 @@ impl StaticProgram {
     /// search.
     #[must_use]
     pub fn decode(&self, pc: Addr) -> DecodedInst {
-        if let Some((block, is_main)) = self.block_at(pc) {
+        if let Some((_, block, is_main)) = self.block_at(pc) {
             return self.decode_in(block, pc, is_main);
         }
         self.decode_wild(pc)
@@ -429,31 +429,48 @@ impl StaticProgram {
         (pc >= CODE_BASE && pc < self.main_end) || (pc >= FUNC_BASE && pc < self.func_end)
     }
 
-    /// The laid-out block holding `pc`, and whether it is in the main
+    /// Laid-out blocks in both regions: the range of the block indices
+    /// [`block_at`](Self::block_at) returns.
+    pub(crate) fn block_count(&self) -> usize {
+        self.main_blocks.len() + self.func_blocks.len()
+    }
+
+    /// The laid-out block holding `pc`, with its index (main blocks
+    /// first, then function blocks) and whether it is in the main
     /// region; `None` for wild addresses.
-    fn block_at(&self, pc: Addr) -> Option<(&Block, bool)> {
+    // Every decode runs this. With the block skip as another caller the
+    // compiler stopped inlining it into decode, which slowed
+    // `Thread::step` measurably.
+    #[inline]
+    pub(crate) fn block_at(&self, pc: Addr) -> Option<(usize, &Block, bool)> {
         let slot = |base: Addr| ((pc.0 - base.0) / INST_BYTES) as usize;
         if pc >= CODE_BASE && pc < self.main_end {
-            let idx = self.main_slot_block[slot(CODE_BASE)];
-            return Some((&self.main_blocks[idx as usize], true));
+            let idx = self.main_slot_block[slot(CODE_BASE)] as usize;
+            return Some((idx, &self.main_blocks[idx], true));
         }
         if pc >= FUNC_BASE && pc < self.func_end {
-            let idx = self.func_slot_block[slot(FUNC_BASE)];
-            return Some((&self.func_blocks[idx as usize], false));
+            let idx = self.func_slot_block[slot(FUNC_BASE)] as usize;
+            return Some((self.main_blocks.len() + idx, &self.func_blocks[idx], false));
         }
         None
     }
 
+    /// Loads and stores among `block`'s body instructions from `from`
+    /// up to its terminator, by the op classes they decode to.
+    pub(crate) fn body_mem_ops(&self, block: &Block, is_main: bool, from: Addr) -> u32 {
+        let mut n = 0;
+        let mut pc = from;
+        while pc < block.term_pc() {
+            n += u32::from(self.body_op(pc, is_main).is_mem());
+            pc = pc.next();
+        }
+        n
+    }
+
     fn decode_in(&self, block: &Block, pc: Addr, is_main: bool) -> DecodedInst {
         debug_assert!(pc >= block.start && pc < block.end());
-        let slot = (pc.0 - block.start.0) / INST_BYTES;
-        if slot < u64::from(block.body_len) {
-            if is_main && !self.main_ops.is_empty() {
-                let main_slot = ((pc.0 - CODE_BASE.0) / INST_BYTES) as usize;
-                let op = self.main_ops[main_slot];
-                return DecodedInst::simple(pc, op, self.dep_for(pc, 1), self.dep_for(pc, 2));
-            }
-            self.body_inst(pc)
+        if pc < block.term_pc() {
+            self.body_inst(pc, is_main)
         } else {
             let info = match block.term {
                 Terminator::CondBranch { site, target } => CtiInfo {
@@ -505,17 +522,29 @@ impl StaticProgram {
     /// Targets of an indirect jump terminator at `pc`, if any.
     #[must_use]
     pub fn indirect_targets(&self, pc: Addr) -> Option<[Addr; 4]> {
-        let (block, _) = self.block_at(pc)?;
+        let (_, block, _) = self.block_at(pc)?;
         match block.term {
             Terminator::IndirectJump { targets } if block.term_pc() == pc => Some(targets),
             _ => None,
         }
     }
 
-    fn body_inst(&self, pc: Addr) -> DecodedInst {
-        let h = mix2(pc.0, self.salt);
-        let op = self.mix.pick(h);
+    fn body_inst(&self, pc: Addr, is_main: bool) -> DecodedInst {
+        let op = self.body_op(pc, is_main);
         DecodedInst::simple(pc, op, self.dep_for(pc, 1), self.dep_for(pc, 2))
+    }
+
+    /// The op class of the straight-line instruction at `pc`: the
+    /// explicit op table's entry in the main region when the program
+    /// carries one, else a hash of the PC picked from the mix.
+    // Inlined into decode for the same reason as `block_at`.
+    #[inline]
+    fn body_op(&self, pc: Addr, is_main: bool) -> OpClass {
+        if is_main && !self.main_ops.is_empty() {
+            self.main_ops[((pc.0 - CODE_BASE.0) / INST_BYTES) as usize]
+        } else {
+            self.mix.pick(mix2(pc.0, self.salt))
+        }
     }
 
     fn dep_for(&self, pc: Addr, which: u64) -> u8 {
@@ -576,7 +605,7 @@ impl StaticProgram {
                     self.dep_for(pc, 0),
                 )
             }
-            _ => self.body_inst(pc),
+            _ => self.body_inst(pc, false),
         }
     }
 }

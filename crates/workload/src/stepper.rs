@@ -140,6 +140,14 @@ impl Stepper {
         }
     }
 
+    /// Moves past `n` straight-line instructions without executing
+    /// them: only the PC and the instruction count advance. The caller
+    /// answers for the choices they would have drawn.
+    pub(crate) fn skip_straight(&mut self, n: u64) {
+        self.pc = self.pc.offset_insts(n);
+        self.insts += n;
+    }
+
     #[inline]
     fn resolve<C: Choices>(&mut self, info: CtiInfo, choices: &mut C) -> ResolvedCti {
         let taken = |next_pc| ResolvedCti {

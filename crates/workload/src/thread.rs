@@ -5,7 +5,7 @@ use crate::inst::DecodedInst;
 use crate::program::StaticProgram;
 use crate::stepper::{Choices, ExecStep, Stepper};
 use crate::util::{mix2, unit_f64};
-use bw_types::{Addr, Outcome};
+use bw_types::{Addr, Outcome, INST_BYTES};
 
 /// Executes a [`StaticProgram`] along the architecturally correct path,
 /// resolving branch outcomes in program order.
@@ -36,7 +36,14 @@ use bw_types::{Addr, Outcome};
 pub struct Thread<'p> {
     arch: Stepper,
     draws: Draws<'p>,
+    /// Loads and stores in each laid-out block's body, by block index
+    /// ([`UNCOUNTED`] until first needed); allocated by the first
+    /// [`Thread::step_to_cti`], so [`Thread::step`] never touches it.
+    body_mem: Vec<u32>,
 }
+
+/// A [`Thread::body_mem`] entry not yet counted.
+const UNCOUNTED: u32 = u32::MAX;
 
 /// A thread's choices: behaviour automata and data-model state, all
 /// fed by one counter of hash draws.
@@ -70,6 +77,7 @@ impl<'p> Thread<'p> {
     ) -> Self {
         Thread {
             arch: Stepper::new(program.entry()),
+            body_mem: Vec::new(),
             draws: Draws {
                 program,
                 sites: vec![SiteState::default(); program.site_count()],
@@ -110,6 +118,84 @@ impl<'p> Thread<'p> {
     pub fn step(&mut self) -> ExecStep {
         self.arch.step(&mut self.draws)
     }
+
+    /// Runs the rest of the current basic block's straight-line body
+    /// without decoding it, then executes the block's terminator and
+    /// returns that step.
+    ///
+    /// The result is exactly the CTI that calling [`step`](Self::step)
+    /// until one returns a CTI would reach, and the thread is left in
+    /// the same state: PC, instruction count, history, and every later
+    /// step, data addresses included. Each skipped load or store still
+    /// advances the data model as its address would, at one hash
+    /// instead of a decode and an address. Outside the laid-out code
+    /// it steps one instruction at a time.
+    pub fn step_to_cti(&mut self) -> ExecStep {
+        let (program, pc) = (self.draws.program, self.arch.pc());
+        if let Some((idx, block, is_main)) = program.block_at(pc) {
+            let mem = if pc == block.start {
+                if self.body_mem.is_empty() {
+                    self.body_mem = vec![UNCOUNTED; program.block_count()];
+                }
+                let count = &mut self.body_mem[idx];
+                if *count == UNCOUNTED {
+                    *count = program.body_mem_ops(block, is_main, pc);
+                }
+                *count
+            } else {
+                program.body_mem_ops(block, is_main, pc)
+            };
+            for _ in 0..mem {
+                self.draws.draw_access();
+            }
+            self.arch
+                .skip_straight((block.term_pc().0 - pc.0) / INST_BYTES);
+        }
+        loop {
+            let step = self.step();
+            if step.control.is_some() {
+                return step;
+            }
+        }
+    }
+}
+
+/// The band one data access falls in, with the hash that drew it.
+enum Access {
+    /// Scattered over the whole working set.
+    Cold(u64),
+    /// The next address of the sequential stream (the cursor has
+    /// already advanced).
+    Stream,
+    /// The hot stack/locals region.
+    Hot(u64),
+}
+
+impl Draws<'_> {
+    /// Draws the next data access's band: one hash, and for a
+    /// streaming access one step of the stream cursor. Everything a
+    /// load or store changes in the thread happens here.
+    #[inline]
+    fn draw_access(&mut self) -> Access {
+        /// Fraction of accesses streaming sequentially through the
+        /// working set (one cold line per few accesses).
+        const STREAM_FRAC: f64 = 0.10;
+        self.draws += 1;
+        let h = mix2(self.data_salt, self.draws);
+        let u = unit_f64(h);
+        // `random_frac` is the model's scatter knob; only a slice of it
+        // produces truly cold accesses — the rest of the program's
+        // references hit the hot region, like real codes.
+        let cold_frac = self.random_frac * 0.03;
+        if u < cold_frac {
+            Access::Cold(h)
+        } else if u < cold_frac + STREAM_FRAC {
+            self.stream_cursor = self.stream_cursor.wrapping_add(8);
+            Access::Stream
+        } else {
+            Access::Hot(h)
+        }
+    }
 }
 
 impl Choices for Draws<'_> {
@@ -122,27 +208,13 @@ impl Choices for Draws<'_> {
         /// Stack/locals region that dominates accesses (high temporal
         /// locality, L1-resident).
         const HOT_BYTES: u64 = 8 * 1024;
-        /// Fraction of accesses streaming sequentially through the
-        /// working set (one cold line per few accesses).
-        const STREAM_FRAC: f64 = 0.10;
-        self.draws += 1;
-        let h = mix2(self.data_salt, self.draws);
-        let u = unit_f64(h);
-        // `random_frac` is the model's scatter knob; only a slice of it
-        // produces truly cold accesses — the rest of the program's
-        // references hit the hot region, like real codes.
-        let cold_frac = self.random_frac * 0.03;
-        let offset = if u < cold_frac {
-            mix2(h, 0x5ca7) % self.working_set
-        } else if u < cold_frac + STREAM_FRAC {
+        let offset = match self.draw_access() {
+            Access::Cold(h) => mix2(h, 0x5ca7) % self.working_set,
             // The stream wraps within an L2-resident window so steady
-            // state produces L1-miss/L2-hit traffic; cold accesses above
+            // state produces L1-miss/L2-hit traffic; cold accesses
             // are what reach memory.
-            let window = self.working_set.min(256 * 1024);
-            self.stream_cursor = self.stream_cursor.wrapping_add(8);
-            self.stream_cursor % window
-        } else {
-            mix2(h, 0x407b) % HOT_BYTES
+            Access::Stream => self.stream_cursor % self.working_set.min(256 * 1024),
+            Access::Hot(h) => mix2(h, 0x407b) % HOT_BYTES,
         };
         Addr(DATA_BASE + (offset & !7))
     }
@@ -171,6 +243,7 @@ mod tests {
     use super::*;
     use crate::behavior::Behavior;
     use crate::program::{Block, Terminator, CODE_BASE, FUNC_BASE};
+    use bw_types::OpClass;
 
     fn looped_program() -> StaticProgram {
         // b0: 1 body + cond site 0 (loop period 4) back to b0
@@ -308,6 +381,68 @@ mod tests {
             }
             assert_eq!(t.global_history(), expect);
         }
+    }
+
+    /// Steps `slow` one instruction at a time up to and including the
+    /// next CTI, and checks that `fast.step_to_cti()` lands on the same
+    /// step in the same state.
+    fn assert_skip_matches(fast: &mut Thread<'_>, slow: &mut Thread<'_>, label: &str) {
+        let want = loop {
+            let s = slow.step();
+            if s.control.is_some() {
+                break s;
+            }
+        };
+        assert_eq!(fast.step_to_cti(), want, "{label}");
+        assert_eq!(fast.insts(), slow.insts(), "{label}");
+        assert_eq!(fast.global_history(), slow.global_history(), "{label}");
+    }
+
+    /// Runs the differential on `program`: block skips, with a single
+    /// step now and then so some skips start mid-block, then plain
+    /// steps from both threads, whose data addresses show that every
+    /// skipped load and store advanced the data model exactly.
+    fn assert_block_stepping_exact(fast: &mut Thread<'_>, slow: &mut Thread<'_>, label: &str) {
+        for round in 0..2_000 {
+            if round % 7 == 3 {
+                assert_eq!(fast.step(), slow.step(), "{label} round {round}");
+            }
+            assert_skip_matches(fast, slow, &format!("{label} round {round}"));
+        }
+        for i in 0..5_000 {
+            assert_eq!(fast.step(), slow.step(), "{label} step {i} after skipping");
+        }
+    }
+
+    #[test]
+    fn step_to_cti_matches_stepping_to_the_next_cti() {
+        for model in crate::all_benchmarks() {
+            for seed in [3, 11] {
+                let p = model.build_program(seed);
+                let (mut fast, mut slow) = (model.thread(&p, seed), model.thread(&p, seed));
+                let label = format!("{} seed {seed}", model.name);
+                assert_block_stepping_exact(&mut fast, &mut slow, &label);
+            }
+        }
+    }
+
+    #[test]
+    fn step_to_cti_reads_an_explicit_op_table() {
+        // Imported traces carry their op classes in a table, not in the
+        // mix; alternate loads and stores so every body has some.
+        let p = crate::benchmark("gcc").unwrap().build_program(3);
+        let ops = p
+            .main_blocks()
+            .iter()
+            .flat_map(|b| {
+                (0..b.body_len)
+                    .map(|i| [OpClass::Load, OpClass::IntAlu, OpClass::Store][i as usize % 3])
+                    .chain(std::iter::once(OpClass::Cti))
+            })
+            .collect();
+        let p = p.with_explicit_main_ops(ops).unwrap();
+        let (mut fast, mut slow) = (Thread::new(&p, 3), Thread::new(&p, 3));
+        assert_block_stepping_exact(&mut fast, &mut slow, "gcc with explicit ops");
     }
 
     #[test]

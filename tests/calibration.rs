@@ -8,47 +8,8 @@
 //! suite-level ordering constraints (gshare's mean must not fall below
 //! bimodal's, as in the paper's Figure 5).
 
-use bw_predictors::PredictorConfig;
+use bw_core::experiments::tables::trace_stats;
 use bw_workload::{all_benchmarks, Suite};
-
-/// Runs `insts` architectural instructions of `model` through a
-/// predictor built from `cfg` (correct-path trace style, with the
-/// speculative-history repair protocol) and returns direction accuracy.
-fn accuracy(model: &bw_workload::BenchmarkModel, cfg: PredictorConfig, insts: u64) -> f64 {
-    let program = model.build_program(0xcaf3);
-    let mut thread = model.thread(&program, 0xcaf3);
-    let mut pred = cfg.build();
-    let warmup = insts * 2 / 5;
-    let (mut correct, mut total) = (0u64, 0u64);
-    let mut seen = 0u64;
-    while seen < insts {
-        let step = thread.step();
-        seen += 1;
-        if !step.inst.is_cond_branch() {
-            continue;
-        }
-        let actual = step.control.expect("cond branch resolves").outcome;
-        let pc = step.inst.pc;
-        let r = pred.lookup(pc);
-        if r.pred.outcome != actual {
-            pred.repair(&r.ckpt);
-            pred.spec_push(pc, actual);
-        }
-        if seen > warmup {
-            total += 1;
-            if r.pred.outcome == actual {
-                correct += 1;
-            }
-        }
-        pred.commit(pc, actual, &r.pred);
-    }
-    assert!(
-        total > 100,
-        "{}: too few branches scored ({total})",
-        model.name
-    );
-    correct as f64 / total as f64
-}
 
 #[test]
 fn table2_accuracy_calibration() {
@@ -65,8 +26,15 @@ fn table2_accuracy_calibration() {
     let mut means = [[0.0f64; 2]; 2]; // [suite][predictor]
     let mut counts = [0usize; 2];
     for m in all_benchmarks() {
-        let bimod = accuracy(m, PredictorConfig::bimodal(16 * 1024), insts);
-        let gshare = accuracy(m, PredictorConfig::gshare(16 * 1024, 12), insts);
+        let stats = trace_stats(m, insts, 0xcaf3);
+        // Branches are scored after the first 40% of the stream.
+        let scored = stats.cond_freq * (insts - insts * 2 / 5) as f64;
+        assert!(
+            scored > 100.0,
+            "{}: too few branches scored ({scored:.0})",
+            m.name
+        );
+        let (bimod, gshare) = (stats.bimod16k, stats.gshare16k);
         let (bt, gt) = (m.bimod16k_target, m.gshare16k_target);
         report.push_str(&format!(
             "{:10} bimod {:.4} (target {:.4}, d {:+.3})  gshare {:.4} (target {:.4}, d {:+.3})\n",
