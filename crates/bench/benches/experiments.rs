@@ -32,9 +32,8 @@ fn bench_experiments(c: &mut Criterion) {
         b.iter(|| black_box(simulate(model, NamedPredictor::Bim4k.config(), &cfg).ipc()));
     });
 
-    // Supervision overhead: the same tiny plan executed strict vs
-    // supervised (panic isolation + cancellation polling). The two
-    // should be within noise of each other (<2% is the budget).
+    // One cell through the runner, as every figure runs it (panic
+    // isolation and cancellation polling around the same simulation).
     let model = benchmark("vortex").expect("built-in");
     let cfg = SimConfig::builder()
         .warmup_insts(50_000)
@@ -48,11 +47,8 @@ fn bench_experiments(c: &mut Criterion) {
         plan
     };
     let runner = Runner::serial();
-    g.bench_function("run_one_cell_strict", |b| {
+    g.bench_function("run_one_cell", |b| {
         b.iter(|| black_box(runner.run(&plan, |_| {}).len()));
-    });
-    g.bench_function("run_one_cell_supervised", |b| {
-        b.iter(|| black_box(runner.run_supervised(&plan, |_| {}).len()));
     });
 
     g.finish();

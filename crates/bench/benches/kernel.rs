@@ -2,21 +2,23 @@
 //! over the decoded bitcode reader, scalar versus batched predictor
 //! protocol, the cycle-level detailed phase
 //! (ns/inst, the share of cycles it ticks rather than fast-forwards,
-//! and machine construction), plus one-cell strict-vs-supervised
-//! overhead — written to `BENCH_kernel.json` at the repo root.
+//! and machine construction), plus the cost of one runner cell —
+//! written to `BENCH_kernel.json` at the repo root.
 //!
 //! Follows the vendored criterion shim's conventions: measurement only
 //! happens when the harness receives `--bench` (as `cargo bench`
 //! passes); under `cargo test` it registers and exits so test runs
 //! stay fast. `BW_BENCH_QUICK=1` shrinks budgets and sample counts for
-//! CI smoke runs.
+//! CI smoke runs and writes the report to
+//! `target/bench-quick/BENCH_kernel.json` instead, so a smoke run
+//! leaves the tracked file as it was.
 
 use std::path::Path;
 use std::time::Instant;
 
 /// The PR this tree corresponds to; stamped into `BENCH_kernel.json`
 /// and its cross-PR history so regressions are attributable.
-const PR: u32 = 15;
+const PR: u32 = 21;
 
 use bw_arrays::{ModelKind, TechParams};
 use bw_core::trace::DecodedTrace;
@@ -407,17 +409,14 @@ fn main() {
         "Machine::run diverged from the one-cycle tick loop"
     );
 
-    // One-cell experiment, strict vs supervised execution.
+    // One cell through the runner, as every figure runs it.
     let plan = {
         let mut plan = RunPlan::new();
         plan.add(model, NamedPredictor::Bim4k.config(), &sim_cfg);
         plan
     };
     let runner = Runner::serial();
-    let (strict_ns, _) = time_min(budget.samples, || runner.run(&plan, |_| {}).len());
-    let (supervised_ns, _) = time_min(budget.samples, || {
-        runner.run_supervised(&plan, |_| {}).len()
-    });
+    let (cell_ns, _) = time_min(budget.samples, || runner.run(&plan, |_| {}).len());
 
     let per = |ns: f64| ns / budget.warm_insts as f64;
     let per_cell = |ns: f64| ns / cell_insts as f64;
@@ -449,9 +448,8 @@ fn main() {
         det_row.machine_new_us
     );
     println!(
-        "kernel/one_cell: strict {:.1} ns/inst, supervised {:.1} ns/inst ({cell_insts} insts)",
-        per_cell(strict_ns),
-        per_cell(supervised_ns)
+        "kernel/one_cell: {:.1} ns/inst ({cell_insts} insts)",
+        per_cell(cell_ns)
     );
 
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -459,11 +457,15 @@ fn main() {
         .nth(2)
         .expect("crates/bench sits two levels below the repo root")
         .to_path_buf();
-    let path = root.join("BENCH_kernel.json");
+    let tracked = root.join("BENCH_kernel.json");
+    let path = match budget.mode {
+        "full" => tracked.clone(),
+        _ => root.join("target/bench-quick/BENCH_kernel.json"),
+    };
 
-    // Cross-PR history: carry forward rows from the previous report
-    // (or seed from its top-level numbers) and append this run's.
-    let prev = std::fs::read_to_string(&path).unwrap_or_default();
+    // Cross-PR history: carry forward rows from the tracked report (or
+    // seed from its top-level numbers) and append this run's.
+    let prev = std::fs::read_to_string(tracked).unwrap_or_default();
     let history = update_history(
         load_history(&prev),
         budget.mode,
@@ -485,8 +487,7 @@ fn main() {
          \"batch_identical\": {batch_identical},\n    \"audit_clean\": {audit_clean}\n  }},\n  \
          \"detailed\": {{\n    \"ns_per_inst\": {det_ns:.2},\n    \"ticked_share\": {ticked:.4},\n    \
          \"machine_new_us\": {new_us:.1},\n    \"run_identical\": {run_identical}\n  }},\n  \
-         \"one_cell\": {{\n    \"strict_ns_per_inst\": {strict:.2},\n    \
-         \"supervised_ns_per_inst\": {supervised:.2}\n  }},\n  \
+         \"one_cell\": {{\n    \"ns_per_inst\": {cell:.2}\n  }},\n  \
          \"history\": {history}\n}}\n",
         pr = PR,
         mode = budget.mode,
@@ -501,8 +502,7 @@ fn main() {
         det_ns = det_row.ns_per_inst,
         ticked = det_row.ticked_share,
         new_us = det_row.machine_new_us,
-        strict = per_cell(strict_ns),
-        supervised = per_cell(supervised_ns),
+        cell = per_cell(cell_ns),
         history = history_json(&history),
     );
     fsutil::atomic_write(&path, json.as_bytes()).expect("write BENCH_kernel.json");

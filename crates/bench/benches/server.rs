@@ -13,14 +13,15 @@
 //! happens when the harness receives `--bench` (as `cargo bench`
 //! passes); under `cargo test` it registers and exits so test runs
 //! stay fast. `BW_BENCH_QUICK=1` shrinks budgets and sample counts for
-//! CI smoke runs.
+//! CI smoke runs and writes both reports under `target/bench-quick/`
+//! instead, so a smoke run leaves the tracked files as they were.
 
 use std::path::Path;
 use std::time::Instant;
 
 /// The PR this tree corresponds to; stamped into `BENCH_server.json`
 /// and its cross-PR history so regressions are attributable.
-const PR: u32 = 13;
+const PR: u32 = 21;
 
 use bw_core::fsutil;
 use bw_server::{CellSpec, CellStatus, Client, Journal, JournalRecord, Server, ServerConfig};
@@ -365,8 +366,14 @@ fn main() {
         .nth(2)
         .expect("crates/bench sits two levels below the repo root")
         .to_path_buf();
-    let path = root.join("BENCH_server.json");
-    let prev = std::fs::read_to_string(&path).unwrap_or_default();
+    // Quick reports go under target/; history always comes from the
+    // tracked files.
+    let out_dir = match budget.mode {
+        "full" => root.clone(),
+        _ => root.join("target/bench-quick"),
+    };
+    let path = out_dir.join("BENCH_server.json");
+    let prev = std::fs::read_to_string(root.join("BENCH_server.json")).unwrap_or_default();
     let history = update_history(
         load_history(&prev),
         budget.mode,
@@ -403,8 +410,8 @@ fn main() {
         budget.recovery_cells
     );
 
-    let recovery_path = root.join("BENCH_daemon_recovery.json");
-    let prev = std::fs::read_to_string(&recovery_path).unwrap_or_default();
+    let recovery_path = out_dir.join("BENCH_daemon_recovery.json");
+    let prev = std::fs::read_to_string(root.join("BENCH_daemon_recovery.json")).unwrap_or_default();
     let mut rows = load_recovery_history(&prev);
     if budget.mode == "full" {
         rows.retain(|r| r.pr != PR);

@@ -25,17 +25,10 @@
 //!   (invariant checks per cycle/commit/recovery; implies no cache)
 //!   and exit nonzero on any violation. Results are identical to an
 //!   unaudited run — the sanitizer is observation-only.
-//! * `--keep-going` (default) — sweep binaries run supervised: a
-//!   panicking, hanging, or corrupted run becomes a failure record,
-//!   every healthy row still renders (missing cells show `-`), the
-//!   failure summary goes to stderr, and the exit status is nonzero.
-//! * `--fail-fast` — the pre-supervision behavior: the first failing
-//!   run unwinds the process.
-//! * `--run-timeout SECS` — sweep binaries only: per-attempt
-//!   wall-clock watchdog for supervised runs (default: none).
-//! * `--retries N` — sweep binaries only: attempts per supervised run
-//!   (default 2, i.e. one retry with backoff). The other binaries run
-//!   their cells strictly, so they refuse both flags (exit 2).
+//! * `--run-timeout SECS` — per-attempt wall-clock watchdog for every
+//!   run (default: none).
+//! * `--retries N` — attempts per run (default 2, i.e. one retry with
+//!   backoff).
 //! * `--server ADDR` — sweep binaries only: submit the cells to a
 //!   shared `bw-server` daemon (`host:port` or `unix:/path`) instead
 //!   of simulating locally, and render from the streamed results. The
@@ -43,6 +36,13 @@
 //!   client and serves its shared run cache. Incompatible with
 //!   `--trace` and `--audit` (those are local-execution modes). The
 //!   other binaries refuse it (exit 2).
+//!
+//! Every run is supervised: a panicking, hanging, or corrupted run
+//! becomes a failure record and the rest of the plan still runs and
+//! reaches the cache. A sweep binary renders every healthy row (missing
+//! cells show `-`), prints the failure summary to stderr and exits 1.
+//! `paper` and the study binaries render only a complete plan, so they
+//! panic naming the first failed run (exit 101).
 //!
 //! Builds with the `fault-inject` feature additionally honour the
 //! `BW_FAULT` environment variable (`kind[:param][xN]@target` clauses,
@@ -66,10 +66,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use bw_core::experiments::{
-    sweep_rows, sweep_rows_supervised, trace_sweep_rows, trace_sweep_rows_supervised,
-    SupervisedSweep, SweepRow,
-};
+use bw_core::experiments::{sweep_rows_supervised, trace_sweep_rows_supervised, SweepRow};
 use bw_core::trace::Trace;
 use bw_core::{RunCache, Runner, SimConfig, Supervision};
 use bw_workload::BenchmarkModel;
@@ -94,9 +91,6 @@ pub struct Cli {
     /// Replay this recorded `.bwt` trace instead of generating
     /// workloads (`--trace FILE`; sweep binaries).
     pub trace: Option<PathBuf>,
-    /// Let the first failing run unwind the process (`--fail-fast`)
-    /// instead of the default supervised keep-going sweep.
-    pub fail_fast: bool,
     /// Per-attempt wall-clock watchdog in seconds (`--run-timeout`).
     pub run_timeout: Option<u64>,
     /// Attempts per supervised run (`--retries N` means N attempts).
@@ -118,10 +112,9 @@ impl Cli {
     }
 
     /// [`Cli::parse`] for the binaries that simulate locally without a
-    /// figure sweep (`paper`, `table2`, `fig14` and the study
-    /// binaries): `--server` and `--trace` only route sweeps, and
-    /// `--run-timeout` and `--retries` only supervise them, so here
-    /// they exit 2 with the usage line instead of being ignored.
+    /// figure sweep (`paper` and the study binaries): `--server` and
+    /// `--trace` only route sweeps, so here they exit 2 with the usage
+    /// line instead of being ignored.
     #[must_use]
     pub fn parse_local() -> Cli {
         let cli = Cli::parse();
@@ -137,10 +130,6 @@ impl Cli {
             Some("--server")
         } else if self.trace.is_some() {
             Some("--trace")
-        } else if self.run_timeout.is_some() {
-            Some("--run-timeout")
-        } else if self.retries.is_some() {
-            Some("--retries")
         } else {
             None
         }
@@ -157,7 +146,6 @@ impl Cli {
             cache_dir: None,
             audit: false,
             trace: None,
-            fail_fast: false,
             run_timeout: None,
             retries: None,
             server: None,
@@ -193,8 +181,6 @@ impl Cli {
                 }
                 "--no-cache" => cli.no_cache = true,
                 "--audit" => cli.audit = true,
-                "--fail-fast" => cli.fail_fast = true,
-                "--keep-going" => cli.fail_fast = false,
                 "--run-timeout" => {
                     i += 1;
                     cli.run_timeout = Some(parse_num(&args, i, "--run-timeout"));
@@ -285,8 +271,7 @@ pub fn bad_flag(msg: &str) -> ! {
         msg,
         "usage: [--quick|--paper] [--warmup N] [--measure N] [--seed N] \
          [--csv FILE] [--jobs N] [--no-cache] [--cache-dir DIR] [--audit] \
-         [--trace FILE] [--keep-going|--fail-fast] [--run-timeout SECS] \
-         [--retries N] [--server ADDR]",
+         [--trace FILE] [--run-timeout SECS] [--retries N] [--server ADDR]",
     )
 }
 
@@ -403,15 +388,13 @@ fn load_trace(path: &Path) -> std::sync::Arc<Trace> {
 }
 
 /// The whole main function of a base-sweep figure binary: parse flags,
-/// run (or re-load) the sweep over `suite` — or replay a `--trace`
-/// recording in its place — write `csv` rows if requested, and print
-/// `title` plus the rendered figure.
+/// run (or re-load) the sweep over `suite` — locally, on a `--server`
+/// daemon, or replaying a `--trace` recording in its place — write
+/// `csv` rows if requested, and print `title` plus the rendered figure.
 ///
-/// By default the sweep runs supervised (`--keep-going`): failed runs
-/// become failure records, every healthy row still renders (renderers
-/// show `-` for a missing cell), the failure summary goes to stderr
-/// and the process exits 1. With `--fail-fast`, the first failing run
-/// unwinds the process instead.
+/// Failed runs become failure records: every healthy row still renders
+/// (renderers show `-` for a missing cell), the failures and their
+/// summary go to stderr and the process exits 1.
 pub fn sweep_figure_main(
     title: &str,
     suite: &[&'static BenchmarkModel],
@@ -419,68 +402,39 @@ pub fn sweep_figure_main(
     render: impl FnOnce(&[SweepRow]) -> String,
 ) {
     let cli = Cli::parse();
-    if let Some(addr) = &cli.server {
+    let runner = cli.runner();
+    let (failures, summary, rows): (Vec<String>, _, _) = if let Some(addr) = &cli.server {
         if cli.trace.is_some() {
             bad_flag("--server and --trace are incompatible (trace replay is local)");
         }
         if cli.audit {
             bad_flag("--server and --audit are incompatible (the sanitizer is local)");
         }
-        let sweep = match remote::remote_sweep_rows(addr, suite, &cli.cfg, progress_line()) {
-            Ok(sweep) => sweep,
-            Err(e) => {
+        let sweep = remote::remote_sweep_rows(addr, suite, &cli.cfg, progress_line())
+            .unwrap_or_else(|e| {
                 eprintln!("\nremote sweep via {addr}: {e}");
                 std::process::exit(2);
-            }
-        };
-        progress_done();
-        if let Some(path) = &cli.csv {
-            write_csv(path, &csv(&sweep.rows));
-        }
-        if !title.is_empty() {
-            println!("{title}\n");
-        }
-        println!("{}", render(&sweep.rows));
-        if sweep.is_degraded() {
-            for f in &sweep.failures {
-                eprintln!("  failed: {f}");
-            }
-            eprintln!("  {}", sweep.summary());
-            std::process::exit(1);
-        }
-        return;
-    }
-    let runner = cli.runner();
-    let (rows, set) = if cli.fail_fast {
-        let rows = match &cli.trace {
-            Some(path) => {
-                let trace = load_trace(path);
-                match trace_sweep_rows(&runner, &trace, &cli.cfg, progress_line()) {
-                    Ok(rows) => rows,
-                    Err(e) => {
-                        eprintln!("\n{e}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            None => sweep_rows(&runner, suite, &cli.cfg, progress_line()),
-        };
-        (rows, None)
+            });
+        let failures = sweep.failures.iter().map(ToString::to_string).collect();
+        (failures, sweep.summary(), sweep.rows)
     } else {
-        let SupervisedSweep { rows, set } = match &cli.trace {
+        let sweep = match &cli.trace {
             Some(path) => {
-                let trace = load_trace(path);
-                match trace_sweep_rows_supervised(&runner, &trace, &cli.cfg, progress_line()) {
-                    Ok(sweep) => sweep,
-                    Err(e) => {
+                trace_sweep_rows_supervised(&runner, &load_trace(path), &cli.cfg, progress_line())
+                    .unwrap_or_else(|e| {
                         eprintln!("\n{e}");
                         std::process::exit(2);
-                    }
-                }
+                    })
             }
             None => sweep_rows_supervised(&runner, suite, &cli.cfg, progress_line()),
         };
-        (rows, Some(set))
+        let failures = sweep
+            .set
+            .failures()
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        (failures, sweep.set.summary(), sweep.rows)
     };
     progress_done();
     cli.finish_audit(&runner);
@@ -491,14 +445,12 @@ pub fn sweep_figure_main(
         println!("{title}\n");
     }
     println!("{}", render(&rows));
-    if let Some(set) = set {
-        if set.is_degraded() {
-            for f in set.failures() {
-                eprintln!("  failed: {f}");
-            }
-            eprintln!("  {}", set.summary());
-            std::process::exit(1);
+    if !failures.is_empty() {
+        for f in &failures {
+            eprintln!("  failed: {f}");
         }
+        eprintln!("  {summary}");
+        std::process::exit(1);
     }
 }
 
@@ -589,16 +541,12 @@ mod tests {
 
     #[test]
     fn supervision_flags_are_parsed() {
-        let cli = parse(&["--fail-fast", "--run-timeout", "30", "--retries", "4"]);
-        assert!(cli.fail_fast);
+        let cli = parse(&["--run-timeout", "30", "--retries", "4"]);
         assert_eq!(cli.run_timeout, Some(30));
         assert_eq!(cli.retries, Some(4));
         let sup = cli.supervision();
         assert_eq!(sup.run_timeout, Some(Duration::from_secs(30)));
         assert_eq!(sup.max_attempts, 4);
-        // --keep-going (the default) undoes --fail-fast.
-        assert!(!parse(&["--fail-fast", "--keep-going"]).fail_fast);
-        assert!(!parse(&[]).fail_fast);
     }
 
     #[test]
@@ -620,14 +568,6 @@ mod tests {
         assert_eq!(
             parse(&["--trace", "gzip.bwt"]).sweep_only_flag(),
             Some("--trace")
-        );
-        assert_eq!(
-            parse(&["--run-timeout", "0"]).sweep_only_flag(),
-            Some("--run-timeout")
-        );
-        assert_eq!(
-            parse(&["--retries", "1"]).sweep_only_flag(),
-            Some("--retries")
         );
     }
 

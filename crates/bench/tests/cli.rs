@@ -37,6 +37,43 @@ fn a_zero_measure_budget_is_refused() {
     assert!(stderr.contains("measure_insts must be nonzero"), "{stderr}");
 }
 
+/// Every plan runs under one supervision policy, so the old switch
+/// between a strict and a supervised sweep is gone: it is an unknown
+/// flag like any other.
+#[test]
+fn the_removed_run_policy_flags_are_refused() {
+    for flag in ["--fail-fast", "--keep-going"] {
+        let stderr = assert_refused(
+            env!("CARGO_BIN_EXE_fig05"),
+            &["--warmup", "1000", "--measure", "1000", "--no-cache", flag],
+        );
+        assert!(stderr.contains("unknown flag"), "{flag}: {stderr}");
+    }
+}
+
+/// The study binaries run supervised like the sweeps, so they honour
+/// the supervision flags instead of refusing them.
+#[test]
+fn studies_honour_the_supervision_flags() {
+    let out = run(
+        env!("CARGO_BIN_EXE_ext_ppd"),
+        &[
+            "--warmup",
+            "2000",
+            "--measure",
+            "1000",
+            "--no-cache",
+            "--retries",
+            "1",
+            "--run-timeout",
+            "600",
+        ],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("PPD savings"));
+}
+
 #[test]
 fn paper_refuses_csv() {
     let csv = scratch_path("paper.csv");
@@ -97,8 +134,8 @@ fn characterization_binaries_refuse_all_but_the_budget_flags() {
         &["--no-cache"],
         &["--audit"],
         &["--cache-dir", "unused-cache"],
-        &["--keep-going"],
-        &["--fail-fast"],
+        &["--run-timeout", "600"],
+        &["--retries", "1"],
         &["--trace", "unused.bwt"],
         &["--server", "127.0.0.1:1"],
         &["--bogus"],

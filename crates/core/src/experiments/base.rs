@@ -24,66 +24,27 @@ pub struct SweepRow {
 }
 
 /// Plans the paper's fourteen predictor configurations over a set of
-/// benchmark models (Section 3.2/3.3) and executes them on `runner`.
+/// benchmark models (Section 3.2/3.3), executes them on `runner`, and
+/// returns every row: [`sweep_rows_supervised`] plus
+/// [`SupervisedRunSet::complete`](crate::supervise::SupervisedRunSet::complete).
 ///
 /// The keys are shared with any other figure planning the same runs:
 /// with a cached runner, regenerating Figures 5, 6 and 7 back-to-back
 /// simulates the sweep once and serves the repeats from the cache.
+///
+/// # Panics
+///
+/// Panics, naming the run, if any run failed; every healthy run still
+/// completes and reaches the cache first.
 pub fn sweep_rows(
     runner: &Runner,
     models: &[&'static BenchmarkModel],
     cfg: &SimConfig,
     progress: impl FnMut(&str) + Send,
 ) -> Vec<SweepRow> {
-    let mut plan = RunPlan::new();
-    let mut keys = Vec::with_capacity(NamedPredictor::FIGURE_ORDER.len() * models.len());
-    for p in NamedPredictor::FIGURE_ORDER {
-        for m in models {
-            let label = format!("{} / {}", p.label(), m.name);
-            keys.push((p, plan.add_labeled(m, p.config(), cfg, label)));
-        }
-    }
-    let mut set = runner.run(&plan, progress);
-    keys.into_iter()
-        .map(|(predictor, key)| SweepRow {
-            predictor,
-            run: set.remove(&key).expect("planned run present"),
-        })
-        .collect()
-}
-
-/// Plans the paper's fourteen predictor configurations over one
-/// recorded trace (replay mode) and executes them on `runner`.
-///
-/// Rows carry the trace's workload name, so the figure renderers
-/// ([`fig05_accuracy_ipc`] etc.) produce the same table shape as a
-/// generated sweep — for a trace recorded from a benchmark model at
-/// the same config, the rows are byte-identical.
-///
-/// # Errors
-///
-/// [`TraceRunError::BudgetExceedsTrace`] if the recording is shorter
-/// than `cfg`'s warmup + measure budget.
-pub fn trace_sweep_rows(
-    runner: &Runner,
-    trace: &Arc<Trace>,
-    cfg: &SimConfig,
-    progress: impl FnMut(&str) + Send,
-) -> Result<Vec<SweepRow>, TraceRunError> {
-    let mut plan = RunPlan::new();
-    let mut keys = Vec::with_capacity(NamedPredictor::FIGURE_ORDER.len());
-    for p in NamedPredictor::FIGURE_ORDER {
-        let label = format!("{} / {} (trace)", p.label(), trace.meta().name);
-        keys.push((p, plan.add_trace(trace, p.config(), cfg, label)?));
-    }
-    let mut set = runner.run(&plan, progress);
-    Ok(keys
-        .into_iter()
-        .map(|(predictor, key)| SweepRow {
-            predictor,
-            run: set.remove(&key).expect("planned run present"),
-        })
-        .collect())
+    let sweep = sweep_rows_supervised(runner, models, cfg, progress);
+    sweep.set.complete();
+    sweep.rows
 }
 
 /// A supervised sweep: the rows that completed plus the typed report
@@ -108,9 +69,10 @@ impl SupervisedSweep {
     }
 }
 
-/// Supervised form of [`sweep_rows`]: failed runs become failure
-/// records instead of unwinding the sweep; every healthy row is still
-/// produced and rendered.
+/// Plans the paper's fourteen predictor configurations over a set of
+/// benchmark models and executes them on `runner`: failed runs become
+/// failure records instead of unwinding the sweep; every healthy row is
+/// still produced and rendered.
 pub fn sweep_rows_supervised(
     runner: &Runner,
     models: &[&'static BenchmarkModel],
@@ -125,7 +87,7 @@ pub fn sweep_rows_supervised(
             keys.push((p, plan.add_labeled(m, p.config(), cfg, label)));
         }
     }
-    let mut set = runner.run_supervised(&plan, progress);
+    let mut set = runner.run(&plan, progress);
     let rows = keys
         .into_iter()
         .filter_map(|(predictor, key)| set.remove(&key).map(|run| SweepRow { predictor, run }))
@@ -133,7 +95,13 @@ pub fn sweep_rows_supervised(
     SupervisedSweep { rows, set }
 }
 
-/// Supervised form of [`trace_sweep_rows`].
+/// Plans the paper's fourteen predictor configurations over one
+/// recorded trace (replay mode) and executes them on `runner`.
+///
+/// Rows carry the trace's workload name, so the figure renderers
+/// ([`fig05_accuracy_ipc`] etc.) produce the same table shape as a
+/// generated sweep — for a trace recorded from a benchmark model at
+/// the same config, the rows are byte-identical.
 ///
 /// # Errors
 ///
@@ -154,22 +122,12 @@ pub fn trace_sweep_rows_supervised(
         let label = format!("{} / {} (trace)", p.label(), trace.meta().name);
         keys.push((p, plan.add_trace(trace, p.config(), cfg, label)?));
     }
-    let mut set = runner.run_supervised(&plan, progress);
+    let mut set = runner.run(&plan, progress);
     let rows = keys
         .into_iter()
         .filter_map(|(predictor, key)| set.remove(&key).map(|run| SweepRow { predictor, run }))
         .collect();
     Ok(SupervisedSweep { rows, set })
-}
-
-/// Serial convenience form of [`sweep_rows`] — the paper's base sweep
-/// on a one-worker, uncached [`Runner`].
-pub fn base_sweep(
-    models: &[&'static BenchmarkModel],
-    cfg: &SimConfig,
-    progress: impl FnMut(&str) + Send,
-) -> Vec<SweepRow> {
-    sweep_rows(&Runner::serial(), models, cfg, progress)
 }
 
 fn benchmarks_of(rows: &[SweepRow]) -> Vec<String> {

@@ -1,6 +1,6 @@
 //! Extension studies beyond the paper's figures.
 //!
-//! * [`jrs_gating_study`] — the paper's Section 4.3 closes by noting
+//! * [`jrs_gating_rows`] — the paper's Section 4.3 closes by noting
 //!   that the impact of predictor accuracy on pipeline gating "may be
 //!   stronger for other confidence estimators" that are separate from
 //!   the predictor. This study runs gating with a standalone JRS
@@ -17,7 +17,9 @@
 //!
 //! Every simulating study takes a [`Runner`] and declares its runs in
 //! a [`RunPlan`], so repeated invocations hit the runner's cache and
-//! independent runs execute in parallel.
+//! independent runs execute in parallel. Each renders only a complete
+//! plan, so it panics, naming the run, if any run failed (see
+//! [`SupervisedRunSet::complete`](crate::supervise::SupervisedRunSet::complete)).
 
 use bw_arrays::{ArrayModel, ArraySpec, BankedArrayModel, ModelKind, TechParams};
 use bw_power::{BpredOptions, PpdScenario};
@@ -41,7 +43,7 @@ pub struct JrsGatingRow {
 
 /// Runs N=0 pipeline gating under both confidence estimators for a
 /// hybrid and a non-hybrid predictor.
-pub fn jrs_gating_study(
+pub fn jrs_gating_rows(
     runner: &Runner,
     models: &[&'static BenchmarkModel],
     cfg: &SimConfig,
@@ -73,7 +75,7 @@ pub fn jrs_gating_study(
             }
         }
     }
-    let mut set = runner.run(&plan, progress);
+    let mut set = runner.run(&plan, progress).complete();
     keys.into_iter()
         .map(|(predictor, estimator, key)| JrsGatingRow {
             predictor,
@@ -152,7 +154,7 @@ pub fn ppd_proportionality_study(
             (*p, plan.add_labeled(model, p.config(), &c, label))
         })
         .collect();
-    let mut set = runner.run(&plan, progress);
+    let mut set = runner.run(&plan, progress).complete();
     let mut t = Table::new(vec![
         "predictor".into(),
         "dir gate rate".into(),
@@ -247,7 +249,7 @@ pub fn spec_history_study(
             keys.push((p, spec, commit));
         }
     }
-    let set = runner.run(&plan, progress);
+    let set = runner.run(&plan, progress).complete();
     let mut t = Table::new(vec![
         "predictor".into(),
         "spec acc".into(),
@@ -318,7 +320,7 @@ pub fn btb_study(
             ));
         }
     }
-    let set = runner.run(&plan, progress);
+    let set = runner.run(&plan, progress).complete();
     let mut t = Table::new(vec![
         "BTB".into(),
         "addr-pred rate".into(),
@@ -388,7 +390,7 @@ pub fn nextline_study(
             ));
         }
     }
-    let set = runner.run(&plan, progress);
+    let set = runner.run(&plan, progress).complete();
     let mut t = Table::new(vec![
         "front end".into(),
         "IPC".into(),
@@ -480,7 +482,7 @@ pub fn machine_ablation(
             ));
         }
     }
-    let set = runner.run(&plan, progress);
+    let set = runner.run(&plan, progress).complete();
     let mut t = Table::new(vec![
         "machine".into(),
         "IPC".into(),
@@ -523,7 +525,7 @@ mod tests {
     #[test]
     fn jrs_gates_a_non_hybrid_predictor() {
         let models = [benchmark("twolf").unwrap()];
-        let rows = jrs_gating_study(&Runner::serial(), &models, &SimConfig::quick(8), |_| {});
+        let rows = jrs_gating_rows(&Runner::serial(), &models, &SimConfig::quick(8), |_| {});
         let gshare_both: Vec<_> = rows
             .iter()
             .filter(|r| r.predictor == NamedPredictor::Gshare32k12 && r.estimator == "both-strong")

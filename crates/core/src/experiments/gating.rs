@@ -23,6 +23,11 @@ pub struct GatingRow {
 /// (large) with "both strong" confidence estimation, at thresholds
 /// N ∈ {0, 1, 2} plus the ungated baseline — and executes it on
 /// `runner`.
+///
+/// # Panics
+///
+/// Panics, naming the run, if any run failed (see
+/// [`SupervisedRunSet::complete`](crate::supervise::SupervisedRunSet::complete)).
 pub fn gating_rows(
     runner: &Runner,
     models: &[&'static BenchmarkModel],
@@ -52,7 +57,7 @@ pub fn gating_rows(
             }
         }
     }
-    let mut set = runner.run(&plan, progress);
+    let mut set = runner.run(&plan, progress).complete();
     keys.into_iter()
         .map(|(predictor, threshold, key)| GatingRow {
             predictor,
@@ -60,15 +65,6 @@ pub fn gating_rows(
             run: set.remove(&key).expect("planned run present"),
         })
         .collect()
-}
-
-/// Serial convenience form of [`gating_rows`].
-pub fn gating_study(
-    models: &[&'static BenchmarkModel],
-    cfg: &SimConfig,
-    progress: impl FnMut(&str) + Send,
-) -> Vec<GatingRow> {
-    gating_rows(&Runner::serial(), models, cfg, progress)
 }
 
 fn norm_metric(
@@ -144,7 +140,7 @@ mod tests {
 
     fn study() -> Vec<GatingRow> {
         let models = [benchmark("twolf").unwrap()];
-        gating_study(&models, &SimConfig::quick(6), |_| {})
+        gating_rows(&Runner::serial(), &models, &SimConfig::quick(6), |_| {})
     }
 
     #[test]

@@ -49,6 +49,11 @@ impl PpdRow {
 /// Plans the PPD study — the paper's 32K-entry GAs predictor
 /// (`GAs_1_32k_8`) over the Section-4 benchmark subset, on a machine
 /// with a PPD — and executes it on `runner`.
+///
+/// # Panics
+///
+/// Panics, naming the run, if any run failed (see
+/// [`SupervisedRunSet::complete`](crate::supervise::SupervisedRunSet::complete)).
 pub fn ppd_rows(
     runner: &Runner,
     models: &[&'static BenchmarkModel],
@@ -69,21 +74,12 @@ pub fn ppd_rows(
             )
         })
         .collect();
-    let mut set = runner.run(&plan, progress);
+    let mut set = runner.run(&plan, progress).complete();
     keys.into_iter()
         .map(|key| PpdRow {
             run: set.remove(&key).expect("planned run present"),
         })
         .collect()
-}
-
-/// Serial convenience form of [`ppd_rows`].
-pub fn ppd_study(
-    models: &[&'static BenchmarkModel],
-    cfg: &SimConfig,
-    progress: impl FnMut(&str) + Send,
-) -> Vec<PpdRow> {
-    ppd_rows(&Runner::serial(), models, cfg, progress)
 }
 
 /// Renders Figures 16 and 17: per-benchmark percentage reductions in
@@ -141,7 +137,7 @@ mod tests {
 
     fn study() -> Vec<PpdRow> {
         let models = [benchmark("gzip").unwrap(), benchmark("gap").unwrap()];
-        ppd_study(&models, &SimConfig::quick(4), |_| {})
+        ppd_rows(&Runner::serial(), &models, &SimConfig::quick(4), |_| {})
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub use sim::{
 };
 pub use supervise::supervision_violations;
 pub use supervise::{
-    CancelToken, Cancelled, QuarantineView, RunFailure, RunOutcome, SupervisedRunSet, Supervision,
+    CancelToken, Cancelled, Quarantine, RunFailure, RunOutcome, SupervisedRunSet, Supervision,
     QUARANTINE_FILE,
 };
 

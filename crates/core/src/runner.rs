@@ -12,9 +12,10 @@
 //!   planning them together executes each simulation once.
 //! * [`Runner`] — executes a plan on a scoped worker pool (sized to
 //!   the machine, or explicitly via [`Runner::with_jobs`]), consulting
-//!   an optional [`RunCache`] first. Simulations are deterministic and
-//!   independent, so parallel execution is observationally identical
-//!   to serial execution.
+//!   an optional [`RunCache`] first, under one supervision policy: a
+//!   failing run becomes a typed record instead of unwinding the plan.
+//!   Simulations are deterministic and independent, so parallel
+//!   execution is observationally identical to serial execution.
 //! * [`RunCache`] — a persistent content-addressed store of completed
 //!   [`RunResult`]s under `results/cache/`, keyed by the run's digest.
 //!
@@ -39,17 +40,15 @@
 
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Duration;
 
 use bw_predictors::PredictorConfig;
 use bw_trace::Trace;
+use bw_types::fnv1a;
 use bw_workload::BenchmarkModel;
 
-use crate::sim::{
-    fnv1a, simulate_with, RunResult, SimConfig, SimControl, SimSource, TraceRunError,
-};
+use crate::sim::{simulate_with, RunResult, SimConfig, SimControl, SimSource, TraceRunError};
 use crate::supervise::{
     attempt_run, CancelToken, Cancelled, Quarantine, RunFailure, RunOutcome, SupervisedRunSet,
     Supervision, QUARANTINE_FILE,
@@ -355,10 +354,8 @@ impl Runner {
         self
     }
 
-    /// Sets the supervision policy used by
-    /// [`run_supervised`](Runner::run_supervised) (watchdog timeout,
-    /// retry budget, quarantine threshold). [`run`](Runner::run) is
-    /// unaffected.
+    /// Sets the supervision policy every [`run`](Runner::run) applies
+    /// (watchdog timeout, retry budget, quarantine threshold).
     #[must_use]
     pub fn supervised(mut self, supervision: Supervision) -> Self {
         self.supervision = supervision;
@@ -437,41 +434,6 @@ impl Runner {
         self.jobs
     }
 
-    /// Executes every run in `plan` under a strict policy: one
-    /// attempt, no watchdog, no quarantine.
-    ///
-    /// `progress` receives each entry's label as it starts (from
-    /// worker threads when running parallel, hence `Send`).
-    ///
-    /// A cache entry that fails validation (corrupt file) is evicted
-    /// and the run re-executes, as on a miss. For typed failure
-    /// reporting instead of unwinding, see
-    /// [`run_supervised`](Runner::run_supervised).
-    ///
-    /// # Panics
-    ///
-    /// Panics, naming the run, if a simulation fails (a simulation
-    /// bug). No run starts after the first failure, but runs already in
-    /// flight on other workers finish and are stored to the cache
-    /// first, so a re-invocation resumes instead of restarting.
-    pub fn run(&self, plan: &RunPlan, progress: impl FnMut(&str) + Send) -> SupervisedRunSet {
-        const STRICT: Supervision = Supervision {
-            run_timeout: None,
-            max_attempts: 1,
-            backoff: Duration::ZERO,
-            quarantine_after: 0,
-        };
-        let set = self.run_plan(plan, STRICT, true, progress);
-        if let Some(f) = set
-            .failures()
-            .iter()
-            .find(|f| f.outcome.is_terminal_failure())
-        {
-            panic!("{f}");
-        }
-        set
-    }
-
     /// Probes the cache for one entry (fault-injection hook included:
     /// an armed `corrupt` fault targeting this entry's label flips
     /// bytes in the cache file just before the read).
@@ -487,39 +449,28 @@ impl Runner {
     }
 
     /// Executes every run in `plan` under the supervision policy
-    /// ([`Runner::supervised`]): each run is isolated with
-    /// `catch_unwind`, watched by a wall-clock deadline, retried with
-    /// backoff, and reported as a typed [`RunOutcome`] instead of
-    /// unwinding the sweep. Keys whose persistent failure count
-    /// reached the quarantine threshold are skipped outright.
+    /// ([`Runner::supervised`]): cache probes in plan order, then the
+    /// misses on `min(jobs, misses)` workers (inline when that is one).
+    /// Each run is isolated with `catch_unwind`, watched by a
+    /// wall-clock deadline, retried with backoff, and reported as a
+    /// typed [`RunOutcome`] instead of unwinding the plan, so one
+    /// failing run costs only that run: every other run completes and
+    /// reaches the cache. Terminal failures are recorded in the
+    /// quarantine ledger beside the cache, and keys whose persistent
+    /// failure count reached the threshold are skipped outright.
     ///
-    /// Healthy runs produce results identical to
-    /// [`run`](Runner::run) — both are the same loop, and supervision
-    /// is pure bookkeeping around the same deterministic simulations.
-    pub fn run_supervised(
-        &self,
-        plan: &RunPlan,
-        progress: impl FnMut(&str) + Send,
-    ) -> SupervisedRunSet {
-        self.run_plan(plan, self.supervision.clone(), false, progress)
-    }
-
-    /// The one execution loop: cache probes in plan order, then the
-    /// misses on `min(jobs, misses)` workers (inline when that is one),
-    /// each under [`attempt_run`] with `sup`. `fail_fast` stops handing
-    /// out misses after the first terminal failure, lets panics print
-    /// as usual and leaves the persistent quarantine ledger alone; runs
-    /// already in flight finish and reach the cache either way.
-    fn run_plan(
-        &self,
-        plan: &RunPlan,
-        sup: Supervision,
-        fail_fast: bool,
-        mut progress: impl FnMut(&str) + Send,
-    ) -> SupervisedRunSet {
+    /// `progress` receives each entry's label as it starts (from
+    /// worker threads when running parallel, hence `Send`).
+    ///
+    /// A cache entry that fails validation (corrupt file) is evicted
+    /// and the run re-executes, as on a miss. A view that can render
+    /// only a complete plan checks the returned set with
+    /// [`SupervisedRunSet::complete`].
+    pub fn run(&self, plan: &RunPlan, mut progress: impl FnMut(&str) + Send) -> SupervisedRunSet {
+        let sup = &self.supervision;
         let mut quarantine = match self.effective_cache() {
-            Some(c) if !fail_fast => Quarantine::load(c.dir().join(QUARANTINE_FILE)),
-            _ => Quarantine::ephemeral(),
+            Some(c) => Quarantine::load(c.dir().join(QUARANTINE_FILE)),
+            None => Quarantine::ephemeral(),
         };
 
         let mut results = HashMap::with_capacity(plan.entries.len());
@@ -573,27 +524,16 @@ impl Runner {
         let executed = misses.len();
 
         let next = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
         let retries = AtomicUsize::new(0);
         let done: Mutex<Vec<(usize, RunOutcome)>> = Mutex::new(Vec::with_capacity(executed));
         let progress: Mutex<&mut (dyn FnMut(&str) + Send)> = Mutex::new(&mut progress);
         let work = || {
-            while !stop.load(Ordering::Relaxed) {
-                let Some(&(i, e)) = misses.get(next.fetch_add(1, Ordering::Relaxed)) else {
-                    break;
-                };
+            while let Some(&(i, e)) = misses.get(next.fetch_add(1, Ordering::Relaxed)) {
                 (progress.lock().expect("progress lock"))(&e.label);
-                let (outcome, tries) =
-                    attempt_run(&sup, !fail_fast, |token| self.simulate_entry(e, token));
+                let (outcome, tries) = attempt_run(sup, |token| self.simulate_entry(e, token));
                 retries.fetch_add(tries as usize, Ordering::Relaxed);
-                match &outcome {
-                    RunOutcome::Ok(r) => {
-                        if let Some(c) = self.effective_cache() {
-                            c.store(&e.key, r);
-                        }
-                    }
-                    _ if fail_fast => stop.store(true, Ordering::Relaxed),
-                    _ => {}
+                if let (RunOutcome::Ok(r), Some(c)) = (&outcome, self.effective_cache()) {
+                    c.store(&e.key, r);
                 }
                 done.lock().expect("result lock").push((i, outcome));
             }
@@ -634,11 +574,9 @@ impl Runner {
             quarantined,
             corrupt_evicted,
             retries: u32::try_from(retries.into_inner()).unwrap_or(u32::MAX),
-            supervision: sup,
+            supervision: sup.clone(),
         };
-        // A fail-fast stop leaves runs unaccounted for on purpose; the
-        // caller panics on it.
-        if let (Some(sink), false) = (&self.audit_sink, stop.into_inner()) {
+        if let Some(sink) = &self.audit_sink {
             let violations = crate::supervise::supervision_violations(plan, &set);
             if !violations.is_empty() {
                 sink.lock().expect("audit sink lock").extend(violations);

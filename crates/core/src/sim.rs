@@ -92,18 +92,8 @@ impl SimConfig {
     /// change invalidates cached results.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        fnv1a(format!("{self:?}").as_bytes())
+        bw_types::fnv1a(format!("{self:?}").as_bytes())
     }
-}
-
-/// FNV-1a, the repo's stable non-cryptographic content hash.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// A validation failure from [`SimConfigBuilder::build`].

@@ -2,10 +2,9 @@
 //! bounded retry with backoff, and the persistent quarantine.
 //!
 //! This module is the machinery behind the runner's one execution loop,
-//! which turns each planned run into a typed [`RunOutcome`].
-//! [`Runner::run_supervised`](crate::Runner::run_supervised) reports
-//! those outcomes; [`Runner::run`](crate::Runner::run) runs the same
-//! loop under a strict policy and panics on the first terminal one:
+//! [`Runner::run`](crate::Runner::run), which turns each planned run
+//! into a typed [`RunOutcome`]. A view that can render only a complete
+//! plan checks the result with [`SupervisedRunSet::complete`]:
 //!
 //! ```text
 //!             ┌───────────── quarantined? ──────────► Quarantined
@@ -38,7 +37,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Once;
 use std::time::{Duration, Instant};
 
 use crate::runner::RunKey;
@@ -241,9 +239,8 @@ impl std::fmt::Display for RunFailure {
 // Policy
 // ---------------------------------------------------------------------
 
-/// Supervision policy for [`Runner::run_supervised`](crate::Runner::run_supervised).
-/// [`Runner::run`](crate::Runner::run) uses a fixed strict policy:
-/// one attempt, no watchdog, no quarantine.
+/// Supervision policy for every [`Runner::run`](crate::Runner::run),
+/// set with [`Runner::supervised`](crate::Runner::supervised).
 #[derive(Clone, Debug)]
 pub struct Supervision {
     /// Per-attempt wall-clock watchdog; `None` disables the deadline.
@@ -378,6 +375,28 @@ impl SupervisedRunSet {
         &self.supervision
     }
 
+    /// Hands the set back if every planned run completed, for views
+    /// that can render only a complete plan. With a cache attached, a
+    /// failed run is already in the quarantine ledger and every healthy
+    /// one in the cache, so a re-invocation resumes instead of
+    /// restarting.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the first terminal failure, as `"{label}: {outcome}"`
+    /// (the payload of a panicking run alone does not say which run it
+    /// came from).
+    pub fn complete(self) -> Self {
+        if let Some(f) = self
+            .failures
+            .iter()
+            .find(|f| f.outcome.is_terminal_failure())
+        {
+            panic!("{f}");
+        }
+        self
+    }
+
     /// A human-readable multi-line failure summary (empty string when
     /// clean).
     #[must_use]
@@ -411,44 +430,6 @@ impl SupervisedRunSet {
 // The attempt loop
 // ---------------------------------------------------------------------
 
-thread_local! {
-    static QUIET_PANICS: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// Installs (once, process-wide) a panic hook that stays silent while
-/// a thread is executing under supervision — the payload is captured
-/// and reported through [`RunOutcome`] instead — and defers to the
-/// previous hook everywhere else.
-fn install_quiet_panic_hook() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if !QUIET_PANICS.with(std::cell::Cell::get) {
-                prev(info);
-            }
-        }));
-    });
-}
-
-struct QuietGuard {
-    prev: bool,
-}
-
-impl QuietGuard {
-    fn engage() -> Self {
-        let prev = QUIET_PANICS.with(|q| q.replace(true));
-        QuietGuard { prev }
-    }
-}
-
-impl Drop for QuietGuard {
-    fn drop(&mut self) {
-        let prev = self.prev;
-        QUIET_PANICS.with(|q| q.set(prev));
-    }
-}
-
 /// Renders a panic payload (the `&str`/`String` forms cover everything
 /// `panic!` produces in this workspace).
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -479,16 +460,12 @@ fn is_trace_payload(message: &str) -> bool {
 /// under fault injection with a bounded firing budget, or a timeout on
 /// a loaded machine) succeeds on retry.
 ///
-/// With `quiet`, a panic prints nothing (its payload is reported
-/// through the outcome); without, the panic hook reports it with its
-/// location as usual, which is what a strict run wants for debugging.
-pub(crate) fn attempt_run<F>(sup: &Supervision, quiet: bool, exec: F) -> (RunOutcome, u32)
+/// A panic still reaches the panic hook, which prints it with its
+/// location; its payload is also recorded in the outcome.
+pub(crate) fn attempt_run<F>(sup: &Supervision, exec: F) -> (RunOutcome, u32)
 where
     F: Fn(&CancelToken) -> Result<RunResult, Cancelled>,
 {
-    if quiet {
-        install_quiet_panic_hook();
-    }
     let mut attempts = 0u32;
     loop {
         attempts += 1;
@@ -496,11 +473,7 @@ where
             Some(timeout) => CancelToken::with_timeout(timeout),
             None => CancelToken::unbounded(),
         };
-        let caught = {
-            let _quiet = quiet.then(QuietGuard::engage);
-            catch_unwind(AssertUnwindSafe(|| exec(&token)))
-        };
-        let outcome = match caught {
+        let outcome = match catch_unwind(AssertUnwindSafe(|| exec(&token))) {
             Ok(Ok(result)) => return (RunOutcome::Ok(Box::new(result)), attempts - 1),
             Ok(Err(Cancelled)) => RunOutcome::TimedOut {
                 limit: sup.run_timeout.unwrap_or_default(),
@@ -540,12 +513,17 @@ pub struct QuarantineEntry {
 }
 
 /// The persistent failure ledger: key digests mapped to their failure
-/// history. Loaded at the start of every supervised execution and
-/// saved (atomically) at the end when anything changed.
+/// history. Loaded at the start of every [`Runner::run`](crate::Runner::run)
+/// and saved (atomically) at the end when anything changed.
+///
+/// Services fronting the runner (the `bw-server` daemon) load it at
+/// admission time too: a key whose recorded failures have crossed
+/// [`Supervision::quarantine_after`] is refused fast instead of
+/// rediscovering the failure per request.
 ///
 /// A malformed or missing file loads as an empty ledger — the
 /// quarantine degrades exactly like the cache it sits next to.
-pub(crate) struct Quarantine {
+pub struct Quarantine {
     /// Ledger file; `None` for an in-memory ledger.
     path: Option<PathBuf>,
     /// Ordered so ledger persistence iterates deterministically.
@@ -564,7 +542,8 @@ impl Quarantine {
     }
 
     /// The entry for a key digest, if any failures are on record.
-    pub(crate) fn entry(&self, digest: u64) -> Option<&QuarantineEntry> {
+    #[must_use]
+    pub fn entry(&self, digest: u64) -> Option<&QuarantineEntry> {
         self.entries.get(&digest)
     }
 
@@ -599,7 +578,8 @@ mod quarantine_persist {
 
     impl Quarantine {
         /// Loads the ledger at `path` (missing or malformed → empty).
-        pub(crate) fn load(path: PathBuf) -> Self {
+        #[must_use]
+        pub fn load(path: PathBuf) -> Self {
             let entries = std::fs::read_to_string(&path)
                 .ok()
                 .and_then(|text| Self::parse(&text))
@@ -667,46 +647,6 @@ mod quarantine_persist {
                 let _ = bw_types::fsutil::atomic_write(path, text.as_bytes());
             }
         }
-    }
-}
-
-/// A read-only snapshot of the quarantine ledger beside a run cache.
-///
-/// Services fronting the runner (the `bw-server` daemon) use this at
-/// admission time: a key whose recorded failures have crossed the
-/// supervision threshold is refused fast with a typed error instead of
-/// rediscovering the failure per request. Like the supervised runner's
-/// own load, a missing or malformed ledger is an empty view.
-pub struct QuarantineView {
-    entries: BTreeMap<u64, (u32, String)>,
-}
-
-impl QuarantineView {
-    /// Loads the ledger stored beside the cache rooted at `cache_dir`.
-    #[must_use]
-    pub fn load(cache_dir: &std::path::Path) -> Self {
-        let q = Quarantine::load(cache_dir.join(QUARANTINE_FILE));
-        QuarantineView {
-            entries: q
-                .entries
-                .iter()
-                .map(|(&d, e)| (d, (e.failures, e.last_error.clone())))
-                .collect(),
-        }
-    }
-
-    /// Recorded failures for a key digest: `(count, last error)`.
-    #[must_use]
-    pub fn failures(&self, digest: u64) -> Option<(u32, &str)> {
-        self.entries.get(&digest).map(|(n, e)| (*n, e.as_str()))
-    }
-
-    /// `true` when `digest` has at least `threshold` recorded failures
-    /// — the same admission rule the supervised runner applies via
-    /// [`Supervision::quarantine_after`].
-    #[must_use]
-    pub fn is_quarantined(&self, digest: u64, threshold: u32) -> bool {
-        self.failures(digest).is_some_and(|(n, _)| n >= threshold)
     }
 }
 
@@ -833,7 +773,7 @@ mod tests {
             backoff: Duration::ZERO,
             ..Supervision::default()
         };
-        let (outcome, retries) = attempt_run(&sup, true, |_| panic!("deliberate test panic"));
+        let (outcome, retries) = attempt_run(&sup, |_| panic!("deliberate test panic"));
         match outcome {
             RunOutcome::Panicked { message, attempts } => {
                 assert_eq!(attempts, 3);
@@ -850,7 +790,7 @@ mod tests {
             max_attempts: 1,
             ..Supervision::default()
         };
-        let (outcome, _) = attempt_run(&sup, true, |_| {
+        let (outcome, _) = attempt_run(&sup, |_| {
             panic!("trace 'gzip-quick' exhausted after 42 instructions; record a longer trace")
         });
         assert!(
@@ -867,7 +807,7 @@ mod tests {
             backoff: Duration::ZERO,
             ..Supervision::default()
         };
-        let (outcome, retries) = attempt_run(&sup, true, |token| {
+        let (outcome, retries) = attempt_run(&sup, |token| {
             assert!(!token.is_cancelled(), "fresh token starts clean");
             Err(Cancelled)
         });

@@ -82,7 +82,7 @@ fn injected_panic_is_isolated_and_marked() {
 
     bw_fault::arm(FaultPlan::new(1).fault(FaultKind::Panic, "cell-b"));
     let _disarm = Disarm;
-    let set = runner.run_supervised(&plan, |_| {});
+    let set = runner.run(&plan, |_| {});
 
     assert_eq!(set.failures().len(), 1);
     let f = &set.failures()[0];
@@ -121,7 +121,7 @@ fn transient_panic_recovers_via_retry() {
 
     bw_fault::arm(FaultPlan::new(2).fault_times(FaultKind::Panic, "cell-a", 1));
     let _disarm = Disarm;
-    let set = runner.run_supervised(&plan, |_| {});
+    let set = runner.run(&plan, |_| {});
 
     assert!(!set.is_degraded(), "{}", set.summary());
     assert_eq!(set.len(), plan.len());
@@ -149,7 +149,7 @@ fn injected_trace_truncation_becomes_trace_error() {
     // makes the reader run dry halfway through.
     bw_fault::arm(FaultPlan::new(3).fault(FaultKind::TruncateTrace(20_000), "trace-cell"));
     let _disarm = Disarm;
-    let set = Runner::serial().run_supervised(&plan, |_| {});
+    let set = Runner::serial().run(&plan, |_| {});
 
     assert!(set.get(&key).is_none());
     assert_eq!(set.failures().len(), 1);
@@ -162,82 +162,45 @@ fn injected_trace_truncation_becomes_trace_error() {
     }
 }
 
-/// The strict (unsupervised) parallel runner still honours its
-/// documented contract — a worker panic propagates — but completed
-/// sibling results are drained into the cache first, so the work is
-/// not lost.
+/// A view that can render only a complete plan fails on an injected
+/// panic, naming the cell, but only after the rest of the plan ran:
+/// every healthy sibling is in the cache and the failure is in the
+/// quarantine ledger, so a re-invocation resumes instead of restarting.
 #[test]
-fn strict_run_drains_completed_results_before_panicking() {
+fn completeness_check_names_the_failed_cell_after_its_siblings_are_cached() {
     let _gate = serial();
-    let dir = temp_dir("drain");
+    let dir = temp_dir("complete");
     let cfg = tiny_cfg(27);
     let (plan, cells) = labelled_plan(&cfg);
     let runner = Runner::with_jobs(2).cached(RunCache::new(dir.clone()));
 
-    bw_fault::arm(FaultPlan::new(4).fault(FaultKind::Panic, "cell-d"));
+    bw_fault::arm(FaultPlan::new(4).fault(FaultKind::Panic, "cell-b"));
     let _disarm = Disarm;
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {})); // silence the expected unwind
-    let outcome =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| runner.run(&plan, |_| {})));
-    std::panic::set_hook(hook);
-    assert!(outcome.is_err(), "strict mode must propagate the panic");
-
-    bw_fault::disarm();
-    let cache = RunCache::new(dir.clone());
-    let stored = cells
-        .iter()
-        .filter(|(_, key)| cache.load(key).is_some())
-        .count();
-    assert!(
-        stored >= plan.len() - 1,
-        "healthy results must reach the cache before the unwind ({stored} stored)"
-    );
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Strict mode fails fast: once a run fails, no further run starts,
-/// and the panic names the failed run (its payload alone does not say
-/// which cell it came from).
-#[test]
-fn strict_run_stops_at_the_first_failure_and_names_it() {
-    let _gate = serial();
-    let dir = temp_dir("fail-fast");
-    let cfg = tiny_cfg(31);
-    let (plan, cells) = labelled_plan(&cfg);
-    let runner = Runner::serial().cached(RunCache::new(dir.clone()));
-
-    bw_fault::arm(FaultPlan::new(5).fault(FaultKind::Panic, "cell-b"));
-    let _disarm = Disarm;
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {})); // silence the expected unwind
-    let outcome =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| runner.run(&plan, |_| {})));
-    std::panic::set_hook(hook);
-    let payload = outcome
+    let set = runner.run(&plan, |_| {});
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| set.complete()))
         .err()
-        .expect("strict mode must propagate the failure");
+        .expect("an incomplete plan must fail the completeness check");
     let message = payload
         .downcast_ref::<String>()
         .cloned()
         .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
         .unwrap_or_default();
     assert!(
-        message.contains("cell-b"),
-        "panic must name the run: {message}"
+        message.contains("cell-b: panicked after 2 attempt(s)"),
+        "the panic must name the failed run: {message}"
     );
 
     bw_fault::disarm();
     let cache = RunCache::new(dir.clone());
     for (label, key) in &cells {
-        if label == "cell-c" || label == "cell-d" {
-            assert!(
-                cache.load(key).is_none(),
-                "{label} started after the failure"
-            );
-        }
+        assert_eq!(
+            cache.load(key).is_some(),
+            label != "cell-b",
+            "{label}: every healthy sibling, and only those, must be cached"
+        );
     }
+    assert!(dir.join(QUARANTINE_FILE).is_file());
+
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -259,7 +222,7 @@ fn chaos_differential_end_to_end() {
     let baseline_cache = RunCache::new(baseline_dir.clone());
     let baseline = Runner::serial()
         .cached(baseline_cache.clone())
-        .run_supervised(&plan, |_| {});
+        .run(&plan, |_| {});
     assert!(!baseline.is_degraded());
     let baseline_bytes: Vec<Vec<u8>> = cells
         .iter()
@@ -294,7 +257,7 @@ fn chaos_differential_end_to_end() {
     let sup = Supervision::default().with_timeout(Duration::from_millis(200));
     let runner = Runner::serial().cached(chaos_cache.clone()).supervised(sup);
     let (plan, _) = labelled_plan(&cfg);
-    let set = runner.run_supervised(&plan, |_| {});
+    let set = runner.run(&plan, |_| {});
 
     // Exactly three failures, one per injected fault.
     assert!(set.is_degraded());
@@ -347,7 +310,7 @@ fn chaos_differential_end_to_end() {
     // execute, the rest are hits, nothing is degraded.
     bw_fault::disarm();
     let (plan, _) = labelled_plan(&cfg);
-    let healed = runner.run_supervised(&plan, |_| {});
+    let healed = runner.run(&plan, |_| {});
     assert!(!healed.is_degraded(), "{}", healed.summary());
     assert_eq!(healed.len(), plan.len());
     assert_eq!((healed.executed(), healed.cache_hits()), (2, 2));

@@ -1,8 +1,7 @@
 //! Differential tests for supervised execution: on healthy plans,
-//! `Runner::run_supervised` must be observationally identical to
-//! `Runner::run` (same results, same cache behaviour), and on failing
-//! plans it must degrade into typed [`RunOutcome`] records instead of
-//! unwinding.
+//! `Runner::run` must return exactly what direct `simulate` calls
+//! produce (and keep the cache's behaviour), and on failing plans it
+//! must degrade into typed [`RunOutcome`] records instead of unwinding.
 //!
 //! Fault-injection differentials live in `chaos.rs`; cache-damage
 //! properties live in `cache_robustness.rs`.
@@ -38,16 +37,13 @@ fn small_plan(cfg: &SimConfig) -> (RunPlan, Vec<bw_core::RunKey>) {
 }
 
 /// The zero-fault acceptance criterion: a healthy supervised sweep is
-/// observationally identical to a strict one — same per-key results,
-/// every run executed, nothing degraded.
+/// observationally identical to simulating each cell directly — same
+/// per-key results, every run executed, nothing degraded.
 #[test]
-fn healthy_supervised_matches_strict_run() {
+fn healthy_run_matches_direct_simulation() {
     let cfg = tiny_cfg(3);
     let (plan, keys) = small_plan(&cfg);
-    let runner = Runner::serial();
-
-    let strict = runner.run(&plan, |_| {});
-    let supervised = runner.run_supervised(&plan, |_| {});
+    let supervised = Runner::serial().run(&plan, |_| {});
 
     assert!(!supervised.is_degraded(), "{}", supervised.summary());
     assert!(supervised.failures().is_empty());
@@ -56,7 +52,8 @@ fn healthy_supervised_matches_strict_run() {
     assert_eq!(supervised.cache_hits(), 0);
     assert_eq!(supervised.retries(), 0);
     for key in &keys {
-        let a = strict.get(key).expect("strict result");
+        let model = benchmark(&key.benchmark()).expect("built-in model");
+        let a = &bw_core::simulate(model, key.predictor(), &cfg);
         let b = supervised.get(key).expect("supervised result");
         assert_eq!(a.stats, b.stats, "stats diverged under supervision");
         assert_eq!(
@@ -74,8 +71,8 @@ fn parallel_supervised_matches_serial() {
     let cfg = tiny_cfg(5);
     let (plan, keys) = small_plan(&cfg);
 
-    let serial = Runner::serial().run_supervised(&plan, |_| {});
-    let parallel = Runner::with_jobs(3).run_supervised(&plan, |_| {});
+    let serial = Runner::serial().run(&plan, |_| {});
+    let parallel = Runner::with_jobs(3).run(&plan, |_| {});
 
     assert!(!parallel.is_degraded(), "{}", parallel.summary());
     assert_eq!(parallel.len(), serial.len());
@@ -99,7 +96,7 @@ fn zero_deadline_times_every_run_out() {
         .with_max_attempts(2);
     let runner = Runner::serial().supervised(sup);
 
-    let set = runner.run_supervised(&plan, |_| {});
+    let set = runner.run(&plan, |_| {});
     assert!(set.is_degraded());
     assert!(set.is_empty(), "a cancelled run must not produce a result");
     assert_eq!(set.failures().len(), plan.len());
@@ -130,7 +127,7 @@ fn generous_deadline_does_not_fire() {
     let key = plan.add(model, NamedPredictor::Bim4k.config(), &cfg);
     let runner =
         Runner::serial().supervised(Supervision::default().with_timeout(Duration::from_secs(300)));
-    let set = runner.run_supervised(&plan, |_| {});
+    let set = runner.run(&plan, |_| {});
     assert!(!set.is_degraded(), "{}", set.summary());
     assert!(set.get(&key).is_some());
 }
@@ -156,10 +153,10 @@ mod persistent {
         let (plan, keys) = small_plan(&cfg);
         let runner = Runner::serial().cached(RunCache::new(dir.clone()));
 
-        let cold = runner.run_supervised(&plan, |_| {});
+        let cold = runner.run(&plan, |_| {});
         assert_eq!((cold.executed(), cold.cache_hits()), (plan.len(), 0));
 
-        let warm = runner.run_supervised(&plan, |_| {});
+        let warm = runner.run(&plan, |_| {});
         assert_eq!(
             (warm.executed(), warm.cache_hits()),
             (0, plan.len()),
@@ -200,7 +197,7 @@ mod persistent {
 
         for round in 1..=2u32 {
             let (plan, _) = plan_one();
-            let set = runner.run_supervised(&plan, |_| {});
+            let set = runner.run(&plan, |_| {});
             assert_eq!(set.failures().len(), 1, "round {round}");
             assert_eq!(set.failures()[0].outcome.kind(), "timed-out");
             assert_eq!(set.quarantined(), 0, "round {round}");
@@ -220,7 +217,7 @@ mod persistent {
             .cached(RunCache::new(dir.clone()))
             .supervised(healthy);
         let (plan, key) = plan_one();
-        let set = runner.run_supervised(&plan, |_| {});
+        let set = runner.run(&plan, |_| {});
         assert_eq!(set.quarantined(), 1);
         assert_eq!(set.executed(), 0);
         assert!(set.get(&key).is_none());
@@ -241,7 +238,7 @@ mod persistent {
         // Removing the quarantine file lifts the ban.
         std::fs::remove_file(dir.join(QUARANTINE_FILE)).unwrap();
         let (plan, key) = plan_one();
-        let set = runner.run_supervised(&plan, |_| {});
+        let set = runner.run(&plan, |_| {});
         assert!(!set.is_degraded(), "{}", set.summary());
         assert!(set.get(&key).is_some());
 

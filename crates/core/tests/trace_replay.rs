@@ -126,7 +126,7 @@ fn audit_replay_roundtrip_invariant_holds() {
 /// from a generated sweep — `fig05 --trace` parity.
 #[test]
 fn fig05_trace_rows_match_generated_rows() {
-    use bw_core::experiments::{fig05_accuracy_ipc, sweep_rows, trace_sweep_rows};
+    use bw_core::experiments::{fig05_accuracy_ipc, sweep_rows, trace_sweep_rows_supervised};
     use bw_core::Runner;
 
     let cfg = SimConfig::builder()
@@ -140,7 +140,9 @@ fn fig05_trace_rows_match_generated_rows() {
     let runner = Runner::serial();
 
     let generated = sweep_rows(&runner, &[model], &cfg, |_| {});
-    let replayed = trace_sweep_rows(&runner, &trace, &cfg, |_| {}).unwrap();
+    let replayed = trace_sweep_rows_supervised(&runner, &trace, &cfg, |_| {})
+        .unwrap()
+        .rows;
     assert_eq!(generated.len(), replayed.len());
     for (g, r) in generated.iter().zip(&replayed) {
         assert_eq!(g.predictor, r.predictor);

@@ -504,7 +504,7 @@ impl RetryPolicy {
         let mut seed = [0_u8; 12];
         seed[..8].copy_from_slice(&salt.to_be_bytes());
         seed[8..].copy_from_slice(&attempt.to_be_bytes());
-        half + crate::journal::fnv1a(&seed) % (capped - half + 1)
+        half + bw_core::types::fnv1a(&seed) % (capped - half + 1)
     }
 }
 

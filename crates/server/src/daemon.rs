@@ -1,5 +1,5 @@
 //! The daemon: acceptor, admission control, single-flight scheduler,
-//! and worker pool around [`Runner::run_supervised`].
+//! and worker pool around [`Runner::run`].
 //!
 //! # Single-flight dedup
 //!
@@ -61,7 +61,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bw_core::{
-    CacheBudget, CacheLookup, QuarantineView, RunCache, RunOutcome, RunPlan, Runner, Supervision,
+    CacheBudget, CacheLookup, Quarantine, RunCache, RunOutcome, RunPlan, Runner, Supervision,
+    QUARANTINE_FILE,
 };
 use serde::Serialize;
 
@@ -655,7 +656,11 @@ fn admit_cells(
     });
     // The ledger is advisory (a snapshot is fine), so it is read before
     // taking the lock; the cache probe is not, so it happens inside.
-    let quarantine = shared.cfg.cache_dir.as_deref().map(QuarantineView::load);
+    let quarantine = shared
+        .cfg
+        .cache_dir
+        .as_deref()
+        .map(|dir| Quarantine::load(dir.join(QUARANTINE_FILE)));
     let threshold = shared.cfg.supervision.quarantine_after;
     let cache = shared.cfg.cache_dir.clone().map(RunCache::new);
 
@@ -675,11 +680,14 @@ fn admit_cells(
         };
         let digest = cell.key.digest();
         if threshold > 0 {
-            if let Some((n, last)) = quarantine.as_ref().and_then(|q| q.failures(digest)) {
-                if n >= threshold {
+            if let Some(q) = quarantine.as_ref().and_then(|q| q.entry(digest)) {
+                if q.failures >= threshold {
                     refuse(
                         RefuseReason::Quarantined,
-                        format!("{n} recorded failures (threshold {threshold}); last: {last}"),
+                        format!(
+                            "{} recorded failures (threshold {threshold}); last: {}",
+                            q.failures, q.last_error
+                        ),
                     );
                     continue;
                 }
@@ -858,7 +866,7 @@ fn run_flight(shared: &Shared, cell: &ResolvedCell) {
     if let Some(dir) = &shared.cfg.cache_dir {
         runner = runner.cached(RunCache::new(dir.clone()));
     }
-    let mut set = runner.run_supervised(&plan, |_| {});
+    let mut set = runner.run(&plan, |_| {});
     shared
         .executed
         .fetch_add(set.executed() as u64, Ordering::SeqCst);
@@ -893,7 +901,7 @@ fn run_flight(shared: &Shared, cell: &ResolvedCell) {
             digest: cell.key.digest(),
         });
     }
-    // The flight is deregistered under the lock, after run_supervised
+    // The flight is deregistered under the lock, after the run
     // has stored the result: a submit either sees the flight (and
     // subscribes to this settle) or sees the cache entry — never
     // neither.

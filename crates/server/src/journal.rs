@@ -38,6 +38,7 @@
 
 use std::path::{Path, PathBuf};
 
+use bw_core::types::fnv1a;
 use serde::{Deserialize, Serialize};
 
 use crate::protocol::WireError;
@@ -45,17 +46,6 @@ use crate::request::CellSpec;
 
 /// The journal's file name inside the cache directory.
 pub const JOURNAL_FILE: &str = "flight-journal.bwj";
-
-/// FNV-1a — the repo's stable non-cryptographic hash, shared by the
-/// trace codec, the run cache, and this journal's line checksums.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// One journal record. See the module docs for when each is written.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]

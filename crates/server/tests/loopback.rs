@@ -110,7 +110,7 @@ fn single_flight_dedup_with_byte_identical_results() {
     }
     let mut local = Runner::serial()
         .cached(RunCache::new(temp_dir("single-flight-local")))
-        .run_supervised(&plan, |_| {});
+        .run(&plan, |_| {});
     assert!(!local.is_degraded(), "{}", local.summary());
     for (i, r) in resolved.iter().enumerate() {
         let local_result = local.remove(&r.key).expect("local result");

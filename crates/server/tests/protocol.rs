@@ -227,9 +227,7 @@ fn written_documents_nest_far_below_the_parser_limit() {
     for c in &cells {
         plan.add_labeled(c.model, c.predictor.config(), &c.cfg, c.label.clone());
     }
-    let mut outputs = Runner::serial()
-        .cached(cache.clone())
-        .run_supervised(&plan, |_| {});
+    let mut outputs = Runner::serial().cached(cache.clone()).run(&plan, |_| {});
 
     let mut deepest = [0; 4];
     for c in &cells {

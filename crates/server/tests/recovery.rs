@@ -134,7 +134,7 @@ fn killed_daemon_resumes_sweep_without_resimulating_completed_cells() {
     }
     let mut local = Runner::serial()
         .cached(RunCache::new(temp_dir("kill-local")))
-        .run_supervised(&plan, |_| {});
+        .run(&plan, |_| {});
     assert!(!local.is_degraded(), "{}", local.summary());
     for (i, r) in resolved.iter().enumerate() {
         let local_result = local.remove(&r.key).expect("local result");

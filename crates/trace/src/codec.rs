@@ -1,18 +1,7 @@
-//! Hand-rolled byte codec: LEB128 varints, zigzag deltas,
-//! run-length-encoded bit streams and the FNV-1a content digest.
+//! Hand-rolled byte codec: LEB128 varints, zigzag deltas and
+//! run-length-encoded bit streams.
 
 use crate::TraceError;
-
-/// FNV-1a over `bytes` (the trace content digest).
-#[must_use]
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Appends `v` as an LEB128 varint (7 bits per byte, high bit =
 /// continuation; at most 10 bytes).
@@ -399,11 +388,5 @@ mod tests {
         let (count, mut bytes) = enc.finish();
         bytes.push(0);
         assert!(DeltaCursor::validate(&bytes, count).is_err());
-    }
-
-    #[test]
-    fn fnv1a_is_stable() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
     }
 }

@@ -25,10 +25,10 @@
 
 use std::path::Path;
 
-use bw_types::{Addr, OpClass};
+use bw_types::{fnv1a, Addr, OpClass};
 use bw_workload::{Behavior, Block, InstMix, StaticProgram, Terminator, CODE_BASE, FUNC_BASE};
 
-use crate::codec::{fnv1a, put_f64, put_str, put_varint, BitRunCursor, Cur, DeltaCursor};
+use crate::codec::{put_f64, put_str, put_varint, BitRunCursor, Cur, DeltaCursor};
 use crate::TraceError;
 
 /// The `.bwt` format version this build reads and writes.

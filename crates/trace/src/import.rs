@@ -458,7 +458,7 @@ impl Layout {
         let program = StaticProgram::try_from_parts(
             // A salt derived from the stream so wild (wrong-path)
             // decode differs between imports.
-            crate::codec::fnv1a(&(records.len() as u64).to_le_bytes()),
+            bw_types::fnv1a(&(records.len() as u64).to_le_bytes()),
             blocks,
             Vec::new(),
             behaviors,

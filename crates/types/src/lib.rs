@@ -31,6 +31,25 @@ pub use addr::{Addr, INST_BYTES};
 pub use inst::{CtiKind, OpClass};
 pub use outcome::Outcome;
 
+/// FNV-1a (64-bit), the workspace's stable non-cryptographic content
+/// hash: configuration and run-key digests, cache and flight-journal
+/// checksums, and the trace content digest. Stored names and files
+/// carry its values, so it must never change.
+///
+/// ```
+/// assert_eq!(bw_types::fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+/// assert_eq!(bw_types::fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+/// ```
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// A simulator cycle count.
 pub type Cycle = u64;
 
