@@ -2,8 +2,9 @@
 //! over the decoded bitcode reader, scalar versus batched predictor
 //! protocol, the cycle-level detailed phase
 //! (ns/inst, the share of cycles it ticks rather than fast-forwards,
-//! and machine construction), plus the cost of one runner cell —
-//! written to `BENCH_kernel.json` at the repo root.
+//! and machine construction), the cost of one runner cell, and of one
+//! 14-predictor trace sweep whose cells share one warm-up — written to
+//! `BENCH_kernel.json` at the repo root.
 //!
 //! Follows the vendored criterion shim's conventions: measurement only
 //! happens when the harness receives `--bench` (as `cargo bench`
@@ -14,13 +15,15 @@
 //! leaves the tracked file as it was.
 
 use std::path::Path;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The PR this tree corresponds to; stamped into `BENCH_kernel.json`
 /// and its cross-PR history so regressions are attributable.
-const PR: u32 = 21;
+const PR: u32 = 22;
 
 use bw_arrays::{ModelKind, TechParams};
+use bw_core::experiments::trace_sweep_rows_supervised;
 use bw_core::trace::DecodedTrace;
 use bw_core::zoo::NamedPredictor;
 use bw_core::{
@@ -28,6 +31,7 @@ use bw_core::{
 };
 use bw_uarch::{Machine, SimStats, UarchConfig};
 use bw_workload::{benchmark, BenchmarkModel};
+use serde::Serialize;
 
 struct Budget {
     mode: &'static str,
@@ -196,13 +200,15 @@ fn sample_replay(samples: u32, mut f: impl FnMut() -> (f64, SimStats)) -> (f64, 
 
 /// One cross-PR history row: the replay-kernel ns/inst pair measured
 /// at a given PR (full mode only, so rows stay comparable), and the
-/// detailed-phase record, which rows from before it was measured lack.
+/// detailed-phase and sweep records, which rows from before they were
+/// measured lack.
 #[derive(Clone, Copy)]
 struct HistoryRow {
     pr: u32,
     scalar: f64,
     batched: f64,
     detailed: Option<DetailedRow>,
+    sweep_ns_per_inst: Option<f64>,
 }
 
 /// The detailed-phase fields of a history row.
@@ -260,6 +266,7 @@ fn load_history(prev: &str) -> Vec<HistoryRow> {
                     scalar,
                     batched,
                     detailed,
+                    sweep_ns_per_inst: field_num(obj, "sweep_ns_per_inst"),
                 });
             }
         }
@@ -274,6 +281,7 @@ fn load_history(prev: &str) -> Vec<HistoryRow> {
                 scalar,
                 batched,
                 detailed: None,
+                sweep_ns_per_inst: None,
             });
         }
     }
@@ -302,8 +310,11 @@ fn history_json(rows: &[HistoryRow]) -> String {
                     d.ns_per_inst, d.ticked_share, d.machine_new_us
                 )
             });
+            let sweep = r.sweep_ns_per_inst.map_or(String::new(), |ns| {
+                format!(", \"sweep_ns_per_inst\": {ns:.2}")
+            });
             format!(
-                "    {{ \"pr\": {}, \"scalar_ns_per_inst\": {:.2}, \"batched_ns_per_inst\": {:.2}{detailed} }}",
+                "    {{ \"pr\": {}, \"scalar_ns_per_inst\": {:.2}, \"batched_ns_per_inst\": {:.2}{detailed}{sweep} }}",
                 r.pr, r.scalar, r.batched
             )
         })
@@ -324,7 +335,7 @@ fn main() {
         .seed(1)
         .build()
         .expect("valid config");
-    let trace = record_trace(model, &sim_cfg);
+    let trace = Arc::new(record_trace(model, &sim_cfg));
     let uarch = UarchConfig::alpha21264_like();
     let cell_insts = budget.warm_insts + budget.measure_insts;
 
@@ -418,6 +429,33 @@ fn main() {
     let runner = Runner::serial();
     let (cell_ns, _) = time_min(budget.samples, || runner.run(&plan, |_| {}).len());
 
+    // The 14-predictor sweep of the trace through one uncached worker,
+    // as `fig05 --trace` runs it: the cells share one warm-up and fork
+    // from it. Byte-identity: every row equals its standalone cell.
+    let sweep_runner = Runner::with_jobs(1);
+    let (sweep_ns, rows) = time_min(budget.samples, || {
+        trace_sweep_rows_supervised(&sweep_runner, &trace, &sim_cfg, |_| {})
+            .expect("record_trace sized the trace for sim_cfg")
+            .rows
+    });
+    let sweep_identical = rows.len() == NamedPredictor::FIGURE_ORDER.len()
+        && rows.iter().all(|row| {
+            let alone = simulate_with(
+                SimSource::Trace(&trace),
+                row.predictor.config(),
+                &sim_cfg,
+                SimControl::default(),
+            )
+            .expect("record_trace sized the trace for sim_cfg")
+            .expect("no token, cannot cancel");
+            alone.to_value() == row.run.to_value()
+        });
+    assert!(
+        sweep_identical,
+        "a shared-warm-up sweep row diverged from its standalone cell"
+    );
+    let sweep_insts = (rows.len() as u64 * cell_insts) as f64;
+
     let per = |ns: f64| ns / budget.warm_insts as f64;
     let per_cell = |ns: f64| ns / cell_insts as f64;
     let speedup = scalar_ns / batched_ns;
@@ -451,6 +489,12 @@ fn main() {
         "kernel/one_cell: {:.1} ns/inst ({cell_insts} insts)",
         per_cell(cell_ns)
     );
+    println!(
+        "kernel/sweep: {:.3} ms, {:.1} ns/inst ({} cells, identical {sweep_identical})",
+        sweep_ns / 1e6,
+        sweep_ns / sweep_insts,
+        rows.len()
+    );
 
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
@@ -474,6 +518,7 @@ fn main() {
             scalar: per(scalar_ns),
             batched: per(batched_ns),
             detailed: Some(det_row),
+            sweep_ns_per_inst: Some(sweep_ns / sweep_insts),
         },
     );
 
@@ -488,6 +533,7 @@ fn main() {
          \"detailed\": {{\n    \"ns_per_inst\": {det_ns:.2},\n    \"ticked_share\": {ticked:.4},\n    \
          \"machine_new_us\": {new_us:.1},\n    \"run_identical\": {run_identical}\n  }},\n  \
          \"one_cell\": {{\n    \"ns_per_inst\": {cell:.2}\n  }},\n  \
+         \"sweep\": {{\n    \"ns_per_inst\": {sweep:.2},\n    \"identical\": {sweep_identical}\n  }},\n  \
          \"history\": {history}\n}}\n",
         pr = PR,
         mode = budget.mode,
@@ -503,6 +549,7 @@ fn main() {
         ticked = det_row.ticked_share,
         new_us = det_row.machine_new_us,
         cell = per_cell(cell_ns),
+        sweep = sweep_ns / sweep_insts,
         history = history_json(&history),
     );
     fsutil::atomic_write(&path, json.as_bytes()).expect("write BENCH_kernel.json");

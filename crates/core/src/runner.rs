@@ -41,14 +41,18 @@
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::Duration;
 
 use bw_predictors::PredictorConfig;
 use bw_trace::Trace;
 use bw_types::fnv1a;
+use bw_uarch::WarmConfig;
 use bw_workload::BenchmarkModel;
 
-use crate::sim::{simulate_with, RunResult, SimConfig, SimControl, SimSource, TraceRunError};
+use crate::sim::{
+    run_cell, RunResult, SimConfig, SimControl, SimSource, TraceRunError, Warmed, Workload,
+};
 use crate::supervise::{
     attempt_run, CancelToken, Cancelled, Quarantine, RunFailure, RunOutcome, SupervisedRunSet,
     Supervision, QUARANTINE_FILE,
@@ -201,6 +205,142 @@ struct PlanEntry {
     source: PlanSource,
     cfg: SimConfig,
     label: String,
+}
+
+impl PlanEntry {
+    fn sim_source(&self) -> SimSource<'_> {
+        match &self.source {
+            PlanSource::Model(model) => SimSource::Model(model),
+            PlanSource::Trace(trace) => SimSource::Trace(trace),
+        }
+    }
+
+    /// What this run's warm-up depends on.
+    fn warm_key(&self) -> WarmKey {
+        WarmKey {
+            workload: self.key.workload,
+            seed: self.cfg.seed,
+            warmup_insts: self.cfg.warmup_insts,
+            warm: self.cfg.uarch.warm_config(),
+        }
+    }
+}
+
+/// Everything a run's warm-up depends on: the workload identity (model
+/// name, or a trace's `name@digest`), the seed, the warm-up budget and
+/// the [`WarmConfig`], the only part of the machine configuration the
+/// warm-up reads. Runs with equal warm keys warm identically, so
+/// [`Runner::run`] warms each key once and forks every run of it from
+/// that one warm-up.
+#[derive(PartialEq, Eq, Hash)]
+struct WarmKey {
+    workload: WorkloadId,
+    seed: u64,
+    warmup_insts: u64,
+    warm: WarmConfig,
+}
+
+/// One warm group's shared warm-up. The first of the group's runs to
+/// need it computes it, inside its own supervised attempt; the others
+/// wait for it, then fork. A warm-up that is cancelled or panics
+/// publishes nothing, and the next run of the group to need it
+/// computes it again. The state is dropped when the group's last run
+/// ends (or handed to that run, when it is the last one left), so a
+/// plan holds at most one live warm-up per worker plus one.
+struct WarmSlot<'w> {
+    state: Mutex<SlotState<'w>>,
+    published: Condvar,
+}
+
+struct SlotState<'w> {
+    warm: Option<Arc<Warmed<'w>>>,
+    /// A run is computing the warm-up.
+    warming: bool,
+    /// Runs of the group that have not ended.
+    runs_left: usize,
+}
+
+impl<'w> WarmSlot<'w> {
+    /// How often a run waiting for a sibling's warm-up polls its own
+    /// cancel token.
+    const POLL: Duration = Duration::from_millis(10);
+
+    fn new(runs: usize) -> Self {
+        WarmSlot {
+            state: Mutex::new(SlotState {
+                warm: None,
+                warming: false,
+                runs_left: runs,
+            }),
+            published: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, SlotState<'w>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The group's warm-up: the published one, or `compute`'s when no
+    /// sibling is computing it, waiting (while `token` holds) for one
+    /// that is. The group's last run left takes the state out of the
+    /// slot, so its machine moves it instead of copying it.
+    fn acquire(
+        &self,
+        token: Option<&CancelToken>,
+        compute: impl FnOnce() -> Result<Warmed<'w>, Cancelled>,
+    ) -> Result<Arc<Warmed<'w>>, Cancelled> {
+        let mut s = self.lock();
+        loop {
+            if let Some(warm) = &s.warm {
+                let warm = Arc::clone(warm);
+                if s.runs_left == 1 {
+                    s.warm = None;
+                }
+                return Ok(warm);
+            }
+            if !s.warming {
+                break;
+            }
+            if token.is_some_and(CancelToken::is_cancelled) {
+                return Err(Cancelled);
+            }
+            s = self
+                .published
+                .wait_timeout(s, Self::POLL)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+        s.warming = true;
+        drop(s);
+        // Clears the claim however `compute` ends, unwinding included,
+        // and wakes the waiters to take the result or the claim.
+        struct Claim<'a, 'w>(&'a WarmSlot<'w>);
+        impl Drop for Claim<'_, '_> {
+            fn drop(&mut self) {
+                self.0.lock().warming = false;
+                self.0.published.notify_all();
+            }
+        }
+        let claim = Claim(self);
+        let warm = Arc::new(compute()?);
+        let mut s = self.lock();
+        if s.runs_left > 1 {
+            s.warm = Some(Arc::clone(&warm));
+        }
+        drop(s);
+        drop(claim);
+        Ok(warm)
+    }
+
+    /// Records that one of the group's runs ended; the last drops the
+    /// warm-up.
+    fn run_ended(&self) {
+        let mut s = self.lock();
+        s.runs_left -= 1;
+        if s.runs_left == 0 {
+            s.warm = None;
+        }
+    }
 }
 
 /// The deduplicated, ordered set of simulations a group of figures
@@ -399,29 +539,40 @@ impl Runner {
         self.cache.as_ref()
     }
 
-    /// Simulates one planned run under `token`, auditing if enabled.
-    /// Under `fault-inject` the entry's label becomes the thread's
-    /// ambient injection scope, so faults can target runs by the same
-    /// labels a human sees in progress output.
+    /// Simulates one planned run under `token`, auditing if enabled,
+    /// from its warm group's shared warm-up (built from `workload` by
+    /// whichever run of the group gets there first). Under
+    /// `fault-inject` the entry's label becomes the thread's ambient
+    /// injection scope, so faults can target runs by the same labels a
+    /// human sees in progress output.
     ///
     /// # Errors
     ///
     /// [`Cancelled`] when the token fired before the run completed.
-    fn simulate_entry(&self, e: &PlanEntry, token: &CancelToken) -> Result<RunResult, Cancelled> {
+    fn simulate_entry<'w>(
+        &self,
+        e: &'w PlanEntry,
+        workload: &'w OnceLock<Workload<'w>>,
+        slot: &WarmSlot<'w>,
+        token: &CancelToken,
+    ) -> Result<RunResult, Cancelled> {
         #[cfg(feature = "fault-inject")]
         let _scope = bw_fault::ScopeGuard::enter(&e.label);
-        let source = match &e.source {
-            PlanSource::Model(model) => SimSource::Model(model),
-            PlanSource::Trace(trace) => SimSource::Trace(trace),
-        };
         let ctl = SimControl::default().cancel_on(token);
         let mut violations = Vec::new();
         let ctl = match &self.audit_sink {
             Some(_) => ctl.audit_into(&mut violations),
             None => ctl,
         };
-        let run = simulate_with(source, e.key.predictor, &e.cfg, ctl)
-            .expect("trace budget was validated at plan time");
+        let warm = |token: Option<&CancelToken>| {
+            slot.acquire(token, || {
+                workload
+                    .get_or_init(|| Workload::new(e.sim_source(), e.cfg.seed))
+                    .warm(&e.cfg, token)
+            })
+        };
+        let name = e.sim_source().name();
+        let run = run_cell(warm, name, e.key.predictor, &e.cfg, ctl);
         if let (Some(sink), false) = (&self.audit_sink, violations.is_empty()) {
             sink.lock().expect("audit sink lock").extend(violations);
         }
@@ -459,8 +610,19 @@ impl Runner {
     /// quarantine ledger beside the cache, and keys whose persistent
     /// failure count reached the threshold are skipped outright.
     ///
+    /// Misses that differ only in what the warm-up does not read (the
+    /// predictor, gating, the PPD scenario, the power options, the
+    /// measured budget) form one warm group and run back to back: the
+    /// group's program is built or its trace decoded once, its first
+    /// run computes the warm-up, and every run forks its machine from
+    /// that warm-up ([`Machine::from_warmed`](bw_uarch::Machine::from_warmed)),
+    /// which leaves every result byte-identical to a standalone
+    /// [`simulate_with`](crate::simulate_with). Results, failures and
+    /// the summary keep plan order.
+    ///
     /// `progress` receives each entry's label as it starts (from
-    /// worker threads when running parallel, hence `Send`).
+    /// worker threads when running parallel, hence `Send`), in group
+    /// order.
     ///
     /// A cache entry that fails validation (corrupt file) is evicted
     /// and the run re-executes, as on a miss. A view that can render
@@ -523,14 +685,41 @@ impl Runner {
         }
         let executed = misses.len();
 
+        // Warm groups in order of first appearance, each group's misses
+        // back to back, so a group's warm-up is live only while its
+        // runs are.
+        let mut group_of: HashMap<WarmKey, usize> = HashMap::new();
+        let mut groups: Vec<Vec<(usize, &PlanEntry)>> = Vec::new();
+        for &(i, e) in &misses {
+            let g = *group_of.entry(e.warm_key()).or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+            groups[g].push((i, e));
+        }
+        let queue: Vec<(usize, &PlanEntry, usize)> = groups
+            .iter()
+            .enumerate()
+            .flat_map(|(g, runs)| runs.iter().map(move |&(i, e)| (i, e, g)))
+            .collect();
+        let workloads: Vec<OnceLock<Workload<'_>>> =
+            groups.iter().map(|_| OnceLock::new()).collect();
+        let slots: Vec<WarmSlot<'_>> = groups
+            .iter()
+            .map(|runs| WarmSlot::new(runs.len()))
+            .collect();
+
         let next = AtomicUsize::new(0);
         let retries = AtomicUsize::new(0);
         let done: Mutex<Vec<(usize, RunOutcome)>> = Mutex::new(Vec::with_capacity(executed));
         let progress: Mutex<&mut (dyn FnMut(&str) + Send)> = Mutex::new(&mut progress);
         let work = || {
-            while let Some(&(i, e)) = misses.get(next.fetch_add(1, Ordering::Relaxed)) {
+            while let Some(&(i, e, g)) = queue.get(next.fetch_add(1, Ordering::Relaxed)) {
                 (progress.lock().expect("progress lock"))(&e.label);
-                let (outcome, tries) = attempt_run(sup, |token| self.simulate_entry(e, token));
+                let (outcome, tries) = attempt_run(sup, |token| {
+                    self.simulate_entry(e, &workloads[g], &slots[g], token)
+                });
+                slots[g].run_ended();
                 retries.fetch_add(tries as usize, Ordering::Relaxed);
                 if let (RunOutcome::Ok(r), Some(c)) = (&outcome, self.effective_cache()) {
                     c.store(&e.key, r);
@@ -538,7 +727,7 @@ impl Runner {
                 done.lock().expect("result lock").push((i, outcome));
             }
         };
-        match self.jobs.min(misses.len()) {
+        match self.jobs.min(queue.len()) {
             0 | 1 => work(),
             workers => std::thread::scope(|s| {
                 for _ in 0..workers {
@@ -569,6 +758,7 @@ impl Runner {
         let set = SupervisedRunSet {
             results,
             failures: failures.into_iter().map(|(_, f)| f).collect(),
+            planned: plan.len(),
             executed,
             cache_hits,
             quarantined,
@@ -1167,6 +1357,63 @@ mod tests {
         let labels = Mutex::new(Vec::new());
         Runner::serial().run(&plan, |l| labels.lock().unwrap().push(l.to_string()));
         assert_eq!(labels.into_inner().unwrap(), vec!["custom label"]);
+    }
+
+    /// A warm-up cancelled or panicking in one run publishes nothing:
+    /// the group's next run computes it itself, a later sibling takes
+    /// the published one, and a fork from it is the run a standalone
+    /// simulation produces.
+    #[test]
+    fn a_cancelled_warm_up_is_recomputed_by_a_sibling() {
+        let cfg = SimConfig::builder()
+            .warmup_insts(30_000)
+            .measure_insts(5_000)
+            .seed(9)
+            .build()
+            .unwrap();
+        let model = benchmark("gzip").unwrap();
+        let predictor = NamedPredictor::Gshare16k12.config();
+        let workload = Workload::new(SimSource::Model(model), cfg.seed);
+        let slot = WarmSlot::new(3);
+
+        let cancelled = CancelToken::unbounded();
+        cancelled.cancel();
+        let first = slot.acquire(Some(&cancelled), || workload.warm(&cfg, Some(&cancelled)));
+        assert!(first.is_err(), "a cancelled warm-up fails its run");
+        let second = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            slot.acquire(None, || panic!("a failing warm-up"))
+        }));
+        assert!(second.is_err(), "a panicking warm-up fails its run");
+        {
+            let s = slot.lock();
+            assert!(!s.warming && s.warm.is_none(), "nothing was published");
+        }
+
+        let mut computed = false;
+        let warm = slot
+            .acquire(None, || {
+                computed = true;
+                workload.warm(&cfg, None)
+            })
+            .unwrap();
+        assert!(computed, "the next run computes the warm-up itself");
+        let again = slot
+            .acquire(None, || unreachable!("the warm-up is published"))
+            .unwrap();
+        assert!(Arc::ptr_eq(&warm, &again));
+        drop(again);
+
+        let forked = run_cell(
+            |_| Ok(warm),
+            model.name,
+            predictor,
+            &cfg,
+            SimControl::default(),
+        )
+        .expect("no token, cannot cancel");
+        let standalone = crate::sim::simulate(model, predictor, &cfg);
+        let value = serde::Serialize::to_value;
+        assert!(value(&forked) == value(&standalone));
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! One full simulation: warmup + measured run, with re-priceable
 //! results.
 
+use std::borrow::Cow;
+use std::sync::Arc;
+
 use bw_arrays::{ModelKind, TechParams};
 use bw_power::{BpredOptions, BpredPower, BpredTotals, EnergyReport, Unit};
 use bw_predictors::PredictorConfig;
-use bw_trace::{DecodedTrace, Trace, REPLAY_SLACK_INSTS};
-use bw_uarch::{Machine, SimStats, UarchConfig};
-use bw_workload::{BenchmarkModel, InstSource};
+use bw_trace::{DecodedReader, DecodedTrace, Trace, REPLAY_SLACK_INSTS};
+use bw_uarch::{Machine, SimStats, UarchConfig, WarmState};
+use bw_workload::{BenchmarkModel, InstSource, StaticProgram, Thread};
 
 use crate::supervise::{CancelToken, Cancelled};
 
@@ -407,7 +410,7 @@ impl RunResult {
 /// watchdog deadline is observed within a fraction of a second.
 pub(crate) const CANCEL_CHECK_INSTS: u64 = 1 << 18;
 
-/// Fault-injection hooks consulted at the start of the drive loop
+/// Fault-injection hooks consulted at the start of each run's drive
 /// (`fault-inject` feature): an armed panic fault unwinds here with
 /// [`bw_fault::PANIC_MARKER`] in the payload; an armed stall sleeps in
 /// short slices — still honouring the cancel token, so a configured
@@ -433,47 +436,10 @@ fn fault_hooks(token: Option<&CancelToken>) -> Result<(), Cancelled> {
     Ok(())
 }
 
-/// Drives one constructed machine through warmup + measurement,
-/// polling `token` every [`CANCEL_CHECK_INSTS`] instructions.
-///
-/// Chunking is observationally invisible: the measured phase computes
-/// its absolute commit target once and each chunk stops at
-/// `min(target, committed + CANCEL_CHECK_INSTS)`, so the machine ticks
-/// through exactly the same cycle sequence as a single
-/// [`Machine::run`] call (ticks carry no per-call state). With no
-/// token the polls are branch-not-taken noise.
-///
-/// # Errors
-///
-/// [`Cancelled`] when `token` reports cancellation (flag or watchdog
-/// deadline) before the run completes.
-fn drive<S: InstSource>(
-    machine: &mut Machine<'_, S>,
-    cfg: &SimConfig,
-    token: Option<&CancelToken>,
-) -> Result<(), Cancelled> {
-    let check = |t: Option<&CancelToken>| -> Result<(), Cancelled> {
-        if t.is_some_and(CancelToken::is_cancelled) {
-            return Err(Cancelled);
-        }
-        Ok(())
-    };
-    #[cfg(feature = "fault-inject")]
-    fault_hooks(token)?;
-    let mut left = cfg.warmup_insts;
-    loop {
-        check(token)?;
-        let step = left.min(CANCEL_CHECK_INSTS);
-        machine.warmup(step);
-        left -= step;
-        if left == 0 {
-            break;
-        }
-    }
-    let target = machine.stats().committed + cfg.measure_insts;
-    while machine.stats().committed < target {
-        check(token)?;
-        machine.run((target - machine.stats().committed).min(CANCEL_CHECK_INSTS));
+/// Polls `token`: [`Cancelled`] once it fired.
+fn check(token: Option<&CancelToken>) -> Result<(), Cancelled> {
+    if token.is_some_and(CancelToken::is_cancelled) {
+        return Err(Cancelled);
     }
     Ok(())
 }
@@ -486,6 +452,160 @@ pub enum SimSource<'a> {
     Model(&'static BenchmarkModel),
     /// Replay mode: a recorded trace.
     Trace(&'a Trace),
+}
+
+impl<'a> SimSource<'a> {
+    /// The workload name a run of this source reports.
+    pub(crate) fn name(self) -> &'a str {
+        match self {
+            SimSource::Model(model) => model.name,
+            SimSource::Trace(trace) => &trace.meta().name,
+        }
+    }
+}
+
+/// A workload ready to warm: a model with its program built for the
+/// run's seed, or a decoded trace.
+pub(crate) enum Workload<'t> {
+    Model(&'static BenchmarkModel, StaticProgram),
+    Trace(DecodedTrace<'t>),
+}
+
+/// A workload's finished warm-up: the predictor-independent state
+/// every run of the workload under one warm configuration starts from.
+pub(crate) enum Warmed<'w> {
+    Model(WarmState<'w, Thread<'w>>),
+    Trace(WarmState<'w, DecodedReader<'w>>),
+}
+
+impl<'t> Workload<'t> {
+    /// Builds the model's program for `seed`, or decodes the trace (a
+    /// trace's stream is frozen: the seed does not change it).
+    pub(crate) fn new(source: SimSource<'t>, seed: u64) -> Self {
+        match source {
+            SimSource::Model(model) => Workload::Model(model, model.build_program(seed)),
+            SimSource::Trace(trace) => Workload::Trace(DecodedTrace::new(trace)),
+        }
+    }
+
+    /// Fast-forwards `cfg.warmup_insts` instructions trace-style,
+    /// polling `token` every [`CANCEL_CHECK_INSTS`] instructions. Each
+    /// chunk closes a predictor batch, so every run forked from the
+    /// result trains its predictor through the same calls.
+    ///
+    /// # Errors
+    ///
+    /// [`Cancelled`] when `token` fired before the warm-up finished.
+    pub(crate) fn warm(
+        &self,
+        cfg: &SimConfig,
+        token: Option<&CancelToken>,
+    ) -> Result<Warmed<'_>, Cancelled> {
+        fn chunked<'w, S: InstSource>(
+            mut state: WarmState<'w, S>,
+            insts: u64,
+            token: Option<&CancelToken>,
+        ) -> Result<WarmState<'w, S>, Cancelled> {
+            let mut left = insts;
+            loop {
+                check(token)?;
+                let step = left.min(CANCEL_CHECK_INSTS);
+                state.warmup(step);
+                left -= step;
+                if left == 0 {
+                    return Ok(state);
+                }
+            }
+        }
+        let warm = cfg.uarch.warm_config();
+        Ok(match self {
+            Workload::Model(model, program) => {
+                let thread = model.thread(program, cfg.seed);
+                let state = WarmState::new(&warm, program, thread, model.working_set);
+                Warmed::Model(chunked(state, cfg.warmup_insts, token)?)
+            }
+            Workload::Trace(decoded) => {
+                let trace = decoded.trace();
+                let state = WarmState::new(
+                    &warm,
+                    trace.program(),
+                    decoded.reader(),
+                    trace.meta().working_set,
+                );
+                Warmed::Trace(chunked(state, cfg.warmup_insts, token)?)
+            }
+        })
+    }
+}
+
+/// Drives one run: the fault hooks, the warm-up `warm` yields (this
+/// run's own, or one its plan group shares), the fork into this run's
+/// machine, and the measured phase, polling `ctl`'s token every
+/// [`CANCEL_CHECK_INSTS`] instructions.
+///
+/// A warm-up no one else holds moves into the machine; a shared one is
+/// copied ([`Machine::from_warmed`]). Chunking is observationally
+/// invisible: the measured phase computes its absolute commit target
+/// once and each chunk stops at `min(target, committed +
+/// CANCEL_CHECK_INSTS)`, so the machine ticks through exactly the same
+/// cycle sequence as a single [`Machine::run`] call (ticks carry no
+/// per-call state). With no token the polls are branch-not-taken
+/// noise.
+///
+/// # Errors
+///
+/// [`Cancelled`] when the token reports cancellation (flag or watchdog
+/// deadline) before the run completes.
+pub(crate) fn run_cell<'w>(
+    warm: impl FnOnce(Option<&CancelToken>) -> Result<Arc<Warmed<'w>>, Cancelled>,
+    benchmark: &str,
+    predictor: PredictorConfig,
+    cfg: &SimConfig,
+    ctl: SimControl<'_>,
+) -> Result<RunResult, Cancelled> {
+    #[cfg(feature = "fault-inject")]
+    fault_hooks(ctl.token)?;
+    let warm = warm(ctl.token)?;
+    match Arc::try_unwrap(warm) {
+        Ok(Warmed::Model(w)) => run_warmed(Cow::Owned(w), benchmark, predictor, cfg, ctl),
+        Ok(Warmed::Trace(w)) => run_warmed(Cow::Owned(w), benchmark, predictor, cfg, ctl),
+        Err(shared) => match &*shared {
+            Warmed::Model(w) => run_warmed(Cow::Borrowed(w), benchmark, predictor, cfg, ctl),
+            Warmed::Trace(w) => run_warmed(Cow::Borrowed(w), benchmark, predictor, cfg, ctl),
+        },
+    }
+}
+
+/// Forks a machine from `warm`, runs its measured phase under `ctl`
+/// and assembles the [`RunResult`].
+fn run_warmed<S: InstSource + Clone>(
+    warm: Cow<'_, WarmState<'_, S>>,
+    benchmark: &str,
+    predictor: PredictorConfig,
+    cfg: &SimConfig,
+    ctl: SimControl<'_>,
+) -> Result<RunResult, Cancelled> {
+    let mut machine =
+        Machine::from_warmed(&cfg.uarch, warm, predictor, cfg.kind, cfg.banked, &cfg.tech);
+    if ctl.audit.is_some() {
+        machine.enable_audit(benchmark);
+    }
+    let target = machine.stats().committed + cfg.measure_insts;
+    while machine.stats().committed < target {
+        check(ctl.token)?;
+        machine.run((target - machine.stats().committed).min(CANCEL_CHECK_INSTS));
+    }
+    if let Some(sink) = ctl.audit {
+        sink.extend(machine.take_audit_violations());
+    }
+    Ok(RunResult {
+        benchmark: benchmark.to_string(),
+        predictor: predictor.build().describe(),
+        stats: *machine.stats(),
+        energy: machine.power_report(),
+        totals: machine.bpred_totals(),
+        bpred_power: machine.bpred_power().clone(),
+    })
 }
 
 /// Run-time controls of one [`simulate_with`] call: an optional cancel
@@ -521,9 +641,14 @@ impl<'a> SimControl<'a> {
 /// Runs one simulation — the body behind [`simulate`],
 /// [`simulate_trace`] and the [`Runner`](crate::Runner).
 ///
-/// Builds the machine for `source`, fast-forwards `cfg.warmup_insts`
-/// trace-style, then simulates `cfg.measure_insts` committed
-/// instructions under full cycle-level detail with power accounting.
+/// Builds the workload for `source`, fast-forwards `cfg.warmup_insts`
+/// trace-style, then forks a machine for `predictor` and simulates
+/// `cfg.measure_insts` committed instructions under full cycle-level
+/// detail with power accounting. This is one run's own warm-up; the
+/// [`Runner`](crate::Runner) drives the same path but shares one
+/// warm-up among the runs of a plan that differ only in what the
+/// warm-up does not read (the predictor, gating, the PPD scenario, the
+/// power options, the measured budget).
 ///
 /// A trace source builds the machine exactly as its model would —
 /// same sizing, same power model — but takes the oracle stream from
@@ -532,12 +657,12 @@ impl<'a> SimControl<'a> {
 /// [`SimStats`] to generating that workload, while skipping all
 /// behaviour-automaton and hash-draw work. The trace is decoded once
 /// up front into its bitcode form ([`DecodedTrace`]) and replayed
-/// through the zero-copy [`DecodedReader`](bw_trace::DecodedReader),
-/// which runs the live thread's own control algorithm (the workload's
-/// shared [`Stepper`](bw_workload::Stepper)) over the recorded
-/// choices. `cfg.seed`
-/// does not influence replay (the stream is frozen in the trace), but
-/// it still participates in cache keying via the config digest.
+/// through the zero-copy [`DecodedReader`], which runs the live
+/// thread's own control algorithm (the workload's shared
+/// [`Stepper`](bw_workload::Stepper)) over the recorded choices.
+/// `cfg.seed` does not influence replay (the stream is frozen in the
+/// trace), but it still participates in cache keying via the config
+/// digest.
 ///
 /// # Errors
 ///
@@ -551,56 +676,17 @@ pub fn simulate_with(
     cfg: &SimConfig,
     ctl: SimControl<'_>,
 ) -> Result<Result<RunResult, Cancelled>, TraceRunError> {
-    Ok(match source {
-        SimSource::Model(model) => {
-            let program = model.build_program(cfg.seed);
-            let machine = Machine::with_power(
-                &cfg.uarch, &program, model, cfg.seed, predictor, cfg.kind, cfg.banked, &cfg.tech,
-            );
-            run_machine(machine, model.name, predictor, cfg, ctl)
-        }
-        SimSource::Trace(trace) => {
-            check_trace_budget(trace, cfg)?;
-            let decoded = DecodedTrace::new(trace);
-            let machine = Machine::with_source(
-                &cfg.uarch,
-                trace.program(),
-                decoded.reader(),
-                trace.meta().working_set,
-                predictor,
-                cfg.kind,
-                cfg.banked,
-                &cfg.tech,
-            );
-            run_machine(machine, &trace.meta().name, predictor, cfg, ctl)
-        }
-    })
-}
-
-/// Drives a constructed machine under `ctl` and assembles its
-/// [`RunResult`].
-fn run_machine<S: InstSource>(
-    mut machine: Machine<'_, S>,
-    benchmark: &str,
-    predictor: PredictorConfig,
-    cfg: &SimConfig,
-    ctl: SimControl<'_>,
-) -> Result<RunResult, Cancelled> {
-    if ctl.audit.is_some() {
-        machine.enable_audit(benchmark);
+    if let SimSource::Trace(trace) = source {
+        check_trace_budget(trace, cfg)?;
     }
-    drive(&mut machine, cfg, ctl.token)?;
-    if let Some(sink) = ctl.audit {
-        sink.extend(machine.take_audit_violations());
-    }
-    Ok(RunResult {
-        benchmark: benchmark.to_string(),
-        predictor: predictor.build().describe(),
-        stats: *machine.stats(),
-        energy: machine.power_report(),
-        totals: machine.bpred_totals(),
-        bpred_power: machine.bpred_power().clone(),
-    })
+    let workload = Workload::new(source, cfg.seed);
+    Ok(run_cell(
+        |token| workload.warm(cfg, token).map(Arc::new),
+        source.name(),
+        predictor,
+        cfg,
+        ctl,
+    ))
 }
 
 /// Runs one benchmark under one predictor configuration

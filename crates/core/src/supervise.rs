@@ -292,6 +292,8 @@ impl Supervision {
 pub struct SupervisedRunSet {
     pub(crate) results: HashMap<RunKey, RunResult>,
     pub(crate) failures: Vec<RunFailure>,
+    /// Runs in the plan, whatever callers later remove from `results`.
+    pub(crate) planned: usize,
     pub(crate) executed: usize,
     pub(crate) cache_hits: usize,
     pub(crate) quarantined: usize,
@@ -407,12 +409,7 @@ impl SupervisedRunSet {
         let mut out = format!(
             "{} of {} run(s) degraded ({} executed, {} cache hit(s), {} retried):\n",
             self.failures.len(),
-            self.results.len()
-                + self
-                    .failures
-                    .iter()
-                    .filter(|f| f.outcome.is_terminal_failure())
-                    .count(),
+            self.planned,
             self.executed,
             self.cache_hits,
             self.retries,

@@ -9,15 +9,18 @@
 #![cfg(feature = "fault-inject")]
 
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use bw_core::workload::benchmark;
+use bw_core::experiments::{sweep_rows_supervised, trace_sweep_rows_supervised};
+use bw_core::workload::{benchmark, specint};
 use bw_core::zoo::NamedPredictor;
 use bw_core::{
-    record_trace, RunCache, RunOutcome, RunPlan, Runner, SimConfig, Supervision, QUARANTINE_FILE,
+    record_trace, RunCache, RunKey, RunOutcome, RunPlan, Runner, SimConfig, Supervision,
+    QUARANTINE_FILE,
 };
 use bw_fault::{FaultKind, FaultPlan};
+use serde::Serialize;
 
 /// The armed fault plan is process-global: tests that arm one must not
 /// interleave.
@@ -317,4 +320,112 @@ fn chaos_differential_end_to_end() {
 
     let _ = std::fs::remove_dir_all(&baseline_dir);
     let _ = std::fs::remove_dir_all(&chaos_dir);
+}
+
+/// One 14-cell trace sweep is one warm group: its cells fork from one
+/// shared warm-up. A panic, a trace truncation inside the warm-up and a
+/// stall past the watchdog, each aimed at one cell's label, fail
+/// exactly those three cells. The truncated cell computes the shared
+/// warm-up itself (the panicking cell ahead of it fails before
+/// warming), so its failure at the fork must leave the warm-up to its
+/// siblings. The other eleven rows equal an uninjected sweep's and
+/// reach the cache.
+#[test]
+fn faults_in_one_warm_group_fail_only_their_cells() {
+    let _gate = serial();
+    let dir = temp_dir("warm-group");
+    let cfg = tiny_cfg(31);
+    let trace = Arc::new(record_trace(benchmark("gzip").unwrap(), &cfg));
+    let baseline = trace_sweep_rows_supervised(&Runner::with_jobs(2), &trace, &cfg, |_| {})
+        .expect("the trace covers the budget");
+    assert!(!baseline.is_degraded(), "{}", baseline.set.summary());
+
+    let label = |p: NamedPredictor| format!("{} / {} (trace)", p.label(), trace.meta().name);
+    let (panicky, truncated, stalled) = (
+        NamedPredictor::Bim128,
+        NamedPredictor::Bim4k,
+        NamedPredictor::Gshare16k12,
+    );
+    bw_fault::arm(
+        FaultPlan::new(8)
+            .fault(FaultKind::Panic, label(panicky))
+            .fault(FaultKind::TruncateTrace(20_000), label(truncated))
+            .fault(FaultKind::Stall(Duration::from_millis(800)), label(stalled)),
+    );
+    let _disarm = Disarm;
+    let cache = RunCache::new(dir.clone());
+    let runner = Runner::with_jobs(2)
+        .cached(cache.clone())
+        .supervised(Supervision::default().with_timeout(Duration::from_millis(200)));
+    let sweep = trace_sweep_rows_supervised(&runner, &trace, &cfg, |_| {})
+        .expect("the trace covers the budget");
+
+    let failed: Vec<(String, &str)> = sweep
+        .set
+        .failures()
+        .iter()
+        .map(|f| (f.label.clone(), f.outcome.kind()))
+        .collect();
+    assert_eq!(
+        failed,
+        vec![
+            (label(panicky), "panicked"),
+            (label(truncated), "trace-error"),
+            (label(stalled), "timed-out"),
+        ],
+        "{}",
+        sweep.set.summary()
+    );
+    assert!(
+        sweep.set.summary().starts_with("3 of 14 run(s) degraded"),
+        "{}",
+        sweep.set.summary()
+    );
+    assert_eq!(sweep.rows.len(), 11);
+    for row in &sweep.rows {
+        let want = baseline
+            .rows
+            .iter()
+            .find(|b| b.predictor == row.predictor)
+            .expect("the baseline has every row");
+        assert!(
+            row.run.to_value() == want.run.to_value(),
+            "{}: a healthy row diverged under chaos",
+            row.predictor.label()
+        );
+    }
+    for p in NamedPredictor::FIGURE_ORDER {
+        let key = RunKey::for_trace(&trace, p.config(), &cfg);
+        assert_eq!(
+            cache.load(&key).is_some(),
+            ![panicky, truncated, stalled].contains(&p),
+            "{}: exactly the healthy cells are cached",
+            p.label()
+        );
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A degraded sweep's summary counts the plan, although the sweep has
+/// moved every completed row out of the result set: one injected panic
+/// in the 140-cell SPECint sweep reads "1 of 140".
+#[test]
+fn degraded_sweep_summary_counts_the_whole_plan() {
+    let _gate = serial();
+    let cfg = SimConfig::builder()
+        .warmup_insts(3_000)
+        .measure_insts(1_000)
+        .seed(33)
+        .build()
+        .unwrap();
+    bw_fault::arm(FaultPlan::new(9).fault(FaultKind::Panic, "Bim_4k / gzip"));
+    let _disarm = Disarm;
+    let sweep = sweep_rows_supervised(&Runner::with_jobs(2), &specint(), &cfg, |_| {});
+    assert_eq!(sweep.rows.len(), 139);
+    let summary = sweep.set.summary();
+    assert!(
+        summary.starts_with("1 of 140 run(s) degraded (140 executed,"),
+        "{summary}"
+    );
 }

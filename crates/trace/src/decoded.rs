@@ -125,17 +125,9 @@ impl<'t> DecodedTrace<'t> {
     }
 
     /// A zero-copy reader replaying this decode from the trace's
-    /// recorded entry point.
+    /// recorded entry point, through the whole recording.
     #[must_use]
     pub fn reader(&self) -> DecodedReader<'_> {
-        let recorded = self.trace.meta().insts;
-        #[cfg(feature = "fault-inject")]
-        let (limit, injected) = match bw_fault::injected_trace_truncation(&self.trace.meta().name) {
-            Some(n) => (n.min(recorded), true),
-            None => (recorded, false),
-        };
-        #[cfg(not(feature = "fault-inject"))]
-        let (limit, injected) = (recorded, false);
         DecodedReader {
             arch: Stepper::new(self.trace.meta().entry),
             reads: Reads {
@@ -144,8 +136,8 @@ impl<'t> DecodedTrace<'t> {
                 ind_pos: 0,
                 data_pos: 0,
             },
-            limit,
-            injected,
+            limit: self.trace.meta().insts,
+            injected: false,
         }
     }
 }
@@ -159,13 +151,15 @@ impl<'t> DecodedTrace<'t> {
 /// from the stepper's call stack (or, for imported traces, from the
 /// indirect stream). Every choice is an indexed read of the borrowed
 /// flat arrays, and the reader owns only its cursor state (zero-copy
-/// over the decode), so constructing one is free.
+/// over the decode), so constructing or cloning one is free.
+#[derive(Clone)]
 pub struct DecodedReader<'d> {
     arch: Stepper,
     reads: Reads<'d>,
     /// Instructions the stream will actually deliver: the recording's
     /// length, or less when an armed `trunc` fault (`fault-inject`
-    /// feature) simulates a truncated file.
+    /// feature) simulates a truncated file for the run this reader was
+    /// forked for ([`InstSource::fork`]).
     limit: u64,
     /// `true` when `limit` came from fault injection, so the
     /// exhaustion panic carries the injection marker.
@@ -173,6 +167,7 @@ pub struct DecodedReader<'d> {
 }
 
 /// A reader's choices: cursors into the decode's flat arrays.
+#[derive(Clone)]
 struct Reads<'d> {
     dec: &'d DecodedTrace<'d>,
     cond_pos: usize,
@@ -185,6 +180,22 @@ impl DecodedReader<'_> {
     #[must_use]
     pub fn remaining(&self) -> u64 {
         self.limit.saturating_sub(self.arch.insts())
+    }
+
+    /// The diagnostic of a stream that ran dry after `after`
+    /// instructions.
+    #[cold]
+    fn exhausted(&self, after: u64) -> ! {
+        panic!(
+            "trace '{}' exhausted after {after} instructions; record a longer trace{}",
+            self.reads.dec.trace.meta().name,
+            if self.injected {
+                // Keep in sync with bw_fault::TRACE_MARKER.
+                " (bw-fault: injected trace truncation)"
+            } else {
+                ""
+            },
+        )
     }
 }
 
@@ -260,19 +271,32 @@ impl InstSource for DecodedReader<'_> {
     }
 
     fn step(&mut self) -> ExecStep {
-        assert!(
-            self.arch.insts() < self.limit,
-            "trace '{}' exhausted after {} instructions; record a longer trace{}",
-            self.reads.dec.trace.meta().name,
-            self.arch.insts(),
-            if self.injected {
-                // Keep in sync with bw_fault::TRACE_MARKER.
-                " (bw-fault: injected trace truncation)"
-            } else {
-                ""
-            },
-        );
+        if self.arch.insts() >= self.limit {
+            self.exhausted(self.limit);
+        }
         self.arch.step(&mut self.reads)
+    }
+
+    /// A copy continuing from this reader's position, delivering the
+    /// rest of the recording. Under an armed `trunc` fault
+    /// (`fault-inject` feature) that matches the trace's name or the
+    /// forking run's injection scope, the copy's stream instead ends
+    /// after the fault's instruction count; a count this reader has
+    /// already passed fails the fork at once, with the diagnostic a
+    /// step past the end raises.
+    fn fork(&self) -> Self {
+        let mut fork = self.clone();
+        fork.limit = self.reads.dec.trace.meta().insts;
+        fork.injected = false;
+        #[cfg(feature = "fault-inject")]
+        if let Some(n) = bw_fault::injected_trace_truncation(&self.reads.dec.trace.meta().name) {
+            fork.limit = n.min(fork.limit);
+            fork.injected = true;
+        }
+        if fork.arch.insts() > fork.limit {
+            fork.exhausted(fork.limit);
+        }
+        fork
     }
 }
 

@@ -383,7 +383,7 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
         let mut view = self.audit_base_view();
         if self.cfg.speculative_history {
             view.ghr = self.predictor.debug_ghr();
-            view.oracle_history = Some(self.source.global_history());
+            view.oracle_history = Some(self.warm.source.global_history());
         }
         view.counters_in_range = Some(self.predictor.counters_in_range());
         a.registry.check_at(Boundary::Recovery, self.cycle, &view);

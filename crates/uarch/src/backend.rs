@@ -51,9 +51,9 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
                     // Stores write the D-cache at retirement.
                     let addr = fi.data_addr.expect("stores have addresses");
                     self.act.dcache += 1;
-                    if !self.dcache.access(addr, true).hit {
+                    if !self.warm.dcache.access(addr, true).hit {
                         self.act.dcache2 += 1;
-                        self.l2.access(addr, true);
+                        self.warm.l2.access(addr, true);
                     }
                 }
             }
@@ -92,9 +92,9 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
                     }
                 }
                 if actual.outcome.is_taken() {
-                    match &mut self.nlp {
+                    match &mut self.warm.nlp {
                         Some(nlp) => nlp.train(fi.inst.pc, actual.next_pc),
-                        None => self.btb.update(fi.inst.pc, actual.next_pc),
+                        None => self.warm.btb.update(fi.inst.pc, actual.next_pc),
                     }
                     self.bact.btb_updates += 1;
                 }
@@ -174,7 +174,7 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
                     self.predictor.repair(ckpt);
                 }
                 if let Some(rc) = b.ras_ckpt {
-                    self.ras.restore(rc);
+                    self.warm.ras.restore(rc);
                 }
             }
         };
@@ -299,14 +299,14 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
     fn load_latency(&mut self, addr: Addr) -> u32 {
         let mut lat = self.cfg.l1d.hit_latency;
         self.act.dcache += 1;
-        if !self.tlb.access(addr) {
-            lat += self.tlb.config().miss_penalty;
+        if !self.warm.tlb.access(addr) {
+            lat += self.warm.tlb.config().miss_penalty;
         }
-        let l1 = self.dcache.access(addr, false);
+        let l1 = self.warm.dcache.access(addr, false);
         if !l1.hit {
             self.stats.dcache_misses += 1;
             self.act.dcache2 += 1;
-            let l2r = self.l2.access(addr, false);
+            let l2r = self.warm.l2.access(addr, false);
             lat += if l2r.hit {
                 self.cfg.l2.hit_latency
             } else {

@@ -3,7 +3,7 @@
 use bw_types::Addr;
 
 /// Geometry and latency of one cache level.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,
@@ -182,7 +182,7 @@ impl Cache {
 }
 
 /// TLB geometry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct TlbConfig {
     /// Number of entries (fully associative).
     pub entries: u32,

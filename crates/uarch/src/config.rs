@@ -1,6 +1,7 @@
 //! Machine configuration (Table 1 of the paper).
 
 use crate::cache::{CacheConfig, TlbConfig};
+use crate::warm::WarmConfig;
 use bw_power::PpdScenario;
 
 /// Which confidence estimator drives pipeline gating.
@@ -17,7 +18,7 @@ pub enum ConfidenceKind {
 }
 
 /// Which structure supplies fetch targets for taken CTIs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum TargetPredictor {
     /// A separate set-associative BTB accessed in parallel with the
     /// I-cache (the paper's Table 1 machine).
@@ -206,6 +207,24 @@ impl UarchConfig {
     pub fn with_next_line_predictor(mut self) -> Self {
         self.target_predictor = TargetPredictor::NextLine;
         self
+    }
+
+    /// The fields the warm-up reads: machines whose warm configs are
+    /// equal warm identically and can share one
+    /// [`WarmState`](crate::WarmState).
+    #[must_use]
+    pub fn warm_config(&self) -> WarmConfig {
+        WarmConfig {
+            l1i: self.l1i,
+            l1d: self.l1d,
+            l2: self.l2,
+            tlb: self.tlb,
+            target_predictor: self.target_predictor,
+            btb_entries: self.btb_entries,
+            btb_assoc: self.btb_assoc,
+            ras_entries: self.ras_entries,
+            ppd: self.ppd.is_some(),
+        }
     }
 }
 

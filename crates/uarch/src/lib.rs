@@ -51,11 +51,13 @@ mod config;
 mod inflight;
 mod machine;
 mod stats;
+mod warm;
 
 pub use cache::{Cache, CacheConfig, Tlb, TlbConfig};
 pub use config::{ConfidenceKind, GatingConfig, TargetPredictor, UarchConfig};
 pub use machine::Machine;
 pub use stats::SimStats;
+pub use warm::{WarmConfig, WarmState};
 
 #[cfg(test)]
 mod tests;

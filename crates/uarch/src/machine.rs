@@ -1,6 +1,7 @@
 //! The machine: construction, warmup, the cycle loop, and the fetch
 //! stage.
 
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -9,16 +10,15 @@ use bw_power::{
     Activity, BpredActivity, BpredOptions, BpredPower, BpredTotals, ChipPower, EnergyReport,
 };
 use bw_predictors::{
-    BranchBatch, Btb, DirectionPredictor, JrsEstimator, NextLinePredictor, Ppd, PpdBits,
-    Prediction, PredictorConfig, Ras,
+    BranchBatch, DirectionPredictor, JrsEstimator, PpdBits, Prediction, PredictorConfig,
 };
 use bw_types::{Addr, CtiKind, Cycle, Seq};
 use bw_workload::{BenchmarkModel, InstSource, StaticProgram, Thread};
 
-use crate::cache::{Cache, Tlb};
 use crate::config::UarchConfig;
 use crate::inflight::{BranchState, FetchedInst, LsqEntry, Window};
 use crate::stats::SimStats;
+use crate::warm::{WarmState, WARM_BATCH};
 
 /// The cycle-level out-of-order machine.
 ///
@@ -26,22 +26,18 @@ use crate::stats::SimStats;
 /// over a synthetic program and executes an architectural instruction
 /// source (a live [`Thread`] by default, or a trace replayer), fetching
 /// speculatively (including down wrong paths) by decoding PCs directly.
+///
+/// Its oracle stream, memory hierarchy, target predictor, RAS and PPD
+/// form a [`WarmState`]: the part of the machine the warm-up trains
+/// that does not depend on the direction predictor, which
+/// [`from_warmed`](Self::from_warmed) can share between runs.
 pub struct Machine<'p, S: InstSource = Thread<'p>> {
     pub(crate) cfg: UarchConfig,
-    pub(crate) program: &'p StaticProgram,
-    pub(crate) source: S,
+    /// Oracle, caches, TLB, BTB or next-line predictor, RAS and PPD.
+    pub(crate) warm: WarmState<'p, S>,
     // Prediction structures.
     pub(crate) predictor: Box<dyn DirectionPredictor + Send>,
-    pub(crate) btb: Btb,
-    pub(crate) ras: Ras,
-    pub(crate) ppd: Option<Ppd>,
     pub(crate) jrs: Option<JrsEstimator>,
-    pub(crate) nlp: Option<NextLinePredictor>,
-    // Memory hierarchy.
-    pub(crate) icache: Cache,
-    pub(crate) dcache: Cache,
-    pub(crate) l2: Cache,
-    pub(crate) tlb: Tlb,
     // Power.
     pub(crate) power: ChipPower,
     // Fetch state.
@@ -70,7 +66,6 @@ pub struct Machine<'p, S: InstSource = Thread<'p>> {
     pub(crate) stats: SimStats,
     pub(crate) last_cond_at: u64,
     pub(crate) last_cti_at: u64,
-    pub(crate) working_set: u64,
     // Per-cycle activity scratch.
     pub(crate) act: Activity,
     pub(crate) bact: BpredActivity,
@@ -138,6 +133,54 @@ impl<'p> Machine<'p> {
     }
 }
 
+impl<'p, S: InstSource + Clone> Machine<'p, S> {
+    /// Builds a machine from a finished warm-up, borrowed (a warm-up
+    /// several runs share: this run's machine gets its own copy) or
+    /// owned (moved in without a copy).
+    ///
+    /// The warm state's oracle stream is forked for this run
+    /// ([`InstSource::fork`]), and a fresh `predictor_cfg` predictor
+    /// trains on the warm-up's recorded branches, one
+    /// [`lookup_batch`](DirectionPredictor::lookup_batch) /
+    /// [`commit_batch`](DirectionPredictor::commit_batch) pair per
+    /// recorded batch. The machine is then exactly the one
+    /// [`with_source`](Self::with_source) followed by the same
+    /// [`warmup`](Self::warmup) calls builds: the batched protocol's
+    /// final predictor state depends only on the branches and their
+    /// batching, never on the caches they were interleaved with.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the state was warmed under another
+    /// [`WarmConfig`](crate::WarmConfig) than `cfg`'s.
+    #[must_use]
+    pub fn from_warmed(
+        cfg: &UarchConfig,
+        warm: Cow<'_, WarmState<'p, S>>,
+        predictor_cfg: PredictorConfig,
+        kind: ModelKind,
+        banked: bool,
+        tech: &TechParams,
+    ) -> Self {
+        assert_eq!(
+            warm.cfg,
+            cfg.warm_config(),
+            "a warm state forks only into the configuration it was warmed under"
+        );
+        let (state, branches) = match warm {
+            Cow::Borrowed(w) => (w.fork(), Cow::Borrowed(w.branches.as_slice())),
+            Cow::Owned(mut w) => {
+                let branches = std::mem::take(&mut w.branches);
+                w.source = w.source.fork();
+                (w, Cow::Owned(branches))
+            }
+        };
+        let mut m = Self::assemble(cfg, state, predictor_cfg, kind, banked, tech);
+        warmup_predictor(&mut *m.predictor, &branches);
+        m
+    }
+}
+
 impl<'p, S: InstSource> Machine<'p, S> {
     /// Builds a machine over an explicit instruction source (the
     /// generic entry point shared by generate and replay modes).
@@ -157,27 +200,28 @@ impl<'p, S: InstSource> Machine<'p, S> {
         banked: bool,
         tech: &TechParams,
     ) -> Self {
+        let warm = WarmState::new(&cfg.warm_config(), program, source, working_set);
+        Self::assemble(cfg, warm, predictor_cfg, kind, banked, tech)
+    }
+
+    /// Builds the machine around `warm`: a fresh predictor, confidence
+    /// estimator and power model, an empty pipeline, and fetch at the
+    /// oracle's next PC.
+    fn assemble(
+        cfg: &UarchConfig,
+        warm: WarmState<'p, S>,
+        predictor_cfg: PredictorConfig,
+        kind: ModelKind,
+        banked: bool,
+        tech: &TechParams,
+    ) -> Self {
         let predictor = predictor_cfg.build();
-        let ppd = cfg.ppd.map(|_| {
-            let lines = cfg.l1i.size_bytes / cfg.l1i.line_bytes;
-            Ppd::new(lines, cfg.l1i.line_bytes)
-        });
         let mut storages = predictor.storages();
-        let btb = Btb::new(cfg.btb_entries, cfg.btb_assoc);
-        let nlp = match cfg.target_predictor {
-            crate::config::TargetPredictor::Btb => {
-                storages.push(btb.storage());
-                None
-            }
-            crate::config::TargetPredictor::NextLine => {
-                let lines = cfg.l1i.size_bytes / cfg.l1i.line_bytes;
-                let n = NextLinePredictor::new(lines, cfg.l1i.line_bytes);
-                storages.push(n.storage());
-                Some(n)
-            }
-        };
-        let ras = Ras::new(cfg.ras_entries);
-        storages.push(ras.storage());
+        storages.push(match &warm.nlp {
+            Some(nlp) => nlp.storage(),
+            None => warm.btb.storage(),
+        });
+        storages.push(warm.ras.storage());
         let jrs = match cfg.gating {
             Some(g) if g.estimator == crate::config::ConfidenceKind::Jrs => {
                 let j = JrsEstimator::default_config();
@@ -186,7 +230,7 @@ impl<'p, S: InstSource> Machine<'p, S> {
             }
             _ => None,
         };
-        if let Some(p) = &ppd {
+        if let Some(p) = &warm.ppd {
             storages.push(p.storage());
         }
         let bpred_power = BpredPower::new(
@@ -199,22 +243,13 @@ impl<'p, S: InstSource> Machine<'p, S> {
             },
         );
         let power = ChipPower::new(tech, bpred_power);
-        let fetch_pc = source.pc();
+        let fetch_pc = warm.source.pc();
         let depth = (1 + cfg.extra_rename_stages) as usize;
         Machine {
             cfg: cfg.clone(),
-            program,
-            source,
+            warm,
             predictor,
-            btb,
-            ras,
-            ppd,
             jrs,
-            nlp,
-            icache: Cache::new(cfg.l1i),
-            dcache: Cache::new(cfg.l1d),
-            l2: Cache::new(cfg.l2),
-            tlb: Tlb::new(cfg.tlb),
             power,
             fetch_pc,
             on_correct_path: true,
@@ -232,7 +267,6 @@ impl<'p, S: InstSource> Machine<'p, S> {
             stats: SimStats::default(),
             last_cond_at: 0,
             last_cti_at: 0,
-            working_set,
             act: Activity::default(),
             bact: BpredActivity::default(),
             fetched_now: 0,
@@ -261,7 +295,7 @@ impl<'p, S: InstSource> Machine<'p, S> {
             self.cycle, self.ruu.len(), self.lsq.len(), self.fetch_queue.len(),
             self.decode_pipe.iter().map(Vec::len).collect::<Vec<_>>(),
             head, self.fetch_stall_until, self.on_correct_path, self.completions.len(),
-            self.fetch_pc, self.icache.stats(), self.l2.stats(),
+            self.fetch_pc, self.warm.icache.stats(), self.warm.l2.stats(),
         )
     }
 
@@ -275,19 +309,19 @@ impl<'p, S: InstSource> Machine<'p, S> {
     /// (hits, misses) of the L1 I-cache.
     #[must_use]
     pub fn icache_stats(&self) -> (u64, u64) {
-        self.icache.stats()
+        self.warm.icache.stats()
     }
 
     /// (hits, misses) of the unified L2.
     #[must_use]
     pub fn l2_stats(&self) -> (u64, u64) {
-        self.l2.stats()
+        self.warm.l2.stats()
     }
 
     /// (hits, misses) of the L1 D-cache.
     #[must_use]
     pub fn dcache_stats(&self) -> (u64, u64) {
-        self.dcache.stats()
+        self.warm.dcache.stats()
     }
 
     /// Statistics so far.
@@ -321,94 +355,28 @@ impl<'p, S: InstSource> Machine<'p, S> {
     /// caches and PPD are warmed exactly as the paper's runs warm
     /// state while fast-forwarding past initialization.
     ///
-    /// Resolved conditional branches are accumulated into a
-    /// [`BranchBatch`] and fed to the predictor through its batched
-    /// surface ([`DirectionPredictor::lookup_batch`] /
-    /// [`DirectionPredictor::commit_batch`]) — one virtual call per
-    /// [`WARM_BATCH`](Self::WARM_BATCH) branches instead of several
-    /// per branch. Final predictor state is byte-identical to the
-    /// scalar protocol ([`warmup_scalar`](Self::warmup_scalar) keeps
-    /// the old loop as the differential reference): speculative
-    /// history absorbs the resolved outcome either way, and
-    /// commit-time training indexes through metadata captured at
-    /// lookup, never live history.
+    /// This is [`WarmState::warmup`], the one warm loop, followed at
+    /// once by the predictor's training on the branches it recorded:
+    /// one [`DirectionPredictor::lookup_batch`] /
+    /// [`DirectionPredictor::commit_batch`] pair per
+    /// [`WARM_BATCH`](Self::WARM_BATCH) branches (and per call's
+    /// remainder) instead of several virtual calls per branch. Final
+    /// predictor state is byte-identical to the scalar protocol
+    /// ([`warmup_scalar`](Self::warmup_scalar) keeps the old loop as
+    /// the differential reference): speculative history absorbs the
+    /// resolved outcome either way, and commit-time training indexes
+    /// through metadata captured at lookup, never live history.
     pub fn warmup(&mut self, insts: u64) {
-        let mut batch = BranchBatch::with_capacity(Self::WARM_BATCH);
-        let mut preds: Vec<Prediction> = Vec::with_capacity(Self::WARM_BATCH);
-        let line_shift = self.cfg.l1i.line_bytes.trailing_zeros();
-        // Same-line i-fetch shortcut: a back-to-back access to the line
-        // just fetched is a hit by construction and already MRU, so the
-        // hit-counter bump is its entire observable effect. Nothing
-        // between two consecutive warm fetches touches the i-cache, so
-        // the line cannot have been evicted in between.
-        let mut last_line = u64::MAX;
-        for _ in 0..insts {
-            let step = self.source.step();
-            let pc = step.inst.pc;
-            // I-side warm: line granular.
-            let line = pc.0 >> line_shift;
-            if line == last_line {
-                self.icache.note_repeat_hit();
-            } else {
-                last_line = line;
-                if !self.icache.access(pc, false).hit {
-                    self.l2.access(pc, false);
-                    if let Some(ppd) = &mut self.ppd {
-                        let bits = line_predecode(self.program, pc, self.cfg.l1i.line_bytes);
-                        ppd.on_refill(pc, bits);
-                    }
-                }
-            }
-            if let Some(addr) = step.data_addr {
-                self.tlb.access(addr);
-                if !self
-                    .dcache
-                    .access(addr, step.inst.op == bw_types::OpClass::Store)
-                    .hit
-                {
-                    self.l2.access(addr, false);
-                }
-            }
-            if let Some(cti) = step.inst.cti {
-                let actual = step.control.expect("CTIs resolve");
-                if cti.kind == CtiKind::CondBranch {
-                    batch.push(pc, actual.outcome);
-                    if batch.len() >= Self::WARM_BATCH {
-                        self.predictor.lookup_batch(&batch, &mut preds);
-                        self.predictor.commit_batch(&batch, &preds);
-                        batch.clear();
-                        preds.clear();
-                    }
-                }
-                match cti.kind {
-                    CtiKind::Call => self.ras.push(pc.next()),
-                    CtiKind::Return => {
-                        let _ = self.ras.pop();
-                    }
-                    _ => {}
-                }
-                if actual.outcome.is_taken() {
-                    match &mut self.nlp {
-                        Some(nlp) => nlp.train(pc, actual.next_pc),
-                        None => self.btb.update(pc, actual.next_pc),
-                    }
-                }
-            }
-        }
-        if !batch.is_empty() {
-            self.predictor.lookup_batch(&batch, &mut preds);
-            self.predictor.commit_batch(&batch, &preds);
-        }
-        self.fetch_pc = self.source.pc();
+        self.warm.warmup(insts);
+        warmup_predictor(&mut *self.predictor, &self.warm.branches);
+        self.warm.branches.clear();
+        self.fetch_pc = self.warm.source.pc();
         self.on_correct_path = true;
     }
 
-    /// Resolved branches per batched predictor call on the warm path.
-    ///
-    /// Large enough to amortize the two virtual calls per batch to
-    /// nothing, small enough that the batch and its predictions stay
-    /// resident in L1.
-    pub const WARM_BATCH: usize = 256;
+    /// Resolved branches per batched predictor call on the warm path
+    /// ([`WarmState::warmup`]).
+    pub const WARM_BATCH: usize = WARM_BATCH;
 
     /// The scalar reference implementation of [`warmup`](Self::warmup):
     /// one predictor call per protocol step, per branch.
@@ -418,25 +386,26 @@ impl<'p, S: InstSource> Machine<'p, S> {
     /// state; simulation entry points use the batched `warmup`.
     pub fn warmup_scalar(&mut self, insts: u64) {
         for _ in 0..insts {
-            let step = self.source.step();
+            let step = self.warm.source.step();
             let pc = step.inst.pc;
             // I-side warm: line granular.
-            let hit = self.icache.access(pc, false).hit;
+            let hit = self.warm.icache.access(pc, false).hit;
             if !hit {
-                self.l2.access(pc, false);
-                if let Some(ppd) = &mut self.ppd {
-                    let bits = line_predecode(self.program, pc, self.cfg.l1i.line_bytes);
+                self.warm.l2.access(pc, false);
+                if let Some(ppd) = &mut self.warm.ppd {
+                    let bits = line_predecode(self.warm.program, pc, self.cfg.l1i.line_bytes);
                     ppd.on_refill(pc, bits);
                 }
             }
             if let Some(addr) = step.data_addr {
-                self.tlb.access(addr);
+                self.warm.tlb.access(addr);
                 if !self
+                    .warm
                     .dcache
                     .access(addr, step.inst.op == bw_types::OpClass::Store)
                     .hit
                 {
-                    self.l2.access(addr, false);
+                    self.warm.l2.access(addr, false);
                 }
             }
             if let Some(cti) = step.inst.cti {
@@ -460,21 +429,21 @@ impl<'p, S: InstSource> Machine<'p, S> {
                     }
                 }
                 match cti.kind {
-                    CtiKind::Call => self.ras.push(pc.next()),
+                    CtiKind::Call => self.warm.ras.push(pc.next()),
                     CtiKind::Return => {
-                        let _ = self.ras.pop();
+                        let _ = self.warm.ras.pop();
                     }
                     _ => {}
                 }
                 if actual.outcome.is_taken() {
-                    match &mut self.nlp {
+                    match &mut self.warm.nlp {
                         Some(nlp) => nlp.train(pc, actual.next_pc),
-                        None => self.btb.update(pc, actual.next_pc),
+                        None => self.warm.btb.update(pc, actual.next_pc),
                     }
                 }
             }
         }
-        self.fetch_pc = self.source.pc();
+        self.fetch_pc = self.warm.source.pc();
         self.on_correct_path = true;
     }
 
@@ -606,7 +575,7 @@ impl<'p, S: InstSource> Machine<'p, S> {
         // A wrong-path fetch that wandered outside the program's mapped
         // code faults in the I-TLB and stalls until the mispredicted
         // branch resolves — it does not fabricate cache fills.
-        if !self.program.in_code_region(self.fetch_pc) {
+        if !self.warm.program.in_code_region(self.fetch_pc) {
             debug_assert!(!self.on_correct_path, "correct path left the code region");
             return;
         }
@@ -618,7 +587,7 @@ impl<'p, S: InstSource> Machine<'p, S> {
         self.act.icache += 1;
 
         let line_bytes = self.cfg.l1i.line_bytes;
-        let bits = match &self.ppd {
+        let bits = match &self.warm.ppd {
             Some(ppd) => {
                 self.bact.ppd_lookups += 1;
                 ppd.lookup(self.fetch_pc)
@@ -643,19 +612,19 @@ impl<'p, S: InstSource> Machine<'p, S> {
 
         // I-cache access for this line.
         let line_pc = self.fetch_pc;
-        let res = self.icache.access(line_pc, false);
+        let res = self.warm.icache.access(line_pc, false);
         if !res.hit {
             self.stats.icache_misses += 1;
             self.act.dcache2 += 1;
-            let l2r = self.l2.access(line_pc, false);
+            let l2r = self.warm.l2.access(line_pc, false);
             let lat = if l2r.hit {
                 self.cfg.l2.hit_latency
             } else {
                 self.cfg.mem_latency
             };
             self.fetch_stall_until = self.cycle + u64::from(lat);
-            if let Some(ppd) = &mut self.ppd {
-                let bits = line_predecode(self.program, line_pc, line_bytes);
+            if let Some(ppd) = &mut self.warm.ppd {
+                let bits = line_predecode(self.warm.program, line_pc, line_bytes);
                 ppd.on_refill(line_pc, bits);
                 self.bact.ppd_updates += 1;
             }
@@ -667,7 +636,7 @@ impl<'p, S: InstSource> Machine<'p, S> {
         let mut width_left = self.cfg.fetch_width;
         while width_left > 0 && self.fetch_queue.len() < self.cfg.fetch_buffer as usize {
             let pc = self.fetch_pc;
-            let inst = self.program.decode(pc);
+            let inst = self.warm.program.decode(pc);
 
             // PPD conservatism fallback: a (rare) aliased PPD entry may
             // claim the line has no conditional branch / CTI while the
@@ -694,7 +663,7 @@ impl<'p, S: InstSource> Machine<'p, S> {
             // correct path consume one oracle step each.
             let was_correct = self.on_correct_path;
             let (data_addr, actual) = if was_correct {
-                let step = self.source.step();
+                let step = self.warm.source.step();
                 debug_assert_eq!(step.inst.pc, pc, "oracle and fetch diverged");
                 (step.data_addr, step.control)
             } else {
@@ -723,7 +692,7 @@ impl<'p, S: InstSource> Machine<'p, S> {
                         // predictor's global history equal to the
                         // architectural history including this branch.
                         if let Some(ghr) = self.predictor.debug_ghr() {
-                            let oracle = self.source.global_history();
+                            let oracle = self.warm.source.global_history();
                             debug_assert_eq!(
                                 ghr & 0xfff,
                                 oracle & 0xfff,
@@ -806,7 +775,7 @@ impl<'p, S: InstSource> Machine<'p, S> {
                         // line-granular next-line prediction is
                         // verified against decode, with a misfetch
                         // bubble when it disagrees.
-                        Some(t) if self.nlp.is_none() || t == decode_target => t,
+                        Some(t) if self.warm.nlp.is_none() || t == decode_target => t,
                         _ => {
                             misfetch = true;
                             decode_target
@@ -822,20 +791,22 @@ impl<'p, S: InstSource> Machine<'p, S> {
             CtiKind::Jump | CtiKind::Call => {
                 let decode_target = cti.target.expect("direct CTI");
                 let predicted = self.target_lookup(pc);
-                if predicted.is_none() || (self.nlp.is_some() && predicted != Some(decode_target)) {
+                if predicted.is_none()
+                    || (self.warm.nlp.is_some() && predicted != Some(decode_target))
+                {
                     misfetch = true;
                 }
                 if cti.kind == CtiKind::Call {
-                    ras_ckpt = Some(self.ras.checkpoint());
-                    self.ras.push(pc.next());
+                    ras_ckpt = Some(self.warm.ras.checkpoint());
+                    self.warm.ras.push(pc.next());
                     self.bact.ras_ops += 1;
                 }
                 cti.target.expect("direct CTI")
             }
             CtiKind::Return => {
-                ras_ckpt = Some(self.ras.checkpoint());
+                ras_ckpt = Some(self.warm.ras.checkpoint());
                 self.bact.ras_ops += 1;
-                self.ras.pop()
+                self.warm.ras.pop()
             }
             CtiKind::IndirectJump => match self.target_lookup(pc) {
                 Some(t) => t,
@@ -874,9 +845,9 @@ impl<'p, S: InstSource> Machine<'p, S> {
     /// target structure. For the next-line predictor the prediction is
     /// line-granular and unverified until decode.
     fn target_lookup(&mut self, pc: Addr) -> Option<Addr> {
-        match &self.nlp {
+        match &self.warm.nlp {
             Some(nlp) => nlp.predict(pc),
-            None => self.btb.lookup(pc),
+            None => self.warm.btb.lookup(pc),
         }
     }
 
@@ -886,11 +857,23 @@ impl<'p, S: InstSource> Machine<'p, S> {
         // set (and occupy memory ports until the squash).
         let h = mix(pc.0 ^ seq.wrapping_mul(0x9e37_79b9));
         let offset = if h.is_multiple_of(16) {
-            mix(h) % self.working_set.max(64)
+            mix(h) % self.warm.working_set.max(64)
         } else {
             mix(h) % (8 * 1024)
         };
         Addr(0x1000_0000 + (offset & !7))
+    }
+}
+
+/// Trains a direction predictor on warm-up batches, one
+/// `lookup_batch`/`commit_batch` pair per batch as the warm loop
+/// closed them.
+fn warmup_predictor(predictor: &mut (dyn DirectionPredictor + Send), batches: &[BranchBatch]) {
+    let mut preds: Vec<Prediction> = Vec::with_capacity(WARM_BATCH);
+    for batch in batches {
+        predictor.lookup_batch(batch, &mut preds);
+        predictor.commit_batch(batch, &preds);
+        preds.clear();
     }
 }
 

@@ -2,8 +2,10 @@
 //! oracle pairing, commit-path purity, RUU ordering — all fire during
 //! these runs).
 
-use crate::{Machine, UarchConfig};
-use bw_arrays::TechParams;
+use std::borrow::Cow;
+
+use crate::{Machine, UarchConfig, WarmState};
+use bw_arrays::{ModelKind, TechParams};
 use bw_power::{BpredTotals, PpdScenario, Unit, UnitBudget, CC3_IDLE_FRACTION};
 use bw_predictors::{HybridComponent, HybridConfig, PredictorConfig};
 use bw_workload::{all_benchmarks, benchmark};
@@ -496,6 +498,67 @@ fn fast_forward_is_bit_identical_to_ticking_every_cycle() {
         "only {} of {cycles} cycles skipped",
         cycles - ticked
     );
+}
+
+/// A machine forked from a shared warm-up ([`Machine::from_warmed`]) is
+/// the machine [`Machine::warmup`] builds over the same chunks: one
+/// warm-up per variant serves every predictor of the zoo, borrowed or
+/// owned, and each run after it ends in the same statistics, cache
+/// statistics, predictor totals and energy, bit for bit.
+#[test]
+fn from_warmed_after_a_chunked_warm_up_equals_warmup() {
+    // Odd chunk sizes, none a multiple of a predictor batch, so batches
+    // close at chunk ends as well as at `WARM_BATCH` branches.
+    const CHUNKS: [u64; 3] = [2_500, 700, 4_100];
+    let zoo = zoo();
+    for (i, (label, cfg)) in variants().into_iter().enumerate() {
+        let model = &all_benchmarks()[i * 2];
+        let seed = 5 + i as u64;
+        let program = model.build_program(seed);
+        let mut shared = WarmState::new(
+            &cfg.warm_config(),
+            &program,
+            model.thread(&program, seed),
+            model.working_set,
+        );
+        for chunk in CHUNKS {
+            shared.warmup(chunk);
+        }
+        for (j, &pred) in zoo.iter().enumerate() {
+            let mut reference = Machine::new(&cfg, &program, model, seed, pred);
+            for chunk in CHUNKS {
+                reference.warmup(chunk);
+            }
+            // Every predictor but the last forks a copy; the last takes
+            // a state of its own, as a group's last run does.
+            let warm = if j + 1 < zoo.len() {
+                Cow::Borrowed(&shared)
+            } else {
+                Cow::Owned(shared.clone())
+            };
+            let mut forked = Machine::from_warmed(
+                &cfg,
+                warm,
+                pred,
+                ModelKind::WithColumnDecoders,
+                false,
+                &TechParams::default(),
+            );
+            reference.run(2_000);
+            forked.run(2_000);
+
+            let cell = format!("{label} / {} / {}", model.name, pred.build().describe());
+            assert_eq!(forked.stats(), reference.stats(), "{cell}: stats");
+            assert_eq!(forked.icache_stats(), reference.icache_stats(), "{cell}");
+            assert_eq!(forked.dcache_stats(), reference.dcache_stats(), "{cell}");
+            assert_eq!(forked.l2_stats(), reference.l2_stats(), "{cell}");
+            assert_eq!(forked.bpred_totals(), reference.bpred_totals(), "{cell}");
+            let (f, r) = (forked.power_report(), reference.power_report());
+            for (unit, (a, b)) in f.energy_j.iter().zip(&r.energy_j).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "{cell}: energy of unit {unit}");
+            }
+        }
+    }
 }
 
 mod machine_proptests {

@@ -51,6 +51,18 @@ pub trait InstSource {
     /// recording; callers bound their step count by the recorded
     /// budget.
     fn step(&mut self) -> ExecStep;
+
+    /// An independent copy of this stream from its current point, for
+    /// one run to consume: a warm-up several runs share forks its
+    /// stream once per run. The default is a plain clone; trace
+    /// readers also take their per-run stream limit here.
+    #[must_use]
+    fn fork(&self) -> Self
+    where
+        Self: Sized + Clone,
+    {
+        self.clone()
+    }
 }
 
 impl InstSource for Thread<'_> {
