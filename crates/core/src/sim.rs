@@ -600,7 +600,7 @@ fn run_warmed<S: InstSource + Clone>(
     }
     Ok(RunResult {
         benchmark: benchmark.to_string(),
-        predictor: predictor.build().describe(),
+        predictor: machine.describe_predictor(),
         stats: *machine.stats(),
         energy: machine.power_report(),
         totals: machine.bpred_totals(),

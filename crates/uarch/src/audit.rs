@@ -22,6 +22,7 @@
 //! | `in-order-commit` | commit | retirement order and correct-path purity (IPC validity) |
 //! | `occupancy-bounds` | cycle | RUU/LSQ never exceed Table 1's 80/40 |
 //! | `window-ordering` | cycle | the RUU stays sequence-sorted (issue/squash correctness) |
+//! | `ready-set` | cycle | the ready set holds exactly the entries whose operands have all arrived |
 //! | `history-restore` | recovery | speculative GHR equals the oracle history after repair |
 //! | `counter-range` | cycle + recovery | every saturating counter stays representable |
 //! | `ppd-neutrality` | cycle | PPD gating never suppresses a needed lookup |
@@ -33,6 +34,7 @@ use bw_power::audit::EnergyLedger;
 use bw_power::EnergyReport;
 use bw_types::Seq;
 
+use crate::inflight::EntryState;
 use crate::machine::Machine;
 
 /// How many low GHR bits the history-restore invariant compares — the
@@ -81,6 +83,21 @@ pub struct AuditView {
     pub fetched_cti_uncharged: bool,
     /// The chip's cumulative energy report (cycle boundary only).
     pub energy: Option<EnergyReport>,
+    /// The oldest position where the ready set disagrees with the
+    /// operand predicate (cycle boundary only).
+    pub ready_mismatch: Option<ReadyMismatch>,
+}
+
+/// A ring position where the ready set disagrees with the readiness
+/// predicate: an RUU entry not yet issued whose producers have all
+/// completed or committed (left the RUU below the head) is ready.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ReadyMismatch {
+    /// The ring position.
+    pub position: u64,
+    /// `true` for a stray bit (in the set, but not ready by the
+    /// predicate or not an RUU entry), `false` for a missing one.
+    pub in_set: bool,
 }
 
 /// Commits must retire in strictly increasing sequence order and only
@@ -152,6 +169,35 @@ impl Invariant<AuditView> for WindowOrdering {
             Ok(())
         } else {
             Err("RUU sequence numbers are not strictly increasing".to_string())
+        }
+    }
+}
+
+/// The ready set must hold exactly the RUU entries whose operands have
+/// all arrived, as a scan of every entry's producers finds them. A
+/// stray bit issues an instruction before its operands exist, a
+/// missing one never issues it; either moves every timing number while
+/// the run still completes.
+struct ReadySet;
+
+impl Invariant<AuditView> for ReadySet {
+    fn name(&self) -> &'static str {
+        "ready-set"
+    }
+    fn boundary(&self) -> Boundary {
+        Boundary::Cycle
+    }
+    fn check(&mut self, v: &AuditView) -> Result<(), String> {
+        match v.ready_mismatch {
+            None => Ok(()),
+            Some(m) if m.in_set => Err(format!(
+                "stray ready bit at position {}: not an RUU entry whose operands have all arrived",
+                m.position
+            )),
+            Some(m) => Err(format!(
+                "missing ready bit at position {}: every operand has arrived",
+                m.position
+            )),
         }
     }
 }
@@ -264,6 +310,7 @@ impl AuditState {
         registry.register(Box::new(InOrderCommit { last_seq: None }));
         registry.register(Box::new(OccupancyBounds));
         registry.register(Box::new(WindowOrdering));
+        registry.register(Box::new(ReadySet));
         registry.register(Box::new(HistoryRestore));
         registry.register(Box::new(CounterRange));
         registry.register(Box::new(PpdNeutrality));
@@ -312,18 +359,42 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
 
     /// Occupancy/ordering fields shared by every boundary's view.
     fn audit_base_view(&self) -> AuditView {
+        let ring = &self.ring;
         AuditView {
-            ruu_len: self.ruu.len(),
+            ruu_len: ring.ruu_len(),
             ruu_cap: self.cfg.ruu_size as usize,
             lsq_len: self.lsq.len(),
             lsq_cap: self.cfg.lsq_size as usize,
-            ruu_seq_ordered: self
-                .ruu
-                .iter()
-                .zip(self.ruu.iter().skip(1))
-                .all(|(a, b)| a.seq < b.seq),
+            ruu_seq_ordered: (ring.head() + 1..ring.ruu_tail())
+                .all(|p| ring.get(p - 1).seq < ring.get(p).seq),
             ..AuditView::default()
         }
+    }
+
+    /// The oldest disagreement between the ready set and the readiness
+    /// predicate, recomputed for every RUU entry from its producers; a
+    /// bit outside the RUU is stray.
+    fn ready_mismatch(&self) -> Option<ReadyMismatch> {
+        let (head, tail) = (self.ring.head(), self.ring.ruu_tail());
+        let done = |p: u64| p < head || self.window.state(p) == EntryState::Completed;
+        (head..tail)
+            .find_map(|position| {
+                let ready = self.window.state(position) == EntryState::Waiting
+                    && self.window.producers(position).into_iter().all(done);
+                (ready != self.window.is_ready(position)).then_some(ReadyMismatch {
+                    position,
+                    in_set: !ready,
+                })
+            })
+            .or_else(|| {
+                let end = head + self.ring.slots() as u64;
+                self.window
+                    .next_ready(tail, end)
+                    .map(|position| ReadyMismatch {
+                        position,
+                        in_set: true,
+                    })
+            })
     }
 
     /// Records the cycle-start sequence watermark (tick entry hook).
@@ -341,13 +412,14 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
         };
         let mut view = self.audit_base_view();
         view.energy = Some(self.power.report());
+        view.ready_mismatch = self.ready_mismatch();
         // Instructions fetched this cycle are still at the back of the
         // fetch queue (dispatch ran before fetch). If any of them is a
         // branch, the matching lookup must have been charged this
         // cycle.
         let mut cond_now = false;
         let mut cti_now = false;
-        for fi in self.fetch_queue.iter().rev() {
+        for fi in self.ring.fetch_queue().rev().map(|p| self.ring.get(p)) {
             if fi.seq < a.seq_at_cycle_start {
                 break;
             }
@@ -496,6 +568,66 @@ mod tests {
         assert!(names.contains(&"counter-range"));
         assert!(names.contains(&"ppd-neutrality"));
         assert!(a.registry.violations().iter().all(|v| v.cycle == 42));
+    }
+
+    #[test]
+    fn stray_and_missing_ready_bits_are_reported() {
+        // Tick an audited machine until its RUU holds both a ready
+        // entry and one still waiting on an operand, then flip one bit
+        // at a time and run the cycle-boundary check by hand.
+        let model = benchmark("gzip").unwrap();
+        let program = model.build_program(5);
+        let cfg = UarchConfig::alpha21264_like();
+        let mut m = Machine::new(&cfg, &program, model, 5, PredictorConfig::bimodal(4096));
+        m.enable_audit("gzip");
+        m.warmup(5_000);
+        let waiting_with = |m: &Machine<'_>, bit: bool| {
+            (m.ring.head()..m.ring.ruu_tail())
+                .find(|&p| m.window.state(p) == EntryState::Waiting && m.window.is_ready(p) == bit)
+        };
+        let (ready, unready) = (0..10_000)
+            .find_map(|_| {
+                m.tick();
+                waiting_with(&m, true).zip(waiting_with(&m, false))
+            })
+            .expect("an RUU with a ready and an unready entry");
+        assert_eq!(
+            m.audit_clean(),
+            Some(true),
+            "{}",
+            m.audit_summary().unwrap()
+        );
+
+        let reported = |m: &mut Machine<'_>, pos: u64| {
+            m.window.flip_ready(pos);
+            m.audit_cycle_check();
+            m.window.flip_ready(pos);
+            let v = m
+                .audit
+                .as_ref()
+                .unwrap()
+                .registry
+                .violations()
+                .last()
+                .cloned();
+            v.expect("a violation")
+        };
+        let stray = reported(&mut m, unready);
+        assert_eq!(stray.invariant, "ready-set");
+        assert!(stray
+            .detail
+            .starts_with(&format!("stray ready bit at position {unready}")));
+        let missing = reported(&mut m, ready);
+        assert_eq!(missing.invariant, "ready-set");
+        assert!(missing
+            .detail
+            .starts_with(&format!("missing ready bit at position {ready}")));
+        let outside = m.ring.ruu_tail();
+        let beyond = reported(&mut m, outside);
+        assert!(beyond
+            .detail
+            .starts_with(&format!("stray ready bit at position {outside}")));
+        assert_eq!(m.audit.as_ref().unwrap().registry.total_violations(), 3);
     }
 
     #[test]

@@ -1,27 +1,27 @@
 //! Back-end stages: dispatch, issue, writeback (branch resolution and
 //! squash), and commit.
 
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Ordering;
 
 use bw_types::{Addr, CtiKind, OpClass, Seq};
 
-use crate::inflight::{EntryState, FetchedInst, LsqEntry, NO_PRODUCER};
+use crate::inflight::{EntryState, LsqEntry, NO_PRODUCER};
 use crate::machine::Machine;
 
 impl<S: bw_workload::InstSource> Machine<'_, S> {
-    /// The absolute RUU position of the in-flight producer `seq` of the
+    /// The ring position of the in-flight producer `seq` of the
     /// instruction `consumer` about to dispatch at the RUU tail, if the
     /// producer is still in flight.
     ///
     /// Every in-flight instruction between the two sits between them in
-    /// the seq-ordered RUU, so the producer is at most `consumer - seq`
+    /// the seq-ordered ring, so the producer is at most `consumer - seq`
     /// positions below the tail: exactly there unless a squash left a
     /// gap in between, in which case it is a few positions higher.
     fn producer_position(&self, seq: Seq, consumer: Seq) -> Option<u64> {
-        let tail = self.ruu_tail();
-        let mut pos = tail.saturating_sub(consumer - seq).max(self.ruu_head);
+        let tail = self.ring.ruu_tail();
+        let mut pos = tail.saturating_sub(consumer - seq).max(self.ring.head());
         while pos < tail {
-            match self.window.seq(pos).cmp(&seq) {
+            match self.ring.get(pos).seq.cmp(&seq) {
                 Ordering::Less => pos += 1,
                 Ordering::Equal => return Some(pos),
                 Ordering::Greater => break,
@@ -30,22 +30,24 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
         None
     }
 
-    /// Commit stage: retire completed instructions in order.
+    /// Commit stage: retire completed instructions in order, reading
+    /// each record in place.
     pub(crate) fn commit(&mut self) {
         for _ in 0..self.cfg.commit_width {
-            if self.ruu.is_empty() || self.window.state(self.ruu_head) != EntryState::Completed {
+            let pos = self.ring.head();
+            if pos == self.ring.ruu_tail() || self.window.state(pos) != EntryState::Completed {
                 break;
             }
-            let fi = self.ruu.pop_front().expect("checked nonempty");
-            self.ruu_head += 1;
+            self.ring.commit_one();
             self.progressed = true;
+            let fi = self.ring.get(pos);
+            let (seq, on_correct_path) = (fi.seq, fi.on_correct_path);
             debug_assert!(
-                fi.on_correct_path,
-                "wrong-path instruction reached commit (seq {})",
-                fi.seq
+                on_correct_path,
+                "wrong-path instruction reached commit (seq {seq})"
             );
             if fi.inst.op.is_mem() {
-                debug_assert_eq!(self.lsq.front().map(|e| e.seq), Some(fi.seq));
+                debug_assert_eq!(self.lsq.front().map(|e| e.seq), Some(seq));
                 self.lsq.pop_front();
                 if fi.inst.op == OpClass::Store {
                     // Stores write the D-cache at retirement.
@@ -62,7 +64,8 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
             self.committed_now += 1;
 
             if let Some(cti) = fi.inst.cti {
-                let branch = fi.branch.expect("CTIs carry branch state");
+                let pc = fi.inst.pc;
+                let branch = fi.branch.as_ref().expect("CTIs carry branch state");
                 let actual = branch.actual.expect("correct-path CTIs resolved");
                 self.stats.cti_committed += 1;
                 self.stats.cti_distance_sum += self.stats.committed - self.last_cti_at;
@@ -80,93 +83,85 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
                     if pred.outcome == actual.outcome {
                         self.stats.cond_correct += 1;
                     }
-                    self.predictor.commit(fi.inst.pc, actual.outcome, &pred);
+                    self.predictor.commit(pc, actual.outcome, &pred);
                     if !self.cfg.speculative_history {
                         // Commit-time history update (the baseline the
                         // speculative scheme improves on).
-                        self.predictor.spec_push(fi.inst.pc, actual.outcome);
+                        self.predictor.spec_push(pc, actual.outcome);
                     }
                     self.bact.dir_updates += 1;
                     if let Some(jrs) = &mut self.jrs {
-                        jrs.update(fi.inst.pc, pred.meta.ghist, pred.outcome == actual.outcome);
+                        jrs.update(pc, pred.meta.ghist, pred.outcome == actual.outcome);
                     }
                 }
                 if actual.outcome.is_taken() {
                     match &mut self.warm.nlp {
-                        Some(nlp) => nlp.train(fi.inst.pc, actual.next_pc),
-                        None => self.warm.btb.update(fi.inst.pc, actual.next_pc),
+                        Some(nlp) => nlp.train(pc, actual.next_pc),
+                        None => self.warm.btb.update(pc, actual.next_pc),
                     }
                     self.bact.btb_updates += 1;
                 }
             }
-            self.audit_commit_check(fi.seq, fi.on_correct_path);
+            self.audit_commit_check(seq, on_correct_path);
         }
     }
 
-    /// Writeback: drain due completions; resolve branches (squash +
-    /// redirect on mispredicts).
+    /// Writeback: drain this cycle's completions, waking each one's
+    /// consumers; resolve branches (squash + redirect on mispredicts).
     pub(crate) fn writeback(&mut self) {
-        while let Some(&Reverse((cycle, seq, pos))) = self.completions.peek() {
-            if cycle > self.cycle {
-                break;
-            }
-            self.completions.pop();
+        let due = self.wheel.take_due(self.cycle);
+        for &(seq, pos) in &due {
             self.progressed = true;
             // A squash hands its positions back, so an event from a
-            // squashed allocation finds its position past the tail or
-            // taken by a younger instruction.
-            if !(self.ruu_head..self.ruu_tail()).contains(&pos) || self.window.seq(pos) != seq {
-                continue; // stale event from a squashed allocation
+            // squashed instruction finds its position past the RUU tail
+            // or taken by a younger instruction.
+            if !(self.ring.head()..self.ring.ruu_tail()).contains(&pos)
+                || self.ring.get(pos).seq != seq
+            {
+                continue; // stale event from a squashed instruction
             }
-            debug_assert_eq!(
-                self.window.state(pos),
-                EntryState::Issued,
-                "one completion event per issued instruction"
-            );
-            self.window.set_state(pos, EntryState::Completed);
+            self.window.complete(pos);
             self.act.window += 1;
             self.act.resultbus += 1;
             self.act.regfile += 1;
 
-            let fi = self.ruu[(pos - self.ruu_head) as usize];
-            if let Some(branch) = fi.branch {
-                if branch.low_conf {
-                    self.low_conf_inflight = self.low_conf_inflight.saturating_sub(1);
+            let fi = self.ring.get(pos);
+            let Some(branch) = &fi.branch else {
+                continue;
+            };
+            if branch.low_conf {
+                self.low_conf_inflight = self.low_conf_inflight.saturating_sub(1);
+            }
+            if branch.mispredicted && fi.on_correct_path {
+                let actual = branch.actual.expect("correct-path branch resolved");
+                let (pc, hist_ckpt) = (fi.inst.pc, branch.hist_ckpt);
+                self.squash_after(pos);
+                // Repair the offender's own speculative history and
+                // re-insert the architectural outcome.
+                if let Some(ckpt) = hist_ckpt {
+                    self.predictor.repair(&ckpt);
+                    self.predictor.spec_push(pc, actual.outcome);
                 }
-                if branch.mispredicted && fi.on_correct_path {
-                    let actual = branch.actual.expect("correct-path branch resolved");
-                    self.squash_younger_than(seq);
-                    // Repair the offender's own speculative history and
-                    // re-insert the architectural outcome.
-                    if let (Some(ckpt), Some(pred)) = (branch.hist_ckpt, branch.prediction) {
-                        let _ = pred;
-                        self.predictor.repair(&ckpt);
-                        self.predictor.spec_push(fi.inst.pc, actual.outcome);
-                    }
-                    self.stats.squashes += 1;
-                    self.fetch_pc = actual.next_pc;
-                    self.on_correct_path = true;
-                    self.fetch_stall_until = self.cycle + 1;
-                    self.audit_recovery_check();
-                }
+                self.stats.squashes += 1;
+                self.fetch_pc = actual.next_pc;
+                self.on_correct_path = true;
+                self.fetch_stall_until = self.cycle + 1;
+                self.audit_recovery_check();
             }
         }
+        self.wheel.give_back(self.cycle, due);
     }
 
-    /// Removes every in-flight instruction younger than `seq`,
-    /// repairing speculative predictor/RAS state youngest-first.
-    pub(crate) fn squash_younger_than(&mut self, seq: Seq) {
-        // The holding structures already order the squashed
-        // instructions: the fetch queue holds the youngest, then come
-        // the decode latches from stage 0 (youngest) on, then the RUU
-        // tail. Each is oldest-first, so walk each backwards.
-        let mut squashed = 0u64;
-        let mut last = Seq::MAX;
-        let mut undo = |fi: &FetchedInst| {
-            debug_assert!(fi.seq > seq && fi.seq < last, "repair runs youngest-first");
-            last = fi.seq;
-            squashed += 1;
-            if let Some(b) = &fi.branch {
+    /// Removes every in-flight instruction after the one at `pos`,
+    /// youngest first: each squashed branch repairs speculative
+    /// predictor and RAS state, each squashed RUU entry leaves the
+    /// ready set and its producers' consumer chains, and the ring is
+    /// truncated after `pos`.
+    pub(crate) fn squash_after(&mut self, pos: u64) {
+        let seq = self.ring.get(pos).seq;
+        let ruu_tail = self.ring.ruu_tail();
+        for p in (pos + 1..self.ring.tail()).rev() {
+            if let Some(b) = &self.ring.get(p).branch {
                 if b.low_conf {
                     self.low_conf_inflight = self.low_conf_inflight.saturating_sub(1);
                 }
@@ -177,24 +172,19 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
                     self.warm.ras.restore(rc);
                 }
             }
-        };
-        self.fetch_queue.iter().rev().for_each(&mut undo);
-        for stage in &self.decode_pipe {
-            stage.iter().rev().for_each(&mut undo);
+            if p < ruu_tail {
+                self.window.squash(p);
+            }
         }
-        while let Some(fi) = self.ruu.back().filter(|fi| fi.seq > seq) {
-            undo(fi);
-            self.ruu.pop_back();
+        self.stats.squashed_insts += self.ring.tail() - (pos + 1);
+        self.ring.truncate(pos + 1);
+        while self.lsq.back().is_some_and(|e| e.seq > seq) {
+            self.lsq.pop_back();
         }
-        self.fetch_queue.clear();
-        for stage in &mut self.decode_pipe {
-            stage.clear();
-        }
-        self.lsq.retain(|e| e.seq <= seq);
-        self.stats.squashed_insts += squashed;
     }
 
-    /// Issue stage: wake ready instructions and start execution.
+    /// Issue stage: start the oldest ready instructions the issue width
+    /// and functional units allow.
     pub(crate) fn issue(&mut self) {
         let mut total_left = self.cfg.issue_width;
         let mut int_left = self.cfg.int_issue;
@@ -203,29 +193,13 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
         let mut mul_left = self.cfg.int_mul;
         let mut fpmul_left = self.cfg.fp_mul;
 
-        for idx in 0..self.ruu.len() {
-            if total_left == 0 {
+        let (mut from, end) = (self.ring.head(), self.ring.ruu_tail());
+        while total_left > 0 {
+            let Some(pos) = self.window.next_ready(from, end) else {
                 break;
-            }
-            let pos = self.ruu_head + idx as u64;
-            // Wakeup: a producer is done once it has completed or left
-            // the window below the head (a squashed producer takes its
-            // consumers with it).
-            if self.window.state(pos) == EntryState::Waiting {
-                let ready =
-                    self.window.producers(pos).iter().all(|&p| {
-                        p < self.ruu_head || self.window.state(p) == EntryState::Completed
-                    });
-                if !ready {
-                    continue;
-                }
-                self.window.set_state(pos, EntryState::Ready);
-                self.progressed = true;
-            } else if self.window.state(pos) != EntryState::Ready {
-                continue;
-            }
-
-            let op = self.ruu[idx].inst.op;
+            };
+            from = pos + 1;
+            let op = self.ring.get(pos).inst.op;
             // Port/FU availability.
             let ok = match op {
                 OpClass::IntAlu | OpClass::Cti => int_left > 0,
@@ -238,7 +212,6 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
                 continue;
             }
 
-            let seq = self.ruu[idx].seq;
             let latency = match op {
                 OpClass::IntAlu | OpClass::Cti | OpClass::Store => 1,
                 OpClass::IntMul => 3,
@@ -247,9 +220,9 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
                 // Memory disambiguation: every older store's address is
                 // known at dispatch, so a load always issues, forwarding
                 // from an older store to its block.
-                OpClass::Load if self.load_forwards(idx) => 1,
+                OpClass::Load if self.load_forwards(pos) => 1,
                 OpClass::Load => {
-                    let addr = self.ruu[idx].data_addr.expect("loads have addresses");
+                    let addr = self.ring.get(pos).data_addr.expect("loads have addresses");
                     self.load_latency(addr)
                 }
             };
@@ -266,9 +239,9 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
                 }
                 OpClass::Load | OpClass::Store => mem_left -= 1,
             }
-            self.window.set_state(pos, EntryState::Issued);
-            let completes_at = self.cycle + u64::from(latency);
-            self.completions.push(Reverse((completes_at, seq, pos)));
+            self.window.issue(pos);
+            let seq = self.ring.get(pos).seq;
+            self.wheel.schedule(self.cycle, latency, seq, pos);
             self.progressed = true;
 
             total_left -= 1;
@@ -285,9 +258,9 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
     }
 
     /// `true` if an older store in the LSQ writes the 8-byte block the
-    /// load at RUU index `idx` reads, so the load forwards from it.
-    fn load_forwards(&self, idx: usize) -> bool {
-        let load = &self.ruu[idx];
+    /// load at `pos` reads, so the load forwards from it.
+    fn load_forwards(&self, pos: u64) -> bool {
+        let load = self.ring.get(pos);
         let block = load.data_addr.expect("loads have addresses").0 & !7;
         self.lsq
             .iter()
@@ -319,23 +292,20 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
         lat
     }
 
-    /// Dispatch: move instructions from the decode/rename pipe into
-    /// the RUU and LSQ, then shift the pipe and refill from the fetch
-    /// buffer.
+    /// Dispatch: move instructions from the oldest decode/rename latch
+    /// into the RUU and LSQ, then shift the latches and refill the
+    /// youngest from the fetch buffer. Each move is a ring boundary
+    /// moving; the records stay where fetch wrote them.
     pub(crate) fn dispatch(&mut self) {
-        // Retire the oldest stage into the window.
-        let oldest = self.decode_pipe.len() - 1;
-        let mut taken = 0;
-        while let Some(&fi) = self.decode_pipe[oldest].get(taken) {
-            if self.ruu.len() >= self.cfg.ruu_size as usize {
+        for pos in self.ring.latch(0) {
+            if self.ring.ruu_len() >= self.cfg.ruu_size as usize {
                 break;
             }
-            if fi.inst.op.is_mem() && self.lsq.len() >= self.cfg.lsq_size as usize {
-                break;
-            }
-            taken += 1;
-            self.progressed = true;
+            let fi = self.ring.get(pos);
             if fi.inst.op.is_mem() {
+                if self.lsq.len() >= self.cfg.lsq_size as usize {
+                    break;
+                }
                 // Store addresses are produced by the address-generation
                 // path as soon as the store dispatches; the data operand
                 // is what the store may still wait on. Loads can
@@ -347,44 +317,32 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
                     store_block,
                 });
             }
-            debug_assert!(
-                self.ruu.back().is_none_or(|e| e.seq < fi.seq),
-                "RUU must stay seq-ordered"
-            );
-            let producers = self.resolve_producers(&fi);
-            self.window.allocate(self.ruu_tail(), fi.seq, producers);
-            self.ruu.push_back(fi);
+            self.progressed = true;
+            let producers = self.resolve_producers(pos);
+            self.window.allocate(pos, producers, self.ring.head());
+            self.ring.dispatch_one();
             self.act.rename += 1;
             self.act.window += 1;
         }
-        self.decode_pipe[oldest].drain(..taken);
 
         // Shift the latch pipeline where possible (in-order, rigid).
-        // Swapping with the empty latch ahead keeps both buffers.
-        for i in (0..oldest).rev() {
-            if self.decode_pipe[i + 1].is_empty() && !self.decode_pipe[i].is_empty() {
-                self.decode_pipe.swap(i, i + 1);
-                self.progressed = true;
-            }
+        if self.ring.shift_latches() {
+            self.progressed = true;
         }
 
-        // Decode: pull from the fetch buffer into stage 0.
-        if self.decode_pipe[0].is_empty() {
-            for _ in 0..self.cfg.decode_width {
-                let Some(fi) = self.fetch_queue.pop_front() else {
-                    break;
-                };
-                self.decode_pipe[0].push(fi);
-                self.progressed = true;
-            }
+        // Decode: pull from the fetch buffer into the youngest latch.
+        if self.ring.decode(self.cfg.decode_width) > 0 {
+            self.progressed = true;
         }
     }
 
-    /// Resolves an instruction's source operands, given as dependency
-    /// distances, to their producers' absolute RUU positions, or to
-    /// [`NO_PRODUCER`] when the producer has already committed or was
-    /// squashed. Producers are older, so they dispatched already.
-    fn resolve_producers(&self, fi: &FetchedInst) -> [u64; 2] {
+    /// Resolves the source operands of the instruction at `pos`, about
+    /// to dispatch, given as dependency distances, to their producers'
+    /// ring positions, or to [`NO_PRODUCER`] when the producer has
+    /// already committed or was squashed. Producers are older, so they
+    /// dispatched already.
+    fn resolve_producers(&self, pos: u64) -> [u64; 2] {
+        let fi = self.ring.get(pos);
         fi.inst.dep_distances().map(|dist| {
             dist.and_then(|k| fi.seq.checked_sub(u64::from(k)))
                 .and_then(|seq| self.producer_position(seq, fi.seq))

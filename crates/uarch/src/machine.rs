@@ -2,8 +2,7 @@
 //! stage.
 
 use std::borrow::Cow;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use bw_arrays::{ModelKind, TechParams};
 use bw_power::{
@@ -16,7 +15,7 @@ use bw_types::{Addr, CtiKind, Cycle, Seq};
 use bw_workload::{BenchmarkModel, InstSource, StaticProgram, Thread};
 
 use crate::config::UarchConfig;
-use crate::inflight::{BranchState, FetchedInst, LsqEntry, Window};
+use crate::inflight::{BranchState, FetchedInst, LsqEntry, Ring, Wheel, Window};
 use crate::stats::SimStats;
 use crate::warm::{WarmState, WARM_BATCH};
 
@@ -44,20 +43,15 @@ pub struct Machine<'p, S: InstSource = Thread<'p>> {
     pub(crate) fetch_pc: Addr,
     pub(crate) on_correct_path: bool,
     pub(crate) fetch_stall_until: Cycle,
-    pub(crate) fetch_queue: VecDeque<FetchedInst>,
-    /// Decode + extra rename stages; index 0 is the youngest stage.
-    pub(crate) decode_pipe: Vec<Vec<FetchedInst>>,
-    // Backend. The RUU holds the instructions; their execution state
-    // lives in `window`.
-    pub(crate) ruu: VecDeque<FetchedInst>,
-    /// Absolute RUU position of `ruu[0]` (see [`Window`]).
-    pub(crate) ruu_head: u64,
-    /// Execution state, sequence number and producers of every RUU
-    /// entry, by position.
+    /// Every in-flight instruction: the RUU, the decode/rename latches
+    /// and the fetch queue are ranges of it.
+    pub(crate) ring: Ring,
+    /// Execution state, producers, consumer chains and ready set of
+    /// every RUU entry, by ring position.
     pub(crate) window: Window,
     pub(crate) lsq: VecDeque<LsqEntry>,
-    /// Completion events: (cycle, sequence number, RUU position).
-    pub(crate) completions: BinaryHeap<Reverse<(Cycle, Seq, u64)>>,
+    /// Completion events by cycle: (sequence number, ring position).
+    pub(crate) wheel: Wheel,
     // Pipeline gating.
     pub(crate) low_conf_inflight: u32,
     // Bookkeeping.
@@ -244,7 +238,16 @@ impl<'p, S: InstSource> Machine<'p, S> {
         );
         let power = ChipPower::new(tech, bpred_power);
         let fetch_pc = warm.source.pc();
-        let depth = (1 + cfg.extra_rename_stages) as usize;
+        let latches = (1 + cfg.extra_rename_stages) as usize;
+        let ring = Ring::new(
+            (cfg.ruu_size + latches as u32 * cfg.decode_width + cfg.fetch_buffer) as usize,
+            latches,
+        );
+        // The longest completion latency: a load that misses the TLB,
+        // the L1 and the L2.
+        let max_latency =
+            (cfg.l1d.hit_latency + cfg.tlb.miss_penalty + cfg.l2.hit_latency.max(cfg.mem_latency))
+                .max(4);
         Machine {
             cfg: cfg.clone(),
             warm,
@@ -254,13 +257,10 @@ impl<'p, S: InstSource> Machine<'p, S> {
             fetch_pc,
             on_correct_path: true,
             fetch_stall_until: 0,
-            fetch_queue: VecDeque::with_capacity(cfg.fetch_buffer as usize + 8),
-            decode_pipe: vec![Vec::with_capacity(cfg.decode_width as usize); depth],
-            ruu: VecDeque::with_capacity(cfg.ruu_size as usize),
-            ruu_head: 1,
-            window: Window::new(cfg.ruu_size),
+            window: Window::new(ring.slots()),
+            ring,
             lsq: VecDeque::with_capacity(cfg.lsq_size as usize),
-            completions: BinaryHeap::new(),
+            wheel: Wheel::new(max_latency),
             low_conf_inflight: 0,
             cycle: 0,
             next_seq: 0,
@@ -281,22 +281,31 @@ impl<'p, S: InstSource> Machine<'p, S> {
     /// One-line internal state summary (debugging aid).
     #[must_use]
     pub fn debug_state(&self) -> String {
-        let head = self.ruu.front().map(|fi| {
+        let ring = &self.ring;
+        let head = (ring.ruu_len() > 0).then(|| {
+            let fi = ring.get(ring.head());
             format!(
                 "{:?}/{:?}/seq{}/producers{:?}",
                 fi.inst.op,
-                self.window.state(self.ruu_head),
+                self.window.state(ring.head()),
                 fi.seq,
-                self.window.producers(self.ruu_head),
+                self.window.producers(ring.head()),
             )
         });
+        let latches = self.cfg.extra_rename_stages as usize + 1;
         format!(
             "cyc {} ruu {} lsq {} fq {} pipe {:?} head {:?} stall_until {} correct {} compl {} pc {} i$ {:?} l2 {:?}",
-            self.cycle, self.ruu.len(), self.lsq.len(), self.fetch_queue.len(),
-            self.decode_pipe.iter().map(Vec::len).collect::<Vec<_>>(),
-            head, self.fetch_stall_until, self.on_correct_path, self.completions.len(),
+            self.cycle, ring.ruu_len(), self.lsq.len(), ring.fetch_queue_len(),
+            (0..latches).map(|j| ring.latch(j).end - ring.latch(j).start).collect::<Vec<_>>(),
+            head, self.fetch_stall_until, self.on_correct_path, self.wheel.len(),
             self.fetch_pc, self.warm.icache.stats(), self.warm.l2.stats(),
         )
+    }
+
+    /// The direction predictor's description, e.g. `Gsh_1_16k_12`.
+    #[must_use]
+    pub fn describe_predictor(&self) -> String {
+        self.predictor.describe()
     }
 
     /// Aggregate branch-prediction activity over the run, usable for
@@ -494,7 +503,7 @@ impl<'p, S: InstSource> Machine<'p, S> {
             return;
         }
         let mut last = cycle_cap;
-        if let Some(&Reverse((due, _, _))) = self.completions.peek() {
+        if let Some(due) = self.wheel.next_due(self.cycle) {
             last = last.min(due - 1);
         }
         if self.fetch_stall_until > self.cycle {
@@ -548,10 +557,8 @@ impl<'p, S: InstSource> Machine<'p, S> {
         self.audit_cycle_check();
     }
 
-    /// Absolute RUU position one past the youngest entry: where the
-    /// next dispatch goes.
-    pub(crate) fn ruu_tail(&self) -> u64 {
-        self.ruu_head + self.ruu.len() as u64
+    fn fetch_queue_full(&self) -> bool {
+        self.ring.fetch_queue_len() >= self.cfg.fetch_buffer as usize
     }
 
     pub(crate) fn gating_active(&self) -> bool {
@@ -569,7 +576,7 @@ impl<'p, S: InstSource> Machine<'p, S> {
             self.stats.gated_cycles += 1;
             return;
         }
-        if self.fetch_queue.len() >= self.cfg.fetch_buffer as usize {
+        if self.fetch_queue_full() {
             return;
         }
         // A wrong-path fetch that wandered outside the program's mapped
@@ -634,9 +641,24 @@ impl<'p, S: InstSource> Machine<'p, S> {
         // Fetch instructions up to the line boundary / width / a taken
         // branch.
         let mut width_left = self.cfg.fetch_width;
-        while width_left > 0 && self.fetch_queue.len() < self.cfg.fetch_buffer as usize {
+        while width_left > 0 && !self.fetch_queue_full() {
             let pc = self.fetch_pc;
-            let inst = self.warm.program.decode(pc);
+            let seq = self.next_seq;
+            self.next_seq += 1;
+
+            // Oracle pairing: instructions fetched while still on the
+            // correct path consume one oracle step each, and take its
+            // decode (both sources decode through the program).
+            let was_correct = self.on_correct_path;
+            let (inst, data_addr, actual) = if was_correct {
+                let step = self.warm.source.step();
+                debug_assert_eq!(step.inst.pc, pc, "oracle and fetch diverged");
+                (step.inst, step.data_addr, step.control)
+            } else {
+                let inst = self.warm.program.decode(pc);
+                let da = inst.op.is_mem().then(|| self.wrong_path_addr(pc, seq));
+                (inst, da, None)
+            };
 
             // PPD conservatism fallback: a (rare) aliased PPD entry may
             // claim the line has no conditional branch / CTI while the
@@ -655,25 +677,6 @@ impl<'p, S: InstSource> Machine<'p, S> {
                 btb_charged = true;
                 self.stats.ppd_btb_gated = self.stats.ppd_btb_gated.saturating_sub(1);
             }
-
-            let seq = self.next_seq;
-            self.next_seq += 1;
-
-            // Oracle pairing: instructions fetched while still on the
-            // correct path consume one oracle step each.
-            let was_correct = self.on_correct_path;
-            let (data_addr, actual) = if was_correct {
-                let step = self.warm.source.step();
-                debug_assert_eq!(step.inst.pc, pc, "oracle and fetch diverged");
-                (step.data_addr, step.control)
-            } else {
-                let da = if inst.op.is_mem() {
-                    Some(self.wrong_path_addr(pc, seq))
-                } else {
-                    None
-                };
-                (da, None)
-            };
 
             let mut stop_after = false;
             let mut misfetch = false;
@@ -712,7 +715,7 @@ impl<'p, S: InstSource> Machine<'p, S> {
                 }
             }
 
-            self.fetch_queue.push_back(FetchedInst {
+            self.ring.push(FetchedInst {
                 inst,
                 seq,
                 on_correct_path: was_correct,

@@ -465,7 +465,7 @@ fn fast_forward_is_bit_identical_to_ticking_every_cycle() {
             tick_loop(&mut reference, 1_500, &mut per_cycle);
             tick_loop(&mut reference, 2_500, &mut per_cycle);
 
-            let cell = format!("{label} / {} / {}", model.name, pred.build().describe());
+            let cell = format!("{label} / {} / {}", model.name, fast.describe_predictor());
             assert_eq!(fast.stats(), reference.stats(), "{cell}: stats");
             assert_eq!(
                 fast.bpred_totals(),
@@ -497,6 +497,57 @@ fn fast_forward_is_bit_identical_to_ticking_every_cycle() {
         ticked * 10 < cycles * 9,
         "only {} of {cycles} cycles skipped",
         cycles - ticked
+    );
+}
+
+/// Each variant's detailed phase over all 22 models, the zoo rotating
+/// as in the fast-forward oracle, at 3k warm-up and 4k measured
+/// instructions: `bw_types::fnv1a` of every cell's `SimStats`,
+/// `BpredTotals` and per-unit energy bits. bwbench's goldens pin only
+/// the Table 1 machine, and the fast-forward oracle compares `run` with
+/// `tick` of the same build, so neither sees a change in what a tick
+/// does on the other machines; these digests do. They were recorded on
+/// the RUU-scan scheduler that the event-driven one replaced.
+const DETAILED_GOLDEN: [(&str, u64); 10] = [
+    ("base", 0xde8a_7a1a_8f2a_1cbc),
+    ("both-strong gating N=0", 0x1bf3_3142_2553_8d07),
+    ("both-strong gating N=2", 0xee56_16fb_1879_d974),
+    ("JRS gating N=1", 0x89fc_1d1c_79ef_b74d),
+    ("PPD scenario 1", 0xd6bb_d67b_e6a3_1e66),
+    ("PPD scenario 2", 0x42dc_097e_2336_7e7f),
+    ("commit-time history", 0x5917_a469_a642_df4a),
+    ("next-line predictor", 0xb092_2bce_65b6_6e67),
+    ("RUU 40 / LSQ 20", 0x4f87_2bf1_71e5_f6f1),
+    ("RUU 160", 0xfd19_8cff_df2e_5d16),
+];
+
+#[test]
+fn detailed_phase_matches_its_golden_digests() {
+    use std::fmt::Write;
+    let zoo = zoo();
+    let mut cells = 0usize;
+    let digests: Vec<(&str, u64)> = variants()
+        .into_iter()
+        .map(|(label, cfg)| {
+            let mut text = String::new();
+            for model in all_benchmarks() {
+                let pred = zoo[cells % zoo.len()];
+                cells += 1;
+                let seed = 1 + cells as u64;
+                let program = model.build_program(seed);
+                let mut m = Machine::new(&cfg, &program, model, seed, pred);
+                m.warmup(3_000);
+                m.run(4_000);
+                let energy = m.power_report().energy_j.map(f64::to_bits);
+                writeln!(text, "{:?} {:?} {energy:?}", m.stats(), m.bpred_totals())
+                    .expect("a String takes any write");
+            }
+            (label, bw_types::fnv1a(text.as_bytes()))
+        })
+        .collect();
+    assert_eq!(
+        digests, DETAILED_GOLDEN,
+        "a variant's detailed phase changed: its stats, totals or energy moved"
     );
 }
 
@@ -547,7 +598,7 @@ fn from_warmed_after_a_chunked_warm_up_equals_warmup() {
             reference.run(2_000);
             forked.run(2_000);
 
-            let cell = format!("{label} / {} / {}", model.name, pred.build().describe());
+            let cell = format!("{label} / {} / {}", model.name, forked.describe_predictor());
             assert_eq!(forked.stats(), reference.stats(), "{cell}: stats");
             assert_eq!(forked.icache_stats(), reference.icache_stats(), "{cell}");
             assert_eq!(forked.dcache_stats(), reference.dcache_stats(), "{cell}");
