@@ -20,7 +20,7 @@ use std::time::Instant;
 
 /// The PR this tree corresponds to; stamped into `BENCH_kernel.json`
 /// and its cross-PR history so regressions are attributable.
-const PR: u32 = 23;
+const PR: u32 = 26;
 
 use bw_arrays::{ModelKind, TechParams};
 use bw_core::experiments::trace_sweep_rows_supervised;

@@ -25,6 +25,9 @@ struct BtbEntry {
 /// predictor (the Alpha 21264 itself used an I-cache line predictor
 /// instead, but "most processors currently do use a separate BTB").
 ///
+/// All sets live in one flat entry array, set `s` at `s * assoc..(s +
+/// 1) * assoc`, so building (or cloning) a BTB is one allocation.
+///
 /// # Examples
 ///
 /// ```
@@ -38,7 +41,7 @@ struct BtbEntry {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Btb {
-    sets: Vec<Vec<BtbEntry>>,
+    entries: Vec<BtbEntry>,
     set_bits: u32,
     assoc: u32,
     tick: u64,
@@ -61,18 +64,20 @@ impl Btb {
         let n_sets = entries / u64::from(assoc);
         let set_bits = log2_exact(n_sets);
         Btb {
-            sets: vec![vec![BtbEntry::default(); assoc as usize]; n_sets as usize],
+            entries: vec![BtbEntry::default(); entries as usize],
             set_bits,
             assoc,
             tick: 0,
         }
     }
 
-    fn set_and_tag(&self, pc: Addr) -> (usize, u64) {
+    /// The entry range of `pc`'s set, and its tag.
+    fn set_and_tag(&self, pc: Addr) -> (std::ops::Range<usize>, u64) {
         let word = pc.0 >> 2;
         let set = (word & ((1u64 << self.set_bits) - 1)) as usize;
         let tag = (word >> self.set_bits) & ((1u64 << TAG_BITS) - 1);
-        (set, tag)
+        let first = set * self.assoc as usize;
+        (first..first + self.assoc as usize, tag)
     }
 
     /// Looks up a predicted target for the CTI at `pc`, updating LRU
@@ -81,7 +86,7 @@ impl Btb {
         self.tick += 1;
         let (set, tag) = self.set_and_tag(pc);
         let tick = self.tick;
-        for e in &mut self.sets[set] {
+        for e in &mut self.entries[set] {
             if e.valid && e.tag == tag {
                 e.lru = tick;
                 return Some(e.target);
@@ -96,7 +101,7 @@ impl Btb {
         self.tick += 1;
         let (set, tag) = self.set_and_tag(pc);
         let tick = self.tick;
-        let ways = &mut self.sets[set];
+        let ways = &mut self.entries[set];
         if let Some(e) = ways.iter_mut().find(|e| e.valid && e.tag == tag) {
             e.target = target;
             e.lru = tick;
@@ -117,7 +122,7 @@ impl Btb {
     /// Number of entries.
     #[must_use]
     pub fn entries(&self) -> u64 {
-        self.sets.len() as u64 * u64::from(self.assoc)
+        self.entries.len() as u64
     }
 
     /// The BTB's array description for the power model.

@@ -38,21 +38,36 @@ pub fn staging_path(path: &Path) -> PathBuf {
 /// Propagates filesystem errors; on a failed rename the staged temp
 /// file is removed before returning.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
     let tmp = staging_path(path);
     // The one sanctioned raw write in the workspace: it targets the
     // staging file, which is never read by anyone.
-    std::fs::write(&tmp, bytes)?;
+    creating_parents(path, || std::fs::write(&tmp, bytes))?;
     match std::fs::rename(&tmp, path) {
         Ok(()) => Ok(()),
         Err(e) => {
             let _ = std::fs::remove_file(&tmp);
             Err(e)
         }
+    }
+}
+
+/// Runs `op`, a write that creates `path` or a sibling of it, and runs
+/// it once more after creating `path`'s parent directories if it failed
+/// for want of one. A write into an existing directory thus costs no
+/// `mkdir`.
+fn creating_parents<T>(
+    path: &Path,
+    mut op: impl FnMut() -> std::io::Result<T>,
+) -> std::io::Result<T> {
+    match op() {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => match path.parent() {
+            Some(parent) if !parent.as_os_str().is_empty() => {
+                std::fs::create_dir_all(parent)?;
+                op()
+            }
+            _ => Err(e),
+        },
+        done => done,
     }
 }
 
@@ -73,15 +88,12 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 /// Propagates filesystem errors.
 pub fn append_line(path: &Path, line: &str) -> std::io::Result<()> {
     use std::io::Write;
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
+    let mut f = creating_parents(path, || {
+        std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+    })?;
     // One write_all of the whole line: with O_APPEND each write
     // positions atomically at the end, so concurrent appenders
     // interleave whole lines, never halves of two.

@@ -4,6 +4,7 @@
 //! the code it audits): a hand-rolled lexer ([`lexer`]), an
 //! item-level workspace model ([`model`]), the line-rule family
 //! ([`lint`]), and the model-level passes plus reporting ([`passes`]).
+//! [`verify`] lists the test commands CI blocks on.
 //!
 //! The `xtask` binary drives it; integration tests run the passes
 //! over fixture workspaces under `xtask/tests/fixtures/`.
@@ -15,3 +16,4 @@ pub mod lexer;
 pub mod lint;
 pub mod model;
 pub mod passes;
+pub mod verify;

@@ -1,29 +1,36 @@
 //! Workspace automation tasks.
 //!
-//! One subcommand:
+//! Two subcommands:
 //!
 //! ```text
 //! cargo run -p xtask -- lint [--list] [--json]
+//! cargo run -p xtask -- verify
 //! ```
 //!
-//! builds the workspace model ([`model`]) and runs every analysis
-//! pass over it ([`passes`]): the line rules, the determinism pass,
-//! the feature-graph pass, the trait-conformance pass, and
+//! `lint` builds the workspace model ([`model`]) and runs every
+//! analysis pass over it ([`passes`]): the line rules, the determinism
+//! pass, the feature-graph pass, the trait-conformance pass, and
 //! unused-suppression detection. `--json` emits the stable
 //! machine-readable report (schema in [`passes::to_json`]); `--list`
 //! prints the rule catalog. Exit codes: 0 clean, 1 findings, 2 usage
 //! or I/O error.
+//!
+//! `verify` runs CI's test commands ([`verify::STEPS`]) from the
+//! workspace root, in order, and stops at the first that fails, naming
+//! it. Exit codes: 0 all passed, 1 a step failed, 2 usage error.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
+use std::process::Command;
 
-use xtask::{lint, model, passes};
+use xtask::{lint, model, passes, verify};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
         Some("lint") => cmd_lint(&args[1..]),
+        Some("verify") => cmd_verify(&args[1..]),
         Some(other) => {
             eprintln!("unknown task '{other}'");
             usage();
@@ -39,6 +46,7 @@ fn main() {
 
 fn usage() {
     eprintln!("usage: cargo run -p xtask -- lint [--list] [--json]");
+    eprintln!("       cargo run -p xtask -- verify");
 }
 
 fn workspace_root() -> PathBuf {
@@ -97,4 +105,36 @@ fn cmd_lint(args: &[String]) -> i32 {
         );
         1
     }
+}
+
+fn cmd_verify(args: &[String]) -> i32 {
+    if let Some(bad) = args.first() {
+        eprintln!("unknown verify flag '{bad}'");
+        usage();
+        return 2;
+    }
+    let root = workspace_root();
+    let n = verify::STEPS.len();
+    for (i, step) in verify::STEPS.iter().enumerate() {
+        eprintln!("verify [{}/{n}]: {step}", i + 1);
+        let mut words = step.split_whitespace();
+        let program = words.next().expect("steps are nonempty");
+        let passed = match Command::new(program)
+            .args(words)
+            .current_dir(&root)
+            .status()
+        {
+            Ok(status) => status.success(),
+            Err(e) => {
+                eprintln!("verify: cannot start `{program}`: {e}");
+                false
+            }
+        };
+        if !passed {
+            eprintln!("verify: FAILED at step {}/{n}: {step}", i + 1);
+            return 1;
+        }
+    }
+    eprintln!("verify: all {n} steps passed");
+    0
 }
