@@ -44,9 +44,9 @@
 //! `paper` and the study binaries render only a complete plan, so they
 //! panic naming the first failed run (exit 101).
 //!
-//! Builds with the `fault-inject` feature additionally honour the
-//! `BW_FAULT` environment variable (`kind[:param][xN]@target` clauses,
-//! `;`-separated — see `bw-fault`) for deterministic chaos testing.
+//! Every binary that runs cells honours the `BW_FAULT` environment
+//! variable (`kind[:param][xN]@target` clauses, `;`-separated — see
+//! `bw-fault`) for deterministic chaos testing.
 //!
 //! Run them as `cargo run --release -p bw-bench --bin fig05 -- [flags]`.
 //!
@@ -282,8 +282,7 @@ fn refuse(msg: &str, usage: &str) -> ! {
 }
 
 /// Arms the process-wide fault plan from `BW_FAULT` / `BW_FAULT_SEED`
-/// (fault-inject builds only; exits with status 2 on a malformed spec).
-#[cfg(feature = "fault-inject")]
+/// (exits with status 2 on a malformed spec).
 fn arm_faults_from_env() {
     match bw_fault::FaultPlan::from_env() {
         Ok(Some(plan)) => bw_fault::arm(plan),
@@ -294,9 +293,6 @@ fn arm_faults_from_env() {
         }
     }
 }
-
-#[cfg(not(feature = "fault-inject"))]
-fn arm_faults_from_env() {}
 
 fn parse_num(args: &[String], i: usize, flag: &str) -> u64 {
     let Some(arg) = args.get(i) else {

@@ -1,16 +1,25 @@
 //! The experiment binaries refuse what they cannot honour — a zero
 //! measure budget, or a flag they would otherwise ignore — with exit
 //! status 2 and the usage line, before anything is simulated or
-//! written.
+//! written. They honour the fault plan in `BW_FAULT` in every build.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+/// Runs `bin` with no fault plan armed from the caller's environment.
 fn run(bin: &str, args: &[&str]) -> Output {
-    Command::new(bin)
-        .args(args)
-        .output()
-        .unwrap_or_else(|e| panic!("{bin} runs: {e}"))
+    run_with_faults(bin, args, None)
+}
+
+fn run_with_faults(bin: &str, args: &[&str], faults: Option<&str>) -> Output {
+    let mut cmd = Command::new(bin);
+    cmd.args(args)
+        .env_remove("BW_FAULT")
+        .env_remove("BW_FAULT_SEED");
+    if let Some(plan) = faults {
+        cmd.env("BW_FAULT", plan);
+    }
+    cmd.output().unwrap_or_else(|e| panic!("{bin} runs: {e}"))
 }
 
 /// Asserts a usage refusal and returns its stderr.
@@ -49,6 +58,31 @@ fn the_removed_run_policy_flags_are_refused() {
         );
         assert!(stderr.contains("unknown flag"), "{flag}: {stderr}");
     }
+}
+
+/// Fault injection is compiled into every build: a default `fig05`
+/// arms the plan in `BW_FAULT`, and the injected panic degrades the one
+/// targeted cell of 140 while the rest of the figure renders.
+#[test]
+fn a_default_build_honours_bw_fault() {
+    let out = run_with_faults(
+        env!("CARGO_BIN_EXE_fig05"),
+        &[
+            "--warmup",
+            "2000",
+            "--measure",
+            "1000",
+            "--no-cache",
+            "--jobs",
+            "1",
+        ],
+        Some("panic@Bim_4k / gzip"),
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("bw-fault: injected panic"), "{stderr}");
+    assert!(stderr.contains("1 of 140 run(s) degraded"), "{stderr}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("Bim_4k"));
 }
 
 /// The study binaries run supervised like the sweeps, so they honour

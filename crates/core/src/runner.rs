@@ -541,10 +541,10 @@ impl Runner {
 
     /// Simulates one planned run under `token`, auditing if enabled,
     /// from its warm group's shared warm-up (built from `workload` by
-    /// whichever run of the group gets there first). Under
-    /// `fault-inject` the entry's label becomes the thread's ambient
-    /// injection scope, so faults can target runs by the same labels a
-    /// human sees in progress output.
+    /// whichever run of the group gets there first). The entry's label
+    /// becomes the thread's ambient fault-injection scope, so faults
+    /// can target runs by the same labels a human sees in progress
+    /// output.
     ///
     /// # Errors
     ///
@@ -556,7 +556,6 @@ impl Runner {
         slot: &WarmSlot<'w>,
         token: &CancelToken,
     ) -> Result<RunResult, Cancelled> {
-        #[cfg(feature = "fault-inject")]
         let _scope = bw_fault::ScopeGuard::enter(&e.label);
         let ctl = SimControl::default().cancel_on(token);
         let mut violations = Vec::new();
@@ -592,7 +591,6 @@ impl Runner {
         let Some(cache) = self.effective_cache() else {
             return CacheLookup::Miss;
         };
-        #[cfg(feature = "fault-inject")]
         if bw_fault::injected_cache_corruption(&e.label) {
             let _ = bw_fault::corrupt_file(&cache.path_for(&e.key), bw_fault::armed_seed());
         }

@@ -410,12 +410,11 @@ impl RunResult {
 /// watchdog deadline is observed within a fraction of a second.
 pub(crate) const CANCEL_CHECK_INSTS: u64 = 1 << 18;
 
-/// Fault-injection hooks consulted at the start of each run's drive
-/// (`fault-inject` feature): an armed panic fault unwinds here with
-/// [`bw_fault::PANIC_MARKER`] in the payload; an armed stall sleeps in
-/// short slices — still honouring the cancel token, so a configured
-/// watchdog converts the stall into a timeout.
-#[cfg(feature = "fault-inject")]
+/// Fault-injection hooks consulted at the start of each run's drive:
+/// an armed panic fault unwinds here with [`bw_fault::PANIC_MARKER`]
+/// in the payload; an armed stall sleeps in short slices — still
+/// honouring the cancel token, so a configured watchdog converts the
+/// stall into a timeout.
 fn fault_hooks(token: Option<&CancelToken>) -> Result<(), Cancelled> {
     if bw_fault::injected_panic("sim-loop") {
         panic!("{} (simulation loop)", bw_fault::PANIC_MARKER);
@@ -563,7 +562,6 @@ pub(crate) fn run_cell<'w>(
     cfg: &SimConfig,
     ctl: SimControl<'_>,
 ) -> Result<RunResult, Cancelled> {
-    #[cfg(feature = "fault-inject")]
     fault_hooks(ctl.token)?;
     let warm = warm(ctl.token)?;
     match Arc::try_unwrap(warm) {

@@ -569,48 +569,56 @@ impl Quarantine {
 
 mod quarantine_persist {
     use super::{Quarantine, QuarantineEntry, QUARANTINE_FORMAT_VERSION};
-    use serde::{Deserialize, Serialize, Value};
-    use std::collections::BTreeMap;
+    use serde::{Deserialize, Serialize};
     use std::path::PathBuf;
 
+    /// The ledger file: its format version and one record per key.
+    #[derive(Serialize, Deserialize)]
+    struct LedgerFile {
+        format_version: u32,
+        entries: Vec<Record>,
+    }
+
+    /// One ledger entry under its key digest.
+    #[derive(Serialize, Deserialize)]
+    struct Record {
+        #[serde(with = "bw_types::hex16")]
+        key: u64,
+        benchmark: String,
+        predictor: String,
+        failures: u32,
+        last_error: String,
+    }
+
     impl Quarantine {
-        /// Loads the ledger at `path` (missing or malformed → empty).
+        /// Loads the ledger at `path` (missing, malformed or another
+        /// format version → empty).
         #[must_use]
         pub fn load(path: PathBuf) -> Self {
             let entries = std::fs::read_to_string(&path)
                 .ok()
-                .and_then(|text| Self::parse(&text))
+                .and_then(|text| serde_json::from_str::<LedgerFile>(&text).ok())
+                .filter(|file| file.format_version == QUARANTINE_FORMAT_VERSION)
+                .map(|file| {
+                    file.entries
+                        .into_iter()
+                        .map(|r| {
+                            let entry = QuarantineEntry {
+                                benchmark: r.benchmark,
+                                predictor: r.predictor,
+                                failures: r.failures,
+                                last_error: r.last_error,
+                            };
+                            (r.key, entry)
+                        })
+                        .collect()
+                })
                 .unwrap_or_default();
             Quarantine {
                 path: Some(path),
                 entries,
                 dirty: false,
             }
-        }
-
-        fn parse(text: &str) -> Option<BTreeMap<u64, QuarantineEntry>> {
-            let v = serde_json::parse_value_str(text).ok()?;
-            if u32::from_value(v.get("format_version")?).ok()? != QUARANTINE_FORMAT_VERSION {
-                return None;
-            }
-            let Value::Arr(items) = v.get("entries")? else {
-                return None;
-            };
-            let mut map = BTreeMap::new();
-            for item in items {
-                let digest =
-                    u64::from_str_radix(&String::from_value(item.get("key")?).ok()?, 16).ok()?;
-                map.insert(
-                    digest,
-                    QuarantineEntry {
-                        benchmark: String::from_value(item.get("benchmark")?).ok()?,
-                        predictor: String::from_value(item.get("predictor")?).ok()?,
-                        failures: u32::from_value(item.get("failures")?).ok()?,
-                        last_error: String::from_value(item.get("last_error")?).ok()?,
-                    },
-                );
-            }
-            Some(map)
         }
 
         /// Writes the ledger back (atomically) if anything changed.
@@ -620,27 +628,21 @@ mod quarantine_persist {
             };
             // BTreeMap iteration is key-ordered: file bytes are
             // deterministic without an explicit sort.
-            let entries: Vec<Value> = self
-                .entries
-                .iter()
-                .map(|(&digest, e)| {
-                    Value::Obj(vec![
-                        ("key".into(), Value::Str(format!("{digest:016x}"))),
-                        ("benchmark".into(), Value::Str(e.benchmark.clone())),
-                        ("predictor".into(), Value::Str(e.predictor.clone())),
-                        ("failures".into(), e.failures.to_value()),
-                        ("last_error".into(), Value::Str(e.last_error.clone())),
-                    ])
-                })
-                .collect();
-            let v = Value::Obj(vec![
-                (
-                    "format_version".into(),
-                    QUARANTINE_FORMAT_VERSION.to_value(),
-                ),
-                ("entries".into(), Value::Arr(entries)),
-            ]);
-            if let Ok(text) = serde_json::to_string_pretty(&v) {
+            let file = LedgerFile {
+                format_version: QUARANTINE_FORMAT_VERSION,
+                entries: self
+                    .entries
+                    .iter()
+                    .map(|(&key, e)| Record {
+                        key,
+                        benchmark: e.benchmark.clone(),
+                        predictor: e.predictor.clone(),
+                        failures: e.failures,
+                        last_error: e.last_error.clone(),
+                    })
+                    .collect(),
+            };
+            if let Ok(text) = serde_json::to_string_pretty(&file) {
                 let _ = bw_types::fsutil::atomic_write(path, text.as_bytes());
             }
         }
@@ -840,6 +842,74 @@ mod tests {
         assert_eq!(e.failures, 2);
         assert!(e.last_error.contains("boom"));
         assert_eq!(q.len(), 1);
+    }
+
+    /// A two-entry `quarantine.json` as the hand-written encoder wrote
+    /// it before the ledger derived its codec.
+    const TWO_ENTRY_LEDGER: &str = concat!(
+        "{\n",
+        "  \"format_version\": 1,\n",
+        "  \"entries\": [\n",
+        "    {\n",
+        "      \"key\": \"00abcdef01234567\",\n",
+        "      \"benchmark\": \"gcc\",\n",
+        "      \"predictor\": \"Gshare\",\n",
+        "      \"failures\": 1,\n",
+        "      \"last_error\": \"timed out after 1s\"\n",
+        "    },\n",
+        "    {\n",
+        "      \"key\": \"feed000000000001\",\n",
+        "      \"benchmark\": \"gzip\",\n",
+        "      \"predictor\": \"Bimodal { entries: 128 }\",\n",
+        "      \"failures\": 2,\n",
+        "      \"last_error\": \"panicked after 2 attempt(s): \\\"boom\\\"\\n\"\n",
+        "    }\n",
+        "  ]\n",
+        "}",
+    );
+
+    #[test]
+    fn quarantine_ledger_file_keeps_its_bytes() {
+        let dir = std::env::temp_dir().join(format!("bw-quarantine-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join(QUARANTINE_FILE);
+        let mut q = Quarantine::load(path.clone());
+        assert_eq!(q.len(), 0, "a missing file loads empty");
+        let entry =
+            |benchmark: &str, predictor: &str, failures, last_error: &str| QuarantineEntry {
+                benchmark: benchmark.to_string(),
+                predictor: predictor.to_string(),
+                failures,
+                last_error: last_error.to_string(),
+            };
+        q.entries.insert(
+            0xfeed_0000_0000_0001,
+            entry(
+                "gzip",
+                "Bimodal { entries: 128 }",
+                2,
+                "panicked after 2 attempt(s): \"boom\"\n",
+            ),
+        );
+        q.entries.insert(
+            0x00ab_cdef_0123_4567,
+            entry("gcc", "Gshare", 1, "timed out after 1s"),
+        );
+        q.dirty = true;
+        q.save();
+        let text = std::fs::read_to_string(&path).expect("the ledger was written");
+        assert_eq!(text, TWO_ENTRY_LEDGER);
+
+        let back = Quarantine::load(path.clone());
+        assert_eq!(format!("{:?}", back.entries), format!("{:?}", q.entries));
+        let other_version = text.replace("\"format_version\": 1", "\"format_version\": 2");
+        let misshapen = text.replace("\"failures\": 2", "\"failures\": \"2\"");
+        for damaged in [other_version.as_str(), misshapen.as_str(), "{broken"] {
+            assert_ne!(damaged, text);
+            std::fs::write(&path, damaged).expect("write the damaged ledger");
+            assert_eq!(Quarantine::load(path.clone()).len(), 0, "{damaged}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

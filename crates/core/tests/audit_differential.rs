@@ -2,7 +2,7 @@
 //!
 //! The sanitizer must be observation-only: enabling it may never
 //! change simulation results. This test pins that down with random
-//! seeds — a run with the audit registry attached must produce
+//! seeds — a run with the sanitizer enabled must produce
 //! byte-identical statistics, energy, and predictor totals to the same
 //! run without it, and must report zero invariant violations.
 //!

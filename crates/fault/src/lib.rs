@@ -5,10 +5,10 @@
 //! it. This crate makes that promise *testable*: a seeded
 //! [`FaultPlan`] arms a process-global set of injectors, and the
 //! crates that host injection points (`bw-core`'s sim loop and run
-//! cache, `bw-trace`'s replay reader) consult it — behind their
-//! `fault-inject` features — to make a *chosen* run panic, stall past
-//! its watchdog deadline, see its cache entry's bytes corrupted, or
-//! find its trace truncated mid-stream.
+//! cache, `bw-trace`'s replay reader, `bw-server`'s daemon and client)
+//! consult it to make a *chosen* run panic, stall past its watchdog
+//! deadline, see its cache entry's bytes corrupted, or find its trace
+//! truncated mid-stream, and a chosen connection drop or tear a frame.
 //!
 //! Everything is deterministic: faults target runs by substring match
 //! against an injection id (the runner's human-readable run label, or
@@ -16,9 +16,11 @@
 //! bytes at seed-derived offsets. Two processes armed with the same
 //! plan inject exactly the same faults.
 //!
-//! The crate is dependency-free and always compiles; arming a plan in
-//! a build whose consumers lack their `fault-inject` features simply
-//! injects nothing (no sites consult it).
+//! The crate is dependency-free, and every build compiles the
+//! injection sites in. With no plan armed, a site costs one
+//! uncontended lock: the check returns before it reads the thread's
+//! scope. The experiment binaries and `bw-server` arm a plan only when
+//! `BW_FAULT` is set.
 //!
 //! # Examples
 //!

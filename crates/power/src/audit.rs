@@ -8,8 +8,6 @@
 //! surfaces as an invariant violation instead of silently shifting a
 //! figure.
 
-use bw_audit::{Boundary, Invariant};
-
 use crate::chip::EnergyReport;
 
 /// Relative tolerance for the conservation comparison (the issue's
@@ -98,20 +96,6 @@ impl EnergyLedger {
     }
 }
 
-impl Invariant<EnergyReport> for EnergyLedger {
-    fn name(&self) -> &'static str {
-        "energy-conservation"
-    }
-
-    fn boundary(&self) -> Boundary {
-        Boundary::Cycle
-    }
-
-    fn check(&mut self, ctx: &EnergyReport) -> Result<(), String> {
-        self.observe(ctx)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,7 +103,6 @@ mod tests {
     use crate::bpred::{BpredOptions, BpredPower};
     use crate::chip::ChipPower;
     use bw_arrays::TechParams;
-    use bw_audit::Registry;
     use bw_predictors::PredictorConfig;
 
     fn report(units: &[(usize, f64)], cycles: u64) -> EnergyReport {
@@ -195,15 +178,5 @@ mod tests {
         ledger.accumulated_j += 1e-9; // tamper: ledger no longer matches
         let err = ledger.observe(&report(&[(0, 2e-9)], 2)).unwrap_err();
         assert!(err.contains("diverged"), "{err}");
-    }
-
-    #[test]
-    fn works_as_registry_invariant() {
-        let mut reg: Registry<EnergyReport> = Registry::new("unit-test");
-        reg.register(Box::new(EnergyLedger::new()));
-        reg.check_at(Boundary::Cycle, 1, &report(&[(0, 1e-10)], 1));
-        reg.check_at(Boundary::Cycle, 2, &report(&[(0, 5e-11)], 2));
-        assert_eq!(reg.total_violations(), 1);
-        assert_eq!(reg.violations()[0].invariant, "energy-conservation");
     }
 }

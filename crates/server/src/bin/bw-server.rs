@@ -44,9 +44,8 @@ finishes interrupted sweeps, and clients resume with their session
 token.
 
 Chaos drills: set BW_FAULT (e.g. `dropconnx1@bw-server`, `killx1@bw-server
-worker`, `evictx1@bw-server admit`) and build with --features
-fault-inject to rehearse dropped connections, truncated frames, slow
-writes, mid-sweep crashes, and eviction races.
+worker`, `evictx1@bw-server admit`) to rehearse dropped connections,
+truncated frames, slow writes, mid-sweep crashes, and eviction races.
 ";
 
 fn fail(msg: &str) -> ExitCode {
@@ -135,7 +134,6 @@ fn main() -> ExitCode {
         return fail("--workers must be at least 1");
     }
 
-    #[cfg(feature = "fault-inject")]
     match bw_fault::FaultPlan::from_env() {
         Ok(Some(plan)) => {
             eprintln!("bw-server: fault plan armed from BW_FAULT");

@@ -407,30 +407,27 @@ impl Client {
 /// sites for connection chaos (misbehaving-client tests).
 fn send_msg(stream: &mut Stream, msg: &ClientMsg) -> Result<(), ClientError> {
     let frame = encode_frame(&msg.to_value())?;
-    #[cfg(feature = "fault-inject")]
-    {
-        const SITE: &str = "bw-client";
-        if bw_fault::injected_conn_drop(SITE) {
-            stream.shutdown_both();
-            return Err(ClientError::Wire(WireError::Closed(
-                "injected client-side connection drop".to_string(),
-            )));
-        }
-        if bw_fault::injected_frame_truncation(SITE) {
-            let _ = stream.write_all(&frame[..frame.len() / 2]);
-            let _ = stream.flush();
-            stream.shutdown_both();
-            return Err(ClientError::Wire(WireError::Closed(
-                "injected client-side frame truncation".to_string(),
-            )));
-        }
-        if let Some(delay) = bw_fault::injected_slow_write(SITE) {
-            let half = frame.len() / 2;
-            write_plain(stream, &frame[..half])?;
-            std::thread::sleep(delay);
-            write_plain(stream, &frame[half..])?;
-            return Ok(());
-        }
+    const SITE: &str = "bw-client";
+    if bw_fault::injected_conn_drop(SITE) {
+        stream.shutdown_both();
+        return Err(ClientError::Wire(WireError::Closed(
+            "injected client-side connection drop".to_string(),
+        )));
+    }
+    if bw_fault::injected_frame_truncation(SITE) {
+        let _ = stream.write_all(&frame[..frame.len() / 2]);
+        let _ = stream.flush();
+        stream.shutdown_both();
+        return Err(ClientError::Wire(WireError::Closed(
+            "injected client-side frame truncation".to_string(),
+        )));
+    }
+    if let Some(delay) = bw_fault::injected_slow_write(SITE) {
+        let half = frame.len() / 2;
+        write_plain(stream, &frame[..half])?;
+        std::thread::sleep(delay);
+        write_plain(stream, &frame[half..])?;
+        return Ok(());
     }
     write_plain(stream, &frame)
 }

@@ -576,38 +576,35 @@ fn handshake(shared: &Shared, reader: &mut Stream, conn: &ConnShared) -> Option<
 /// socket until every sender is gone. Fault-injection sites for
 /// connection chaos live here, on the `bw-server conn <peer>` label.
 fn conn_writer(rx: &mpsc::Receiver<ServerMsg>, mut stream: Stream, peer: &str) {
+    let site = format!("bw-server conn {peer}");
     while let Ok(msg) = rx.recv() {
         let Ok(frame) = encode_frame(&msg.to_value()) else {
             continue;
         };
-        #[cfg(feature = "fault-inject")]
-        {
-            let site = format!("bw-server conn {peer}");
-            if bw_fault::injected_conn_drop(&site) {
-                eprintln!("bw-server: injected connection drop on {peer}");
-                stream.shutdown_both();
+        if bw_fault::injected_conn_drop(&site) {
+            eprintln!("bw-server: injected connection drop on {peer}");
+            stream.shutdown_both();
+            return;
+        }
+        if bw_fault::injected_frame_truncation(&site) {
+            eprintln!("bw-server: injected frame truncation on {peer}");
+            let _ = stream.write_all(&frame[..frame.len() / 2]);
+            let _ = stream.flush();
+            stream.shutdown_both();
+            return;
+        }
+        if let Some(delay) = bw_fault::injected_slow_write(&site) {
+            let half = frame.len() / 2;
+            if stream.write_all(&frame[..half]).is_err() {
                 return;
             }
-            if bw_fault::injected_frame_truncation(&site) {
-                eprintln!("bw-server: injected frame truncation on {peer}");
-                let _ = stream.write_all(&frame[..frame.len() / 2]);
-                let _ = stream.flush();
-                stream.shutdown_both();
+            let _ = stream.flush();
+            std::thread::sleep(delay);
+            if stream.write_all(&frame[half..]).is_err() {
                 return;
             }
-            if let Some(delay) = bw_fault::injected_slow_write(&site) {
-                let half = frame.len() / 2;
-                if stream.write_all(&frame[..half]).is_err() {
-                    return;
-                }
-                let _ = stream.flush();
-                std::thread::sleep(delay);
-                if stream.write_all(&frame[half..]).is_err() {
-                    return;
-                }
-                let _ = stream.flush();
-                continue;
-            }
+            let _ = stream.flush();
+            continue;
         }
         if stream.write_all(&frame).is_err() {
             eprintln!("bw-server: write failed on {peer}; dropping connection");
@@ -709,7 +706,6 @@ fn admit_cells(
             continue;
         }
         if let Some(cache) = &cache {
-            #[cfg(feature = "fault-inject")]
             if bw_fault::injected_cache_evict("bw-server admit") {
                 // The eviction-race drill: the probed entry vanishes
                 // at the worst moment, just before the cache probe
@@ -840,7 +836,6 @@ fn daemon_worker(shared: &Shared) {
                     .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        #[cfg(feature = "fault-inject")]
         if bw_fault::injected_kill("bw-server worker") {
             // The crash drill: die exactly where a real daemon dies —
             // mid-sweep, with admitted flights journaled but not done.

@@ -84,7 +84,7 @@ pub enum JournalRecord {
     Done {
         /// The completed [`RunKey`](bw_core::RunKey) digest, written
         /// as 16 hex digits.
-        #[serde(with = "hex16")]
+        #[serde(with = "bw_core::types::hex16")]
         digest: u64,
     },
 }
@@ -120,23 +120,6 @@ impl JournalRecord {
         }
         let v = serde_json::parse_value_str(body)?;
         Ok(JournalRecord::from_value(&v)?)
-    }
-}
-
-/// The `done` digest's codec: a string of exactly 16 hex digits.
-mod hex16 {
-    use serde::{Deserialize, Error, Value};
-
-    pub fn to_value(digest: &u64) -> Value {
-        Value::Str(format!("{digest:016x}"))
-    }
-
-    pub fn from_value(v: &Value) -> Result<u64, Error> {
-        let hex = String::from_value(v)?;
-        (hex.len() == 16)
-            .then(|| u64::from_str_radix(&hex, 16).ok())
-            .flatten()
-            .ok_or_else(|| Error::msg(format!("bad done digest `{hex}`")))
     }
 }
 

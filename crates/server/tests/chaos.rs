@@ -1,9 +1,9 @@
-//! Connection-chaos drills (compiled only with `--features
-//! fault-inject`): injected dropped connections, truncated frames, and
-//! slow-loris clients, asserting the daemon survives each and the
-//! client surfaces a typed error instead of hanging or panicking.
-
-#![cfg(feature = "fault-inject")]
+//! Connection-chaos drills: injected dropped connections, truncated
+//! frames, and slow-loris clients, asserting the daemon survives each
+//! and the client surfaces a typed error instead of hanging or
+//! panicking.
+//!
+//! Run with `cargo test -p bw-server --test chaos`.
 
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;

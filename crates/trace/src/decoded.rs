@@ -157,9 +157,9 @@ pub struct DecodedReader<'d> {
     arch: Stepper,
     reads: Reads<'d>,
     /// Instructions the stream will actually deliver: the recording's
-    /// length, or less when an armed `trunc` fault (`fault-inject`
-    /// feature) simulates a truncated file for the run this reader was
-    /// forked for ([`InstSource::fork`]).
+    /// length, or less when an armed `trunc` fault simulates a
+    /// truncated file for the run this reader was forked for
+    /// ([`InstSource::fork`]).
     limit: u64,
     /// `true` when `limit` came from fault injection, so the
     /// exhaustion panic carries the injection marker.
@@ -278,9 +278,9 @@ impl InstSource for DecodedReader<'_> {
     }
 
     /// A copy continuing from this reader's position, delivering the
-    /// rest of the recording. Under an armed `trunc` fault
-    /// (`fault-inject` feature) that matches the trace's name or the
-    /// forking run's injection scope, the copy's stream instead ends
+    /// rest of the recording. Under an armed `trunc` fault that
+    /// matches the trace's name or the forking run's injection scope,
+    /// the copy's stream instead ends
     /// after the fault's instruction count; a count this reader has
     /// already passed fails the fork at once, with the diagnostic a
     /// step past the end raises.
@@ -288,7 +288,6 @@ impl InstSource for DecodedReader<'_> {
         let mut fork = self.clone();
         fork.limit = self.reads.dec.trace.meta().insts;
         fork.injected = false;
-        #[cfg(feature = "fault-inject")]
         if let Some(n) = bw_fault::injected_trace_truncation(&self.reads.dec.trace.meta().name) {
             fork.limit = n.min(fork.limit);
             fork.injected = true;

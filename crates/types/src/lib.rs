@@ -50,6 +50,32 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// The serde codec (`#[serde(with = ...)]`) of a digest written as
+/// exactly 16 hex digits, as the flight journal and the quarantine
+/// ledger store run-key digests.
+pub mod hex16 {
+    use serde::{Deserialize, Error, Value};
+
+    /// `digest` as 16 lowercase hex digits.
+    #[must_use]
+    pub fn to_value(digest: &u64) -> Value {
+        Value::Str(format!("{digest:016x}"))
+    }
+
+    /// Decodes a string of exactly 16 hex digits.
+    ///
+    /// # Errors
+    ///
+    /// When `v` is not such a string.
+    pub fn from_value(v: &Value) -> Result<u64, Error> {
+        let hex = String::from_value(v)?;
+        (hex.len() == 16)
+            .then(|| u64::from_str_radix(&hex, 16).ok())
+            .flatten()
+            .ok_or_else(|| Error::msg(format!("bad digest `{hex}`")))
+    }
+}
+
 /// A simulator cycle count.
 pub type Cycle = u64;
 

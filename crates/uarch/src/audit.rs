@@ -1,9 +1,9 @@
 //! The runtime sanitizer.
 //!
 //! When a [`Machine`] has auditing enabled
-//! ([`Machine::enable_audit`]), an invariant [`Registry`] observes the
+//! ([`Machine::enable_audit`]), eight invariant checks observe the
 //! pipeline at three boundaries — every cycle, every commit, and every
-//! misprediction recovery — and records a [`Violation`] whenever the
+//! misprediction recovery — and record a [`Violation`] whenever the
 //! simulator's bookkeeping contradicts itself. The checks exist
 //! because the paper's headline numbers do: a mis-accounted predictor
 //! access or a broken recovery path silently shifts every figure, so
@@ -15,7 +15,7 @@
 //! same branches, and reports the same energy as one without (the
 //! differential tests below pin this down).
 //!
-//! Invariants:
+//! Invariants, in the order each boundary checks them:
 //!
 //! | name | boundary | guards |
 //! |------|----------|--------|
@@ -28,8 +28,8 @@
 //! | `ppd-neutrality` | cycle | PPD gating never suppresses a needed lookup |
 //! | `energy-conservation` | cycle | chip total = Σ per-unit components within 1e-9 |
 
-pub use bw_audit::Violation;
-use bw_audit::{Boundary, Invariant, Registry};
+use std::fmt;
+
 use bw_power::audit::EnergyLedger;
 use bw_power::EnergyReport;
 use bw_types::Seq;
@@ -45,11 +45,37 @@ const GHR_CMP_MASK: u64 = 0xfff;
 /// plus once per this many cycles.
 const COUNTER_SCAN_INTERVAL: u64 = 8192;
 
+/// Keep at most this many violation records; later failures only bump
+/// the total (a broken invariant typically fails every cycle).
+const VIOLATION_CAP: usize = 64;
+
+/// One failed invariant check.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Violation {
+    /// The invariant's name.
+    pub invariant: &'static str,
+    /// Simulated cycle at which the check failed.
+    pub cycle: u64,
+    /// Benchmark the machine was running.
+    pub benchmark: String,
+    /// What the invariant saw.
+    pub detail: String,
+}
+
+impl fmt::Display for Violation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "[{}] {} @ cycle {}: {}",
+            self.invariant, self.benchmark, self.cycle, self.detail
+        )
+    }
+}
+
 /// A read-only snapshot of machine state at one audit boundary.
 ///
-/// Fields that are meaningless at a given boundary are `None`; an
-/// invariant sees every boundary's view and checks only what is
-/// present.
+/// Each boundary fills in only the fields its own checks read; the
+/// rest keep their defaults.
 #[derive(Clone, Debug, Default)]
 pub struct AuditView {
     /// Instructions resident in the RUU.
@@ -100,76 +126,25 @@ pub struct ReadyMismatch {
     pub in_set: bool,
 }
 
-/// Commits must retire in strictly increasing sequence order and only
-/// ever from the correct path — otherwise IPC and accuracy counts are
-/// meaningless.
-struct InOrderCommit {
-    last_seq: Option<Seq>,
-}
-
-impl Invariant<AuditView> for InOrderCommit {
-    fn name(&self) -> &'static str {
-        "in-order-commit"
-    }
-    fn boundary(&self) -> Boundary {
-        Boundary::Commit
-    }
-    fn check(&mut self, v: &AuditView) -> Result<(), String> {
-        let Some(seq) = v.commit_seq else {
-            return Ok(());
-        };
-        if !v.commit_on_correct_path {
-            return Err(format!("wrong-path instruction seq {seq} retired"));
-        }
-        if let Some(last) = self.last_seq {
-            if seq <= last {
-                return Err(format!("seq {seq} retired after seq {last}"));
-            }
-        }
-        self.last_seq = Some(seq);
-        Ok(())
-    }
-}
-
 /// The RUU and LSQ must respect Table 1's capacities (80/40); an
 /// overflow means dispatch stopped modelling structural stalls.
-struct OccupancyBounds;
-
-impl Invariant<AuditView> for OccupancyBounds {
-    fn name(&self) -> &'static str {
-        "occupancy-bounds"
+fn occupancy_bounds(v: &AuditView) -> Result<(), String> {
+    if v.ruu_len > v.ruu_cap {
+        return Err(format!("RUU holds {} of {} entries", v.ruu_len, v.ruu_cap));
     }
-    fn boundary(&self) -> Boundary {
-        Boundary::Cycle
+    if v.lsq_len > v.lsq_cap {
+        return Err(format!("LSQ holds {} of {} entries", v.lsq_len, v.lsq_cap));
     }
-    fn check(&mut self, v: &AuditView) -> Result<(), String> {
-        if v.ruu_len > v.ruu_cap {
-            return Err(format!("RUU holds {} of {} entries", v.ruu_len, v.ruu_cap));
-        }
-        if v.lsq_len > v.lsq_cap {
-            return Err(format!("LSQ holds {} of {} entries", v.lsq_len, v.lsq_cap));
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 /// The RUU must stay sorted by sequence number; squash and dispatch
 /// both rely on it (producer lookup at dispatch, tail-drain squash).
-struct WindowOrdering;
-
-impl Invariant<AuditView> for WindowOrdering {
-    fn name(&self) -> &'static str {
-        "window-ordering"
-    }
-    fn boundary(&self) -> Boundary {
-        Boundary::Cycle
-    }
-    fn check(&mut self, v: &AuditView) -> Result<(), String> {
-        if v.ruu_seq_ordered {
-            Ok(())
-        } else {
-            Err("RUU sequence numbers are not strictly increasing".to_string())
-        }
+fn window_ordering(v: &AuditView) -> Result<(), String> {
+    if v.ruu_seq_ordered {
+        Ok(())
+    } else {
+        Err("RUU sequence numbers are not strictly increasing".to_string())
     }
 }
 
@@ -178,74 +153,25 @@ impl Invariant<AuditView> for WindowOrdering {
 /// stray bit issues an instruction before its operands exist, a
 /// missing one never issues it; either moves every timing number while
 /// the run still completes.
-struct ReadySet;
-
-impl Invariant<AuditView> for ReadySet {
-    fn name(&self) -> &'static str {
-        "ready-set"
-    }
-    fn boundary(&self) -> Boundary {
-        Boundary::Cycle
-    }
-    fn check(&mut self, v: &AuditView) -> Result<(), String> {
-        match v.ready_mismatch {
-            None => Ok(()),
-            Some(m) if m.in_set => Err(format!(
-                "stray ready bit at position {}: not an RUU entry whose operands have all arrived",
-                m.position
-            )),
-            Some(m) => Err(format!(
-                "missing ready bit at position {}: every operand has arrived",
-                m.position
-            )),
-        }
-    }
-}
-
-/// After misprediction recovery under speculative history update, the
-/// predictor's repaired GHR must equal the oracle's architectural
-/// history — the Skadron-style repair scheme the paper's accuracy
-/// numbers assume.
-struct HistoryRestore;
-
-impl Invariant<AuditView> for HistoryRestore {
-    fn name(&self) -> &'static str {
-        "history-restore"
-    }
-    fn boundary(&self) -> Boundary {
-        Boundary::Recovery
-    }
-    fn check(&mut self, v: &AuditView) -> Result<(), String> {
-        let (Some(ghr), Some(oracle)) = (v.ghr, v.oracle_history) else {
-            return Ok(());
-        };
-        if ghr & GHR_CMP_MASK == oracle & GHR_CMP_MASK {
-            Ok(())
-        } else {
-            Err(format!(
-                "speculative GHR {:012b} != architectural history {:012b} after recovery",
-                ghr & GHR_CMP_MASK,
-                oracle & GHR_CMP_MASK
-            ))
-        }
+fn ready_set(v: &AuditView) -> Result<(), String> {
+    match v.ready_mismatch {
+        None => Ok(()),
+        Some(m) if m.in_set => Err(format!(
+            "stray ready bit at position {}: not an RUU entry whose operands have all arrived",
+            m.position
+        )),
+        Some(m) => Err(format!(
+            "missing ready bit at position {}: every operand has arrived",
+            m.position
+        )),
     }
 }
 
 /// Every saturating counter must stay within its representable range.
-struct CounterRange;
-
-impl Invariant<AuditView> for CounterRange {
-    fn name(&self) -> &'static str {
-        "counter-range"
-    }
-    fn boundary(&self) -> Boundary {
-        Boundary::Any
-    }
-    fn check(&mut self, v: &AuditView) -> Result<(), String> {
-        match v.counters_in_range {
-            Some(false) => Err("a saturating counter left its representable range".to_string()),
-            _ => Ok(()),
-        }
+fn counter_range(v: &AuditView) -> Result<(), String> {
+    match v.counters_in_range {
+        Some(false) => Err("a saturating counter left its representable range".to_string()),
+        _ => Ok(()),
     }
 }
 
@@ -254,72 +180,129 @@ impl Invariant<AuditView> for CounterRange {
 /// target structure) must have been looked up that cycle — the
 /// conservatism fallback guarantees it, and the paper's "no accuracy
 /// loss" claim depends on it.
-struct PpdNeutrality;
+fn ppd_neutrality(v: &AuditView) -> Result<(), String> {
+    if v.fetched_cond_uncharged {
+        return Err("conditional branch fetched with the direction predictor gated".to_string());
+    }
+    if v.fetched_cti_uncharged {
+        return Err("CTI fetched with the target structure gated".to_string());
+    }
+    Ok(())
+}
 
-impl Invariant<AuditView> for PpdNeutrality {
-    fn name(&self) -> &'static str {
-        "ppd-neutrality"
+/// Commits must retire in strictly increasing sequence order and only
+/// ever from the correct path — otherwise IPC and accuracy counts are
+/// meaningless. `last` is the previous accepted commit.
+fn in_order_commit(last: &mut Option<Seq>, v: &AuditView) -> Result<(), String> {
+    let Some(seq) = v.commit_seq else {
+        return Ok(());
+    };
+    if !v.commit_on_correct_path {
+        return Err(format!("wrong-path instruction seq {seq} retired"));
     }
-    fn boundary(&self) -> Boundary {
-        Boundary::Cycle
+    if let Some(last) = *last {
+        if seq <= last {
+            return Err(format!("seq {seq} retired after seq {last}"));
+        }
     }
-    fn check(&mut self, v: &AuditView) -> Result<(), String> {
-        if v.fetched_cond_uncharged {
-            return Err(
-                "conditional branch fetched with the direction predictor gated".to_string(),
-            );
-        }
-        if v.fetched_cti_uncharged {
-            return Err("CTI fetched with the target structure gated".to_string());
-        }
+    *last = Some(seq);
+    Ok(())
+}
+
+/// After misprediction recovery under speculative history update, the
+/// predictor's repaired GHR must equal the oracle's architectural
+/// history — the Skadron-style repair scheme the paper's accuracy
+/// numbers assume.
+fn history_restore(v: &AuditView) -> Result<(), String> {
+    let (Some(ghr), Some(oracle)) = (v.ghr, v.oracle_history) else {
+        return Ok(());
+    };
+    if ghr & GHR_CMP_MASK == oracle & GHR_CMP_MASK {
         Ok(())
+    } else {
+        Err(format!(
+            "speculative GHR {:012b} != architectural history {:012b} after recovery",
+            ghr & GHR_CMP_MASK,
+            oracle & GHR_CMP_MASK
+        ))
     }
 }
 
-/// Wraps [`EnergyLedger`] (the bw-power half of the sanitizer) over
-/// the cycle view.
-struct EnergyConservation {
+/// Per-machine sanitizer state: what the stateful checks remember, the
+/// cycle-start sequence watermark used to find instructions fetched
+/// this cycle, and what the checks found.
+pub(crate) struct AuditState {
+    benchmark: String,
+    /// The last commit `in-order-commit` accepted.
+    last_commit: Option<Seq>,
+    /// `energy-conservation`'s independent re-accumulation (the
+    /// bw-power half of the sanitizer).
     ledger: EnergyLedger,
-}
-
-impl Invariant<AuditView> for EnergyConservation {
-    fn name(&self) -> &'static str {
-        "energy-conservation"
-    }
-    fn boundary(&self) -> Boundary {
-        Boundary::Cycle
-    }
-    fn check(&mut self, v: &AuditView) -> Result<(), String> {
-        match &v.energy {
-            Some(report) => self.ledger.observe(report),
-            None => Ok(()),
-        }
-    }
-}
-
-/// Per-machine sanitizer state: the registry plus the cycle-start
-/// sequence watermark used to find instructions fetched this cycle.
-pub struct AuditState {
-    pub(crate) registry: Registry<AuditView>,
-    pub(crate) seq_at_cycle_start: Seq,
+    /// `next_seq` when the current cycle began.
+    seq_at_cycle_start: Seq,
+    /// The first [`VIOLATION_CAP`] violations.
+    violations: Vec<Violation>,
+    /// Every violation, including those beyond the cap.
+    total: u64,
 }
 
 impl AuditState {
     fn new(benchmark: &str) -> Self {
-        let mut registry = Registry::new(benchmark);
-        registry.register(Box::new(InOrderCommit { last_seq: None }));
-        registry.register(Box::new(OccupancyBounds));
-        registry.register(Box::new(WindowOrdering));
-        registry.register(Box::new(ReadySet));
-        registry.register(Box::new(HistoryRestore));
-        registry.register(Box::new(CounterRange));
-        registry.register(Box::new(PpdNeutrality));
-        registry.register(Box::new(EnergyConservation {
-            ledger: EnergyLedger::new(),
-        }));
         AuditState {
-            registry,
+            benchmark: benchmark.to_string(),
+            last_commit: None,
+            ledger: EnergyLedger::new(),
             seq_at_cycle_start: 0,
+            violations: Vec::new(),
+            total: 0,
+        }
+    }
+
+    /// Records `result` of the check `invariant` at `cycle`.
+    fn record(&mut self, invariant: &'static str, cycle: u64, result: Result<(), String>) {
+        let Err(detail) = result else {
+            return;
+        };
+        self.total += 1;
+        if self.violations.len() < VIOLATION_CAP {
+            self.violations.push(Violation {
+                invariant,
+                cycle,
+                benchmark: self.benchmark.clone(),
+                detail,
+            });
+        }
+    }
+
+    /// The checks of the cycle boundary.
+    fn check_cycle(&mut self, cycle: u64, v: &AuditView) {
+        self.record("occupancy-bounds", cycle, occupancy_bounds(v));
+        self.record("window-ordering", cycle, window_ordering(v));
+        self.record("ready-set", cycle, ready_set(v));
+        self.record("counter-range", cycle, counter_range(v));
+        self.record("ppd-neutrality", cycle, ppd_neutrality(v));
+        let energy = v.energy.as_ref().map_or(Ok(()), |r| self.ledger.observe(r));
+        self.record("energy-conservation", cycle, energy);
+    }
+
+    /// The check of the commit boundary.
+    fn check_commit(&mut self, cycle: u64, v: &AuditView) {
+        let result = in_order_commit(&mut self.last_commit, v);
+        self.record("in-order-commit", cycle, result);
+    }
+
+    /// The checks of the recovery boundary.
+    fn check_recovery(&mut self, cycle: u64, v: &AuditView) {
+        self.record("history-restore", cycle, history_restore(v));
+        self.record("counter-range", cycle, counter_range(v));
+    }
+
+    /// `"clean"` or `"N violation(s)"`.
+    fn summary(&self) -> String {
+        if self.total == 0 {
+            "clean".to_string()
+        } else {
+            format!("{} violation(s)", self.total)
         }
     }
 }
@@ -339,36 +322,20 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
     /// `None` when auditing is off.
     #[must_use]
     pub fn audit_clean(&self) -> Option<bool> {
-        self.audit.as_ref().map(|a| a.registry.is_clean())
+        self.audit.as_ref().map(|a| a.total == 0)
     }
 
-    /// One-line audit summary, when auditing is enabled.
+    /// One-line audit summary (`clean` or `N violation(s)`), when
+    /// auditing is enabled.
     #[must_use]
     pub fn audit_summary(&self) -> Option<String> {
-        self.audit.as_ref().map(|a| a.registry.summary())
+        self.audit.as_ref().map(|a| a.summary())
     }
 
     /// Consumes the audit state, returning recorded violations (empty
     /// if auditing was off or clean).
     pub fn take_audit_violations(&mut self) -> Vec<Violation> {
-        self.audit
-            .take()
-            .map(|a| a.registry.into_violations())
-            .unwrap_or_default()
-    }
-
-    /// Occupancy/ordering fields shared by every boundary's view.
-    fn audit_base_view(&self) -> AuditView {
-        let ring = &self.ring;
-        AuditView {
-            ruu_len: ring.ruu_len(),
-            ruu_cap: self.cfg.ruu_size as usize,
-            lsq_len: self.lsq.len(),
-            lsq_cap: self.cfg.lsq_size as usize,
-            ruu_seq_ordered: (ring.head() + 1..ring.ruu_tail())
-                .all(|p| ring.get(p - 1).seq < ring.get(p).seq),
-            ..AuditView::default()
-        }
+        self.audit.take().map(|a| a.violations).unwrap_or_default()
     }
 
     /// The oldest disagreement between the ready set and the readiness
@@ -410,9 +377,6 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
         let Some(mut a) = self.audit.take() else {
             return;
         };
-        let mut view = self.audit_base_view();
-        view.energy = Some(self.power.report());
-        view.ready_mismatch = self.ready_mismatch();
         // Instructions fetched this cycle are still at the back of the
         // fetch queue (dispatch ran before fetch). If any of them is a
         // branch, the matching lookup must have been charged this
@@ -426,25 +390,38 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
             cond_now |= fi.inst.is_cond_branch();
             cti_now |= fi.inst.is_cti();
         }
-        view.fetched_cond_uncharged = cond_now && self.bact.dir_lookups == 0;
-        view.fetched_cti_uncharged = cti_now && self.bact.btb_lookups == 0;
-        if self.cycle.is_multiple_of(COUNTER_SCAN_INTERVAL) {
-            view.counters_in_range = Some(self.predictor.counters_in_range());
-        }
-        a.registry.check_at(Boundary::Cycle, self.cycle, &view);
+        let ring = &self.ring;
+        let view = AuditView {
+            ruu_len: ring.ruu_len(),
+            ruu_cap: self.cfg.ruu_size as usize,
+            lsq_len: self.lsq.len(),
+            lsq_cap: self.cfg.lsq_size as usize,
+            ruu_seq_ordered: (ring.head() + 1..ring.ruu_tail())
+                .all(|p| ring.get(p - 1).seq < ring.get(p).seq),
+            ready_mismatch: self.ready_mismatch(),
+            counters_in_range: self
+                .cycle
+                .is_multiple_of(COUNTER_SCAN_INTERVAL)
+                .then(|| self.predictor.counters_in_range()),
+            fetched_cond_uncharged: cond_now && self.bact.dir_lookups == 0,
+            fetched_cti_uncharged: cti_now && self.bact.btb_lookups == 0,
+            energy: Some(self.power.report()),
+            ..AuditView::default()
+        };
+        a.check_cycle(self.cycle, &view);
         self.audit = Some(a);
     }
 
-    /// Commit-boundary checks (one call per retired instruction).
+    /// Commit-boundary check (one call per retired instruction).
     pub(crate) fn audit_commit_check(&mut self, seq: Seq, on_correct_path: bool) {
-        let Some(mut a) = self.audit.take() else {
-            return;
-        };
-        let mut view = self.audit_base_view();
-        view.commit_seq = Some(seq);
-        view.commit_on_correct_path = on_correct_path;
-        a.registry.check_at(Boundary::Commit, self.cycle, &view);
-        self.audit = Some(a);
+        if let Some(a) = &mut self.audit {
+            let view = AuditView {
+                commit_seq: Some(seq),
+                commit_on_correct_path: on_correct_path,
+                ..AuditView::default()
+            };
+            a.check_commit(self.cycle, &view);
+        }
     }
 
     /// Recovery-boundary checks (after squash + history repair).
@@ -452,13 +429,15 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
         let Some(mut a) = self.audit.take() else {
             return;
         };
-        let mut view = self.audit_base_view();
+        let mut view = AuditView {
+            counters_in_range: Some(self.predictor.counters_in_range()),
+            ..AuditView::default()
+        };
         if self.cfg.speculative_history {
             view.ghr = self.predictor.debug_ghr();
             view.oracle_history = Some(self.warm.source.global_history());
         }
-        view.counters_in_range = Some(self.predictor.counters_in_range());
-        a.registry.check_at(Boundary::Recovery, self.cycle, &view);
+        a.check_recovery(self.cycle, &view);
         self.audit = Some(a);
     }
 }
@@ -542,35 +521,6 @@ mod tests {
     }
 
     #[test]
-    fn violations_surface_with_details() {
-        // Drive the registry directly with a corrupt view to prove the
-        // plumbing reports rather than panics.
-        let mut a = AuditState::new("synthetic");
-        let view = AuditView {
-            ruu_len: 99,
-            ruu_cap: 80,
-            lsq_len: 0,
-            lsq_cap: 40,
-            ruu_seq_ordered: false,
-            counters_in_range: Some(false),
-            fetched_cond_uncharged: true,
-            ..AuditView::default()
-        };
-        a.registry.check_at(Boundary::Cycle, 42, &view);
-        let names: Vec<_> = a
-            .registry
-            .violations()
-            .iter()
-            .map(|v| v.invariant)
-            .collect();
-        assert!(names.contains(&"occupancy-bounds"));
-        assert!(names.contains(&"window-ordering"));
-        assert!(names.contains(&"counter-range"));
-        assert!(names.contains(&"ppd-neutrality"));
-        assert!(a.registry.violations().iter().all(|v| v.cycle == 42));
-    }
-
-    #[test]
     fn stray_and_missing_ready_bits_are_reported() {
         // Tick an audited machine until its RUU holds both a ready
         // entry and one still waiting on an operand, then flip one bit
@@ -602,14 +552,7 @@ mod tests {
             m.window.flip_ready(pos);
             m.audit_cycle_check();
             m.window.flip_ready(pos);
-            let v = m
-                .audit
-                .as_ref()
-                .unwrap()
-                .registry
-                .violations()
-                .last()
-                .cloned();
+            let v = m.audit.as_ref().unwrap().violations.last().cloned();
             v.expect("a violation")
         };
         let stray = reported(&mut m, unready);
@@ -627,20 +570,257 @@ mod tests {
         assert!(beyond
             .detail
             .starts_with(&format!("stray ready bit at position {outside}")));
-        assert_eq!(m.audit.as_ref().unwrap().registry.total_violations(), 3);
+        assert_eq!(m.audit.as_ref().unwrap().total, 3);
+    }
+
+    /// Which boundary method a sanitizer case runs through.
+    type Check = fn(&mut AuditState, u64, &AuditView);
+
+    const BOUNDARIES: [(&str, Check); 3] = [
+        ("cycle", AuditState::check_cycle),
+        ("commit", AuditState::check_commit),
+        ("recovery", AuditState::check_recovery),
+    ];
+
+    /// A view every check passes: within capacity, the RUU in order,
+    /// nothing retiring, no scan, no history and no energy report.
+    fn clean() -> AuditView {
+        AuditView {
+            ruu_len: 80,
+            ruu_cap: 80,
+            lsq_len: 40,
+            lsq_cap: 40,
+            ruu_seq_ordered: true,
+            ..AuditView::default()
+        }
+    }
+
+    fn energy(unit: usize, joules: f64) -> AuditView {
+        let mut report = EnergyReport {
+            energy_j: [0.0; 12],
+            cycles: 1,
+            cycle_s: 1.0 / 1.2e9,
+        };
+        report.energy_j[unit] = joules;
+        AuditView {
+            energy: Some(report),
+            ..clean()
+        }
     }
 
     #[test]
-    fn history_restore_detects_divergence() {
-        let mut a = AuditState::new("synthetic");
-        let view = AuditView {
-            ruu_seq_ordered: true,
-            ghr: Some(0b1010),
-            oracle_history: Some(0b1011),
-            ..AuditView::default()
+    fn each_invariant_reports_at_its_own_boundaries() {
+        let mismatch = |in_set| {
+            Some(ReadyMismatch {
+                position: 9,
+                in_set,
+            })
         };
-        a.registry.check_at(Boundary::Recovery, 7, &view);
-        assert_eq!(a.registry.total_violations(), 1);
-        assert_eq!(a.registry.violations()[0].invariant, "history-restore");
+        // (invariant, boundaries that report it, the view, the
+        // detail's start)
+        let cases: Vec<(&str, &[&str], AuditView, &str)> = vec![
+            (
+                "occupancy-bounds",
+                &["cycle"],
+                AuditView {
+                    ruu_len: 81,
+                    ..clean()
+                },
+                "RUU holds 81 of 80 entries",
+            ),
+            (
+                "occupancy-bounds",
+                &["cycle"],
+                AuditView {
+                    lsq_len: 41,
+                    ..clean()
+                },
+                "LSQ holds 41 of 40 entries",
+            ),
+            (
+                "window-ordering",
+                &["cycle"],
+                AuditView {
+                    ruu_seq_ordered: false,
+                    ..clean()
+                },
+                "RUU sequence numbers are not strictly increasing",
+            ),
+            (
+                "ready-set",
+                &["cycle"],
+                AuditView {
+                    ready_mismatch: mismatch(true),
+                    ..clean()
+                },
+                "stray ready bit at position 9: not an RUU entry",
+            ),
+            (
+                "ready-set",
+                &["cycle"],
+                AuditView {
+                    ready_mismatch: mismatch(false),
+                    ..clean()
+                },
+                "missing ready bit at position 9: every operand",
+            ),
+            (
+                "counter-range",
+                &["cycle", "recovery"],
+                AuditView {
+                    counters_in_range: Some(false),
+                    ..clean()
+                },
+                "a saturating counter left its representable range",
+            ),
+            (
+                "ppd-neutrality",
+                &["cycle"],
+                AuditView {
+                    fetched_cond_uncharged: true,
+                    ..clean()
+                },
+                "conditional branch fetched with the direction predictor gated",
+            ),
+            (
+                "ppd-neutrality",
+                &["cycle"],
+                AuditView {
+                    fetched_cti_uncharged: true,
+                    ..clean()
+                },
+                "CTI fetched with the target structure gated",
+            ),
+            (
+                "energy-conservation",
+                &["cycle"],
+                energy(3, f64::NAN),
+                "unit 3 energy delta is not finite",
+            ),
+            (
+                "in-order-commit",
+                &["commit"],
+                AuditView {
+                    commit_seq: Some(5),
+                    commit_on_correct_path: false,
+                    ..clean()
+                },
+                "wrong-path instruction seq 5 retired",
+            ),
+            (
+                "history-restore",
+                &["recovery"],
+                AuditView {
+                    ghr: Some(0b1010),
+                    oracle_history: Some(0b1_0000_0000_1011),
+                    ..clean()
+                },
+                "speculative GHR 000000001010 != architectural history 000000001011",
+            ),
+            // Histories that differ only above the compared bits agree.
+            (
+                "history-restore",
+                &[],
+                AuditView {
+                    ghr: Some(0b1_0000_0000_1010),
+                    oracle_history: Some(0b1010),
+                    ..clean()
+                },
+                "",
+            ),
+        ];
+        for (name, check) in BOUNDARIES {
+            let mut a = AuditState::new("gzip");
+            check(&mut a, 42, &clean());
+            assert_eq!(a.summary(), "clean", "a clean view at the {name} boundary");
+        }
+        for (invariant, at, view, detail) in cases {
+            for (name, check) in BOUNDARIES {
+                let mut a = AuditState::new("gzip");
+                check(&mut a, 42, &view);
+                if !at.contains(&name) {
+                    assert!(
+                        a.violations.is_empty(),
+                        "{invariant} at {name}: {:?}",
+                        a.violations
+                    );
+                    continue;
+                }
+                let [v] = &a.violations[..] else {
+                    panic!("{invariant} at {name}: {:?}", a.violations);
+                };
+                assert_eq!(
+                    (v.invariant, v.cycle, &*v.benchmark),
+                    (invariant, 42, "gzip")
+                );
+                assert!(v.detail.starts_with(detail), "{invariant}: {}", v.detail);
+                assert_eq!(a.total, 1);
+            }
+        }
+    }
+
+    #[test]
+    fn stateful_checks_compare_with_the_previous_call() {
+        let commit = |seq| AuditView {
+            commit_seq: Some(seq),
+            commit_on_correct_path: true,
+            ..clean()
+        };
+        let mut a = AuditState::new("gzip");
+        a.check_commit(1, &commit(5));
+        a.check_commit(2, &commit(6));
+        assert!(a.violations.is_empty(), "{:?}", a.violations);
+        a.check_commit(3, &commit(6));
+        let [v] = &a.violations[..] else {
+            panic!("{:?}", a.violations);
+        };
+        assert_eq!((v.invariant, v.cycle), ("in-order-commit", 3));
+        assert_eq!(v.detail, "seq 6 retired after seq 6");
+
+        let mut a = AuditState::new("gzip");
+        a.check_cycle(1, &energy(0, 2e-10));
+        a.check_cycle(2, &energy(0, 3e-10));
+        assert!(a.violations.is_empty(), "{:?}", a.violations);
+        a.check_cycle(3, &energy(0, 1e-10));
+        let [v] = &a.violations[..] else {
+            panic!("{:?}", a.violations);
+        };
+        assert_eq!((v.invariant, v.cycle), ("energy-conservation", 3));
+        assert!(
+            v.detail
+                .starts_with("unit 0 energy decreased by 2.000e-10 J"),
+            "{}",
+            v.detail
+        );
+    }
+
+    #[test]
+    fn records_are_capped_but_every_violation_is_counted() {
+        let mut a = AuditState::new("gzip");
+        let disordered = AuditView {
+            ruu_seq_ordered: false,
+            ..clean()
+        };
+        for cycle in 0..200 {
+            a.check_cycle(cycle, &disordered);
+        }
+        assert_eq!(a.violations.len(), 64);
+        assert_eq!(a.violations[63].cycle, 63);
+        assert_eq!(a.total, 200);
+        assert_eq!(a.summary(), "200 violation(s)");
+    }
+
+    #[test]
+    fn a_violation_displays_name_benchmark_cycle_and_detail() {
+        let v = Violation {
+            invariant: "ready-set",
+            cycle: 7,
+            benchmark: "gzip".to_string(),
+            detail: "missing ready bit at position 3".to_string(),
+        };
+        assert_eq!(
+            v.to_string(),
+            "[ready-set] gzip @ cycle 7: missing ready bit at position 3"
+        );
     }
 }

@@ -13,9 +13,9 @@
 //!   dependencies both declare feature `f`, the crate's `f` must
 //!   forward it (`"D/f"` in the enable list), pull the dependency in
 //!   wholesale (`"dep:D"` — the marker-feature idiom), or enable it
-//!   unconditionally (`features = ["f"]` on the dependency). This is
-//!   what keeps `fault-inject` flowing down the bw-trace → bw-core →
-//!   bw-bench chain.
+//!   unconditionally (`features = ["f"]` on the dependency), so a
+//!   feature enabled at the top of a crate chain reaches every crate
+//!   below it that declares it.
 //!
 //! Manifest findings are suppressed with a `# lint: allow(<rule>)`
 //! TOML comment on or above the flagged line.

@@ -2,7 +2,7 @@
 //!
 //! [`STEPS`] lists them in the order `verify` runs them: tier-1 (the
 //! release build and the root package's tests), every workspace
-//! crate, the `fault-inject` suites, bwbench's unit tests and its two
+//! crate (the chaos suites included), bwbench's unit tests and its two
 //! seed-1 golden runs. Each step is a one-line `run:` step of
 //! `.github/workflows/ci.yml`, word for word; a unit test reads the
 //! workflow and fails when the two lists drift.
@@ -12,8 +12,6 @@ pub const STEPS: &[&str] = &[
     "cargo build --release",
     "cargo test -q",
     "cargo test -q --workspace",
-    "cargo test -q -p bw-core --features fault-inject",
-    "cargo test -q -p bw-server --features fault-inject",
     "cargo test -q --offline --manifest-path bwbench/Cargo.toml",
     "cargo run --release --offline --manifest-path bwbench/Cargo.toml -- run --workload paper --seed 1 --trace 0",
     "cargo run --release --offline --manifest-path bwbench/Cargo.toml -- run --workload replay --seed 1 --trace 0",
