@@ -125,9 +125,8 @@ pub fn fig11_banked_timing() -> String {
         .chain(banked_times.iter())
         .copied()
         .collect();
-    let norm_flat = timing::normalize(&all);
-    let maxt = all.iter().copied().fold(0.0_f64, f64::max);
-    let _ = norm_flat;
+    let norm = timing::normalize(&all);
+    let (norm_flat, norm_banked) = norm.split_at(flat_times.len());
     let mut t = Table::new(vec![
         "PHT size".into(),
         "banks".into(),
@@ -142,8 +141,8 @@ pub fn fig11_banked_timing() -> String {
             banks.to_string(),
             f3(*pw_flat),
             f3(*pw_banked),
-            f4(flat_times[i] / maxt),
-            f4(banked_times[i] / maxt),
+            f4(norm_flat[i]),
+            f4(norm_banked[i]),
         ]);
     }
     format!(

@@ -32,10 +32,6 @@ OPTIONS:
   --cache-max-entries N
                        Evict LRU cache entries past N files
                        (default unbounded)
-  --quantum N          Cells served per session per fair-scheduling
-                       round (default 8)
-  --priority-max N     Largest submit the priority lane accepts
-                       (default 64)
   --help               Show this help
 
 Durability: with a cache directory the daemon keeps a checksummed
@@ -117,15 +113,6 @@ fn main() -> ExitCode {
                     budget.max_entries = Some(n as usize);
                 }
                 Err(e) => return fail(&format!("--cache-max-entries: {e}")),
-            },
-            "--quantum" => match value("--quantum").and_then(parse_num) {
-                Ok(0) => return fail("--quantum must be at least 1"),
-                Ok(n) => cfg.quantum = n,
-                Err(e) => return fail(&format!("--quantum: {e}")),
-            },
-            "--priority-max" => match value("--priority-max").and_then(parse_num) {
-                Ok(n) => cfg.priority_max = n,
-                Err(e) => return fail(&format!("--priority-max: {e}")),
             },
             other => return fail(&format!("unknown argument `{other}`")),
         }

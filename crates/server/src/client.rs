@@ -162,8 +162,8 @@ impl Client {
     }
 
     /// Submits one request, optionally asking for the daemon's
-    /// priority lane (honored for small submits; see the daemon's
-    /// `priority_max`).
+    /// priority lane (honored for small submits; see
+    /// [`crate::sched::PRIORITY_MAX`]).
     ///
     /// # Errors
     ///

@@ -49,8 +49,8 @@
 //!
 //! The run queue is a [`FairSched`]: deficit round-robin across
 //! session lanes plus a priority lane (capped per submit by
-//! [`ServerConfig::priority_max`]), so a bulk sweep pays for its own
-//! latency instead of starving small interactive requests.
+//! [`PRIORITY_MAX`]), so a bulk sweep pays for its own latency instead
+//! of starving small interactive requests.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
@@ -73,7 +73,7 @@ use crate::protocol::{
     PROTOCOL_VERSION,
 };
 use crate::request::{resolve_cell, CellSpec, ResolvedCell};
-use crate::sched::FairSched;
+use crate::sched::{FairSched, PRIORITY_MAX, QUANTUM};
 use crate::session::SessionStore;
 
 /// Daemon policy knobs.
@@ -100,18 +100,11 @@ pub struct ServerConfig {
     /// evicts least-recently-used entries past it, never touching
     /// digests with a live flight. `None` means unbounded.
     pub cache_budget: Option<CacheBudget>,
-    /// Flights served per session lane per round-robin visit.
-    pub quantum: u64,
-    /// Largest submit (in cells) the priority lane accepts; bigger
-    /// priority submits are demoted to their session lane so the
-    /// priority flag cannot starve the rotation.
-    pub priority_max: u64,
 }
 
 impl Default for ServerConfig {
     /// Two workers, quota 256, queue 1024, 30 s read timeout, default
-    /// supervision, no cache, unbounded cache, quantum 8, priority
-    /// submits capped at 64 cells.
+    /// supervision, no cache, unbounded cache.
     fn default() -> Self {
         ServerConfig {
             cache_dir: None,
@@ -121,8 +114,6 @@ impl Default for ServerConfig {
             read_timeout: Some(Duration::from_secs(30)),
             supervision: Supervision::default(),
             cache_budget: None,
-            quantum: 8,
-            priority_max: 64,
         }
     }
 }
@@ -338,7 +329,7 @@ impl Drop for Server {
 fn recover(cfg: &ServerConfig, journal: Option<&Journal>) -> (SessionStore, Sched) {
     let mut sessions = SessionStore::new();
     let mut sched = Sched {
-        queue: FairSched::new(cfg.quantum),
+        queue: FairSched::new(QUANTUM),
         flights: BTreeMap::new(),
     };
     let Some(journal) = journal else {
@@ -623,7 +614,7 @@ fn conn_writer(rx: &mpsc::Receiver<ServerMsg>, mut stream: Stream, peer: &str) {
 /// probe must happen under the lock. `items` carries explicit cell
 /// indices so a resume can redeliver a sparse subset of the original
 /// submit; `priority` routes the cells to the priority lane when the
-/// submit is small enough ([`ServerConfig::priority_max`]), otherwise
+/// submit is small enough ([`PRIORITY_MAX`]), otherwise
 /// to the session's round-robin lane.
 fn admit_cells(
     shared: &Shared,
@@ -642,7 +633,7 @@ fn admit_cells(
         });
         return;
     }
-    let priority = priority && items.len() as u64 <= shared.cfg.priority_max;
+    let priority = priority && items.len() as u64 <= PRIORITY_MAX;
     let progress = Arc::new(ReqProgress {
         req,
         remaining: AtomicU64::new(items.len() as u64),

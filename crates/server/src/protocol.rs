@@ -178,8 +178,9 @@ pub enum ClientMsg {
         /// The cells, addressed in replies by index into this vector.
         cells: Vec<CellSpec>,
         /// Ask for the scheduler's priority lane (interactive grids).
-        /// Honored only for small submits (the daemon's
-        /// `priority_max`); larger plans fall back to the fair lanes.
+        /// Honored only for small submits
+        /// ([`crate::sched::PRIORITY_MAX`]); larger plans fall back to
+        /// the fair lanes.
         priority: bool,
     },
     /// Acknowledges delivered cells of a request — the session's

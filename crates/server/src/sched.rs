@@ -23,6 +23,14 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+/// Flights the daemon serves per session lane per round-robin visit.
+pub const QUANTUM: u64 = 8;
+
+/// Largest submit (in cells) the daemon's priority lane accepts; bigger
+/// priority submits are demoted to their session lane so the priority
+/// flag cannot starve the rotation.
+pub const PRIORITY_MAX: u64 = 64;
+
 /// One session's FIFO lane.
 #[derive(Debug, Default)]
 struct Lane {

@@ -1,10 +1,11 @@
 //! The line-rule family of the workspace analyzer: a small rule
-//! engine over line-based and light token scanning, enforcing repo
-//! invariants that `rustc` and `clippy` cannot see (builder
-//! discipline, unit documentation, the threading boundary, panic-free
-//! library code). The model-level passes (determinism, feature-graph,
-//! trait-conformance) live in [`crate::passes`]; this module keeps
-//! the shared [`SourceFile`] view and suppression machinery.
+//! engine over the blanked code lines and tokens of each file,
+//! enforcing repo invariants that `rustc` and `clippy` cannot see
+//! (builder discipline, unit documentation, the threading boundary,
+//! panic-free library code). The model-level passes (determinism,
+//! trait-conformance) live in [`crate::passes`]; this module keeps the
+//! shared [`SourceFile`] view, built from one lex of the file, and the
+//! suppression machinery.
 //!
 //! Rules are named and individually suppressible: a trailing or
 //! immediately preceding comment `// lint: allow(<rule>)` silences one
@@ -16,6 +17,10 @@
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::RangeInclusive;
+
+use crate::lexer::{lex, Lexed, SpanKind, Token};
+use crate::model::block_span;
 
 /// One finding: a rule violated at a file/line.
 #[derive(Clone, Debug)]
@@ -53,7 +58,7 @@ pub enum FileKind {
     Test,
 }
 
-/// A parsed source file ready for rule checks.
+/// A lexed source file ready for rule checks.
 pub struct SourceFile {
     /// Workspace-relative path with `/` separators.
     pub rel: String,
@@ -61,22 +66,28 @@ pub struct SourceFile {
     pub kind: FileKind,
     /// Raw lines as read.
     pub raw: Vec<String>,
-    /// Lines with comments removed and string-literal contents blanked,
-    /// so token scans cannot match inside prose.
+    /// The raw lines with every literal and comment char blanked to a
+    /// space, column for column, so text scans see only code.
     pub code: Vec<String>,
-    /// Per-line flag: inside a `#[cfg(test)] mod` block.
+    /// Per-line flag: inside a `#[cfg(test)] mod` item.
     pub in_tests: Vec<bool>,
+    /// The file's tokens (comments are not tokens).
+    pub tokens: Vec<Token>,
+    /// Every genuine suppression marker: `(line0, rule)`, in line
+    /// order. A genuine marker lives in a plain `//` comment, not a doc
+    /// comment, a block comment or a string literal.
+    pub markers: Vec<(usize, String)>,
     /// Suppression markers that fired: `(marker line0, rule)`.
     pub used_markers: RefCell<BTreeSet<(usize, String)>>,
 }
 
-/// Parses the rules named by every `lint: allow(...)` marker on
-/// `line`, comma lists included.
+/// Parses the rules named by every `lint: allow(...)` marker in
+/// `comment`, comma lists included.
 #[must_use]
-pub fn markers_on(line: &str) -> Vec<String> {
+pub fn markers_on(comment: &str) -> Vec<String> {
     const PAT: &str = "lint: allow(";
     let mut out = Vec::new();
-    let mut rest = line;
+    let mut rest = comment;
     while let Some(at) = rest.find(PAT) {
         rest = &rest[at + PAT.len()..];
         let end = rest.find(')').unwrap_or(rest.len());
@@ -92,57 +103,60 @@ pub fn markers_on(line: &str) -> Vec<String> {
 }
 
 impl SourceFile {
-    /// Parses `content` as the file at `rel` (already classified).
+    /// Lexes `content` once as the file at `rel` (already classified)
+    /// and builds every view of it from that one lex.
     pub fn from_source(rel: &str, kind: FileKind, content: &str) -> SourceFile {
+        let Lexed { tokens, spans } = lex(content);
+        let mut text: Vec<char> = content.chars().collect();
+        let mut markers = Vec::new();
+        for span in &spans {
+            let chars = &mut text[span.start..span.end];
+            if span.kind == SpanKind::LineComment {
+                let comment: String = chars.iter().collect();
+                if !(comment.starts_with("///") || comment.starts_with("//!")) {
+                    markers.extend(markers_on(&comment).into_iter().map(|r| (span.line, r)));
+                }
+            }
+            // Line breaks stay, so `code` splits into the same lines
+            // as `raw`.
+            for c in chars.iter_mut().filter(|c| !matches!(c, '\n' | '\r')) {
+                *c = ' ';
+            }
+        }
+        let code: String = text.into_iter().collect();
         let raw: Vec<String> = content.lines().map(str::to_string).collect();
-        let code = strip_comments_and_strings(&raw);
-        let in_tests = mark_test_regions(&raw, &code);
+        let in_tests = test_lines(&tokens, raw.len());
         SourceFile {
             rel: rel.to_string(),
             kind,
             raw,
-            code,
+            code: code.lines().map(str::to_string).collect(),
             in_tests,
+            tokens,
+            markers,
             used_markers: RefCell::new(BTreeSet::new()),
         }
     }
 
-    /// The rules named by genuine suppression markers on line `line0`.
-    ///
-    /// A genuine marker lives in a plain `//` comment. Mentions of the
-    /// syntax inside string literals (test fixtures, messages) or doc
-    /// comments (`///` / `//!` prose describing the mechanism) do not
-    /// count — the comment/string stripper has already blanked string
-    /// contents, so only the real comment tail of the line is parsed.
-    #[must_use]
-    pub fn marker_rules(&self, line0: usize) -> Vec<String> {
-        let (Some(raw), Some(code)) = (self.raw.get(line0), self.code.get(line0)) else {
-            return Vec::new();
-        };
-        // `code` is the raw line truncated at the `//` comment (string
-        // contents blanked char-for-char), so the comment text is the
-        // remaining char tail.
-        let tail: String = raw.chars().skip(code.chars().count()).collect();
-        if tail.starts_with("///") || tail.starts_with("//!") {
-            return Vec::new();
+    /// `true` if a marker on a line of `lines` (0-based) names `rule`;
+    /// every such marker is recorded as used.
+    fn allowed_on(&self, lines: RangeInclusive<usize>, rule: &str) -> bool {
+        let mut used = self.used_markers.borrow_mut();
+        let mut hit = false;
+        for (line0, r) in &self.markers {
+            if lines.contains(line0) && r == rule {
+                used.insert((*line0, r.clone()));
+                hit = true;
+            }
         }
-        markers_on(&tail)
+        hit
     }
 
     /// `true` if `rule` is suppressed on `line` (0-based) via a
     /// `lint: allow(<rule>)` marker there or on the previous line.
     /// Matching markers are recorded as used.
     pub fn suppressed(&self, line: usize, rule: &str) -> bool {
-        let mut hit = false;
-        for cand in [Some(line), line.checked_sub(1)].into_iter().flatten() {
-            if self.marker_rules(cand).iter().any(|r| r == rule) {
-                self.used_markers
-                    .borrow_mut()
-                    .insert((cand, rule.to_string()));
-                hit = true;
-            }
-        }
-        hit
+        self.allowed_on(line.saturating_sub(1)..=line, rule)
     }
 
     /// Marks as used any `lint: allow(rule)` marker on lines
@@ -150,28 +164,7 @@ impl SourceFile {
     /// scope-level suppression form used by `batched-warm-path` and
     /// the trait-conformance pass.
     pub fn scope_suppressed(&self, start: usize, end: usize, rule: &str) -> bool {
-        let mut hit = false;
-        for off in start..=end.min(self.raw.len().saturating_sub(1)) {
-            if self.marker_rules(off).iter().any(|r| r == rule) {
-                self.used_markers
-                    .borrow_mut()
-                    .insert((off, rule.to_string()));
-                hit = true;
-            }
-        }
-        hit
-    }
-
-    /// Every genuine suppression marker in the file: `(line0, rule)`.
-    #[must_use]
-    pub fn all_markers(&self) -> Vec<(usize, String)> {
-        let mut out = Vec::new();
-        for idx in 0..self.raw.len() {
-            for rule in self.marker_rules(idx) {
-                out.push((idx, rule));
-            }
-        }
-        out
+        self.allowed_on(start..=end, rule)
     }
 
     fn is_crate_root(&self) -> bool {
@@ -185,6 +178,54 @@ impl SourceFile {
         self.rel == "src/lib.rs"
             || (self.rel.starts_with("crates/") && self.rel.ends_with("/src/lib.rs"))
     }
+}
+
+/// The last line of the item whose signature starts at token `from`:
+/// the line of its block's closing brace, or of its `;` (see
+/// [`block_span`]). Also returns the token index just past the item.
+fn item_end(toks: &[Token], from: usize) -> (usize, usize) {
+    let (start, end) = block_span(toks, from);
+    let last = toks.get(if end > start { end - 1 } else { start });
+    let line = last.or(toks.last()).map_or(0, |t| t.line);
+    (line, end.max(from))
+}
+
+/// Per-line flags for `lines` lines: `true` from each `#[cfg(test)]`
+/// attribute on a `mod` item through the end of that module.
+fn test_lines(toks: &[Token], lines: usize) -> Vec<bool> {
+    let mut flags = vec![false; lines];
+    let mut i = 0;
+    while i + 7 <= toks.len() {
+        let t = &toks[i..i + 7];
+        let cfg_test = t[0].is_punct('#')
+            && t[1].is_punct('[')
+            && t[2].is_ident("cfg")
+            && t[3].is_punct('(')
+            && t[4].is_ident("test")
+            && t[5].is_punct(')')
+            && t[6].is_punct(']');
+        if !cfg_test {
+            i += 1;
+            continue;
+        }
+        // The attributed item is a module if `mod` comes before any
+        // `{` or `;` (other attributes and `pub` may come between).
+        let item = toks[i + 7..]
+            .iter()
+            .position(|t| t.is_ident("mod") || t.is_punct('{') || t.is_punct(';'))
+            .map(|p| i + 7 + p)
+            .filter(|&m| toks[m].is_ident("mod"));
+        let Some(m) = item else {
+            i += 7;
+            continue;
+        };
+        let (last, next) = item_end(toks, m + 1);
+        for f in flags.iter_mut().take(last + 1).skip(toks[i].line) {
+            *f = true;
+        }
+        i = next;
+    }
+    flags
 }
 
 /// A named lint rule.
@@ -305,154 +346,6 @@ pub fn classify(rel: &str) -> Option<FileKind> {
         return Some(FileKind::Library);
     }
     None
-}
-
-/// Blanks comments and string-literal contents so token scans only see
-/// code. Quotes are kept (so lines stay aligned); everything between
-/// them becomes spaces. Both block comments and string literals span
-/// lines (Rust strings continue across newlines, escaped or not), so
-/// state persists across the loop.
-fn strip_comments_and_strings(raw: &[String]) -> Vec<String> {
-    #[derive(PartialEq)]
-    enum State {
-        Code,
-        Block(u32),
-        Str,
-    }
-    let mut state = State::Code;
-    let mut out = Vec::with_capacity(raw.len());
-    for line in raw {
-        let chars: Vec<char> = line.chars().collect();
-        let mut buf = String::with_capacity(chars.len());
-        let mut i = 0;
-        while i < chars.len() {
-            match state {
-                State::Block(depth) => {
-                    if chars[i] == '*' && chars.get(i + 1) == Some(&'/') {
-                        state = if depth > 1 {
-                            State::Block(depth - 1)
-                        } else {
-                            State::Code
-                        };
-                        buf.push_str("  ");
-                        i += 2;
-                    } else if chars[i] == '/' && chars.get(i + 1) == Some(&'*') {
-                        state = State::Block(depth + 1);
-                        buf.push_str("  ");
-                        i += 2;
-                    } else {
-                        buf.push(' ');
-                        i += 1;
-                    }
-                }
-                State::Str => {
-                    if chars[i] == '\\' {
-                        buf.push_str("  ");
-                        i += 2;
-                    } else if chars[i] == '"' {
-                        buf.push('"');
-                        state = State::Code;
-                        i += 1;
-                    } else {
-                        buf.push(' ');
-                        i += 1;
-                    }
-                }
-                State::Code => match chars[i] {
-                    '/' if chars.get(i + 1) == Some(&'/') => {
-                        // Line comment: drop the rest of the line.
-                        break;
-                    }
-                    '/' if chars.get(i + 1) == Some(&'*') => {
-                        state = State::Block(1);
-                        buf.push_str("  ");
-                        i += 2;
-                    }
-                    '"' => {
-                        buf.push('"');
-                        state = State::Str;
-                        i += 1;
-                    }
-                    '\'' => {
-                        // Char literal or lifetime. A char literal closes
-                        // within a few characters; a lifetime has no
-                        // closing quote nearby.
-                        if chars.get(i + 1) == Some(&'\\') {
-                            buf.push_str("' '");
-                            // 'x' escaped form: skip to closing quote.
-                            let mut j = i + 2;
-                            while j < chars.len() && chars[j] != '\'' {
-                                j += 1;
-                            }
-                            i = j + 1;
-                        } else if chars.get(i + 2) == Some(&'\'') {
-                            buf.push_str("' '");
-                            i += 3;
-                        } else {
-                            buf.push('\'');
-                            i += 1;
-                        }
-                    }
-                    c => {
-                        buf.push(c);
-                        i += 1;
-                    }
-                },
-            }
-        }
-        out.push(buf);
-    }
-    out
-}
-
-/// Marks the line span of every `#[cfg(test)] mod ... { }` block.
-fn mark_test_regions(raw: &[String], code: &[String]) -> Vec<bool> {
-    let n = raw.len();
-    let mut flags = vec![false; n];
-    let mut i = 0;
-    while i < n {
-        if raw[i].trim_start().starts_with("#[cfg(test)]") {
-            // Skip further attributes to the item line.
-            let mut j = i + 1;
-            while j < n && raw[j].trim_start().starts_with("#[") {
-                j += 1;
-            }
-            let item = raw.get(j).map_or("", |l| l.trim_start());
-            if item.starts_with("mod ") || item.starts_with("pub mod ") {
-                let mut depth: i64 = 0;
-                let mut started = false;
-                let mut k = j;
-                while k < n {
-                    for ch in code[k].chars() {
-                        match ch {
-                            '{' => {
-                                depth += 1;
-                                started = true;
-                            }
-                            '}' => depth -= 1,
-                            _ => {}
-                        }
-                    }
-                    flags[k] = true;
-                    if started && depth <= 0 {
-                        break;
-                    }
-                    // `mod tests;` (out-of-line) ends on its own line.
-                    if !started && code[k].contains(';') {
-                        break;
-                    }
-                    k += 1;
-                }
-                for f in flags.iter_mut().take(j).skip(i) {
-                    *f = true;
-                }
-                i = k + 1;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    flags
 }
 
 // ---------------------------------------------------------------------
@@ -714,7 +607,11 @@ fn check_forbid_unsafe(rule: &Rule, sf: &SourceFile, out: &mut Vec<Violation>) {
     if !sf.is_crate_root() {
         return;
     }
-    if !sf.raw.iter().any(|l| l.contains("#![forbid(unsafe_code)]")) {
+    if !sf
+        .code
+        .iter()
+        .any(|l| l.contains("#![forbid(unsafe_code)]"))
+    {
         rule.push(
             sf,
             0,
@@ -728,7 +625,7 @@ fn check_missing_docs_warn(rule: &Rule, sf: &SourceFile, out: &mut Vec<Violation
     if !sf.is_lib_crate_root() {
         return;
     }
-    if !sf.raw.iter().any(|l| {
+    if !sf.code.iter().any(|l| {
         l.contains("#![warn(missing_docs)]")
             || l.contains("#![deny(missing_docs)]")
             || l.contains("#![forbid(missing_docs)]")
@@ -757,41 +654,25 @@ fn check_batched_warm_path(rule: &Rule, sf: &SourceFile, out: &mut Vec<Violation
     if sf.rel != "crates/uarch/src/machine.rs" {
         return;
     }
-    let n = sf.code.len();
+    let toks = &sf.tokens;
     let mut i = 0;
-    while i < n {
-        let head = sf.code[i].trim_start();
-        if !(head.starts_with("pub fn warmup") || head.starts_with("fn warmup")) {
+    while i + 1 < toks.len() {
+        let warm_fn = toks[i].is_ident("fn")
+            && toks[i + 1]
+                .ident()
+                .is_some_and(|name| name.starts_with("warmup"));
+        if !warm_fn {
             i += 1;
             continue;
         }
-        // Span the warm loop's body by brace depth.
-        let mut depth: i64 = 0;
-        let mut started = false;
-        let mut end = i;
-        for (k, line) in sf.code.iter().enumerate().take(n).skip(i) {
-            for ch in line.chars() {
-                match ch {
-                    '{' => {
-                        depth += 1;
-                        started = true;
-                    }
-                    '}' => depth -= 1,
-                    _ => {}
-                }
-            }
-            end = k;
-            if started && depth <= 0 {
-                break;
-            }
-        }
+        let first = toks[i].line;
+        let (last, next) = item_end(toks, i + 2);
         // The scalar differential reference keeps the old loop on
         // purpose: one marker anywhere inside the fn exempts it (the
         // justification comment spans lines, so per-line suppression
         // would not cover every protocol call in the block).
-        if !sf.scope_suppressed(i, end, rule.name) {
-            for k in i..=end {
-                let line = &sf.code[k];
+        if !sf.scope_suppressed(first, last, rule.name) {
+            for (k, line) in sf.code.iter().enumerate().take(last + 1).skip(first) {
                 let mut from = 0;
                 while let Some(pos) = line[from..].find("predictor.") {
                     let at = from + pos + "predictor.".len();
@@ -813,7 +694,7 @@ fn check_batched_warm_path(rule: &Rule, sf: &SourceFile, out: &mut Vec<Violation
                 }
             }
         }
-        i = end + 1;
+        i = next;
     }
 }
 
@@ -965,6 +846,17 @@ mod tests {
     }
 
     #[test]
+    fn unwrap_after_a_raw_string_with_a_quote_is_flagged() {
+        // The raw string's lone `"` neither ends it nor opens a string
+        // that would hide the next line.
+        let src = "const Q: &str = r#\"a \" quote\"#;\n\
+                   pub fn f(v: Option<u32>) -> u32 {\n    v.unwrap()\n}\n";
+        let v = lint_one("crates/core/src/export.rs", src);
+        assert_eq!(names(&v), vec!["unwrap"]);
+        assert_eq!(v[0].line, 3);
+    }
+
+    #[test]
     fn float_eq_flagged() {
         let v = lint_one("crates/core/src/export.rs", "if x == 0.0 { }\n");
         assert_eq!(names(&v), vec!["float-eq"]);
@@ -1078,6 +970,10 @@ mod tests {
         assert!(names(&v).contains(&"missing-docs-warn"));
         let clean = "#![forbid(unsafe_code)]\n#![warn(missing_docs)]\n";
         assert!(lint_one("crates/power/src/lib.rs", clean).is_empty());
+        // Attributes that appear only in comments do not count.
+        let commented = "// #![forbid(unsafe_code)]\n/* #![warn(missing_docs)] */\n";
+        let v = lint_one("crates/power/src/lib.rs", commented);
+        assert_eq!(names(&v), vec!["forbid-unsafe", "missing-docs-warn"]);
         // Binary roots need forbid-unsafe but not missing-docs.
         let v = lint_one("xtask/src/main.rs", "fn main() {}\n");
         assert_eq!(names(&v), vec!["forbid-unsafe"]);

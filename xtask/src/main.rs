@@ -9,15 +9,14 @@
 //!
 //! `lint` builds the workspace model ([`model`]) and runs every
 //! analysis pass over it ([`passes`]): the line rules, the determinism
-//! pass, the feature-graph pass, the trait-conformance pass, and
-//! unused-suppression detection. `--json` emits the stable
+//! pass, the trait-conformance pass, and unused-suppression detection. `--json` emits the stable
 //! machine-readable report (schema in [`passes::to_json`]); `--list`
 //! prints the rule catalog. Exit codes: 0 clean, 1 findings, 2 usage
 //! or I/O error.
 //!
-//! `verify` runs CI's test commands ([`verify::STEPS`]) from the
-//! workspace root, in order, and stops at the first that fails, naming
-//! it. Exit codes: 0 all passed, 1 a step failed, 2 usage error.
+//! `verify` runs CI's test, clippy and lint commands
+//! ([`verify::STEPS`]) from the workspace root, in order, and stops at
+//! the first that fails, naming it. Exit codes: 0 all passed, 1 a step failed, 2 usage error.
 
 #![forbid(unsafe_code)]
 

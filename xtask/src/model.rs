@@ -1,75 +1,22 @@
 //! The workspace model: what the static-analysis passes run over.
 //!
-//! Built from two dependency-free front ends:
-//!
-//! * a minimal `Cargo.toml` reader (sections, `key = value`, inline
-//!   tables, string arrays) — enough to recover each member crate's
-//!   name, dependencies, and `[features]` table;
-//! * the hand-rolled lexer ([`crate::lexer`]) plus an item-level
-//!   parser that recognizes `fn`/`struct`/`enum`/`trait`/`impl`/`mod`
-//!   items by brace tracking, records `#[cfg(feature = "...")]` use
-//!   sites, and extracts coarse per-function facts: called names,
-//!   map-typed local/field names, and determinism-relevant "taints"
-//!   (wall-clock reads, environment reads, thread creation, unordered
-//!   map iteration).
+//! Each source file is lexed once ([`crate::lexer`]) into its
+//! [`SourceFile`] view; an item-level parser then walks that token
+//! stream, recognizing `fn` and `impl` items by brace tracking and
+//! extracting coarse per-function facts: called names, map-typed
+//! local/field names, and determinism-relevant "taints" (wall-clock
+//! reads, environment reads, thread creation, unordered map
+//! iteration).
 //!
 //! The model is deliberately coarse — name-based call resolution, no
 //! type checking — but it is *deterministic* and errs toward flagging,
 //! with `// lint: allow(<rule>)` as the escape hatch.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::path::Path;
 
-use crate::lexer::{lex, Tok, Token};
+use crate::lexer::{Tok, Token};
 use crate::lint::{classify, FileKind, SourceFile};
-
-/// One member crate's manifest facts.
-#[derive(Clone, Debug, Default)]
-pub struct Manifest {
-    /// Package name (`bw-core`).
-    pub name: String,
-    /// Workspace-relative path of the `Cargo.toml`.
-    pub rel: String,
-    /// Raw manifest lines (for suppression markers and line numbers).
-    pub raw: Vec<String>,
-    /// `[features]` table: feature name -> (1-based line, enable list).
-    pub features: BTreeMap<String, (usize, Vec<String>)>,
-    /// `[dependencies]`: dep name -> (optional?, always-on features).
-    pub deps: BTreeMap<String, DepSpec>,
-}
-
-/// One dependency entry in a manifest.
-#[derive(Clone, Debug, Default)]
-pub struct DepSpec {
-    /// `optional = true`.
-    pub optional: bool,
-    /// `features = [...]` enabled unconditionally by the dependent.
-    pub features: Vec<String>,
-}
-
-impl Manifest {
-    /// Feature names this crate exposes: explicit `[features]` keys
-    /// plus the implicit feature of every optional dependency.
-    #[must_use]
-    pub fn declared_features(&self) -> BTreeSet<String> {
-        let mut set: BTreeSet<String> = self.features.keys().cloned().collect();
-        for (dep, spec) in &self.deps {
-            if spec.optional {
-                set.insert(dep.clone());
-            }
-        }
-        set
-    }
-}
-
-/// A `#[cfg(feature = "...")]` / `cfg!(feature = "...")` use site.
-#[derive(Clone, Debug)]
-pub struct FeatureUse {
-    /// Feature name referenced.
-    pub feature: String,
-    /// 0-based line of the reference.
-    pub line: usize,
-}
 
 /// A determinism-relevant construct found inside a function body.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -142,22 +89,17 @@ pub struct FileModel {
     pub rel: String,
     /// Lint classification.
     pub kind: FileKind,
-    /// Name of the crate the file belongs to (empty if unknown).
-    pub crate_name: String,
-    /// The line-oriented view shared with the legacy line rules.
+    /// The lexed view: tokens, code lines and markers, shared with the
+    /// line rules.
     pub source: SourceFile,
     /// Functions (free and methods), in file order.
     pub fns: Vec<FnItem>,
     /// Impl blocks, in file order.
     pub impls: Vec<ImplItem>,
-    /// Feature references.
-    pub feature_uses: Vec<FeatureUse>,
 }
 
 /// The whole workspace, ready for passes.
 pub struct Workspace {
-    /// Member crate manifests (path crates only; `vendor/` excluded).
-    pub manifests: Vec<Manifest>,
     /// Parsed source files, sorted by path.
     pub files: Vec<FileModel>,
 }
@@ -169,37 +111,7 @@ impl Workspace {
     ///
     /// Returns a message if directories cannot be walked or files read.
     pub fn build(root: &Path) -> Result<Workspace, String> {
-        let mut manifests = Vec::new();
-        // The root package (src/) plus every crates/* member. Vendored
-        // shims and xtask fixtures are not modeled.
-        let root_manifest = root.join("Cargo.toml");
-        if root_manifest.is_file() {
-            manifests.push(read_manifest(&root_manifest, "Cargo.toml")?);
-        }
-        let crates_dir = root.join("crates");
-        if crates_dir.is_dir() {
-            let mut entries: Vec<_> = std::fs::read_dir(&crates_dir)
-                .map_err(|e| format!("reading {}: {e}", crates_dir.display()))?
-                .filter_map(Result::ok)
-                .map(|e| e.path())
-                .collect();
-            entries.sort();
-            for dir in entries {
-                let m = dir.join("Cargo.toml");
-                if m.is_file() {
-                    let rel = format!(
-                        "crates/{}/Cargo.toml",
-                        dir.file_name().unwrap_or_default().to_string_lossy()
-                    );
-                    manifests.push(read_manifest(&m, &rel)?);
-                }
-            }
-        }
-        let xtask_manifest = root.join("xtask/Cargo.toml");
-        if xtask_manifest.is_file() {
-            manifests.push(read_manifest(&xtask_manifest, "xtask/Cargo.toml")?);
-        }
-
+        // Vendored shims and xtask fixtures are not modeled.
         let mut paths = Vec::new();
         for top in ["src", "crates", "tests", "examples", "xtask"] {
             let dir = root.join(top);
@@ -219,15 +131,9 @@ impl Workspace {
             let Some(kind) = classify(&rel) else { continue };
             let content =
                 std::fs::read_to_string(path).map_err(|e| format!("reading {rel}: {e}"))?;
-            files.push(parse_file(&rel, kind, &content, &manifests));
+            files.push(parse_file(&rel, kind, &content));
         }
-        Ok(Workspace { manifests, files })
-    }
-
-    /// The manifest of the crate named `name`, if modeled.
-    #[must_use]
-    pub fn manifest(&self, name: &str) -> Option<&Manifest> {
-        self.manifests.iter().find(|m| m.name == name)
+        Ok(Workspace { files })
     }
 
     /// The parsed file at workspace-relative path `rel`, if modeled.
@@ -255,121 +161,6 @@ fn walk(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Maps a workspace-relative source path to its owning crate name.
-fn crate_of(rel: &str, manifests: &[Manifest]) -> String {
-    for m in manifests {
-        let Some(dir) = m.rel.strip_suffix("Cargo.toml") else {
-            continue;
-        };
-        if dir.is_empty() {
-            // Root package: owns src/ and tests/ at the top level.
-            if rel.starts_with("src/") || rel.starts_with("tests/") || rel.starts_with("examples/")
-            {
-                return m.name.clone();
-            }
-        } else if rel.starts_with(dir) {
-            return m.name.clone();
-        }
-    }
-    String::new()
-}
-
-// ---------------------------------------------------------------------
-// Manifest reading (minimal TOML subset)
-// ---------------------------------------------------------------------
-
-fn read_manifest(path: &Path, rel: &str) -> Result<Manifest, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-    Ok(parse_manifest(&text, rel))
-}
-
-/// Parses the subset of TOML the model needs. Tolerant by design:
-/// unknown syntax is skipped, not rejected.
-#[must_use]
-pub fn parse_manifest(text: &str, rel: &str) -> Manifest {
-    let mut m = Manifest {
-        rel: rel.to_string(),
-        raw: text.lines().map(str::to_string).collect(),
-        ..Manifest::default()
-    };
-    let mut section = String::new();
-    for (idx, line) in text.lines().enumerate() {
-        let line = strip_toml_comment(line);
-        let t = line.trim();
-        if t.is_empty() {
-            continue;
-        }
-        if let Some(h) = t.strip_prefix('[') {
-            section = h.trim_end_matches(']').trim().to_string();
-            continue;
-        }
-        let Some(eq) = t.find('=') else { continue };
-        let key_full = t[..eq].trim().trim_matches('"');
-        let val = t[eq + 1..].trim();
-        // Dotted keys (`bw-core.workspace = true`) name the dep before
-        // the first dot.
-        let key = key_full.split('.').next().unwrap_or(key_full).to_string();
-        match section.as_str() {
-            "package" if key == "name" => {
-                m.name = val.trim_matches('"').to_string();
-            }
-            "features" => {
-                m.features.insert(key, (idx + 1, parse_string_array(val)));
-            }
-            "dependencies" => {
-                let spec = m.deps.entry(key).or_default();
-                if key_full.ends_with(".optional") {
-                    spec.optional = val == "true";
-                } else if key_full.ends_with(".features") {
-                    spec.features = parse_string_array(val);
-                } else if val.starts_with('{') {
-                    let inline = val.trim_start_matches('{').trim_end_matches('}');
-                    spec.optional = inline_field(inline, "optional").is_some_and(|v| v == "true");
-                    if let Some(f) = inline_field(inline, "features") {
-                        spec.features = parse_string_array(&f);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    m
-}
-
-fn strip_toml_comment(line: &str) -> &str {
-    // Good enough: `#` inside strings does not occur in this
-    // workspace's manifests.
-    match line.find('#') {
-        Some(p) => &line[..p],
-        None => line,
-    }
-}
-
-fn parse_string_array(val: &str) -> Vec<String> {
-    let inner = val.trim().trim_start_matches('[').trim_end_matches(']');
-    inner
-        .split(',')
-        .map(|s| s.trim().trim_matches('"').to_string())
-        .filter(|s| !s.is_empty())
-        .collect()
-}
-
-/// Extracts `name = <value>` from an inline table body, returning the
-/// raw value text (arrays included).
-fn inline_field(body: &str, name: &str) -> Option<String> {
-    let pat = format!("{name} =");
-    let at = body.find(&pat)?;
-    let rest = body[at + pat.len()..].trim_start();
-    if rest.starts_with('[') {
-        let end = rest.find(']')?;
-        Some(rest[..=end].to_string())
-    } else {
-        let end = rest.find(',').unwrap_or(rest.len());
-        Some(rest[..end].trim().to_string())
-    }
-}
-
 // ---------------------------------------------------------------------
 // Source parsing
 // ---------------------------------------------------------------------
@@ -388,40 +179,20 @@ const MAP_ITER_METHODS: &[&str] = &[
     "retain",
 ];
 
-/// Parses one file into a [`FileModel`].
+/// Parses one file into a [`FileModel`]: one lex, whose tokens the
+/// item parser walks.
 #[must_use]
-pub fn parse_file(rel: &str, kind: FileKind, content: &str, manifests: &[Manifest]) -> FileModel {
+pub fn parse_file(rel: &str, kind: FileKind, content: &str) -> FileModel {
     let source = SourceFile::from_source(rel, kind, content);
-    let toks = lex(content);
-    let feature_uses = scan_feature_uses(&toks);
-    let map_names = scan_map_typed_names(&toks);
-    let (fns, impls) = parse_items(&toks, &map_names);
+    let map_names = scan_map_typed_names(&source.tokens);
+    let (fns, impls) = parse_items(&source.tokens, &map_names);
     FileModel {
         rel: rel.to_string(),
         kind,
-        crate_name: crate_of(rel, manifests),
         source,
         fns,
         impls,
-        feature_uses,
     }
-}
-
-/// Collects `feature = "name"` references (any `cfg`/`cfg_attr`/`cfg!`
-/// form reduces to this token triple once lexed).
-fn scan_feature_uses(toks: &[Token]) -> Vec<FeatureUse> {
-    let mut out = Vec::new();
-    for w in toks.windows(3) {
-        if w[0].is_ident("feature") && w[1].is_punct('=') {
-            if let Tok::Literal(name) = &w[2].tok {
-                out.push(FeatureUse {
-                    feature: name.clone(),
-                    line: w[0].line,
-                });
-            }
-        }
-    }
-    out
 }
 
 /// Names (locals and `self` fields) with `HashMap`/`HashSet` types in
@@ -583,7 +354,7 @@ fn parse_impl(toks: &[Token], at: usize) -> Option<ParsedImpl> {
 /// at `from` (skipping to the first `{` at angle-depth 0, then brace
 /// matching). Returns `(start, end)` token indices; `start == end`
 /// when no block exists (trait method declaration).
-fn block_span(toks: &[Token], from: usize) -> (usize, usize) {
+pub(crate) fn block_span(toks: &[Token], from: usize) -> (usize, usize) {
     let n = toks.len();
     let mut j = from;
     let mut angle = 0i32;
@@ -775,25 +546,7 @@ mod tests {
     use super::*;
 
     fn model(src: &str) -> FileModel {
-        parse_file("crates/x/src/lib.rs", FileKind::Library, src, &[])
-    }
-
-    #[test]
-    fn manifest_subset_parses() {
-        let text = "\
-[package]\nname = \"bw-core\"\n\n[dependencies]\nserde = { workspace = true, optional = true }\n\
-bw-uarch.workspace = true\nbw-fault = { workspace = true, optional = true }\n\
-bw-base = { workspace = true, features = [\"serde\", \"audit\"] }\n\n\
-[features]\nserde = [\"dep:serde\", \"bw-uarch/serde\"]\naudit = [\"bw-uarch/audit\"]\n";
-        let m = parse_manifest(text, "crates/core/Cargo.toml");
-        assert_eq!(m.name, "bw-core");
-        assert!(m.deps["serde"].optional);
-        assert!(!m.deps["bw-uarch"].optional);
-        assert_eq!(m.deps["bw-base"].features, vec!["serde", "audit"]);
-        assert_eq!(m.features["audit"].1, vec!["bw-uarch/audit"]);
-        let declared = m.declared_features();
-        assert!(declared.contains("serde") && declared.contains("audit"));
-        assert!(declared.contains("bw-fault")); // implicit optional-dep feature
+        parse_file("crates/x/src/lib.rs", FileKind::Library, src)
     }
 
     #[test]
@@ -829,18 +582,6 @@ bw-base = { workspace = true, features = [\"serde\", \"audit\"] }\n\n\
         assert_eq!(f.impls.len(), 1);
         assert_eq!(f.impls[0].type_name, "Machine");
         assert!(f.impls[0].methods.contains("run"));
-    }
-
-    #[test]
-    fn feature_uses_in_all_cfg_forms() {
-        let src = "#[cfg(feature = \"audit\")]\nmod a {}\n\
-                   #[cfg_attr(feature = \"serde\", derive(Serialize))]\nstruct S;\n\
-                   fn f() { if cfg!(feature = \"fault-inject\") {} }\n\
-                   #[cfg(any(test, feature = \"x\"))] fn g() {}\n";
-        let f = model(src);
-        let names: Vec<&str> = f.feature_uses.iter().map(|u| u.feature.as_str()).collect();
-        assert_eq!(names, vec!["audit", "serde", "fault-inject", "x"]);
-        assert_eq!(f.feature_uses[0].line, 0);
     }
 
     #[test]

@@ -14,11 +14,11 @@
 //! * `audit-registry` — likewise for the audited differential suite
 //!   (`crates/core/tests/audit_differential.rs`).
 //!
-//! Registry membership is textual but identifier-exact: `Bimodal`
-//! does not match `BimodalPower`.
+//! Registry membership is by identifier token: `Bimodal` does not
+//! match `BimodalPower`, nor a mention in a comment or string.
 
 use super::{source_of, Finding};
-use crate::lint::FileKind;
+use crate::lint::{FileKind, SourceFile};
 use crate::model::Workspace;
 
 /// The trait whose impls the pass audits.
@@ -104,38 +104,19 @@ pub fn run(ws: &Workspace, out: &mut Vec<Finding>) {
 }
 
 /// `true` if `ty` is reached by one of the registry files: named in
-/// its text, or zoo-constructed while the registry iterates the zoo.
+/// its code, or zoo-constructed while the registry iterates the zoo.
 fn in_any_registry(ws: &Workspace, ty: &str, registries: &[&str]) -> bool {
-    let in_zoo = source_of(ws, ZOO).is_some_and(|sf| mentions_ident(&sf.code, ty));
+    let in_zoo = source_of(ws, ZOO).is_some_and(|sf| mentions_ident(sf, ty));
     registries.iter().any(|rel| {
         source_of(ws, rel).is_some_and(|sf| {
-            mentions_ident(&sf.code, ty)
-                || (in_zoo && ZOO_ITERATORS.iter().any(|z| mentions_ident(&sf.code, z)))
+            mentions_ident(sf, ty)
+                || (in_zoo && ZOO_ITERATORS.iter().any(|z| mentions_ident(sf, z)))
         })
     })
 }
 
-/// Identifier-exact substring search over comment-stripped lines.
-fn mentions_ident(code: &[String], ident: &str) -> bool {
-    code.iter().any(|line| {
-        let mut from = 0;
-        while let Some(pos) = line[from..].find(ident) {
-            let at = from + pos;
-            let end = at + ident.len();
-            let before_ok = at == 0
-                || !line[..at]
-                    .chars()
-                    .next_back()
-                    .is_some_and(|c| c.is_alphanumeric() || c == '_');
-            let after_ok = !line[end..]
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-            if before_ok && after_ok {
-                return true;
-            }
-            from = end;
-        }
-        false
-    })
+/// `true` if `ident` is one of the file's identifier tokens (never a
+/// comment, a literal, or part of a longer identifier).
+fn mentions_ident(sf: &SourceFile, ident: &str) -> bool {
+    sf.tokens.iter().any(|t| t.is_ident(ident))
 }

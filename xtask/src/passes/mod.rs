@@ -5,38 +5,39 @@
 //!
 //! Pass families:
 //!
-//! * **line-rules** — the original per-line rules
-//!   ([`crate::lint::rules`]), run over the model's shared
+//! * **line-rules** — the per-line rules ([`crate::lint::rules`]),
+//!   run over the model's shared
 //!   [`SourceFile`](crate::lint::SourceFile) views;
 //! * **determinism** — [`determinism`]: wall-clock, environment,
 //!   thread-creation and unordered-map-iteration reads reachable from
 //!   the sim/cache-key/trace-digest paths;
-//! * **feature-graph** — [`features`]: `cfg(feature)` use sites
-//!   cross-checked against `Cargo.toml` declarations and feature
-//!   propagation along the dependency chain;
 //! * **trait-conformance** — [`conformance`]: every
 //!   `DirectionPredictor` impl batches or explicitly opts out, and is
 //!   registered in the batch-differential and audit test suites;
 //! * **suppressions** — `unused-suppression`: an `allow` marker that
 //!   no longer fires is itself a finding.
+//!
+//! Feature names are not checked here: rustc's `unexpected_cfgs` lint
+//! (an error under CI's `clippy -D warnings`) rejects a `cfg(feature)`
+//! naming an undeclared feature, and cargo rejects a bad entry in a
+//! feature's enable list.
 
 pub mod conformance;
 pub mod determinism;
-pub mod features;
 
 use std::collections::BTreeSet;
 
-use crate::lint::{self, markers_on, SourceFile};
+use crate::lint::{self, SourceFile};
 use crate::model::Workspace;
 
 /// One finding from any pass, ready for reporting.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
-    /// Workspace-relative path (`.rs` or `Cargo.toml`).
+    /// Workspace-relative path of the `.rs` file.
     pub file: String,
     /// 1-based line number.
     pub line: usize,
-    /// Stable rule name (`det-map-iter`, `feature-undeclared`, ...).
+    /// Stable rule name (`det-map-iter`, `batch-registry`, ...).
     pub rule: String,
     /// Pass family the rule belongs to.
     pub pass: &'static str,
@@ -90,22 +91,6 @@ pub const PASS_RULES: &[(&str, &str, &str)] = &[
          before consuming",
     ),
     (
-        "feature-undeclared",
-        "feature-graph",
-        "every cfg(feature = \"...\") site must name a feature its crate's Cargo.toml declares",
-    ),
-    (
-        "feature-unpropagated",
-        "feature-graph",
-        "a declared feature must forward to every workspace dependency declaring the same \
-         feature (bw-power -> bw-uarch -> bw-core -> bw-bench chain)",
-    ),
-    (
-        "feature-bad-ref",
-        "feature-graph",
-        "feature enable-lists may only reference real dependencies and features they declare",
-    ),
-    (
         "batch-override",
         "trait-conformance",
         "every DirectionPredictor impl overrides lookup_batch/commit_batch or carries an \
@@ -155,11 +140,10 @@ pub fn run_all(ws: &Workspace) -> Report {
         }));
     }
 
-    // Families 2–4: model passes. These emit unfiltered; suppression
+    // Families 2–3: model passes. These emit unfiltered; suppression
     // is applied here so marker usage is tracked uniformly.
     let mut raw = Vec::new();
     determinism::run(ws, &mut raw);
-    features::run(ws, &mut raw);
     conformance::run(ws, &mut raw);
     for f in raw {
         if is_suppressed(ws, &f) {
@@ -169,7 +153,7 @@ pub fn run_all(ws: &Workspace) -> Report {
         }
     }
 
-    // Family 5: unused suppressions. Known rules = line rules + pass
+    // Family 4: unused suppressions. Known rules = line rules + pass
     // rules; a marker naming anything else can never fire.
     let known: BTreeSet<&str> = rule_set
         .iter()
@@ -178,8 +162,8 @@ pub fn run_all(ws: &Workspace) -> Report {
         .collect();
     for file in &ws.files {
         let used = file.source.used_markers.borrow();
-        for (line0, rule) in file.source.all_markers() {
-            if used.contains(&(line0, rule.clone())) {
+        for (line0, rule) in &file.source.markers {
+            if used.contains(&(*line0, rule.clone())) {
                 continue;
             }
             let message = if known.contains(rule.as_str()) {
@@ -198,24 +182,6 @@ pub fn run_all(ws: &Workspace) -> Report {
             });
         }
     }
-    // Manifest markers (feature-graph findings live in Cargo.toml).
-    for m in &ws.manifests {
-        for (line0, rule) in manifest_markers(m) {
-            if manifest_marker_used(ws, &m.rel, line0, &rule) {
-                continue;
-            }
-            findings.push(Finding {
-                file: m.rel.clone(),
-                line: line0 + 1,
-                rule: "unused-suppression".to_string(),
-                pass: "suppressions",
-                message: format!(
-                    "suppression `lint: allow({rule})` no longer fires; remove the stale marker"
-                ),
-            });
-        }
-    }
-
     findings.sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
     Report {
         findings,
@@ -224,61 +190,11 @@ pub fn run_all(ws: &Workspace) -> Report {
     }
 }
 
-thread_local! {
-    /// Manifest markers used this run: `(manifest rel, line0, rule)`.
-    /// Manifests have no shared SourceFile to record usage on, and
-    /// passes run strictly before the unused-suppression sweep on the
-    /// same thread.
-    static MANIFEST_USED: std::cell::RefCell<BTreeSet<(String, usize, String)>> =
-        const { std::cell::RefCell::new(BTreeSet::new()) };
-}
-
-fn manifest_markers(m: &crate::model::Manifest) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    for (idx, line) in m.raw.iter().enumerate() {
-        for rule in markers_on(line) {
-            out.push((idx, rule));
-        }
-    }
-    out
-}
-
-fn manifest_marker_used(_ws: &Workspace, rel: &str, line0: usize, rule: &str) -> bool {
-    MANIFEST_USED.with(|u| {
-        u.borrow()
-            .contains(&(rel.to_string(), line0, rule.to_string()))
-    })
-}
-
 /// Suppression check for a model-pass finding: a marker on the finding
-/// line or the one above, in the source file or manifest it points at.
+/// line or the one above, in the source file it points at.
 fn is_suppressed(ws: &Workspace, f: &Finding) -> bool {
-    let line0 = f.line.saturating_sub(1);
-    if let Some(file) = ws.file(&f.file) {
-        return file.source.suppressed(line0, &f.rule);
-    }
-    if let Some(m) = ws.manifests.iter().find(|m| m.rel == f.file) {
-        let mut hit = false;
-        for cand in [Some(line0), line0.checked_sub(1)].into_iter().flatten() {
-            let Some(text) = m.raw.get(cand) else {
-                continue;
-            };
-            if markers_on(text).iter().any(|r| r == &f.rule) {
-                MANIFEST_USED.with(|u| {
-                    u.borrow_mut().insert((m.rel.clone(), cand, f.rule.clone()));
-                });
-                hit = true;
-            }
-        }
-        return hit;
-    }
-    false
-}
-
-/// Resets cross-run suppression bookkeeping (tests run several
-/// workspaces on one thread).
-pub fn reset_marker_state() {
-    MANIFEST_USED.with(|u| u.borrow_mut().clear());
+    ws.file(&f.file)
+        .is_some_and(|file| file.source.suppressed(f.line.saturating_sub(1), &f.rule))
 }
 
 /// A source file's `SourceFile` view, for passes that read registry
@@ -363,6 +279,40 @@ fn json_str(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lint::{classify, markers_on};
+    use crate::model::parse_file;
+
+    /// Every pass over a workspace of the one file `src` at `rel`.
+    fn report_for(rel: &str, src: &str) -> Report {
+        let kind = classify(rel).expect("classifiable");
+        run_all(&Workspace {
+            files: vec![parse_file(rel, kind, src)],
+        })
+    }
+
+    #[test]
+    fn raw_string_with_escaped_quotes_keeps_its_test_module() {
+        // A JSON-shaped raw string holding `\"` must not end the test
+        // module early: the env read and the bare write below it are
+        // test code, which neither the determinism pass nor the line
+        // rules police.
+        let src = "pub fn f() {}\n\
+                   \n\
+                   #[cfg(test)]\n\
+                   mod tests {\n\
+                   \x20   const LEDGER: &str = r#\"{\n\
+                   \x20 \"last_error\": \"say \\\"hi\\\"\"\n\
+                   }\"#;\n\
+                   \n\
+                   \x20   #[test]\n\
+                   \x20   fn writes_the_ledger() {\n\
+                   \x20       let dir = std::env::var(\"OUT\").expect(\"set\");\n\
+                   \x20       std::fs::write(dir, LEDGER).expect(\"io\");\n\
+                   \x20   }\n\
+                   }\n";
+        let report = report_for("crates/core/src/supervise.rs", src);
+        assert!(report.findings.is_empty(), "{:?}", report.findings);
+    }
 
     #[test]
     fn json_escaping() {

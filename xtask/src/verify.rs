@@ -3,7 +3,9 @@
 //! [`STEPS`] lists them in the order `verify` runs them: tier-1 (the
 //! release build and the root package's tests), every workspace
 //! crate (the chaos suites included), bwbench's unit tests and its two
-//! seed-1 golden runs. Each step is a one-line `run:` step of
+//! seed-1 golden runs, then clippy with warnings denied (which also
+//! rejects a `cfg(feature)` naming an undeclared feature) and the repo
+//! lint. Each step is a one-line `run:` step of
 //! `.github/workflows/ci.yml`, word for word; a unit test reads the
 //! workflow and fails when the two lists drift.
 
@@ -15,6 +17,8 @@ pub const STEPS: &[&str] = &[
     "cargo test -q --offline --manifest-path bwbench/Cargo.toml",
     "cargo run --release --offline --manifest-path bwbench/Cargo.toml -- run --workload paper --seed 1 --trace 0",
     "cargo run --release --offline --manifest-path bwbench/Cargo.toml -- run --workload replay --seed 1 --trace 0",
+    "cargo clippy --workspace --all-targets -- -D warnings",
+    "cargo run -p xtask -- lint",
 ];
 
 /// The one-line `run:` commands of a GitHub Actions workflow, in file

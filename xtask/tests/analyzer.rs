@@ -12,7 +12,6 @@ use xtask::model::Workspace;
 use xtask::passes::{self, Report};
 
 fn fixture_report() -> Report {
-    passes::reset_marker_state();
     let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/ws"));
     let ws = Workspace::build(root).expect("fixture workspace builds");
     passes::run_all(&ws)
@@ -64,24 +63,6 @@ fn determinism_pass_catches_each_taint_and_reachability() {
 }
 
 #[test]
-fn feature_graph_pass_catches_each_violation_class() {
-    let report = fixture_report();
-    let t = triples(&report);
-    assert!(t.contains(&"crates/uarch/src/lib.rs:8 feature-undeclared".to_string()));
-    assert!(t.contains(&"crates/core/Cargo.toml:10 feature-unpropagated".to_string()));
-    // All three bad-ref shapes (dep:missing, dep/feature, bare name)
-    // fire on the same enable list.
-    assert_eq!(
-        t.iter()
-            .filter(|x| *x == "crates/core/Cargo.toml:11 feature-bad-ref")
-            .count(),
-        3
-    );
-    // The declared `audit` use site is clean.
-    assert!(!t.contains(&"crates/uarch/src/lib.rs:11 feature-undeclared".to_string()));
-}
-
-#[test]
 fn conformance_pass_flags_unbatched_unregistered_impls_only() {
     let report = fixture_report();
     let t = triples(&report);
@@ -107,10 +88,8 @@ fn line_rules_and_unused_suppressions_over_fixture() {
     assert!(t.contains(&"crates/workload/src/lib.rs:6 unwrap".to_string()));
     // The suppressed unwrap stays quiet...
     assert!(!t.contains(&"crates/workload/src/lib.rs:16 unwrap".to_string()));
-    // ...while markers that never fire are themselves findings, in
-    // both source files and manifests.
+    // ...while a marker that never fires is itself a finding.
     assert!(t.contains(&"crates/workload/src/lib.rs:11 unused-suppression".to_string()));
-    assert!(t.contains(&"crates/workload/Cargo.toml:7 unused-suppression".to_string()));
     // The thread-spawn line rule and the determinism pass agree on the
     // spawn site (two findings, one line).
     assert!(t.contains(&"crates/uarch/src/lib.rs:33 thread-spawn".to_string()));
@@ -119,10 +98,8 @@ fn line_rules_and_unused_suppressions_over_fixture() {
 #[test]
 fn suppressed_model_findings_are_counted() {
     let report = fixture_report();
-    // excused_timing (det-wallclock) + the serde propagation gap in
-    // crates/core/Cargo.toml.
-    assert_eq!(report.suppressed, 2);
+    // excused_timing (det-wallclock).
+    assert_eq!(report.suppressed, 1);
     let t = triples(&report);
     assert!(!t.iter().any(|x| x.contains("lib.rs:54")));
-    assert!(!t.contains(&"crates/core/Cargo.toml:13 feature-unpropagated".to_string()));
 }

@@ -49,10 +49,10 @@ fn emitter_output_round_trips_through_serde() {
                 message: "tricky \"quoted\" message\nwith newline\tand tab \\ backslash".into(),
             },
             Finding {
-                file: "crates/y/Cargo.toml".into(),
+                file: "crates/y/src/lib.rs".into(),
                 line: 12,
-                rule: "feature-unpropagated".into(),
-                pass: "feature-graph",
+                rule: "batch-registry".into(),
+                pass: "trait-conformance",
                 message: "plain".into(),
             },
         ],
@@ -70,12 +70,11 @@ fn emitter_output_round_trips_through_serde() {
         typed.findings[0].message,
         "tricky \"quoted\" message\nwith newline\tand tab \\ backslash"
     );
-    assert_eq!(typed.findings[1].pass, "feature-graph");
+    assert_eq!(typed.findings[1].pass, "trait-conformance");
 }
 
 #[test]
 fn fixture_report_round_trips_and_matches() {
-    passes::reset_marker_state();
     let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/ws"));
     let ws = Workspace::build(root).expect("fixture workspace builds");
     let report = passes::run_all(&ws);
