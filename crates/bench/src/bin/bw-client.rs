@@ -15,7 +15,6 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use bw_core::zoo::NamedPredictor;
-use bw_core::SimConfig;
 use bw_server::{predictor_by_label, CellSpec, CellStatus, Client, RetryPolicy};
 
 const USAGE: &str = "\
@@ -64,14 +63,18 @@ fn main() -> ExitCode {
     let mut server = "127.0.0.1:7381".to_string();
     let mut benches = vec!["gzip".to_string()];
     let mut predictors = vec!["Bim_4k".to_string()];
-    let mut cfg = SimConfig::paper(0xb4a2);
     let mut stats_only = false;
     let mut priority = false;
     let mut retries = RetryPolicy::default().attempts;
     let mut session_file: Option<PathBuf> = None;
     let mut resume_only = false;
 
-    let mut args = std::env::args().skip(1);
+    // The budget flags go through the experiment binaries' parser.
+    let (mut cfg, rest) = match bw_bench::split_budget(std::env::args().skip(1)) {
+        Ok(split) => split,
+        Err(e) => return fail(&e),
+    };
+    let mut args = rest.into_iter();
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
         match arg.as_str() {
@@ -107,26 +110,6 @@ fn main() -> ExitCode {
                 }
                 Ok(v) => predictors = v.split(',').map(str::to_string).collect(),
                 Err(e) => return fail(&e),
-            },
-            "--quick" => {
-                cfg.warmup_insts = 600_000;
-                cfg.measure_insts = 200_000;
-            }
-            "--paper" => {
-                cfg.warmup_insts = 3_000_000;
-                cfg.measure_insts = 1_000_000;
-            }
-            "--warmup" => match value("--warmup").and_then(parse_num) {
-                Ok(n) => cfg.warmup_insts = n,
-                Err(e) => return fail(&format!("--warmup: {e}")),
-            },
-            "--measure" => match value("--measure").and_then(parse_num) {
-                Ok(n) => cfg.measure_insts = n,
-                Err(e) => return fail(&format!("--measure: {e}")),
-            },
-            "--seed" => match value("--seed").and_then(parse_num) {
-                Ok(n) => cfg.seed = n,
-                Err(e) => return fail(&format!("--seed: {e}")),
             },
             "--banked" => cfg.banked = true,
             "--stats" => stats_only = true,

@@ -28,7 +28,6 @@ use std::process::exit;
 
 use bw_core::trace::{characterize, import_text, record_model, REPLAY_SLACK_INSTS};
 use bw_core::trace::{DecodedTrace, Trace};
-use bw_core::SimConfig;
 use bw_workload::benchmark;
 
 fn usage() -> ! {
@@ -77,31 +76,6 @@ fn parse_num(v: &str, flag: &str) -> u64 {
     }
 }
 
-/// Budget flags shared with the figure binaries, minus runner controls.
-fn budget_from(args: &mut Vec<String>) -> SimConfig {
-    let mut cfg = SimConfig::paper(0xb4a2);
-    if let Some(i) = args.iter().position(|a| a == "--quick") {
-        args.remove(i);
-        cfg.warmup_insts = 600_000;
-        cfg.measure_insts = 200_000;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--paper") {
-        args.remove(i);
-        cfg.warmup_insts = 3_000_000;
-        cfg.measure_insts = 1_000_000;
-    }
-    if let Some(v) = take_opt(args, "--warmup") {
-        cfg.warmup_insts = parse_num(&v, "--warmup");
-    }
-    if let Some(v) = take_opt(args, "--measure") {
-        cfg.measure_insts = parse_num(&v, "--measure");
-    }
-    if let Some(v) = take_opt(args, "--seed") {
-        cfg.seed = parse_num(&v, "--seed");
-    }
-    cfg
-}
-
 fn positional(args: Vec<String>, what: &str) -> String {
     let mut pos: Vec<String> = args.into_iter().collect();
     if pos.len() != 1 || pos[0].starts_with("--") {
@@ -138,8 +112,12 @@ fn save(trace: &Trace, path: &Path) {
 }
 
 fn cmd_record(args: &[String]) {
-    let mut args = args.to_vec();
-    let cfg = budget_from(&mut args);
+    // The figure binaries' own budget parser, so a recording replays
+    // under the same flags.
+    let (cfg, mut args) = bw_bench::split_budget(args.iter().cloned()).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        usage();
+    });
     let out = take_opt(&mut args, "--out");
     let name = positional(args, "benchmark name");
     let Some(model) = benchmark(&name) else {

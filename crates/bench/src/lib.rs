@@ -68,7 +68,7 @@ use std::time::Duration;
 
 use bw_core::experiments::{sweep_rows_supervised, trace_sweep_rows_supervised, SweepRow};
 use bw_core::trace::Trace;
-use bw_core::{RunCache, Runner, SimConfig, Supervision};
+use bw_core::{RunCache, Runner, SimConfig, SimConfigBuilder, Supervision};
 use bw_workload::BenchmarkModel;
 
 /// Parsed command line: simulation budget, runner controls, and an
@@ -150,56 +150,28 @@ impl Cli {
             retries: None,
             server: None,
         };
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--quick" => budget = budget.warmup_insts(600_000).measure_insts(200_000),
-                "--paper" => budget = budget.warmup_insts(3_000_000).measure_insts(1_000_000),
-                "--warmup" => {
-                    i += 1;
-                    budget = budget.warmup_insts(parse_num(&args, i, "--warmup"));
-                }
-                "--measure" => {
-                    i += 1;
-                    budget = budget.measure_insts(parse_num(&args, i, "--measure"));
-                }
-                "--seed" => {
-                    i += 1;
-                    budget = budget.seed(parse_num(&args, i, "--seed"));
-                }
-                "--csv" => {
-                    i += 1;
-                    cli.csv = Some(PathBuf::from(parse_path(&args, i, "--csv")));
-                }
-                "--jobs" => {
-                    i += 1;
-                    cli.jobs = Some(parse_num(&args, i, "--jobs") as usize);
-                }
-                "--trace" => {
-                    i += 1;
-                    cli.trace = Some(PathBuf::from(parse_path(&args, i, "--trace")));
-                }
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            match budget_flag(&mut budget, &arg, || args.next()) {
+                Ok(true) => continue,
+                Ok(false) => {}
+                Err(msg) => bad_flag(&msg),
+            }
+            let args = &mut args;
+            match arg.as_str() {
+                "--csv" => cli.csv = Some(PathBuf::from(parse_path(args, "--csv"))),
+                "--jobs" => cli.jobs = Some(parse_num(args, "--jobs") as usize),
+                "--trace" => cli.trace = Some(PathBuf::from(parse_path(args, "--trace"))),
                 "--no-cache" => cli.no_cache = true,
                 "--audit" => cli.audit = true,
-                "--run-timeout" => {
-                    i += 1;
-                    cli.run_timeout = Some(parse_num(&args, i, "--run-timeout"));
-                }
-                "--retries" => {
-                    i += 1;
-                    cli.retries = Some(parse_num(&args, i, "--retries") as u32);
-                }
+                "--run-timeout" => cli.run_timeout = Some(parse_num(args, "--run-timeout")),
+                "--retries" => cli.retries = Some(parse_num(args, "--retries") as u32),
                 "--cache-dir" => {
-                    i += 1;
-                    cli.cache_dir = Some(PathBuf::from(parse_path(&args, i, "--cache-dir")));
+                    cli.cache_dir = Some(PathBuf::from(parse_path(args, "--cache-dir")));
                 }
-                "--server" => {
-                    i += 1;
-                    cli.server = Some(parse_path(&args, i, "--server"));
-                }
+                "--server" => cli.server = Some(parse_path(args, "--server")),
                 other => bad_flag(&format!("unknown flag '{other}'")),
             }
-            i += 1;
         }
         cli.cfg = budget.build().unwrap_or_else(|e| bad_flag(&e.to_string()));
         cli
@@ -294,21 +266,66 @@ fn arm_faults_from_env() {
     }
 }
 
-fn parse_num(args: &[String], i: usize, flag: &str) -> u64 {
-    let Some(arg) = args.get(i) else {
-        bad_flag(&format!("{flag} needs a number"));
-    };
-    match arg.replace('_', "").parse() {
-        Ok(n) => n,
-        Err(_) => bad_flag(&format!("{flag} needs a number, got '{arg}'")),
-    }
+fn parse_num(args: &mut impl Iterator<Item = String>, flag: &str) -> u64 {
+    number(flag, args.next()).unwrap_or_else(|msg| bad_flag(&msg))
 }
 
-fn parse_path(args: &[String], i: usize, flag: &str) -> String {
-    match args.get(i) {
-        Some(p) => p.clone(),
-        None => bad_flag(&format!("{flag} needs a path")),
+/// Reads `value` as the number `flag` takes (`_` separators allowed).
+fn number(flag: &str, value: Option<String>) -> Result<u64, String> {
+    let v = value.ok_or_else(|| format!("{flag} needs a number"))?;
+    v.replace('_', "")
+        .parse()
+        .map_err(|_| format!("{flag} needs a number, got '{v}'"))
+}
+
+/// Applies `flag` to `budget` if it is a budget flag: `--quick` (600k
+/// warm-up and 200k measured instructions), `--paper` (3M and 1M, the
+/// default), `--warmup N`, `--measure N` or `--seed N`, reading `N`
+/// from `value`. `Ok(false)` leaves any other argument to the caller,
+/// and `value` unread.
+fn budget_flag(
+    budget: &mut SimConfigBuilder,
+    flag: &str,
+    value: impl FnOnce() -> Option<String>,
+) -> Result<bool, String> {
+    let b = budget.clone();
+    *budget = match flag {
+        "--quick" => b.warmup_insts(600_000).measure_insts(200_000),
+        "--paper" => b.warmup_insts(3_000_000).measure_insts(1_000_000),
+        "--warmup" => b.warmup_insts(number(flag, value())?),
+        "--measure" => b.measure_insts(number(flag, value())?),
+        "--seed" => b.seed(number(flag, value())?),
+        _ => return Ok(false),
+    };
+    Ok(true)
+}
+
+/// Splits the budget flags out of `args`, applying them in command-line
+/// order as every binary that simulates does: the validated
+/// [`SimConfig`] they describe, and every other argument, in order.
+///
+/// # Errors
+///
+/// A message naming the flag whose value is missing or not a number,
+/// or the budget [`SimConfig::builder`] rejects.
+pub fn split_budget(
+    args: impl IntoIterator<Item = String>,
+) -> Result<(SimConfig, Vec<String>), String> {
+    let mut budget = SimConfig::builder();
+    let mut rest = Vec::new();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        if !budget_flag(&mut budget, &arg, || args.next())? {
+            rest.push(arg);
+        }
     }
+    let cfg = budget.build().map_err(|e| e.to_string())?;
+    Ok((cfg, rest))
+}
+
+fn parse_path(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
+    args.next()
+        .unwrap_or_else(|| bad_flag(&format!("{flag} needs a path")))
 }
 
 /// Parses the budget flags (`--quick`, `--paper`, `--warmup N`,
@@ -319,21 +336,17 @@ fn parse_path(args: &[String], i: usize, flag: &str) -> String {
 /// ignored.
 #[must_use]
 pub fn config_from_args() -> SimConfig {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut rest = args.iter();
-    while let Some(arg) = rest.next() {
-        match arg.as_str() {
-            "--quick" | "--paper" => {}
-            "--warmup" | "--measure" | "--seed" => {
-                rest.next();
-            }
-            other => refuse(
+    const USAGE: &str = "usage: [--quick|--paper] [--warmup N] [--measure N] [--seed N]";
+    match split_budget(std::env::args().skip(1)) {
+        Ok((cfg, rest)) => match rest.first() {
+            None => cfg,
+            Some(other) => refuse(
                 &format!("'{other}' does not apply: this binary reads only the budget flags"),
-                "usage: [--quick|--paper] [--warmup N] [--measure N] [--seed N]",
+                USAGE,
             ),
-        }
+        },
+        Err(msg) => refuse(&msg, USAGE),
     }
-    Cli::parse_from(args).cfg
 }
 
 /// Exits 2 with the usage line if any argument was given: the binaries
@@ -564,6 +577,33 @@ mod tests {
         assert_eq!(
             parse(&["--trace", "gzip.bwt"]).sweep_only_flag(),
             Some("--trace")
+        );
+    }
+
+    /// `trace record` and `bw-client` read their budget through
+    /// `split_budget`, so it must agree with the figure binaries' parser
+    /// and hand every other argument back in order.
+    #[test]
+    fn split_budget_matches_the_figure_parser() {
+        let args = [
+            "gzip", "--out", "g.bwt", "--quick", "--seed", "5", "--warmup", "1_000",
+        ];
+        let (cfg, rest) = split_budget(args.map(String::from)).expect("valid budget");
+        assert_eq!(cfg.digest(), parse(&args[3..]).cfg.digest());
+        assert_eq!(
+            (cfg.warmup_insts, cfg.measure_insts, cfg.seed),
+            (1_000, 200_000, 5)
+        );
+        assert_eq!(rest, ["gzip", "--out", "g.bwt"]);
+        let refused = |args: &[&str]| split_budget(args.iter().map(|a| a.to_string())).unwrap_err();
+        assert_eq!(
+            refused(&["--measure", "0"]),
+            "measure_insts must be nonzero"
+        );
+        assert_eq!(refused(&["--seed"]), "--seed needs a number");
+        assert_eq!(
+            refused(&["--warmup", "x"]),
+            "--warmup needs a number, got 'x'"
         );
     }
 

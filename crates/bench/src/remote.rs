@@ -1,11 +1,9 @@
 //! Remote sweep mode: render figures from a shared `bw-server` daemon.
 //!
-//! With `--server ADDR` a sweep binary submits the same fourteen
-//! predictor × benchmark cells a local supervised sweep would plan —
-//! built with [`CellSpec::for_run`] in the exact `FIGURE_ORDER` ×
-//! suite order of
-//! [`sweep_rows_supervised`](bw_core::experiments::sweep_rows_supervised)
-//! — and renders from the per-cell results the daemon streams back.
+//! With `--server ADDR` a sweep binary submits the cells a local
+//! supervised sweep would plan — the sweep's one declaration,
+//! [`sweep_cells`], built with [`CellSpec::for_run`] — and renders from
+//! the per-cell results the daemon streams back.
 //! Because the daemon keys work by [`RunKey`](bw_core::RunKey) digest
 //! over a shared cache, any number of figure binaries pointed at the
 //! same daemon execute each cell at most once between them.
@@ -14,8 +12,7 @@
 //! cells are reported on stderr, every healthy row still renders, and
 //! the caller exits nonzero.
 
-use bw_core::experiments::SweepRow;
-use bw_core::zoo::NamedPredictor;
+use bw_core::experiments::{sweep_cells, SweepRow};
 use bw_core::{RunResult, SimConfig};
 use bw_server::{CellSpec, CellStatus, Client, ClientError, RetryPolicy};
 use bw_workload::BenchmarkModel;
@@ -99,16 +96,9 @@ pub fn remote_sweep_rows(
     cfg: &SimConfig,
     mut progress: impl FnMut(&str) + Send,
 ) -> Result<RemoteSweep, ClientError> {
-    // The exact plan order of `sweep_rows_supervised`, so the daemon
-    // and a local run agree cell-for-cell on keys and labels.
-    let mut cells = Vec::with_capacity(NamedPredictor::FIGURE_ORDER.len() * suite.len());
-    let mut specs = Vec::with_capacity(cells.capacity());
-    for p in NamedPredictor::FIGURE_ORDER {
-        for m in suite {
-            cells.push((p, format!("{} / {}", p.label(), m.name)));
-            specs.push(CellSpec::for_run(m.name, p, cfg));
-        }
-    }
+    let (cells, specs): (Vec<_>, Vec<_>) = sweep_cells(suite)
+        .map(|(p, m, label)| ((p, label), CellSpec::for_run(m.name, p, cfg)))
+        .unzip();
 
     let mut client = Client::connect(addr)?;
     const REQ: u64 = 1;
@@ -147,31 +137,28 @@ pub fn remote_sweep_rows(
     let mut rows = Vec::new();
     let mut failures = Vec::new();
     for ((predictor, label), status) in cells.into_iter().zip(statuses) {
-        match status {
+        let (class, detail) = match status {
             Some(CellStatus::Ok(value)) => match RunResult::from_value(&value) {
-                Ok(run) => rows.push(SweepRow { predictor, run }),
-                Err(e) => failures.push(RemoteFailure {
-                    label,
-                    class: "failed:undecodable".to_string(),
-                    detail: e.0,
-                }),
+                Ok(run) => {
+                    rows.push(SweepRow { predictor, run });
+                    continue;
+                }
+                Err(e) => ("failed:undecodable".to_string(), e.0),
             },
-            Some(CellStatus::Refused { reason, detail }) => failures.push(RemoteFailure {
-                label,
-                class: format!("refused:{}", reason.as_str()),
-                detail,
-            }),
-            Some(CellStatus::Failed { outcome, detail }) => failures.push(RemoteFailure {
-                label,
-                class: format!("failed:{outcome}"),
-                detail,
-            }),
-            None => failures.push(RemoteFailure {
-                label,
-                class: "failed:missing".to_string(),
-                detail: "the daemon finished the request without this cell".to_string(),
-            }),
-        }
+            Some(CellStatus::Refused { reason, detail }) => {
+                (format!("refused:{}", reason.as_str()), detail)
+            }
+            Some(CellStatus::Failed { outcome, detail }) => (format!("failed:{outcome}"), detail),
+            None => (
+                "failed:missing".to_string(),
+                "the daemon finished the request without this cell".to_string(),
+            ),
+        };
+        failures.push(RemoteFailure {
+            label,
+            class,
+            detail,
+        });
     }
     Ok(RemoteSweep {
         rows,

@@ -9,6 +9,7 @@ use bw_power::BpredOptions;
 use bw_trace::Trace;
 use bw_workload::BenchmarkModel;
 
+use super::{run_grid, tag_mean};
 use crate::report::{f3, f4, mean, pct, Table};
 use crate::runner::{RunPlan, Runner};
 use crate::sim::{RunResult, SimConfig, TraceRunError};
@@ -69,6 +70,22 @@ impl SupervisedSweep {
     }
 }
 
+/// The figure sweep's cells in plan order: each of the fourteen
+/// [`NamedPredictor::FIGURE_ORDER`] configurations crossed with
+/// `models`, labelled `{predictor} / {model}`. The local sweep
+/// ([`sweep_rows_supervised`]) and a sweep submitted to a `bw-server`
+/// daemon both plan exactly these, so they agree cell for cell on keys
+/// and labels.
+pub fn sweep_cells<'a>(
+    models: &'a [&'static BenchmarkModel],
+) -> impl Iterator<Item = (NamedPredictor, &'static BenchmarkModel, String)> + 'a {
+    NamedPredictor::FIGURE_ORDER.into_iter().flat_map(move |p| {
+        models
+            .iter()
+            .map(move |&m| (p, m, format!("{} / {}", p.label(), m.name)))
+    })
+}
+
 /// Plans the paper's fourteen predictor configurations over a set of
 /// benchmark models and executes them on `runner`: failed runs become
 /// failure records instead of unwinding the sweep; every healthy row is
@@ -79,18 +96,11 @@ pub fn sweep_rows_supervised(
     cfg: &SimConfig,
     progress: impl FnMut(&str) + Send,
 ) -> SupervisedSweep {
-    let mut plan = RunPlan::new();
-    let mut keys = Vec::with_capacity(NamedPredictor::FIGURE_ORDER.len() * models.len());
-    for p in NamedPredictor::FIGURE_ORDER {
-        for m in models {
-            let label = format!("{} / {}", p.label(), m.name);
-            keys.push((p, plan.add_labeled(m, p.config(), cfg, label)));
-        }
-    }
-    let mut set = runner.run(&plan, progress);
-    let rows = keys
+    let cells = sweep_cells(models).map(|(p, m, label)| (p, m, p.config(), cfg.clone(), label));
+    let (rows, set) = run_grid(runner, cells, progress);
+    let rows = rows
         .into_iter()
-        .filter_map(|(predictor, key)| set.remove(&key).map(|run| SweepRow { predictor, run }))
+        .map(|(predictor, run)| SweepRow { predictor, run })
         .collect();
     SupervisedSweep { rows, set }
 }
@@ -116,6 +126,8 @@ pub fn trace_sweep_rows_supervised(
     cfg: &SimConfig,
     progress: impl FnMut(&str) + Send,
 ) -> Result<SupervisedSweep, TraceRunError> {
+    // Not a grid: a trace cell names a recording, not a benchmark model,
+    // and planning it checks the budget against the recording's length.
     let mut plan = RunPlan::new();
     let mut keys = Vec::with_capacity(NamedPredictor::FIGURE_ORDER.len());
     for p in NamedPredictor::FIGURE_ORDER {
@@ -138,6 +150,13 @@ fn benchmarks_of(rows: &[SweepRow]) -> Vec<String> {
         }
     }
     names
+}
+
+/// The figure-order configurations with at least one row.
+fn present(rows: &[SweepRow]) -> impl Iterator<Item = NamedPredictor> + '_ {
+    NamedPredictor::FIGURE_ORDER
+        .into_iter()
+        .filter(|&p| rows.iter().any(|r| r.predictor == p))
 }
 
 /// Renders one metric across the sweep: predictors as rows, benchmarks
@@ -248,74 +267,38 @@ pub fn fig02_model_comparison(rows: &[SweepRow]) -> String {
         "ED uJ*s new".into(),
         "ED uJ*s old".into(),
     ]);
-    for p in NamedPredictor::FIGURE_ORDER {
-        let runs: Vec<&RunResult> = rows
-            .iter()
-            .filter(|r| r.predictor == p)
-            .map(|r| &r.run)
-            .collect();
-        if runs.is_empty() {
-            continue;
-        }
-        let old = |r: &RunResult| {
-            r.repriced(BpredOptions {
+    // Each run priced once under the old model, then its ten columns in
+    // table order: four powers (three decimals), then energies and
+    // energy-delays (four).
+    let per_run: Vec<(NamedPredictor, [f64; 10])> = rows
+        .iter()
+        .map(|SweepRow { predictor, run: r }| {
+            let (bp_old, tot_old) = r.repriced(BpredOptions {
                 kind: ModelKind::Wattch102,
                 ..r.run_options()
-            })
-        };
-        let bp_new = mean(&runs.iter().map(|r| r.bpred_power_w()).collect::<Vec<_>>());
-        let bp_old = mean(
-            &runs
-                .iter()
-                .map(|r| old(r).0 / r.time_s())
-                .collect::<Vec<_>>(),
-        );
-        let tp_new = mean(&runs.iter().map(|r| r.total_power_w()).collect::<Vec<_>>());
-        let tp_old = mean(
-            &runs
-                .iter()
-                .map(|r| old(r).1 / r.time_s())
-                .collect::<Vec<_>>(),
-        );
-        let be_new = mean(
-            &runs
-                .iter()
-                .map(|r| r.bpred_energy_j() * 1e3)
-                .collect::<Vec<_>>(),
-        );
-        let be_old = mean(&runs.iter().map(|r| old(r).0 * 1e3).collect::<Vec<_>>());
-        let te_new = mean(
-            &runs
-                .iter()
-                .map(|r| r.total_energy_j() * 1e3)
-                .collect::<Vec<_>>(),
-        );
-        let te_old = mean(&runs.iter().map(|r| old(r).1 * 1e3).collect::<Vec<_>>());
-        let ed_new = mean(
-            &runs
-                .iter()
-                .map(|r| r.energy_delay() * 1e6)
-                .collect::<Vec<_>>(),
-        );
-        let ed_old = mean(
-            &runs
-                .iter()
-                .map(|r| old(r).1 * r.time_s() * 1e6)
-                .collect::<Vec<_>>(),
-        );
-        t.row(vec![
-            p.label().into(),
-            f3(bp_new),
-            f3(bp_old),
-            f3(tp_new),
-            f3(tp_old),
-            f4(be_new),
-            f4(be_old),
-            f4(te_new),
-            f4(te_old),
-            f4(ed_new),
-            f4(ed_old),
-        ]);
+            });
+            let metrics = [
+                r.bpred_power_w(),
+                bp_old / r.time_s(),
+                r.total_power_w(),
+                tot_old / r.time_s(),
+                r.bpred_energy_j() * 1e3,
+                bp_old * 1e3,
+                r.total_energy_j() * 1e3,
+                tot_old * 1e3,
+                r.energy_delay() * 1e6,
+                tot_old * r.time_s() * 1e6,
+            ];
+            (*predictor, metrics)
+        })
+        .collect();
+    for p in present(rows) {
+        let mut cells = vec![p.label().to_string()];
+        for i in 0..10 {
+            let v = tag_mean(&per_run, p, |m| m[i]);
+            cells.push(if i < 4 { f3(v) } else { f4(v) });
+        }
+        t.row(cells);
     }
     format!(
         "Figure 2: old vs new Wattch array model (averages across benchmarks)\n{}",
@@ -342,28 +325,21 @@ pub fn fig12_13_banking(rows: &[SweepRow]) -> String {
         "total energy red.".into(),
         "total ED red.".into(),
     ]);
-    for p in NamedPredictor::FIGURE_ORDER {
-        let runs: Vec<&RunResult> = rows
-            .iter()
-            .filter(|r| r.predictor == p)
-            .map(|r| &r.run)
-            .collect();
-        if runs.is_empty() {
-            continue;
-        }
-        let mut bpred_red = Vec::new();
-        let mut total_red = Vec::new();
-        for r in &runs {
-            let banked = BpredOptions {
+    // Each run's (bpred, total) energy reduction, priced once banked.
+    let per_run: Vec<(NamedPredictor, [f64; 2])> = rows
+        .iter()
+        .map(|SweepRow { predictor, run: r }| {
+            let (b, tot) = r.repriced(BpredOptions {
                 banked: true,
                 ..r.run_options()
-            };
-            let (b, tot) = r.repriced(banked);
-            bpred_red.push(1.0 - b / r.bpred_energy_j());
-            total_red.push(1.0 - tot / r.total_energy_j());
-        }
-        let b = mean(&bpred_red);
-        let tot = mean(&total_red);
+            });
+            let red = [1.0 - b / r.bpred_energy_j(), 1.0 - tot / r.total_energy_j()];
+            (*predictor, red)
+        })
+        .collect();
+    for p in present(rows) {
+        let b = tag_mean(&per_run, p, |red| red[0]);
+        let tot = tag_mean(&per_run, p, |red| red[1]);
         t.row(vec![
             p.label().into(),
             pct(b),
@@ -403,6 +379,28 @@ mod tests {
             }
         }
         rows
+    }
+
+    /// The one declaration of the sweep: the local and the remote sweep
+    /// plan these cells, and fault plans and failure summaries name
+    /// them by these labels.
+    #[test]
+    fn sweep_cells_cross_the_figure_order_with_the_suite() {
+        let models = [benchmark("gzip").unwrap(), benchmark("vortex").unwrap()];
+        let cells: Vec<_> = sweep_cells(&models)
+            .map(|(p, m, label)| (p, m.name, label))
+            .collect();
+        assert_eq!(cells.len(), 28);
+        assert_eq!(
+            cells[0],
+            (NamedPredictor::Bim128, "gzip", "Bim_128 / gzip".into())
+        );
+        assert_eq!(
+            cells[3],
+            (NamedPredictor::Bim4k, "vortex", "Bim_4k / vortex".into())
+        );
+        let order: Vec<_> = cells.iter().step_by(2).map(|c| c.0).collect();
+        assert_eq!(order, NamedPredictor::FIGURE_ORDER);
     }
 
     #[test]

@@ -15,18 +15,21 @@
 //!   shows the energy/delay trade as the bank count varies, justifying
 //!   the choice.
 //!
-//! Every simulating study takes a [`Runner`] and declares its runs in
-//! a [`RunPlan`], so repeated invocations hit the runner's cache and
-//! independent runs execute in parallel. Each renders only a complete
-//! plan, so it panics, naming the run, if any run failed (see
+//! Every simulating study takes a [`Runner`] and declares its cells as
+//! a grid (see [`crate::experiments`]), so repeated invocations hit the
+//! runner's cache and independent runs execute in parallel. Each
+//! renders only a complete plan, so it panics, naming the run, if any
+//! run failed (see
 //! [`SupervisedRunSet::complete`](crate::supervise::SupervisedRunSet::complete)).
 
 use bw_arrays::{ArrayModel, ArraySpec, BankedArrayModel, ModelKind, TechParams};
 use bw_power::{BpredOptions, PpdScenario};
+use bw_uarch::UarchConfig;
 use bw_workload::BenchmarkModel;
 
-use crate::report::{f3, f4, mean, pct, Table};
-use crate::runner::{RunPlan, Runner};
+use super::{across, run_grid, tag_mean, Metric, Tagged};
+use crate::report::{f3, f4, pct, Table};
+use crate::runner::Runner;
 use crate::sim::{RunResult, SimConfig};
 use crate::zoo::NamedPredictor;
 
@@ -41,6 +44,30 @@ pub struct JrsGatingRow {
     pub run: RunResult,
 }
 
+impl Tagged for JrsGatingRow {
+    type Tag = (NamedPredictor, &'static str);
+    type Value = RunResult;
+    fn tag(&self) -> Self::Tag {
+        (self.predictor, self.estimator)
+    }
+    fn value(&self) -> &RunResult {
+        &self.run
+    }
+}
+
+/// `cfg` on the machine `f` makes of its own.
+fn on_machine(cfg: &SimConfig, f: impl FnOnce(UarchConfig) -> UarchConfig) -> SimConfig {
+    let mut c = cfg.clone();
+    c.uarch = f(c.uarch);
+    c
+}
+
+/// The fraction of committed control transfers whose target was
+/// predicted correctly.
+fn addr_rate(r: &RunResult) -> f64 {
+    r.stats.cti_addr_correct as f64 / r.stats.cti_committed.max(1) as f64
+}
+
 /// Runs N=0 pipeline gating under both confidence estimators for a
 /// hybrid and a non-hybrid predictor.
 pub fn jrs_gating_rows(
@@ -49,38 +76,26 @@ pub fn jrs_gating_rows(
     cfg: &SimConfig,
     progress: impl FnMut(&str) + Send,
 ) -> Vec<JrsGatingRow> {
-    let mut plan = RunPlan::new();
-    let mut keys = Vec::new();
+    let estimators = [
+        ("none", cfg.clone()),
+        ("both-strong", on_machine(cfg, |u| u.with_gating(0))),
+        ("jrs", on_machine(cfg, |u| u.with_jrs_gating(0))),
+    ];
+    let mut cells = Vec::new();
     for predictor in [NamedPredictor::Hybrid3, NamedPredictor::Gshare32k12] {
-        for (estimator, mk) in [
-            ("none", None),
-            ("both-strong", Some(false)),
-            ("jrs", Some(true)),
-        ] {
-            let mut c = cfg.clone();
-            if let Some(jrs) = mk {
-                c.uarch = if jrs {
-                    c.uarch.with_jrs_gating(0)
-                } else {
-                    c.uarch.with_gating(0)
-                };
-            }
-            for m in models {
-                let label = format!("{} gating[{estimator}] / {}", predictor.label(), m.name);
-                keys.push((
-                    predictor,
-                    estimator,
-                    plan.add_labeled(m, predictor.config(), &c, label),
-                ));
-            }
+        for (estimator, c) in &estimators {
+            let prefix = format!("{} gating[{estimator}]", predictor.label());
+            let tag = (predictor, *estimator);
+            cells.extend(across(models, tag, predictor.config(), c, &prefix));
         }
     }
-    let mut set = runner.run(&plan, progress).complete();
-    keys.into_iter()
-        .map(|(predictor, estimator, key)| JrsGatingRow {
+    let (rows, set) = run_grid(runner, cells, progress);
+    set.complete();
+    rows.into_iter()
+        .map(|((predictor, estimator), run)| JrsGatingRow {
             predictor,
             estimator,
-            run: set.remove(&key).expect("planned run present"),
+            run,
         })
         .collect()
 }
@@ -90,22 +105,12 @@ pub fn jrs_gating_rows(
 pub fn jrs_gating_render(rows: &[JrsGatingRow]) -> String {
     let mut out = String::new();
     for predictor in [NamedPredictor::Hybrid3, NamedPredictor::Gshare32k12] {
-        let avg = |estimator: &str, f: &dyn Fn(&RunResult) -> f64| -> f64 {
-            mean(
-                &rows
-                    .iter()
-                    .filter(|r| r.predictor == predictor && r.estimator == estimator)
-                    .map(|r| f(&r.run))
-                    .collect::<Vec<_>>(),
-            )
-        };
-        let energy = |r: &RunResult| r.total_energy_j();
-        let fetched = |r: &RunResult| r.stats.fetched as f64;
-        let ipc = |r: &RunResult| r.ipc();
-        let gated = |r: &RunResult| r.stats.gated_cycles as f64;
-        let base_e = avg("none", &energy);
-        let base_f = avg("none", &fetched);
-        let base_i = avg("none", &ipc);
+        let avg = |estimator, f: Metric| tag_mean(rows, (predictor, estimator), f);
+        let energy: Metric = RunResult::total_energy_j;
+        let fetched: Metric = |r| r.stats.fetched as f64;
+        let ipc: Metric = RunResult::ipc;
+        let (base_e, base_f, base_i) =
+            (avg("none", energy), avg("none", fetched), avg("none", ipc));
         let mut t = Table::new(vec![
             "estimator".into(),
             "gated cycles".into(),
@@ -116,10 +121,10 @@ pub fn jrs_gating_render(rows: &[JrsGatingRow]) -> String {
         for estimator in ["both-strong", "jrs"] {
             t.row(vec![
                 estimator.into(),
-                format!("{:.0}", avg(estimator, &gated)),
-                f4(avg(estimator, &energy) / base_e),
-                f4(avg(estimator, &fetched) / base_f),
-                f4(avg(estimator, &ipc) / base_i),
+                format!("{:.0}", avg(estimator, |r| r.stats.gated_cycles as f64)),
+                f4(avg(estimator, energy) / base_e),
+                f4(avg(estimator, fetched) / base_f),
+                f4(avg(estimator, ipc) / base_i),
             ]);
         }
         out.push_str(&format!(
@@ -138,31 +143,26 @@ pub fn ppd_proportionality_study(
     cfg: &SimConfig,
     progress: impl FnMut(&str) + Send,
 ) -> String {
-    let mut c = cfg.clone();
-    c.uarch = c.uarch.with_ppd(PpdScenario::One);
-    let preds = [
+    let c = on_machine(cfg, |u| u.with_ppd(PpdScenario::One));
+    let cells = [
         NamedPredictor::Bim4k,
         NamedPredictor::Gshare16k12,
         NamedPredictor::GAs32k8,
         NamedPredictor::Hybrid3,
-    ];
-    let mut plan = RunPlan::new();
-    let keys: Vec<_> = preds
-        .iter()
-        .map(|p| {
-            let label = format!("PPD proportionality {} / {}", p.label(), model.name);
-            (*p, plan.add_labeled(model, p.config(), &c, label))
-        })
-        .collect();
-    let mut set = runner.run(&plan, progress).complete();
+    ]
+    .map(|p| {
+        let label = format!("PPD proportionality {} / {}", p.label(), model.name);
+        (p, model, p.config(), c.clone(), label)
+    });
+    let (rows, set) = run_grid(runner, cells, progress);
+    set.complete();
     let mut t = Table::new(vec![
         "predictor".into(),
         "dir gate rate".into(),
         "bpred energy red. (S1)".into(),
         "chip energy red. (S1)".into(),
     ]);
-    for (p, key) in keys {
-        let run = set.remove(&key).expect("planned run present");
+    for (p, run) in rows {
         let base = run.repriced(BpredOptions {
             ppd: None,
             ..run.run_options()
@@ -223,33 +223,25 @@ pub fn spec_history_study(
     cfg: &SimConfig,
     progress: impl FnMut(&str) + Send,
 ) -> String {
-    let mut nc = cfg.clone();
-    nc.uarch = nc.uarch.with_commit_time_history();
+    let nc = on_machine(cfg, UarchConfig::with_commit_time_history);
     let preds = [
         NamedPredictor::Gshare16k12,
         NamedPredictor::PAs4k16k8,
         NamedPredictor::Hybrid1,
     ];
-    let mut plan = RunPlan::new();
-    let mut keys = Vec::new();
+    // Tagged (predictor, speculative update), the two cells of a
+    // benchmark side by side.
+    let mut cells = Vec::new();
     for p in preds {
-        for m in models {
-            let spec = plan.add_labeled(
-                m,
-                p.config(),
-                cfg,
-                format!("history {} / {}", p.label(), m.name),
-            );
-            let commit = plan.add_labeled(
-                m,
-                p.config(),
-                &nc,
-                format!("history(commit) {} / {}", p.label(), m.name),
-            );
-            keys.push((p, spec, commit));
+        for &m in models {
+            let spec = format!("history {} / {}", p.label(), m.name);
+            let commit = format!("history(commit) {} / {}", p.label(), m.name);
+            cells.push(((p, true), m, p.config(), cfg.clone(), spec));
+            cells.push(((p, false), m, p.config(), nc.clone(), commit));
         }
     }
-    let set = runner.run(&plan, progress).complete();
+    let (rows, set) = run_grid(runner, cells, progress);
+    set.complete();
     let mut t = Table::new(vec![
         "predictor".into(),
         "spec acc".into(),
@@ -258,24 +250,12 @@ pub fn spec_history_study(
         "commit-time IPC".into(),
     ]);
     for p in preds {
-        let (mut sa, mut na, mut si, mut ni) = (vec![], vec![], vec![], vec![]);
-        for (kp, spec_key, commit_key) in &keys {
-            if *kp != p {
-                continue;
-            }
-            let spec = set.get(spec_key).expect("planned run present");
-            let nonspec = set.get(commit_key).expect("planned run present");
-            sa.push(spec.accuracy());
-            na.push(nonspec.accuracy());
-            si.push(spec.ipc());
-            ni.push(nonspec.ipc());
-        }
         t.row(vec![
             p.label().into(),
-            f4(mean(&sa)),
-            f4(mean(&na)),
-            f3(mean(&si)),
-            f3(mean(&ni)),
+            f4(tag_mean(&rows, (p, true), RunResult::accuracy)),
+            f4(tag_mean(&rows, (p, false), RunResult::accuracy)),
+            f3(tag_mean(&rows, (p, true), RunResult::ipc)),
+            f3(tag_mean(&rows, (p, false), RunResult::ipc)),
         ]);
     }
     format!(
@@ -305,22 +285,16 @@ pub fn btb_study(
         (4096, 2),
         (8192, 4),
     ];
-    let mut plan = RunPlan::new();
-    let mut keys = Vec::new();
-    for (entries, assoc) in points {
-        let mut c = cfg.clone();
-        c.uarch.btb_entries = entries;
-        c.uarch.btb_assoc = assoc;
-        for m in models {
-            let label = format!("BTB {entries}x{assoc} / {}", m.name);
-            keys.push((
-                entries,
-                assoc,
-                plan.add_labeled(m, NamedPredictor::Gshare16k12.config(), &c, label),
-            ));
-        }
-    }
-    let set = runner.run(&plan, progress).complete();
+    let cells = points.into_iter().flat_map(|point @ (entries, assoc)| {
+        let c = on_machine(cfg, |mut u| {
+            (u.btb_entries, u.btb_assoc) = point;
+            u
+        });
+        let gshare = NamedPredictor::Gshare16k12.config();
+        across(models, point, gshare, &c, &format!("BTB {entries}x{assoc}"))
+    });
+    let (rows, set) = run_grid(runner, cells, progress);
+    set.complete();
     let mut t = Table::new(vec![
         "BTB".into(),
         "addr-pred rate".into(),
@@ -330,29 +304,18 @@ pub fn btb_study(
         "total W".into(),
         "total mJ".into(),
     ]);
-    for (entries, assoc) in points {
-        let (mut addr, mut mf, mut ipc, mut bw, mut tw, mut te) =
-            (vec![], vec![], vec![], vec![], vec![], vec![]);
-        for (ke, ka, key) in &keys {
-            if (*ke, *ka) != (entries, assoc) {
-                continue;
-            }
-            let r = set.get(key).expect("planned run present");
-            addr.push(r.stats.cti_addr_correct as f64 / r.stats.cti_committed.max(1) as f64);
-            mf.push(r.stats.misfetches as f64 * 1e3 / r.stats.committed.max(1) as f64);
-            ipc.push(r.ipc());
-            bw.push(r.bpred_power_w());
-            tw.push(r.total_power_w());
-            te.push(r.total_energy_j() * 1e3);
-        }
+    for point @ (entries, assoc) in points {
+        let avg = |f: Metric| tag_mean(&rows, point, f);
         t.row(vec![
             format!("{entries}-entry {assoc}-way"),
-            f4(mean(&addr)),
-            f3(mean(&mf)),
-            f3(mean(&ipc)),
-            f3(mean(&bw)),
-            f3(mean(&tw)),
-            f3(mean(&te)),
+            f4(avg(addr_rate)),
+            f3(avg(|r| {
+                r.stats.misfetches as f64 * 1e3 / r.stats.committed.max(1) as f64
+            })),
+            f3(avg(RunResult::ipc)),
+            f3(avg(RunResult::bpred_power_w)),
+            f3(avg(RunResult::total_power_w)),
+            f3(avg(|r| r.total_energy_j() * 1e3)),
         ]);
     }
     format!(
@@ -370,27 +333,18 @@ pub fn nextline_study(
     cfg: &SimConfig,
     progress: impl FnMut(&str) + Send,
 ) -> String {
-    let variants = [("2048x2 BTB", false), ("next-line predictor", true)];
-    let mut plan = RunPlan::new();
-    let mut keys = Vec::new();
-    for (label, nlp) in variants {
-        let mut c = cfg.clone();
-        if nlp {
-            c.uarch = c.uarch.with_next_line_predictor();
-        }
-        for m in models {
-            keys.push((
-                label,
-                plan.add_labeled(
-                    m,
-                    NamedPredictor::Hybrid1.config(),
-                    &c,
-                    format!("{label} / {}", m.name),
-                ),
-            ));
-        }
-    }
-    let set = runner.run(&plan, progress).complete();
+    let variants = [
+        ("2048x2 BTB", cfg.clone()),
+        (
+            "next-line predictor",
+            on_machine(cfg, UarchConfig::with_next_line_predictor),
+        ),
+    ];
+    let cells = variants.iter().flat_map(|&(label, ref c)| {
+        across(models, label, NamedPredictor::Hybrid1.config(), c, label)
+    });
+    let (rows, set) = run_grid(runner, cells, progress);
+    set.complete();
     let mut t = Table::new(vec![
         "front end".into(),
         "IPC".into(),
@@ -400,25 +354,14 @@ pub fn nextline_study(
         "total mJ".into(),
     ]);
     for (label, _) in variants {
-        let (mut ipc, mut addr, mut bw, mut tw, mut te) = (vec![], vec![], vec![], vec![], vec![]);
-        for (kl, key) in &keys {
-            if *kl != label {
-                continue;
-            }
-            let r = set.get(key).expect("planned run present");
-            ipc.push(r.ipc());
-            addr.push(r.stats.cti_addr_correct as f64 / r.stats.cti_committed.max(1) as f64);
-            bw.push(r.bpred_power_w());
-            tw.push(r.total_power_w());
-            te.push(r.total_energy_j() * 1e3);
-        }
+        let avg = |f: Metric| tag_mean(&rows, label, f);
         t.row(vec![
             label.into(),
-            f3(mean(&ipc)),
-            f4(mean(&addr)),
-            f3(mean(&bw)),
-            f3(mean(&tw)),
-            f3(mean(&te)),
+            f3(avg(RunResult::ipc)),
+            f4(avg(addr_rate)),
+            f3(avg(RunResult::bpred_power_w)),
+            f3(avg(RunResult::total_power_w)),
+            f3(avg(|r| r.total_energy_j() * 1e3)),
         ]);
     }
     format!(
@@ -437,52 +380,31 @@ pub fn machine_ablation(
     cfg: &SimConfig,
     progress: impl FnMut(&str) + Send,
 ) -> String {
-    type Tweak = Box<dyn Fn(&mut SimConfig)>;
-    let variants: Vec<(&str, Tweak)> = vec![
-        ("baseline (Table 1)", Box::new(|_c: &mut SimConfig| {})),
-        (
-            "RUU 160 / LSQ 80",
-            Box::new(|c| {
-                c.uarch.ruu_size = 160;
-                c.uarch.lsq_size = 80;
-            }),
-        ),
-        (
-            "RUU 40 / LSQ 20",
-            Box::new(|c| {
-                c.uarch.ruu_size = 40;
-                c.uarch.lsq_size = 20;
-            }),
-        ),
-        ("memory 50 cycles", Box::new(|c| c.uarch.mem_latency = 50)),
-        ("memory 200 cycles", Box::new(|c| c.uarch.mem_latency = 200)),
-        (
-            "no extra rename stages",
-            Box::new(|c| c.uarch.extra_rename_stages = 0),
-        ),
-        (
-            "6 extra rename stages",
-            Box::new(|c| c.uarch.extra_rename_stages = 6),
-        ),
+    type Tweak = fn(&mut UarchConfig);
+    let variants: [(&str, Tweak); 7] = [
+        ("baseline (Table 1)", |_| {}),
+        ("RUU 160 / LSQ 80", |u| (u.ruu_size, u.lsq_size) = (160, 80)),
+        ("RUU 40 / LSQ 20", |u| (u.ruu_size, u.lsq_size) = (40, 20)),
+        ("memory 50 cycles", |u| u.mem_latency = 50),
+        ("memory 200 cycles", |u| u.mem_latency = 200),
+        ("no extra rename stages", |u| u.extra_rename_stages = 0),
+        ("6 extra rename stages", |u| u.extra_rename_stages = 6),
     ];
-    let mut plan = RunPlan::new();
-    let mut keys = Vec::new();
-    for (label, tweak) in &variants {
-        let mut c = cfg.clone();
-        tweak(&mut c);
-        for m in models {
-            keys.push((
-                *label,
-                plan.add_labeled(
-                    m,
-                    NamedPredictor::Gshare16k12.config(),
-                    &c,
-                    format!("{label} / {}", m.name),
-                ),
-            ));
-        }
-    }
-    let set = runner.run(&plan, progress).complete();
+    let cells = variants.into_iter().flat_map(|(label, tweak)| {
+        let c = on_machine(cfg, |mut u| {
+            tweak(&mut u);
+            u
+        });
+        across(
+            models,
+            label,
+            NamedPredictor::Gshare16k12.config(),
+            &c,
+            label,
+        )
+    });
+    let (rows, set) = run_grid(runner, cells, progress);
+    set.complete();
     let mut t = Table::new(vec![
         "machine".into(),
         "IPC".into(),
@@ -490,24 +412,14 @@ pub fn machine_ablation(
         "total mJ".into(),
         "ED uJ*s".into(),
     ]);
-    for (label, _) in &variants {
-        let (mut ipc, mut tw, mut te, mut ed) = (vec![], vec![], vec![], vec![]);
-        for (kl, key) in &keys {
-            if kl != label {
-                continue;
-            }
-            let r = set.get(key).expect("planned run present");
-            ipc.push(r.ipc());
-            tw.push(r.total_power_w());
-            te.push(r.total_energy_j() * 1e3);
-            ed.push(r.energy_delay() * 1e6);
-        }
+    for (label, _) in variants {
+        let avg = |f: Metric| tag_mean(&rows, label, f);
         t.row(vec![
-            (*label).into(),
-            f3(mean(&ipc)),
-            f3(mean(&tw)),
-            f3(mean(&te)),
-            f4(mean(&ed)),
+            label.into(),
+            f3(avg(RunResult::ipc)),
+            f3(avg(RunResult::total_power_w)),
+            f3(avg(|r| r.total_energy_j() * 1e3)),
+            f4(avg(|r| r.energy_delay() * 1e6)),
         ]);
     }
     format!(

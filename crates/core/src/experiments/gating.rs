@@ -2,8 +2,9 @@
 
 use bw_workload::BenchmarkModel;
 
-use crate::report::{f4, mean, Table};
-use crate::runner::{RunPlan, Runner};
+use super::{across, run_grid, tag_mean, Metric, Tagged};
+use crate::report::{f4, Table};
+use crate::runner::Runner;
 use crate::sim::{RunResult, SimConfig};
 use crate::zoo::NamedPredictor;
 
@@ -34,53 +35,48 @@ pub fn gating_rows(
     cfg: &SimConfig,
     progress: impl FnMut(&str) + Send,
 ) -> Vec<GatingRow> {
-    let mut plan = RunPlan::new();
-    let mut keys = Vec::new();
+    let mut cells = Vec::new();
     for predictor in [NamedPredictor::Hybrid0, NamedPredictor::Hybrid3] {
         for threshold in [None, Some(0u32), Some(1), Some(2)] {
             let mut c = cfg.clone();
             if let Some(n) = threshold {
                 c.uarch = c.uarch.with_gating(n);
             }
-            for m in models {
-                let label = format!(
-                    "gating {} N={:?} / {}",
-                    predictor.label(),
-                    threshold,
-                    m.name
-                );
-                keys.push((
-                    predictor,
-                    threshold,
-                    plan.add_labeled(m, predictor.config(), &c, label),
-                ));
-            }
+            let prefix = format!("gating {} N={threshold:?}", predictor.label());
+            let tag = (predictor, threshold);
+            cells.extend(across(models, tag, predictor.config(), &c, &prefix));
         }
     }
-    let mut set = runner.run(&plan, progress).complete();
-    keys.into_iter()
-        .map(|(predictor, threshold, key)| GatingRow {
+    let (rows, set) = run_grid(runner, cells, progress);
+    set.complete();
+    rows.into_iter()
+        .map(|((predictor, threshold), run)| GatingRow {
             predictor,
             threshold,
-            run: set.remove(&key).expect("planned run present"),
+            run,
         })
         .collect()
+}
+
+impl Tagged for GatingRow {
+    type Tag = (NamedPredictor, Option<u32>);
+    type Value = RunResult;
+    fn tag(&self) -> Self::Tag {
+        (self.predictor, self.threshold)
+    }
+    fn value(&self) -> &RunResult {
+        &self.run
+    }
 }
 
 fn norm_metric(
     rows: &[GatingRow],
     predictor: NamedPredictor,
     threshold: u32,
-    metric: impl Fn(&RunResult) -> f64 + Copy,
+    metric: Metric,
 ) -> f64 {
-    let pick = |t: Option<u32>| -> Vec<f64> {
-        rows.iter()
-            .filter(|r| r.predictor == predictor && r.threshold == t)
-            .map(|r| metric(&r.run))
-            .collect()
-    };
-    let base = mean(&pick(None));
-    let gated = mean(&pick(Some(threshold)));
+    let base = tag_mean(rows, (predictor, None), metric);
+    let gated = tag_mean(rows, (predictor, Some(threshold)), metric);
     if base.abs() < f64::EPSILON {
         0.0
     } else {
@@ -104,27 +100,16 @@ pub fn fig19_render(rows: &[GatingRow]) -> String {
             "N=1".into(),
             "N=2".into(),
         ]);
-        let energy = |r: &RunResult| r.total_energy_j();
-        let insts = |r: &RunResult| r.stats.fetched as f64;
-        let ipc = |r: &RunResult| r.ipc();
-        t.row(vec![
-            "Total energy".into(),
-            f4(norm_metric(rows, predictor, 0, energy)),
-            f4(norm_metric(rows, predictor, 1, energy)),
-            f4(norm_metric(rows, predictor, 2, energy)),
-        ]);
-        t.row(vec![
-            "Total inst.".into(),
-            f4(norm_metric(rows, predictor, 0, insts)),
-            f4(norm_metric(rows, predictor, 1, insts)),
-            f4(norm_metric(rows, predictor, 2, insts)),
-        ]);
-        t.row(vec![
-            "IPC".into(),
-            f4(norm_metric(rows, predictor, 0, ipc)),
-            f4(norm_metric(rows, predictor, 1, ipc)),
-            f4(norm_metric(rows, predictor, 2, ipc)),
-        ]);
+        let metrics: [(&str, Metric); 3] = [
+            ("Total energy", RunResult::total_energy_j),
+            ("Total inst.", |r| r.stats.fetched as f64),
+            ("IPC", RunResult::ipc),
+        ];
+        for (name, metric) in metrics {
+            let mut cells = vec![name.to_string()];
+            cells.extend((0..3).map(|n| f4(norm_metric(rows, predictor, n, metric))));
+            t.row(cells);
+        }
         out.push_str(&format!(
             "Figure 19 {label}: pipeline gating, normalized to no gating\n{}\n",
             t.render()
@@ -167,13 +152,9 @@ mod tests {
         // branches, hence fewer gated cycles than hybrid_0.
         let rows = study();
         let gated = |p: NamedPredictor| {
-            mean(
-                &rows
-                    .iter()
-                    .filter(|r| r.predictor == p && r.threshold == Some(0))
-                    .map(|r| r.run.stats.gated_cycles as f64)
-                    .collect::<Vec<_>>(),
-            )
+            tag_mean(&rows, (p, Some(0)), |r: &RunResult| {
+                r.stats.gated_cycles as f64
+            })
         };
         assert!(
             gated(NamedPredictor::Hybrid3) < gated(NamedPredictor::Hybrid0),

@@ -20,10 +20,26 @@
 //! rows/series match what the paper reports.
 //!
 //! Every simulating experiment is a thin view over the unified engine
-//! in [`crate::runner`]: it declares the runs it needs in a
-//! [`RunPlan`](crate::RunPlan), hands the plan to a
-//! [`Runner`](crate::Runner) (worker pool + optional persistent
-//! cache), and renders the keyed results.
+//! in [`crate::runner`]. A view declares its grid: one cell per run, each
+//! a tag naming its variant (a predictor, a gating threshold, a BTB
+//! geometry, ...), a benchmark model, a predictor configuration, a
+//! [`SimConfig`] and a progress label, in plan order. The grid runner
+//! plans the cells in that order, runs the plan on a
+//! [`Runner`](crate::Runner) (worker pool + optional persistent cache)
+//! under its supervision, and moves each completed run out of the run
+//! set as a `(tag, run)` row. Renders then average a metric over one
+//! tag's rows, in row order. The figure sweep declares its cells once
+//! ([`sweep_cells`]), for the local sweep and for a remote one alike.
+//! Only the trace sweep plans its own cells: a trace cell has no
+//! benchmark model and is checked against the recording's length when
+//! it is planned.
+
+use bw_predictors::PredictorConfig;
+use bw_workload::BenchmarkModel;
+
+use crate::runner::{RunPlan, Runner};
+use crate::sim::{RunResult, SimConfig};
+use crate::supervise::SupervisedRunSet;
 
 pub mod arrays_study;
 pub mod base;
@@ -35,7 +51,8 @@ pub mod tables;
 pub use arrays_study::{fig03_squarification, fig11_banked_timing, table3};
 pub use base::{
     fig02_model_comparison, fig05_accuracy_ipc, fig06_energy, fig07_power, fig12_13_banking,
-    sweep_rows, sweep_rows_supervised, trace_sweep_rows_supervised, SupervisedSweep, SweepRow,
+    sweep_cells, sweep_rows, sweep_rows_supervised, trace_sweep_rows_supervised, SupervisedSweep,
+    SweepRow,
 };
 pub use ext::{
     banking_ablation, btb_study, jrs_gating_render, jrs_gating_rows, machine_ablation,
@@ -44,3 +61,140 @@ pub use ext::{
 pub use gating::{fig19_render, gating_rows, GatingRow};
 pub use ppd::{fig16_fig17_render, ppd_rows, PpdRow};
 pub use tables::{characterization_insts, fig14_distances, table1, table2};
+
+/// A metric a render reads off one run.
+type Metric = fn(&RunResult) -> f64;
+
+/// One run of a grid: its tag, the benchmark model, the predictor, the
+/// configuration and the progress label.
+type Cell<T> = (
+    T,
+    &'static BenchmarkModel,
+    PredictorConfig,
+    SimConfig,
+    String,
+);
+
+/// The cells of one variant across `models`, in order: each tagged
+/// `tag`, run with `predictor` under `cfg` and labelled
+/// `{prefix} / {model}`.
+fn across<T: Copy>(
+    models: &[&'static BenchmarkModel],
+    tag: T,
+    predictor: PredictorConfig,
+    cfg: &SimConfig,
+    prefix: &str,
+) -> Vec<Cell<T>> {
+    models
+        .iter()
+        .map(|&m| {
+            (
+                tag,
+                m,
+                predictor,
+                cfg.clone(),
+                format!("{prefix} / {}", m.name),
+            )
+        })
+        .collect()
+}
+
+/// Plans `cells` in order, runs the plan on `runner` under its
+/// supervision, and moves each completed run out of the run set as a
+/// `(tag, run)` row, in cell order. A failed cell has no row; the
+/// returned set records it, so a view that needs every cell calls
+/// [`SupervisedRunSet::complete`] on it.
+fn run_grid<T>(
+    runner: &Runner,
+    cells: impl IntoIterator<Item = Cell<T>>,
+    progress: impl FnMut(&str) + Send,
+) -> (Vec<(T, RunResult)>, SupervisedRunSet) {
+    let mut plan = RunPlan::new();
+    let keys: Vec<_> = cells
+        .into_iter()
+        .map(|(tag, model, predictor, cfg, label)| {
+            (tag, plan.add_labeled(model, predictor, &cfg, label))
+        })
+        .collect();
+    let mut set = runner.run(&plan, progress);
+    let mut rows: Vec<(T, RunResult)> = Vec::with_capacity(keys.len());
+    let mut row_keys = Vec::with_capacity(keys.len());
+    for (tag, key) in keys {
+        let run = match set.remove(&key) {
+            Some(run) => run,
+            // The plan ran a repeated cell once, into an earlier row
+            // (a study whose variant equals its baseline repeats one).
+            None => match row_keys.iter().position(|k| *k == key) {
+                Some(i) => rows[i].1.clone(),
+                None => continue,
+            },
+        };
+        rows.push((tag, run));
+        row_keys.push(key);
+    }
+    (rows, set)
+}
+
+/// A grid row: the tag its cell was declared with and the value a
+/// render averages (a run, or numbers derived from one).
+trait Tagged {
+    type Tag: PartialEq;
+    type Value;
+    fn tag(&self) -> Self::Tag;
+    fn value(&self) -> &Self::Value;
+}
+
+impl<T: Copy + PartialEq, V> Tagged for (T, V) {
+    type Tag = T;
+    type Value = V;
+    fn tag(&self) -> T {
+        self.0
+    }
+    fn value(&self) -> &V {
+        &self.1
+    }
+}
+
+/// The mean of `metric` over the rows tagged `tag`, summed in row
+/// order as [`mean`](crate::report::mean) sums (0 when there are none).
+fn tag_mean<R: Tagged>(rows: &[R], tag: R::Tag, metric: impl Fn(&R::Value) -> f64) -> f64 {
+    let mut n = 0usize;
+    let sum: f64 = rows
+        .iter()
+        .filter(|r| r.tag() == tag)
+        .inspect(|_| n += 1)
+        .map(|r| metric(r.value()))
+        .sum();
+    if n == 0 {
+        0.0
+    } else {
+        sum / n as f64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::zoo::NamedPredictor;
+    use bw_workload::benchmark;
+
+    #[test]
+    fn a_repeated_cell_gets_a_row_of_its_own() {
+        let gzip = benchmark("gzip").unwrap();
+        let cfg = SimConfig::builder()
+            .warmup_insts(2_000)
+            .measure_insts(1_000)
+            .build()
+            .unwrap();
+        let bim = NamedPredictor::Bim4k.config();
+        let cell = |tag| (tag, gzip, bim, cfg.clone(), format!("{tag} / gzip"));
+        let cells = [cell("baseline"), cell("variant"), cell("baseline")];
+        let (rows, set) = run_grid(&Runner::serial(), cells, |_| {});
+        assert_eq!(set.executed(), 1, "the plan runs the repeated cell once");
+        let tags: Vec<_> = rows.iter().map(|r| r.0).collect();
+        assert_eq!(tags, ["baseline", "variant", "baseline"]);
+        assert!(rows.iter().all(|r| r.1.stats == rows[0].1.stats));
+        assert_eq!(tag_mean(&rows, "variant", RunResult::ipc), rows[0].1.ipc());
+        assert_eq!(tag_mean(&rows, "missing", RunResult::ipc), 0.0);
+    }
+}

@@ -3,8 +3,9 @@
 use bw_power::{BpredOptions, PpdScenario};
 use bw_workload::BenchmarkModel;
 
+use super::{across, run_grid};
 use crate::report::{pct, Table};
-use crate::runner::{RunPlan, Runner};
+use crate::runner::Runner;
 use crate::sim::{RunResult, SimConfig};
 use crate::zoo::NamedPredictor;
 
@@ -62,24 +63,16 @@ pub fn ppd_rows(
 ) -> Vec<PpdRow> {
     let mut ppd_cfg = cfg.clone();
     ppd_cfg.uarch = ppd_cfg.uarch.with_ppd(PpdScenario::One);
-    let mut plan = RunPlan::new();
-    let keys: Vec<_> = models
-        .iter()
-        .map(|m| {
-            plan.add_labeled(
-                m,
-                NamedPredictor::GAs32k8.config(),
-                &ppd_cfg,
-                format!("PPD / {}", m.name),
-            )
-        })
-        .collect();
-    let mut set = runner.run(&plan, progress).complete();
-    keys.into_iter()
-        .map(|key| PpdRow {
-            run: set.remove(&key).expect("planned run present"),
-        })
-        .collect()
+    let cells = across(
+        models,
+        (),
+        NamedPredictor::GAs32k8.config(),
+        &ppd_cfg,
+        "PPD",
+    );
+    let (rows, set) = run_grid(runner, cells, progress);
+    set.complete();
+    rows.into_iter().map(|((), run)| PpdRow { run }).collect()
 }
 
 /// Renders Figures 16 and 17: per-benchmark percentage reductions in

@@ -63,6 +63,19 @@ impl NamedPredictor {
         NamedPredictor::PAs4k16k8,
     ];
 
+    /// Every named configuration: the fourteen of
+    /// [`FIGURE_ORDER`](Self::FIGURE_ORDER), then `Hybrid_0`, the
+    /// pipeline-gating study's tiny predictor.
+    pub const ALL: [NamedPredictor; 15] = {
+        let mut all = [NamedPredictor::Hybrid0; 15];
+        let mut i = 0;
+        while i < Self::FIGURE_ORDER.len() {
+            all[i] = Self::FIGURE_ORDER[i];
+            i += 1;
+        }
+        all
+    };
+
     /// The label used in the paper's figures.
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -192,11 +205,12 @@ mod tests {
 
     #[test]
     fn all_configs_build() {
-        for p in NamedPredictor::FIGURE_ORDER {
+        for p in NamedPredictor::ALL {
             let built = p.config().build();
             assert!(built.total_bits() > 0, "{}", p.label());
         }
-        let _ = NamedPredictor::Hybrid0.config().build();
+        assert_eq!(NamedPredictor::ALL[..14], NamedPredictor::FIGURE_ORDER);
+        assert_eq!(NamedPredictor::ALL[14], NamedPredictor::Hybrid0);
     }
 
     #[test]

@@ -75,31 +75,10 @@ impl std::fmt::Display for RequestError {
 
 impl std::error::Error for RequestError {}
 
-/// Every named configuration in the zoo, the fourteen figure
-/// predictors plus `Hybrid_0` (the pipeline-gating study's tiny
-/// predictor).
-const ALL_PREDICTORS: [NamedPredictor; 15] = [
-    NamedPredictor::Bim128,
-    NamedPredictor::Bim4k,
-    NamedPredictor::Bim8k,
-    NamedPredictor::Bim16k,
-    NamedPredictor::GAs4k5,
-    NamedPredictor::GAs32k8,
-    NamedPredictor::Gshare16k12,
-    NamedPredictor::Gshare32k12,
-    NamedPredictor::Hybrid2,
-    NamedPredictor::Hybrid1,
-    NamedPredictor::Hybrid3,
-    NamedPredictor::Hybrid4,
-    NamedPredictor::PAs1k2k4,
-    NamedPredictor::PAs4k16k8,
-    NamedPredictor::Hybrid0,
-];
-
 /// Looks a predictor up by its zoo label (`Bim_4k`, `Hybrid_1`, ...).
 #[must_use]
 pub fn predictor_by_label(label: &str) -> Option<NamedPredictor> {
-    ALL_PREDICTORS.iter().copied().find(|p| p.label() == label)
+    NamedPredictor::ALL.into_iter().find(|p| p.label() == label)
 }
 
 /// A cell spec resolved against the local model zoo: everything the

@@ -28,9 +28,8 @@ fn usage() -> ! {
 }
 
 fn find_predictor(label: &str) -> NamedPredictor {
-    NamedPredictor::FIGURE_ORDER
+    NamedPredictor::ALL
         .into_iter()
-        .chain([NamedPredictor::Hybrid0])
         .find(|p| p.label().eq_ignore_ascii_case(label))
         .unwrap_or_else(|| {
             eprintln!("unknown predictor '{label}'; see `branchwatt list`");
@@ -104,10 +103,7 @@ fn cmd_list() {
         );
     }
     println!("\nPredictors (the paper's configurations):");
-    for p in NamedPredictor::FIGURE_ORDER
-        .into_iter()
-        .chain([NamedPredictor::Hybrid0])
-    {
+    for p in NamedPredictor::ALL {
         println!(
             "  {:13} {:4} Kbits  {}",
             p.label(),
