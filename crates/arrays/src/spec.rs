@@ -90,12 +90,6 @@ impl ArraySpec {
         self.entries * u64::from(self.bits_per_entry + self.tag_bits)
     }
 
-    /// Data bits only.
-    #[must_use]
-    pub fn data_bits(&self) -> u64 {
-        self.entries * u64::from(self.bits_per_entry)
-    }
-
     /// Bits read by one access: all ways of one set, data plus tags.
     #[must_use]
     pub fn bits_read_per_access(&self) -> u64 {

@@ -6,13 +6,12 @@
 //! 14-predictor trace sweep whose cells share one warm-up — written to
 //! `BENCH_kernel.json` at the repo root.
 //!
-//! Follows the vendored criterion shim's conventions: measurement only
-//! happens when the harness receives `--bench` (as `cargo bench`
-//! passes); under `cargo test` it registers and exits so test runs
-//! stay fast. `BW_BENCH_QUICK=1` shrinks budgets and sample counts for
-//! CI smoke runs and writes the report to
-//! `target/bench-quick/BENCH_kernel.json` instead, so a smoke run
-//! leaves the tracked file as it was.
+//! It measures only when its arguments include `--bench`, which
+//! `cargo bench` passes; under `cargo test` (no `--bench`) it prints a
+//! skip line and returns, so test runs stay fast. `BW_BENCH_QUICK=1`
+//! shrinks budgets and sample counts for CI smoke runs and writes the
+//! report to `target/bench-quick/BENCH_kernel.json` instead, so a
+//! smoke run leaves the tracked file as it was.
 
 use std::path::Path;
 use std::sync::Arc;

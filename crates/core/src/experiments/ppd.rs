@@ -18,32 +18,34 @@ pub struct PpdRow {
 }
 
 impl PpdRow {
-    fn options(&self, banked: bool, ppd: Option<PpdScenario>) -> BpredOptions {
-        BpredOptions {
-            banked,
-            ppd,
-            ..self.run.run_options()
-        }
-    }
-
-    /// Percentage reduction in predictor energy/power for a PPD
-    /// variant relative to the matching non-PPD baseline (banked
-    /// variants compare against the banked baseline, per Section 4.2's
-    /// observation that a banked predictor leaves the PPD less to
-    /// save).
+    /// Fractional reductions `(bpred, total)` in predictor and overall
+    /// chip energy/power for the three variants Figures 16–17 plot, in
+    /// their column order: PPD Scenario 1, banked PPD Scenario 1 and
+    /// banked PPD Scenario 2. Each variant compares against the
+    /// matching non-PPD baseline (banked variants against the banked
+    /// baseline, per Section 4.2's observation that a banked predictor
+    /// leaves the PPD less to save). Each of the five option sets is
+    /// priced once.
     #[must_use]
-    pub fn bpred_reduction(&self, banked: bool, scenario: PpdScenario) -> f64 {
-        let (base, _) = self.run.repriced(self.options(banked, None));
-        let (with, _) = self.run.repriced(self.options(banked, Some(scenario)));
-        1.0 - with / base
-    }
-
-    /// Percentage reduction in overall chip energy/power.
-    #[must_use]
-    pub fn total_reduction(&self, banked: bool, scenario: PpdScenario) -> f64 {
-        let (_, base) = self.run.repriced(self.options(banked, None));
-        let (_, with) = self.run.repriced(self.options(banked, Some(scenario)));
-        1.0 - with / base
+    pub fn reductions(&self) -> [(f64, f64); 3] {
+        let price = |banked, ppd| {
+            self.run.repriced(BpredOptions {
+                banked,
+                ppd,
+                ..self.run.run_options()
+            })
+        };
+        let base = [price(false, None), price(true, None)];
+        [
+            (false, PpdScenario::One),
+            (true, PpdScenario::One),
+            (true, PpdScenario::Two),
+        ]
+        .map(|(banked, scenario)| {
+            let (base_bpred, base_total) = base[usize::from(banked)];
+            let (bpred, total) = price(banked, Some(scenario));
+            (1.0 - bpred / base_bpred, 1.0 - total / base_total)
+        })
     }
 }
 
@@ -100,19 +102,20 @@ pub fn fig16_fig17_render(rows: &[PpdRow]) -> String {
         "Banked PPD Scen.2".into(),
     ]);
     for r in rows {
+        let [s1, banked_s1, banked_s2] = r.reductions();
         bp.row(vec![
             r.run.benchmark.clone(),
-            pct(r.bpred_reduction(false, PpdScenario::One)),
-            pct(r.bpred_reduction(true, PpdScenario::One)),
-            pct(r.bpred_reduction(true, PpdScenario::Two)),
+            pct(s1.0),
+            pct(banked_s1.0),
+            pct(banked_s2.0),
             pct(r.run.stats.ppd_dir_gate_rate()),
             pct(r.run.stats.ppd_btb_gate_rate()),
         ]);
         tot.row(vec![
             r.run.benchmark.clone(),
-            pct(r.total_reduction(false, PpdScenario::One)),
-            pct(r.total_reduction(true, PpdScenario::One)),
-            pct(r.total_reduction(true, PpdScenario::Two)),
+            pct(s1.1),
+            pct(banked_s1.1),
+            pct(banked_s2.1),
         ]);
     }
     format!(
@@ -136,14 +139,13 @@ mod tests {
     #[test]
     fn ppd_saves_substantially_under_scenario_one() {
         for r in study() {
-            let red = r.bpred_reduction(false, PpdScenario::One);
+            let (red, tot) = r.reductions()[0];
             assert!(
                 (0.1..0.8).contains(&red),
                 "{}: scenario-1 reduction {red}",
                 r.run.benchmark
             );
             // Chip-wide savings are positive but single-digit percent.
-            let tot = r.total_reduction(false, PpdScenario::One);
             assert!((0.0..0.2).contains(&tot), "{}: {tot}", r.run.benchmark);
         }
     }
@@ -151,8 +153,7 @@ mod tests {
     #[test]
     fn banked_ppd_saves_less_than_unbanked_ppd() {
         for r in study() {
-            let flat = r.bpred_reduction(false, PpdScenario::One);
-            let banked = r.bpred_reduction(true, PpdScenario::One);
+            let [(flat, _), (banked, _), _] = r.reductions();
             assert!(
                 banked < flat + 1e-9,
                 "{}: banked {banked} !< flat {flat}",
@@ -164,8 +165,7 @@ mod tests {
     #[test]
     fn scenario_two_saves_less_than_scenario_one() {
         for r in study() {
-            let s1 = r.bpred_reduction(true, PpdScenario::One);
-            let s2 = r.bpred_reduction(true, PpdScenario::Two);
+            let [_, (s1, _), (s2, _)] = r.reductions();
             assert!(s2 < s1, "{}: s2 {s2} !< s1 {s1}", r.run.benchmark);
             assert!(
                 s2 > -0.05,

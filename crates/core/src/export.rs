@@ -2,7 +2,7 @@
 //! external tools.
 
 use crate::experiments::{GatingRow, PpdRow, SweepRow};
-use bw_power::{BpredOptions, PpdScenario};
+use bw_power::BpredOptions;
 
 fn esc(s: &str) -> String {
     if s.contains(',') || s.contains('"') {
@@ -50,17 +50,18 @@ pub fn ppd_csv(rows: &[PpdRow]) -> String {
          bpred_red_banked_s2,total_red_s1,total_red_banked_s1,total_red_banked_s2\n",
     );
     for r in rows {
+        let [s1, banked_s1, banked_s2] = r.reductions();
         out.push_str(&format!(
             "{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6}\n",
             esc(&r.run.benchmark),
             r.run.stats.ppd_dir_gate_rate(),
             r.run.stats.ppd_btb_gate_rate(),
-            r.bpred_reduction(false, PpdScenario::One),
-            r.bpred_reduction(true, PpdScenario::One),
-            r.bpred_reduction(true, PpdScenario::Two),
-            r.total_reduction(false, PpdScenario::One),
-            r.total_reduction(true, PpdScenario::One),
-            r.total_reduction(true, PpdScenario::Two),
+            s1.0,
+            banked_s1.0,
+            banked_s2.0,
+            s1.1,
+            banked_s1.1,
+            banked_s2.1,
         ));
     }
     out

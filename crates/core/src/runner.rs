@@ -516,12 +516,6 @@ impl Runner {
         self
     }
 
-    /// `true` if this runner audits its simulations.
-    #[must_use]
-    pub fn is_audited(&self) -> bool {
-        self.audit_sink.is_some()
-    }
-
     /// Drains the violations collected so far across all audited runs.
     pub fn take_violations(&self) -> Vec<crate::Violation> {
         self.audit_sink
@@ -953,12 +947,6 @@ impl RunCache {
     #[must_use]
     pub fn default_dir() -> PathBuf {
         PathBuf::from("results").join("cache")
-    }
-
-    /// A cache at [`RunCache::default_dir`].
-    #[must_use]
-    pub fn at_default() -> Self {
-        RunCache::new(Self::default_dir())
     }
 
     /// The cache's root directory.

@@ -173,13 +173,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets the array power-model kind (Figure 2's old/new switch).
-    #[must_use]
-    pub fn model_kind(mut self, kind: ModelKind) -> Self {
-        self.cfg.kind = kind;
-        self
-    }
-
     /// Banks the direction predictor per Table 3.
     #[must_use]
     pub fn banked(mut self, banked: bool) -> Self {
@@ -212,15 +205,6 @@ impl SimConfigBuilder {
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
         self.cfg.seed = seed;
-        self
-    }
-
-    /// Applies the reduced test-scale instruction budget (the
-    /// [`SimConfig::quick`] preset).
-    #[must_use]
-    pub fn quick_budget(mut self) -> Self {
-        self.cfg.warmup_insts = 300_000;
-        self.cfg.measure_insts = 100_000;
         self
     }
 
@@ -350,19 +334,6 @@ impl RunResult {
             .repriced(options)
             .energy_for_totals(&self.totals);
         (energy.bpred_energy_j(), energy.total_energy_j())
-    }
-
-    /// Re-priced average powers `(bpred_w, total_w)` (same run time).
-    #[must_use]
-    pub fn repriced_power_w(&self, options: BpredOptions) -> (f64, f64) {
-        let (b, t) = self.repriced(options);
-        (b / self.time_s(), t / self.time_s())
-    }
-
-    /// Re-priced energy-delay product.
-    #[must_use]
-    pub fn repriced_energy_delay(&self, options: BpredOptions) -> f64 {
-        self.repriced(options).1 * self.time_s()
     }
 
     /// The power-model options in force during the run.

@@ -223,15 +223,13 @@ pub trait DirectionPredictor {
     /// the correct-path sequence the scalar protocol performs — then
     /// push the prediction into `preds`.
     ///
-    /// The default implementation loops the scalar methods, so every
-    /// predictor keeps working unchanged; predictors with flat
-    /// structure-of-arrays counter tables override it to shift the
-    /// resolved outcome directly and skip per-branch checkpoint
-    /// traffic. Pair with [`commit_batch`](Self::commit_batch) over
-    /// the same batch: the final predictor state is byte-identical to
-    /// the interleaved scalar protocol, because commit-time training
-    /// indexes through the [`PredMeta`] captured at lookup, never live
-    /// history.
+    /// Because every outcome is already known, an implementation can
+    /// shift the resolved outcome straight into its histories and skip
+    /// the per-branch checkpoint traffic. Pair with
+    /// [`commit_batch`](Self::commit_batch) over the same batch: the
+    /// final predictor state is byte-identical to the interleaved
+    /// scalar protocol, because commit-time training indexes through
+    /// the [`PredMeta`] captured at lookup, never live history.
     ///
     /// The predictions in `preds` are advisory (the warm path discards
     /// them): history evolves element by element exactly as in the
@@ -241,17 +239,7 @@ pub trait DirectionPredictor {
     /// later predictions may differ from the scalar interleaving.
     /// Batches of size 1 reproduce the scalar protocol exactly,
     /// predictions included.
-    fn lookup_batch(&mut self, batch: &BranchBatch, preds: &mut Vec<Prediction>) {
-        preds.reserve(batch.len());
-        for (pc, actual) in batch.iter() {
-            let r = self.lookup(pc);
-            if r.pred.outcome != actual {
-                self.repair(&r.ckpt);
-                self.spec_push(pc, actual);
-            }
-            preds.push(r.pred);
-        }
-    }
+    fn lookup_batch(&mut self, batch: &BranchBatch, preds: &mut Vec<Prediction>);
 
     /// Trains the predictor with a whole batch of architectural
     /// outcomes; `preds[i]` must be the prediction
@@ -261,15 +249,7 @@ pub trait DirectionPredictor {
     /// # Panics
     ///
     /// Panics if `preds` is shorter than the batch.
-    fn commit_batch(&mut self, batch: &BranchBatch, preds: &[Prediction]) {
-        assert!(
-            preds.len() >= batch.len(),
-            "one prediction per batched branch"
-        );
-        for ((pc, actual), pred) in batch.iter().zip(preds) {
-            self.commit(pc, actual, pred);
-        }
-    }
+    fn commit_batch(&mut self, batch: &BranchBatch, preds: &[Prediction]);
 
     /// The array structures this predictor is built from, for the
     /// power model.
@@ -368,52 +348,6 @@ mod tests {
         assert_eq!(pairs[1], (Addr(0x44), Outcome::NotTaken));
         b.clear();
         assert!(b.is_empty());
-    }
-
-    #[test]
-    fn default_batch_protocol_matches_scalar() {
-        // The default lookup_batch/commit_batch must leave any
-        // predictor in the same state as the interleaved scalar
-        // protocol. The alloyed predictor keeps both global and local
-        // speculative history and does not override the defaults, so
-        // it exercises exactly the looping fallback.
-        let mut scalar = crate::TwoLevelAlloyed::new(1024, 4, 4, 64);
-        let mut batched = crate::TwoLevelAlloyed::new(1024, 4, 4, 64);
-        let seq: Vec<(Addr, Outcome)> = (0..500u64)
-            .map(|i| (Addr((i % 37) * 4), Outcome::from_bool(i % 3 != 0)))
-            .collect();
-
-        for &(pc, actual) in &seq {
-            let r = scalar.lookup(pc);
-            if r.pred.outcome != actual {
-                scalar.repair(&r.ckpt);
-                scalar.spec_push(pc, actual);
-            }
-            scalar.commit(pc, actual, &r.pred);
-        }
-
-        let mut batch = BranchBatch::new();
-        let mut preds = Vec::new();
-        for chunk in seq.chunks(64) {
-            batch.clear();
-            preds.clear();
-            for &(pc, actual) in chunk {
-                batch.push(pc, actual);
-            }
-            // Route through the trait object so the default bodies run.
-            let p: &mut dyn DirectionPredictor = &mut batched;
-            p.lookup_batch(&batch, &mut preds);
-            p.commit_batch(&batch, &preds);
-        }
-
-        assert_eq!(scalar.debug_ghr(), batched.debug_ghr());
-        for pc in (0..64u64).map(|i| Addr(i * 4)) {
-            assert_eq!(
-                scalar.predict_nonspec(pc),
-                batched.predict_nonspec(pc),
-                "counter state diverged at {pc:?}"
-            );
-        }
     }
 
     #[test]

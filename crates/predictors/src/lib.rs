@@ -41,7 +41,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod alloyed;
 mod bimodal;
 mod btb;
 mod confidence;
@@ -54,7 +53,6 @@ mod ppd;
 mod ras;
 mod twolevel;
 
-pub use alloyed::TwoLevelAlloyed;
 pub use bimodal::Bimodal;
 pub use btb::Btb;
 pub use confidence::JrsEstimator;

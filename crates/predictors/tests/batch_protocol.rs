@@ -4,17 +4,14 @@
 //! one — leaves the predictor in exactly the state the scalar warmup
 //! protocol produces, and yields the same predictions.
 
-use bw_predictors::{
-    BranchBatch, DirectionPredictor, HybridConfig, PredictorConfig, TwoLevelAlloyed,
-};
+use bw_predictors::{BranchBatch, DirectionPredictor, HybridConfig, PredictorConfig};
 use bw_types::{Addr, Outcome};
 use proptest::prelude::*;
 
 type Build = fn() -> Box<dyn DirectionPredictor + Send>;
 
 /// Every predictor shape under test: the zoo's families (bimodal,
-/// GAs, gshare, PAs, hybrid) plus the alloyed extension, which keeps
-/// the default batch implementations and so pins the trait defaults.
+/// GAs, gshare, PAs, hybrid), each with its own batch implementation.
 fn family() -> Vec<(&'static str, Build)> {
     vec![
         ("bimodal", || PredictorConfig::bimodal(1024).build()),
@@ -23,9 +20,6 @@ fn family() -> Vec<(&'static str, Build)> {
         ("pas", || PredictorConfig::pas(256, 6, 1024).build()),
         ("hybrid", || {
             PredictorConfig::Hybrid(HybridConfig::alpha_21264()).build()
-        }),
-        ("alloyed", || {
-            Box::new(TwoLevelAlloyed::new(1024, 4, 4, 256))
         }),
     ]
 }

@@ -59,12 +59,6 @@ impl Addr {
     pub fn is_line_end(self, line_bytes: u64) -> bool {
         self.0 % line_bytes == line_bytes - INST_BYTES
     }
-
-    /// The instruction index (word index) of this address.
-    #[must_use]
-    pub fn inst_index(self) -> u64 {
-        self.0 / INST_BYTES
-    }
 }
 
 impl fmt::Display for Addr {

@@ -1,13 +1,10 @@
-//! The repository's extensions in one tour: the alloyed-history
-//! predictor (from the paper's cited taxonomy work), JRS confidence
-//! gating on a non-hybrid predictor, and the 21264's next-line front
-//! end.
+//! The repository's extensions in one tour: JRS confidence gating on
+//! a non-hybrid predictor, and the 21264's next-line front end.
 //!
 //! ```sh
 //! cargo run --release --example beyond_the_paper [benchmark]
 //! ```
 
-use branchwatt::predictors::{DirectionPredictor, PredictorConfig, TwoLevelAlloyed};
 use branchwatt::uarch::{Machine, UarchConfig};
 use branchwatt::workload::benchmark;
 use branchwatt::zoo::NamedPredictor;
@@ -27,54 +24,9 @@ fn main() {
         .build()
         .expect("valid config");
 
-    // 1. Alloyed history: one table, both kinds of history. Compare at
-    //    roughly 64-Kbit state against the paper's 64-Kbit entries
-    //    (trace-style accuracy; the alloyed predictor is not part of
-    //    the paper's zoo so we drive it directly).
-    println!(
-        "1. Alloyed-history prediction (64-Kbit class, {})",
-        model.name
-    );
-    let program = model.build_program(cfg.seed);
-    let acc = |p: &mut dyn DirectionPredictor| -> f64 {
-        let mut thread = model.thread(&program, cfg.seed);
-        let (mut ok, mut n, mut seen) = (0u64, 0u64, 0u64);
-        while seen < 2_000_000 {
-            let s = thread.step();
-            seen += 1;
-            if !s.inst.is_cond_branch() {
-                continue;
-            }
-            let actual = s.control.unwrap().outcome;
-            let bw_predictors::LookupResult { pred, ckpt } = p.lookup(s.inst.pc);
-            if pred.outcome != actual {
-                p.repair(&ckpt);
-                p.spec_push(s.inst.pc, actual);
-            }
-            if seen > 800_000 {
-                n += 1;
-                if pred.outcome == actual {
-                    ok += 1;
-                }
-            }
-            p.commit(s.inst.pc, actual, &pred);
-        }
-        ok as f64 / n as f64
-    };
-    let mut gshare = PredictorConfig::gshare(32 * 1024, 12).build();
-    let mut pas = PredictorConfig::pas(4096, 8, 16 * 1024).build();
-    let mut alloyed = TwoLevelAlloyed::new(16 * 1024, 5, 5, 4096);
-    println!("   gshare 32K/12      {:.2}%", acc(gshare.as_mut()) * 100.0);
-    println!("   PAs 4Kx8 + 16K     {:.2}%", acc(pas.as_mut()) * 100.0);
-    println!(
-        "   alloyed g5+l5, 16K {:.2}%  (plus 20-Kbit BHT)",
-        acc(&mut alloyed) * 100.0
-    );
-    println!();
-
-    // 2. JRS gating on gshare — "both strong" can't gate a non-hybrid
+    // 1. JRS gating on gshare — "both strong" can't gate a non-hybrid
     //    predictor at all.
-    println!("2. Pipeline gating with a standalone JRS estimator (N=0, gshare-32K)");
+    println!("1. Pipeline gating with a standalone JRS estimator (N=0, gshare-32K)");
     let base = simulate(model, NamedPredictor::Gshare32k12.config(), &cfg);
     let mut jrs_cfg = cfg.clone();
     jrs_cfg.uarch = jrs_cfg.uarch.with_jrs_gating(0);
@@ -88,9 +40,9 @@ fn main() {
     );
     println!();
 
-    // 3. The real 21264 front end: next-line predictor instead of BTB.
-    println!("3. Next-line predictor vs separate BTB (hybrid_1)");
-    let program2 = model.build_program(cfg.seed);
+    // 2. The real 21264 front end: next-line predictor instead of BTB.
+    println!("2. Next-line predictor vs separate BTB (hybrid_1)");
+    let program = model.build_program(cfg.seed);
     for (label, nlp) in [("BTB 2048x2", false), ("next-line ", true)] {
         let mut m_cfg = UarchConfig::alpha21264_like();
         if nlp {
@@ -98,7 +50,7 @@ fn main() {
         }
         let mut m = Machine::new(
             &m_cfg,
-            &program2,
+            &program,
             model,
             cfg.seed,
             NamedPredictor::Hybrid1.config(),

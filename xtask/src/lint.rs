@@ -770,7 +770,7 @@ mod tests {
         assert_eq!(classify("tests/shapes.rs"), Some(FileKind::Test));
         assert_eq!(classify("crates/uarch/src/tests.rs"), Some(FileKind::Test));
         assert_eq!(
-            classify("crates/bench/benches/machine.rs"),
+            classify("crates/bench/benches/kernel.rs"),
             Some(FileKind::Test)
         );
         assert_eq!(classify("xtask/src/main.rs"), Some(FileKind::Binary));

@@ -79,8 +79,6 @@ pub struct ImplItem {
     pub line: usize,
     /// 0-based line of the block's closing brace.
     pub end_line: usize,
-    /// Method names defined in the block.
-    pub methods: BTreeSet<String>,
 }
 
 /// One parsed source file.
@@ -314,37 +312,13 @@ fn parse_impl(toks: &[Token], at: usize) -> Option<ParsedImpl> {
         .rev()
         .find(|s| !["where", "Send", "Sync", "dyn", "mut"].contains(&s.as_str()))?
         .clone();
-    // Span the body, collecting method names at depth 1.
-    let mut depth = 0i64;
-    let mut k = j;
-    let mut methods = BTreeSet::new();
-    let mut end_line = toks[at].line;
-    while k < n {
-        match &toks[k].tok {
-            Tok::Punct('{') => depth += 1,
-            Tok::Punct('}') => {
-                depth -= 1;
-                if depth == 0 {
-                    end_line = toks[k].line;
-                    break;
-                }
-            }
-            Tok::Ident(w) if w == "fn" && depth == 1 => {
-                if let Some(name) = toks.get(k + 1).and_then(Token::ident) {
-                    methods.insert(name.to_string());
-                }
-            }
-            _ => {}
-        }
-        k += 1;
-    }
+    let (_, body_end) = block_span(toks, j);
     Some(ParsedImpl {
         item: ImplItem {
             trait_name,
             type_name,
             line: toks[at].line,
-            end_line,
-            methods,
+            end_line: toks[body_end - 1].line,
         },
         header_end: j + 1,
     })
@@ -568,10 +542,9 @@ mod tests {
         assert_eq!(f.impls.len(), 2);
         assert_eq!(f.impls[0].trait_name.as_deref(), Some("DirectionPredictor"));
         assert_eq!(f.impls[0].type_name, "Bimodal");
-        assert!(f.impls[0].methods.contains("lookup_batch"));
+        assert_eq!(f.impls[0].end_line, 3);
         assert_eq!(f.impls[1].trait_name, None);
-        assert!(f.impls[1].methods.contains("new"));
-        // Methods are also visible as fns.
+        // Methods are visible as fns.
         assert!(f.fns.iter().any(|x| x.name == "lookup_batch"));
     }
 
@@ -581,7 +554,7 @@ mod tests {
         let f = model(src);
         assert_eq!(f.impls.len(), 1);
         assert_eq!(f.impls[0].type_name, "Machine");
-        assert!(f.impls[0].methods.contains("run"));
+        assert_eq!(f.impls[0].end_line, 2);
     }
 
     #[test]

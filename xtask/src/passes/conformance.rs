@@ -1,11 +1,8 @@
-//! Trait-conformance pass: every `DirectionPredictor` impl must honor
-//! the batched-surface and test-registry contracts.
+//! Trait-conformance pass: every `DirectionPredictor` impl must be
+//! exercised by the differential test suites. (That each impl writes
+//! its own `lookup_batch` and `commit_batch` needs no rule: the trait
+//! gives them no default body, so rustc rejects an impl without them.)
 //!
-//! * `batch-override` — the impl overrides *both* `lookup_batch` and
-//!   `commit_batch` (the warm path's throughput surface), or carries a
-//!   `// lint: allow(batch-override)` marker inside the impl block
-//!   documenting a deliberate scalar fallback (the trait-default
-//!   reference implementation).
 //! * `batch-registry` — the type is exercised by the batch
 //!   differential suites (`crates/core/tests/batch_differential.rs`,
 //!   `crates/predictors/tests/batch_protocol.rs`): either named there
@@ -55,22 +52,6 @@ pub fn run(ws: &Workspace, out: &mut Vec<Finding>) {
             let ty = &imp.type_name;
             let scope_allows =
                 |rule: &str| file.source.scope_suppressed(imp.line, imp.end_line, rule);
-
-            if !(scope_allows("batch-override")
-                || imp.methods.contains("lookup_batch") && imp.methods.contains("commit_batch"))
-            {
-                out.push(Finding {
-                    file: file.rel.clone(),
-                    line: imp.line + 1,
-                    rule: "batch-override".to_string(),
-                    pass: "trait-conformance",
-                    message: format!(
-                        "impl {TRAIT} for {ty} relies on scalar-looping batch defaults; \
-                         override lookup_batch/commit_batch or mark the deliberate fallback \
-                         with `// lint: allow(batch-override)` inside the impl"
-                    ),
-                });
-            }
 
             if !in_any_registry(ws, ty, BATCH_REGISTRIES) && !scope_allows("batch-registry") {
                 out.push(Finding {

@@ -12,8 +12,8 @@
 //!   thread-creation and unordered-map-iteration reads reachable from
 //!   the sim/cache-key/trace-digest paths;
 //! * **trait-conformance** — [`conformance`]: every
-//!   `DirectionPredictor` impl batches or explicitly opts out, and is
-//!   registered in the batch-differential and audit test suites;
+//!   `DirectionPredictor` impl is registered in the batch-differential
+//!   and audit test suites;
 //! * **suppressions** — `unused-suppression`: an `allow` marker that
 //!   no longer fires is itself a finding.
 //!
@@ -89,12 +89,6 @@ pub const PASS_RULES: &[(&str, &str, &str)] = &[
         "determinism",
         "no HashMap/HashSet iteration on deterministic paths; use BTreeMap/BTreeSet or sort \
          before consuming",
-    ),
-    (
-        "batch-override",
-        "trait-conformance",
-        "every DirectionPredictor impl overrides lookup_batch/commit_batch or carries an \
-         explicit scalar-fallback allow inside the impl block",
     ),
     (
         "batch-registry",

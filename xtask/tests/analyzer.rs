@@ -63,10 +63,10 @@ fn determinism_pass_catches_each_taint_and_reachability() {
 }
 
 #[test]
-fn conformance_pass_flags_unbatched_unregistered_impls_only() {
+fn conformance_pass_flags_unregistered_impls_only() {
     let report = fixture_report();
     let t = triples(&report);
-    for rule in ["batch-override", "batch-registry", "audit-registry"] {
+    for rule in ["batch-registry", "audit-registry"] {
         assert!(
             t.contains(&format!("crates/predictors/src/lib.rs:29 {rule}")),
             "NoBatch should trigger {rule}"

@@ -1,17 +1,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-//! Trait-conformance fixture: a conforming impl, a violating impl,
-//! and an impl that opts out with scope markers.
+//! Trait-conformance fixture: a registered impl, an unregistered
+//! impl, and an impl that opts out with scope markers.
 
 pub mod config;
 
-/// Conforming: overrides the batched surface and is zoo-constructed.
+/// Conforming: zoo-constructed, so every registry reaches it.
 pub struct Good;
 
-/// Violating: scalar defaults, registered nowhere.
+/// Violating: registered nowhere.
 pub struct NoBatch;
 
-/// Opted out: scalar fallback justified inside the impl block.
+/// Opted out: its registry exemptions are justified inside the impl.
 pub struct Opted;
 
 impl DirectionPredictor for Good {
@@ -33,8 +33,7 @@ impl DirectionPredictor for NoBatch {
 }
 
 impl DirectionPredictor for Opted {
-    // Deliberate scalar fallback kept as the trait-default reference.
-    // lint: allow(batch-override)
+    // Deliberately left out of both differential suites.
     // lint: allow(batch-registry)
     // lint: allow(audit-registry)
     fn lookup(&mut self, pc: u64) -> bool {
