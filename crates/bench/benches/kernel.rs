@@ -17,9 +17,14 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The PR this tree corresponds to; stamped into `BENCH_kernel.json`
-/// and its cross-PR history so regressions are attributable.
-const PR: u32 = 26;
+/// The PR whose tree this bench measures, stamped into
+/// `BENCH_kernel.json` and on the history row a full-mode run appends,
+/// so regressions are attributable. Bump it with any change that could
+/// move what the bench measures. It labels a row; it does not identify
+/// one: a re-measurement under the same stamp appends a row of its own
+/// ([`update_history`]), so a stale stamp mislabels a new row but never
+/// overwrites an old one.
+const PR: u32 = 32;
 
 use bw_arrays::{ModelKind, TechParams};
 use bw_core::experiments::trace_sweep_rows_supervised;
@@ -287,15 +292,14 @@ fn load_history(prev: &str) -> Vec<HistoryRow> {
     rows
 }
 
-/// Appends (or, on a re-run of the same PR, replaces) this tree's row.
-/// Quick-mode numbers are not comparable across PRs and never enter
-/// the history.
+/// Appends this run's row after every recorded one: the history is
+/// append-only and in measurement order, so a re-measurement adds a row
+/// and never replaces one. Quick-mode numbers are not comparable across
+/// PRs and never enter the history.
 fn update_history(mut rows: Vec<HistoryRow>, mode: &str, row: HistoryRow) -> Vec<HistoryRow> {
     if mode == "full" {
-        rows.retain(|r| r.pr != row.pr);
         rows.push(row);
     }
-    rows.sort_by_key(|r| r.pr);
     rows
 }
 

@@ -11,7 +11,7 @@ use bw_workload::BenchmarkModel;
 
 use super::{run_grid, tag_mean};
 use crate::report::{f3, f4, mean, pct, Table};
-use crate::runner::{RunPlan, Runner};
+use crate::runner::{KeyedConfig, RunPlan, Runner};
 use crate::sim::{RunResult, SimConfig, TraceRunError};
 use crate::zoo::NamedPredictor;
 
@@ -96,6 +96,7 @@ pub fn sweep_rows_supervised(
     cfg: &SimConfig,
     progress: impl FnMut(&str) + Send,
 ) -> SupervisedSweep {
+    let cfg = KeyedConfig::new(cfg);
     let cells = sweep_cells(models).map(|(p, m, label)| (p, m, p.config(), cfg.clone(), label));
     let (rows, set) = run_grid(runner, cells, progress);
     let rows = rows
@@ -128,11 +129,12 @@ pub fn trace_sweep_rows_supervised(
 ) -> Result<SupervisedSweep, TraceRunError> {
     // Not a grid: a trace cell names a recording, not a benchmark model,
     // and planning it checks the budget against the recording's length.
+    let cfg = KeyedConfig::new(cfg);
     let mut plan = RunPlan::new();
     let mut keys = Vec::with_capacity(NamedPredictor::FIGURE_ORDER.len());
     for p in NamedPredictor::FIGURE_ORDER {
         let label = format!("{} / {} (trace)", p.label(), trace.meta().name);
-        keys.push((p, plan.add_trace(trace, p.config(), cfg, label)?));
+        keys.push((p, plan.add_trace_keyed(trace, p.config(), &cfg, label)?));
     }
     let mut set = runner.run(&plan, progress);
     let rows = keys

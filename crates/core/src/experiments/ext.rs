@@ -29,7 +29,7 @@ use bw_workload::BenchmarkModel;
 
 use super::{across, run_grid, tag_mean, Metric, Tagged};
 use crate::report::{f3, f4, pct, Table};
-use crate::runner::Runner;
+use crate::runner::{KeyedConfig, Runner};
 use crate::sim::{RunResult, SimConfig};
 use crate::zoo::NamedPredictor;
 
@@ -143,7 +143,7 @@ pub fn ppd_proportionality_study(
     cfg: &SimConfig,
     progress: impl FnMut(&str) + Send,
 ) -> String {
-    let c = on_machine(cfg, |u| u.with_ppd(PpdScenario::One));
+    let c = KeyedConfig::new(&on_machine(cfg, |u| u.with_ppd(PpdScenario::One)));
     let cells = [
         NamedPredictor::Bim4k,
         NamedPredictor::Gshare16k12,
@@ -223,7 +223,8 @@ pub fn spec_history_study(
     cfg: &SimConfig,
     progress: impl FnMut(&str) + Send,
 ) -> String {
-    let nc = on_machine(cfg, UarchConfig::with_commit_time_history);
+    let sc = KeyedConfig::new(cfg);
+    let nc = KeyedConfig::new(&on_machine(cfg, UarchConfig::with_commit_time_history));
     let preds = [
         NamedPredictor::Gshare16k12,
         NamedPredictor::PAs4k16k8,
@@ -236,7 +237,7 @@ pub fn spec_history_study(
         for &m in models {
             let spec = format!("history {} / {}", p.label(), m.name);
             let commit = format!("history(commit) {} / {}", p.label(), m.name);
-            cells.push(((p, true), m, p.config(), cfg.clone(), spec));
+            cells.push(((p, true), m, p.config(), sc.clone(), spec));
             cells.push(((p, false), m, p.config(), nc.clone(), commit));
         }
     }

@@ -23,13 +23,15 @@
 //! in [`crate::runner`]. A view declares its grid: one cell per run, each
 //! a tag naming its variant (a predictor, a gating threshold, a BTB
 //! geometry, ...), a benchmark model, a predictor configuration, a
-//! [`SimConfig`] and a progress label, in plan order. The grid runner
-//! plans the cells in that order, runs the plan on a
-//! [`Runner`](crate::Runner) (worker pool + optional persistent cache)
-//! under its supervision, and moves each completed run out of the run
-//! set as a `(tag, run)` row. Renders then average a metric over one
-//! tag's rows, in row order. The figure sweep declares its cells once
-//! ([`sweep_cells`]), for the local sweep and for a remote one alike.
+//! [`SimConfig`] with its digest (computed once per variant, where the
+//! view declares the variant's cells) and a progress label, in plan
+//! order. The grid runner plans the cells in that order, runs the plan
+//! on a [`Runner`](crate::Runner) (worker pool + optional persistent
+//! cache) under its supervision, and moves each completed run out of
+//! the run set as a `(tag, run)` row. Renders then average a metric
+//! over one tag's rows, in row order. The figure sweep declares its
+//! cells once ([`sweep_cells`]), for the local sweep and for a remote
+//! one alike.
 //! Only the trace sweep plans its own cells: a trace cell has no
 //! benchmark model and is checked against the recording's length when
 //! it is planned.
@@ -37,7 +39,7 @@
 use bw_predictors::PredictorConfig;
 use bw_workload::BenchmarkModel;
 
-use crate::runner::{RunPlan, Runner};
+use crate::runner::{KeyedConfig, RunPlan, Runner};
 use crate::sim::{RunResult, SimConfig};
 use crate::supervise::SupervisedRunSet;
 
@@ -66,18 +68,18 @@ pub use tables::{characterization_insts, fig14_distances, table1, table2};
 type Metric = fn(&RunResult) -> f64;
 
 /// One run of a grid: its tag, the benchmark model, the predictor, the
-/// configuration and the progress label.
+/// configuration with its digest, and the progress label.
 type Cell<T> = (
     T,
     &'static BenchmarkModel,
     PredictorConfig,
-    SimConfig,
+    KeyedConfig,
     String,
 );
 
 /// The cells of one variant across `models`, in order: each tagged
-/// `tag`, run with `predictor` under `cfg` and labelled
-/// `{prefix} / {model}`.
+/// `tag`, run with `predictor` under `cfg` (digested once for all of
+/// them) and labelled `{prefix} / {model}`.
 fn across<T: Copy>(
     models: &[&'static BenchmarkModel],
     tag: T,
@@ -85,6 +87,7 @@ fn across<T: Copy>(
     cfg: &SimConfig,
     prefix: &str,
 ) -> Vec<Cell<T>> {
+    let cfg = KeyedConfig::new(cfg);
     models
         .iter()
         .map(|&m| {
@@ -113,7 +116,7 @@ fn run_grid<T>(
     let keys: Vec<_> = cells
         .into_iter()
         .map(|(tag, model, predictor, cfg, label)| {
-            (tag, plan.add_labeled(model, predictor, &cfg, label))
+            (tag, plan.add_keyed(model, predictor, &cfg, label))
         })
         .collect();
     let mut set = runner.run(&plan, progress);
@@ -181,11 +184,13 @@ mod tests {
     #[test]
     fn a_repeated_cell_gets_a_row_of_its_own() {
         let gzip = benchmark("gzip").unwrap();
-        let cfg = SimConfig::builder()
-            .warmup_insts(2_000)
-            .measure_insts(1_000)
-            .build()
-            .unwrap();
+        let cfg = KeyedConfig::new(
+            &SimConfig::builder()
+                .warmup_insts(2_000)
+                .measure_insts(1_000)
+                .build()
+                .unwrap(),
+        );
         let bim = NamedPredictor::Bim4k.config();
         let cell = |tag| (tag, gzip, bim, cfg.clone(), format!("{tag} / gzip"));
         let cells = [cell("baseline"), cell("variant"), cell("baseline")];

@@ -46,7 +46,7 @@ use std::time::Duration;
 
 use bw_predictors::PredictorConfig;
 use bw_trace::Trace;
-use bw_types::fnv1a;
+use bw_types::{fnv1a, word_checksum};
 use bw_uarch::WarmConfig;
 use bw_workload::BenchmarkModel;
 
@@ -112,8 +112,18 @@ impl WorkloadId {
 /// orphan stale entries. Version 2 wrapped the identity + result
 /// payload in an outer checksummed envelope; version 3 prices energy
 /// once from integer activity sums, which moves energies in their last
-/// bits.
-pub const CACHE_FORMAT_VERSION: u32 = 3;
+/// bits; version 4 writes the entry compact and inline after a fixed
+/// header, checked by [`word_checksum`], so a hit parses it once.
+pub const CACHE_FORMAT_VERSION: u32 = 4;
+
+/// A current cache file is this header, its entry's
+/// [`word_checksum`] as 16 lowercase hex digits, [`ENTRY_TAG`], the
+/// entry object's exact compact bytes, and a closing `}`: one JSON
+/// object whose entry is sliced out by position, not parsed out.
+const ENVELOPE_HEAD: &str = r#"{"format_version":4,"checksum":""#;
+
+/// What separates a cache file's checksum from its entry object.
+const ENTRY_TAG: &str = r#"","entry":"#;
 
 /// The identity of one simulation run.
 ///
@@ -126,6 +136,8 @@ pub struct RunKey {
     workload: WorkloadId,
     predictor: PredictorConfig,
     cfg_digest: u64,
+    /// [`RunKey::digest`], computed once, when the key is built.
+    digest: u64,
 }
 
 impl RunKey {
@@ -136,11 +148,7 @@ impl RunKey {
         predictor: PredictorConfig,
         cfg: &SimConfig,
     ) -> Self {
-        RunKey {
-            workload: WorkloadId::intern(model.name),
-            predictor,
-            cfg_digest: cfg.digest(),
-        }
+        RunKey::of(model.name, predictor, cfg.digest())
     }
 
     /// Builds the key for a trace-driven run. The workload identity is
@@ -148,11 +156,17 @@ impl RunKey {
     /// invalidates cached results even under the same file name.
     #[must_use]
     pub fn for_trace(trace: &Trace, predictor: PredictorConfig, cfg: &SimConfig) -> Self {
-        let id = format!("{}@{:016x}", trace.meta().name, trace.digest());
+        RunKey::of(&trace_id(trace), predictor, cfg.digest())
+    }
+
+    /// The key of workload `name` × `predictor` under the configuration
+    /// whose [`SimConfig::digest`] is `cfg_digest`.
+    fn of(name: &str, predictor: PredictorConfig, cfg_digest: u64) -> Self {
         RunKey {
-            workload: WorkloadId::intern(&id),
+            workload: WorkloadId::intern(name),
             predictor,
-            cfg_digest: cfg.digest(),
+            cfg_digest,
+            digest: fnv1a(format!("{name}|{predictor:?}|{cfg_digest:016x}").as_bytes()),
         }
     }
 
@@ -174,20 +188,39 @@ impl RunKey {
         self.cfg_digest
     }
 
-    /// A stable digest of the whole key, used as the cache file stem.
-    /// Computed from the workload *name* (not its interning order), so
-    /// it is stable across processes.
+    /// A stable digest of the whole key, used as the cache file stem,
+    /// the quarantine ledger's key and the flight journal's cell
+    /// identity. Computed from the workload *name* (not its interning
+    /// order), so it is stable across processes.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        fnv1a(
-            format!(
-                "{}|{:?}|{:016x}",
-                self.workload.name(),
-                self.predictor,
-                self.cfg_digest
-            )
-            .as_bytes(),
-        )
+        self.digest
+    }
+}
+
+/// A trace's workload identity, `name@content-digest`.
+fn trace_id(trace: &Trace) -> String {
+    format!("{}@{:016x}", trace.meta().name, trace.digest())
+}
+
+/// A [`SimConfig`] with its [`digest`](SimConfig::digest), computed
+/// once where a grid declares its cells: every cell of the variant is
+/// keyed from it, so planning a grid Debug-formats each configuration
+/// once, not once per cell. The digest is always the configuration's
+/// own; nothing looks a digest up by comparing configurations, whose
+/// floats compare `-0.0 == 0.0` although their renderings differ.
+#[derive(Clone, Debug)]
+pub(crate) struct KeyedConfig {
+    cfg: SimConfig,
+    digest: u64,
+}
+
+impl KeyedConfig {
+    pub(crate) fn new(cfg: &SimConfig) -> Self {
+        KeyedConfig {
+            cfg: cfg.clone(),
+            digest: cfg.digest(),
+        }
     }
 }
 
@@ -382,11 +415,34 @@ impl RunPlan {
         cfg: &SimConfig,
         label: impl Into<String>,
     ) -> RunKey {
-        let key = RunKey::new(model, predictor, cfg);
+        self.add_keyed(model, predictor, &KeyedConfig::new(cfg), label)
+    }
+
+    /// [`add_labeled`](RunPlan::add_labeled) under a configuration
+    /// whose digest the grid has already computed.
+    pub(crate) fn add_keyed(
+        &mut self,
+        model: &'static BenchmarkModel,
+        predictor: PredictorConfig,
+        cfg: &KeyedConfig,
+        label: impl Into<String>,
+    ) -> RunKey {
+        let key = RunKey::of(model.name, predictor, cfg.digest);
+        self.push(key, PlanSource::Model(model), &cfg.cfg, label)
+    }
+
+    /// Appends a run unless the plan already holds its key.
+    fn push(
+        &mut self,
+        key: RunKey,
+        source: PlanSource,
+        cfg: &SimConfig,
+        label: impl Into<String>,
+    ) -> RunKey {
         if self.seen.insert(key) {
             self.entries.push(PlanEntry {
                 key,
-                source: PlanSource::Model(model),
+                source,
                 cfg: cfg.clone(),
                 label: label.into(),
             });
@@ -408,17 +464,21 @@ impl RunPlan {
         cfg: &SimConfig,
         label: impl Into<String>,
     ) -> Result<RunKey, TraceRunError> {
-        crate::sim::check_trace_budget(trace, cfg)?;
-        let key = RunKey::for_trace(trace, predictor, cfg);
-        if self.seen.insert(key) {
-            self.entries.push(PlanEntry {
-                key,
-                source: PlanSource::Trace(Arc::clone(trace)),
-                cfg: cfg.clone(),
-                label: label.into(),
-            });
-        }
-        Ok(key)
+        self.add_trace_keyed(trace, predictor, &KeyedConfig::new(cfg), label)
+    }
+
+    /// [`add_trace`](RunPlan::add_trace) under a configuration whose
+    /// digest the sweep has already computed.
+    pub(crate) fn add_trace_keyed(
+        &mut self,
+        trace: &Arc<Trace>,
+        predictor: PredictorConfig,
+        cfg: &KeyedConfig,
+        label: impl Into<String>,
+    ) -> Result<RunKey, TraceRunError> {
+        crate::sim::check_trace_budget(trace, &cfg.cfg)?;
+        let key = RunKey::of(&trace_id(trace), predictor, cfg.digest);
+        Ok(self.push(key, PlanSource::Trace(Arc::clone(trace)), &cfg.cfg, label))
     }
 
     /// Number of distinct runs planned.
@@ -883,26 +943,46 @@ impl EvictReport {
     }
 }
 
-/// Opens a cache file's outer envelope: the parsed identity + result
-/// payload once the checksum over its exact bytes verifies, `None` for
-/// an envelope of another format version (stale, not damage: the next
-/// store replaces it), `Err` for anything damaged.
-fn open_envelope(text: &str) -> Result<Option<serde::Value>, ()> {
-    use serde::{Deserialize, Value};
-    let v = serde_json::parse_value_str(text).map_err(drop)?;
-    let version = v.get("format_version").ok_or(())?;
-    if u32::from_value(version).map_err(drop)? != CACHE_FORMAT_VERSION {
-        return Ok(None);
-    }
-    let (Some(Value::Str(checksum)), Some(Value::Str(payload))) =
-        (v.get("checksum"), v.get("payload"))
-    else {
-        return Err(());
+/// Opens a cache file: its entry object, sliced out of the file by
+/// position and parsed once after the [`word_checksum`] over its exact
+/// bytes verifies. `None` for a file of another format version (stale,
+/// not damage: the next store replaces it), `Err` for anything damaged.
+fn open_entry(bytes: &[u8]) -> Result<Option<serde::Value>, ()> {
+    let Some(rest) = bytes.strip_prefix(ENVELOPE_HEAD.as_bytes()) else {
+        return stale_or_damaged(bytes);
     };
-    if *checksum != format!("{:016x}", fnv1a(payload.as_bytes())) {
+    let (checksum, rest) = rest.split_at_checked(16).ok_or(())?;
+    let entry = rest
+        .strip_prefix(ENTRY_TAG.as_bytes())
+        .and_then(|rest| rest.strip_suffix(b"}"))
+        .ok_or(())?;
+    if checksum != format!("{:016x}", word_checksum(entry)).as_bytes() {
         return Err(());
     }
-    serde_json::parse_value_str(payload).map(Some).map_err(drop)
+    let text = std::str::from_utf8(entry).map_err(drop)?;
+    serde_json::parse_value_str(text).map(Some).map_err(drop)
+}
+
+/// A file that does not start with the current header: stale when it
+/// is a JSON object naming another `format_version` (an older layout,
+/// such as version 3's pretty-printed envelope), damaged otherwise — a
+/// version-4 file that lost its header's shape included.
+fn stale_or_damaged(bytes: &[u8]) -> Result<Option<serde::Value>, ()> {
+    use serde::Deserialize;
+    let text = std::str::from_utf8(bytes).map_err(drop)?;
+    let v = serde_json::parse_value_str(text).map_err(drop)?;
+    match v.get("format_version").map(u32::from_value) {
+        Some(Ok(version)) if version != CACHE_FORMAT_VERSION => Ok(None),
+        _ => Err(()),
+    }
+}
+
+/// The entry's recorded identity field `name`, when it is a string.
+fn entry_str<'v>(entry: &'v serde::Value, name: &str) -> Option<&'v str> {
+    match entry.get(name) {
+        Some(serde::Value::Str(s)) => Some(s),
+        _ => None,
+    }
 }
 
 /// A persistent content-addressed store of completed runs.
@@ -915,12 +995,14 @@ fn open_envelope(text: &str) -> Result<Option<serde::Value>, ()> {
 /// flat directory. Files at the root (the quarantine ledger, the
 /// daemon's flight journal, or entries a pre-sharding version left
 /// there) are never entries: such a cache simply re-simulates its
-/// cells once. Each file is an outer envelope —
-/// format version, FNV-1a checksum, and the serialized identity +
-/// result payload as one string — so [`load_checked`] distinguishes a
-/// *stale* entry (old format version: silently a miss) from a
-/// *corrupt* one (truncation or bit damage: reported, evicted,
-/// re-executed).
+/// cells once. Each file is one compact JSON object,
+/// `{"format_version":4,"checksum":"<16 hex>","entry":{…}}`: the
+/// format version, a [`word_checksum`] over the entry's exact bytes,
+/// and the entry (identity + result) written inline. A hit slices the
+/// entry out by position, checks it and parses it once, and
+/// [`load_checked`] distinguishes a *stale* file (another format
+/// version: silently a miss) from a *corrupt* one (truncation or bit
+/// damage: reported, evicted, re-executed).
 ///
 /// Writes go through [`bw_types::fsutil::atomic_write`] (stage to a
 /// `.tmp` sibling, then rename): readers observe either the old
@@ -1019,19 +1101,19 @@ impl RunCache {
     /// should be evicted and reported.
     #[must_use]
     pub fn load_checked(&self, key: &RunKey) -> CacheLookup {
-        use serde::{Deserialize, Value};
+        use serde::Deserialize;
         let path = self.path_for(key);
-        let Ok(text) = std::fs::read_to_string(&path) else {
+        let Ok(bytes) = std::fs::read(&path) else {
             return CacheLookup::Miss;
         };
-        let p = match open_envelope(&text) {
+        let p = match open_entry(&bytes) {
             Ok(Some(p)) => p,
             Ok(None) => return CacheLookup::Miss,
             Err(()) => return CacheLookup::Corrupt(path),
         };
-        if p.get("benchmark") != Some(&Value::Str(key.benchmark().to_string()))
-            || p.get("predictor") != Some(&Value::Str(format!("{:?}", key.predictor())))
-            || p.get("cfg_digest") != Some(&Value::Str(format!("{:016x}", key.cfg_digest())))
+        if entry_str(&p, "benchmark") != Some(&*key.benchmark())
+            || entry_str(&p, "predictor") != Some(&format!("{:?}", key.predictor()))
+            || entry_str(&p, "cfg_digest") != Some(&format!("{:016x}", key.cfg_digest()))
         {
             // Identity mismatch under this key's digest: treat as a
             // miss (the digest collision would be astronomically rare;
@@ -1051,7 +1133,7 @@ impl RunCache {
     /// accelerator, not a ledger.
     pub fn store(&self, key: &RunKey, result: &RunResult) {
         use serde::{Serialize, Value};
-        let payload = Value::Obj(vec![
+        let entry = Value::Obj(vec![
             ("benchmark".into(), Value::Str(key.benchmark().to_string())),
             (
                 "predictor".into(),
@@ -1063,23 +1145,17 @@ impl RunCache {
             ),
             ("result".into(), result.to_value()),
         ]);
-        let Ok(payload_text) = serde_json::to_string(&payload) else {
+        let Ok(entry) = serde_json::to_string(&entry) else {
             return;
         };
-        // The checksum covers the payload's exact bytes (stored as one
-        // JSON string), so verification never depends on float
-        // re-canonicalization.
-        let v = Value::Obj(vec![
-            ("format_version".into(), CACHE_FORMAT_VERSION.to_value()),
-            (
-                "checksum".into(),
-                Value::Str(format!("{:016x}", fnv1a(payload_text.as_bytes()))),
-            ),
-            ("payload".into(), Value::Str(payload_text)),
-        ]);
-        if let Ok(text) = serde_json::to_string_pretty(&v) {
-            let _ = bw_types::fsutil::atomic_write(&self.path_for(key), text.as_bytes());
-        }
+        // The checksum covers the entry's exact bytes, written inline
+        // as they were rendered, so verification never depends on
+        // float re-canonicalization.
+        let text = format!(
+            "{ENVELOPE_HEAD}{:016x}{ENTRY_TAG}{entry}}}",
+            word_checksum(entry.as_bytes())
+        );
+        let _ = bw_types::fsutil::atomic_write(&self.path_for(key), text.as_bytes());
     }
 
     /// Every file in the cache directory, sorted, each with whether it
@@ -1109,8 +1185,8 @@ impl RunCache {
         files
     }
 
-    /// Validates every entry in the cache's shards: JSON envelope,
-    /// checksum, payload decode, and that the file name's digest stem
+    /// Validates every entry in the cache's shards: header, checksum,
+    /// entry decode, and that the file name's digest stem
     /// matches the identity recorded inside. Also reports stray `.tmp`
     /// staging files anywhere in the cache. Other root-level files
     /// (the quarantine ledger, the flight journal) are not entries. A
@@ -1132,13 +1208,13 @@ impl RunCache {
                 continue;
             }
             let valid = (|| -> Option<bool> {
-                let text = std::fs::read_to_string(&path).ok()?;
-                let Some(p) = open_envelope(&text).ok()? else {
+                let bytes = std::fs::read(&path).ok()?;
+                let Some(p) = open_entry(&bytes).ok()? else {
                     return Some(false); // stale, not corrupt
                 };
-                let benchmark = String::from_value(p.get("benchmark")?).ok()?;
-                let predictor = String::from_value(p.get("predictor")?).ok()?;
-                let cfg_digest = String::from_value(p.get("cfg_digest")?).ok()?;
+                let benchmark = entry_str(&p, "benchmark")?;
+                let predictor = entry_str(&p, "predictor")?;
+                let cfg_digest = entry_str(&p, "cfg_digest")?;
                 RunResult::from_value(p.get("result")?).ok()?;
                 // The file stem must carry the digest of the identity
                 // inside — a renamed or cross-copied file would
@@ -1310,6 +1386,90 @@ mod tests {
         let mut banked = SimConfig::quick(1);
         banked.banked = true;
         assert_ne!(base, RunKey::new(m, p, &banked));
+    }
+
+    /// A grid hands the plan each variant's digest, computed once; the
+    /// keys it gets are the ones the public adds build from the
+    /// configuration itself, for model and trace cells alike.
+    #[test]
+    fn keyed_cells_get_the_keys_of_their_configurations() {
+        let cfg = SimConfig::builder()
+            .warmup_insts(2_000)
+            .measure_insts(1_000)
+            .seed(5)
+            .build()
+            .unwrap();
+        let keyed = KeyedConfig::new(&cfg);
+        let m = benchmark("gzip").unwrap();
+        let trace = Arc::new(crate::sim::record_trace(m, &cfg));
+        let mut plan = RunPlan::new();
+        for p in [NamedPredictor::Bim128, NamedPredictor::Hybrid1] {
+            let key = plan.add_keyed(m, p.config(), &keyed, "model");
+            assert_eq!(key, RunKey::new(m, p.config(), &cfg));
+            assert_eq!(key.digest(), RunKey::new(m, p.config(), &cfg).digest());
+            let key = plan.add_trace_keyed(&trace, p.config(), &keyed, "trace");
+            assert_eq!(key.unwrap(), RunKey::for_trace(&trace, p.config(), &cfg));
+        }
+        assert_eq!(plan.len(), 4);
+    }
+
+    /// `-0.0 == 0.0`, but the two render differently, so they are two
+    /// configurations with two digests and two keys: a digest is never
+    /// shared between configurations that merely compare equal.
+    #[test]
+    fn a_negative_zero_is_a_configuration_of_its_own() {
+        let mut zero = SimConfig::quick(1);
+        zero.tech.c_pass_gate = 0.0;
+        let mut negative = zero.clone();
+        negative.tech.c_pass_gate = -0.0;
+        assert_ne!(zero.digest(), negative.digest());
+        let (zero, negative) = (KeyedConfig::new(&zero), KeyedConfig::new(&negative));
+        assert_ne!(zero.digest, negative.digest);
+        let m = benchmark("gzip").unwrap();
+        let p = NamedPredictor::Bim4k.config();
+        let mut plan = RunPlan::new();
+        let a = plan.add_keyed(m, p, &zero, "zero");
+        let b = plan.add_keyed(m, p, &negative, "negative zero");
+        assert_ne!(a.digest(), b.digest());
+        assert_eq!(plan.len(), 2);
+    }
+
+    /// The fixed header a hit slices the entry after names the current
+    /// format version, and a stored file is exactly header, checksum,
+    /// tag, entry and `}`.
+    #[test]
+    fn stored_files_have_the_fixed_layout() {
+        assert_eq!(
+            ENVELOPE_HEAD,
+            format!("{{\"format_version\":{CACHE_FORMAT_VERSION},\"checksum\":\"")
+        );
+        let dir = std::env::temp_dir().join(format!("bw-cache-layout-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = RunCache::new(&dir);
+        let cfg = SimConfig::builder()
+            .warmup_insts(2_000)
+            .measure_insts(1_000)
+            .build()
+            .unwrap();
+        let m = benchmark("gzip").unwrap();
+        let key = RunKey::new(m, NamedPredictor::Bim128.config(), &cfg);
+        cache.store(&key, &crate::sim::simulate(m, key.predictor(), &cfg));
+        let text = std::fs::read_to_string(cache.path_for(&key)).unwrap();
+        let rest = text.strip_prefix(ENVELOPE_HEAD).unwrap();
+        let (checksum, rest) = rest.split_at(16);
+        let entry = rest
+            .strip_prefix(ENTRY_TAG)
+            .unwrap()
+            .strip_suffix('}')
+            .unwrap();
+        assert_eq!(
+            checksum,
+            format!("{:016x}", word_checksum(entry.as_bytes()))
+        );
+        assert!(entry.starts_with("{\"benchmark\":\"gzip\",\"predictor\":"));
+        assert!(!text.contains('\n'), "compact");
+        assert!(matches!(cache.load_checked(&key), CacheLookup::Hit(_)));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Property tests for run-cache damage tolerance: whatever happens to
 //! the bytes on disk — truncation, bit flips, stale format versions —
 //! `RunCache::load` never panics and never returns a wrong result, and
-//! `RunCache::repair` evicts exactly the damaged files.
+//! `RunCache::repair` evicts exactly the damaged files. A file in the
+//! previous (version 3) layout is stale: it misses, survives repair and
+//! is overwritten in place by the next run of its cell.
 //!
 //! Run with `cargo test -p bw-core`.
 
@@ -13,6 +15,7 @@ use bw_core::workload::benchmark;
 use bw_core::zoo::NamedPredictor;
 use bw_core::{CacheLookup, RunCache, RunKey, RunPlan, Runner, SimConfig};
 use proptest::prelude::*;
+use serde::Value;
 
 fn tiny_cfg(seed: u64) -> SimConfig {
     SimConfig::builder()
@@ -45,6 +48,38 @@ fn golden() -> &'static (RunKey, Vec<u8>, String) {
         let _ = std::fs::remove_dir_all(&dir);
         (key, bytes, format!("{result:?}"))
     })
+}
+
+/// The golden file's entry object: its exact bytes between the fixed
+/// header and the closing brace.
+fn golden_entry() -> &'static str {
+    let (_, bytes, _) = golden();
+    let text = std::str::from_utf8(bytes).unwrap();
+    let head = format!("{{\"format_version\":{CACHE_FORMAT_VERSION},\"checksum\":\"");
+    let rest = text.strip_prefix(&head).expect("the fixed header");
+    rest[16..]
+        .strip_prefix(r#"","entry":"#)
+        .and_then(|rest| rest.strip_suffix('}'))
+        .expect("the entry follows the checksum")
+}
+
+/// The golden entry as version 3 wrote it: a pretty-printed envelope
+/// whose payload is the entry as one escaped string, checksummed with
+/// byte-wise FNV-1a.
+fn legacy_v3_file() -> String {
+    let payload = golden_entry();
+    let envelope = Value::Obj(vec![
+        ("format_version".into(), Value::U64(3)),
+        (
+            "checksum".into(),
+            Value::Str(format!(
+                "{:016x}",
+                bw_core::types::fnv1a(payload.as_bytes())
+            )),
+        ),
+        ("payload".into(), Value::Str(payload.to_string())),
+    ]);
+    serde_json::to_string_pretty(&envelope).unwrap()
 }
 
 /// A scratch cache holding one (possibly damaged) copy of the golden
@@ -106,6 +141,21 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Any single flipped bit in the entry's bytes fails the checksum:
+    /// the file is reported corrupt, never a miss and never a hit.
+    #[test]
+    fn entry_bit_flips_always_fail_the_checksum(offset in 0usize..4096, bit in 0u8..8) {
+        let (key, bytes, _) = golden();
+        let entry = golden_entry();
+        let start = bytes.len() - 1 - entry.len();
+        let mut damaged = bytes.clone();
+        damaged[start + offset % entry.len()] ^= 1 << bit;
+        let (cache, dir) = scratch("entry-flip", &damaged);
+        prop_assert!(matches!(cache.load_checked(key), CacheLookup::Corrupt(_)));
+        prop_assert_eq!(cache.verify_dir().corrupt.len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// A different format version is a *stale* entry: silently a miss
     /// (to be overwritten), never an error, never a panic.
     #[test]
@@ -114,9 +164,9 @@ proptest! {
         let version = if version == current { current + 1 } else { version };
         let (key, bytes, _) = golden();
         let text = String::from_utf8(bytes.clone()).unwrap();
-        let field = format!("\"format_version\": {current}");
-        prop_assert!(text.contains(&field), "envelope shape changed");
-        let stale = text.replace(&field, &format!("\"format_version\": {version}"));
+        let field = format!("\"format_version\":{current},");
+        prop_assert!(text.starts_with(&format!("{{{field}")), "header shape changed");
+        let stale = text.replace(&field, &format!("\"format_version\":{version},"));
         let (cache, dir) = scratch("stale", stale.as_bytes());
         prop_assert!(matches!(cache.load_checked(key), CacheLookup::Miss));
         prop_assert!(cache.load(key).is_none());
@@ -210,5 +260,55 @@ fn repair_evicts_exactly_the_damaged_files() {
     assert!(after.is_clean(), "{}", after.summary());
     assert_eq!(after.ok, 2);
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A version-3 file — the golden entry re-wrapped in that layout's
+/// pretty-printed envelope — is stale, not damaged: it misses, verifies
+/// as stale, survives repair, and the next run of its cell simulates
+/// it again and overwrites that same path with a current entry that
+/// then hits.
+#[test]
+fn legacy_v3_entries_are_stale_and_replaced_in_place() {
+    let (key, golden_bytes, want) = golden();
+    let legacy = legacy_v3_file();
+    assert!(legacy.starts_with("{\n  \"format_version\": 3,\n  \"checksum\": \""));
+    let (cache, dir) = scratch("legacy", legacy.as_bytes());
+    let path = cache.path_for(key);
+
+    assert!(matches!(cache.load_checked(key), CacheLookup::Miss));
+    let audit = cache.verify_dir();
+    assert_eq!(
+        (audit.ok, audit.stale, audit.corrupt.len()),
+        (0, 1, 0),
+        "{}",
+        audit.summary()
+    );
+    let repaired = cache.repair();
+    assert!(repaired.is_clean(), "{}", repaired.summary());
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), legacy);
+
+    let runner = Runner::serial().cached(cache.clone());
+    let mut plan = RunPlan::new();
+    let planned = plan.add(
+        benchmark("gzip").unwrap(),
+        NamedPredictor::Bim4k.config(),
+        &tiny_cfg(17),
+    );
+    assert_eq!(planned, *key);
+    let mut set = runner.run(&plan, |_| {});
+    assert_eq!((set.executed(), set.cache_hits()), (1, 0));
+    assert_eq!(&format!("{:?}", set.remove(key).unwrap()), want);
+    assert_eq!(
+        &std::fs::read(&path).unwrap(),
+        golden_bytes,
+        "overwritten in place"
+    );
+
+    let mut set = runner.run(&plan, |_| {});
+    assert_eq!((set.executed(), set.cache_hits()), (0, 1));
+    assert_eq!(&format!("{:?}", set.remove(key).unwrap()), want);
+    let audit = cache.verify_dir();
+    assert_eq!((audit.ok, audit.stale), (1, 0), "{}", audit.summary());
     let _ = std::fs::remove_dir_all(&dir);
 }

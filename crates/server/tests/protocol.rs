@@ -199,9 +199,9 @@ fn nesting(v: &Value) -> usize {
 }
 
 /// Every document the workspace writes and reads back nests far below
-/// the parser's limit: a run-cache entry (envelope and the payload it
-/// wraps), a cell reply frame carrying a whole `RunResult`, and a
-/// journal plan line. Each is measured for one cell of every predictor
+/// the parser's limit: a run-cache file (the whole file and the entry
+/// object it holds inline), a cell reply frame carrying a whole
+/// `RunResult`, and a journal plan line. Each is measured for one cell of every predictor
 /// family and the deepest kept.
 #[test]
 fn written_documents_nest_far_below_the_parser_limit() {
@@ -232,12 +232,9 @@ fn written_documents_nest_far_below_the_parser_limit() {
     let mut deepest = [0; 4];
     for c in &cells {
         let result = outputs.remove(&c.key).expect("cell result");
-        let entry = std::fs::read_to_string(cache.path_for(&c.key)).expect("cache entry");
-        let envelope = parse_value_str(&entry).expect("envelope");
-        let Some(Value::Str(payload)) = envelope.get("payload") else {
-            panic!("envelope lacks its payload string");
-        };
-        let payload = parse_value_str(payload).expect("payload");
+        let file = std::fs::read_to_string(cache.path_for(&c.key)).expect("cache file");
+        let file = parse_value_str(&file).expect("cache file");
+        let entry = file.get("entry").expect("the file holds its entry").clone();
         let reply = frame_round_trip(
             &ServerMsg::Cell(CellReply {
                 req: 1,
@@ -246,7 +243,7 @@ fn written_documents_nest_far_below_the_parser_limit() {
             })
             .to_value(),
         );
-        let depths = [nesting(&envelope), nesting(&payload), nesting(&reply)];
+        let depths = [nesting(&file), nesting(&entry), nesting(&reply)];
         for (d, n) in deepest.iter_mut().zip(depths) {
             *d = (*d).max(n);
         }
@@ -273,8 +270,8 @@ fn written_documents_nest_far_below_the_parser_limit() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // Pinned, so a format change that nests deeper is seen here first:
-    // cache envelope, cache payload, cell reply frame, journal line.
-    assert_eq!(deepest, [1, 6, 6, 3]);
+    // cache file, cache entry, cell reply frame, journal line.
+    assert_eq!(deepest, [7, 6, 6, 3]);
 }
 
 /// A spec whose integers sit at `u64::MAX`, the edge a JSON encoder

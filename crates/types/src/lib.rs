@@ -32,8 +32,8 @@ pub use inst::{CtiKind, OpClass};
 pub use outcome::Outcome;
 
 /// FNV-1a (64-bit), the workspace's stable non-cryptographic content
-/// hash: configuration and run-key digests, cache and flight-journal
-/// checksums, and the trace content digest. Stored names and files
+/// hash: configuration and run-key digests, flight-journal checksums,
+/// and the trace content digest. Stored names and files
 /// carry its values, so it must never change.
 ///
 /// ```
@@ -46,6 +46,43 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// A word-wise 64-bit checksum: the run cache's integrity check over
+/// an entry's exact bytes. It consumes 8-byte little-endian words (the
+/// tail zero-padded), with the length mixed into the initial state so
+/// zero padding cannot alias a longer input, and it costs an eighth of
+/// [`fnv1a`]'s multiplies. Each step — xor a word, multiply by an odd
+/// constant, xor-shift — is a bijection of the state, so a change
+/// confined to one word (any single flipped bit) always changes the
+/// result. It is a checksum, not a digest: names and keys keep
+/// [`fnv1a`].
+///
+/// ```
+/// use bw_types::word_checksum;
+///
+/// assert_ne!(word_checksum(b""), word_checksum(b"\0"));
+/// assert_ne!(word_checksum(b"cache entry"), word_checksum(b"cache entrz"));
+/// ```
+#[must_use]
+pub fn word_checksum(bytes: &[u8]) -> u64 {
+    const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+    let step = |h: u64, word: u64| {
+        let h = (h ^ word).wrapping_mul(MUL);
+        h ^ (h >> 29)
+    };
+    let mut h = step(0xcbf2_9ce4_8422_2325, bytes.len() as u64);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        h = step(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+    }
+    let rest = words.remainder();
+    if !rest.is_empty() {
+        let mut tail = [0u8; 8];
+        tail[..rest.len()].copy_from_slice(rest);
+        h = step(h, u64::from_le_bytes(tail));
     }
     h
 }
@@ -85,3 +122,41 @@ pub type Cycle = u64;
 /// instruction (correct-path or wrong-path) receives a fresh `Seq`, and
 /// squashing discards all entries younger than the mispredicted branch.
 pub type Seq = u64;
+
+#[cfg(test)]
+mod tests {
+    use super::word_checksum;
+
+    /// Every single flipped bit of an entry-sized buffer, in a whole
+    /// word or in the padded tail, changes the checksum.
+    #[test]
+    fn word_checksum_catches_every_single_bit_flip() {
+        let bytes: Vec<u8> = (0..2_059u32).map(|i| (i * 31 % 251) as u8).collect();
+        let want = word_checksum(&bytes);
+        let mut damaged = bytes.clone();
+        for i in 0..damaged.len() {
+            for bit in 0..8 {
+                damaged[i] ^= 1 << bit;
+                assert_ne!(word_checksum(&damaged), want, "byte {i} bit {bit}");
+                damaged[i] ^= 1 << bit;
+            }
+        }
+    }
+
+    /// The length is mixed in: zero bytes appended to a partial word
+    /// (which the padding would otherwise absorb) or as a whole word
+    /// change the checksum, and so does every truncation.
+    #[test]
+    fn word_checksum_tells_lengths_apart() {
+        let bytes = b"{\"benchmark\":\"gzip\"}";
+        let want = word_checksum(bytes);
+        for zeros in 1..=16 {
+            let mut longer = bytes.to_vec();
+            longer.resize(bytes.len() + zeros, 0);
+            assert_ne!(word_checksum(&longer), want, "{zeros} zero(s) appended");
+        }
+        for cut in 0..bytes.len() {
+            assert_ne!(word_checksum(&bytes[..cut]), want, "cut at {cut}");
+        }
+    }
+}
