@@ -24,7 +24,7 @@ use std::time::Instant;
 /// one: a re-measurement under the same stamp appends a row of its own
 /// ([`update_history`]), so a stale stamp mislabels a new row but never
 /// overwrites an old one.
-const PR: u32 = 32;
+const PR: u32 = 33;
 
 use bw_arrays::{ModelKind, TechParams};
 use bw_core::experiments::trace_sweep_rows_supervised;

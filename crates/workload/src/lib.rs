@@ -63,4 +63,4 @@ pub use inst::{CtiInfo, DecodedInst};
 pub use program::{Block, InstMix, LayoutError, StaticProgram, Terminator, CODE_BASE, FUNC_BASE};
 pub use source::InstSource;
 pub use stepper::{Choices, ExecStep, ResolvedCti, Stepper};
-pub use thread::Thread;
+pub use thread::{Ctis, ExecCti, Thread};

@@ -41,6 +41,23 @@ pub enum Terminator {
     },
 }
 
+impl Terminator {
+    /// The static control information the terminator decodes to.
+    #[inline]
+    pub(crate) fn cti_info(self) -> CtiInfo {
+        let (kind, target, site) = match self {
+            Terminator::CondBranch { site, target } => {
+                (CtiKind::CondBranch, Some(target), Some(site))
+            }
+            Terminator::Jump { target } => (CtiKind::Jump, Some(target), None),
+            Terminator::Call { target } => (CtiKind::Call, Some(target), None),
+            Terminator::Return => (CtiKind::Return, None, None),
+            Terminator::IndirectJump { .. } => (CtiKind::IndirectJump, None, None),
+        };
+        CtiInfo { kind, target, site }
+    }
+}
+
 /// A basic block: `body_len` straight-line instructions followed by one
 /// terminator CTI.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -438,7 +455,7 @@ impl StaticProgram {
     /// The laid-out block holding `pc`, with its index (main blocks
     /// first, then function blocks) and whether it is in the main
     /// region; `None` for wild addresses.
-    // Every decode runs this. With the block skip as another caller the
+    // Every decode runs this. With the CTI stream as another caller the
     // compiler stopped inlining it into decode, which slowed
     // `Thread::step` measurably.
     #[inline]
@@ -472,34 +489,7 @@ impl StaticProgram {
         if pc < block.term_pc() {
             self.body_inst(pc, is_main)
         } else {
-            let info = match block.term {
-                Terminator::CondBranch { site, target } => CtiInfo {
-                    kind: CtiKind::CondBranch,
-                    target: Some(target),
-                    site: Some(site),
-                },
-                Terminator::Jump { target } => CtiInfo {
-                    kind: CtiKind::Jump,
-                    target: Some(target),
-                    site: None,
-                },
-                Terminator::Call { target } => CtiInfo {
-                    kind: CtiKind::Call,
-                    target: Some(target),
-                    site: None,
-                },
-                Terminator::Return => CtiInfo {
-                    kind: CtiKind::Return,
-                    target: None,
-                    site: None,
-                },
-                Terminator::IndirectJump { .. } => CtiInfo {
-                    kind: CtiKind::IndirectJump,
-                    target: None,
-                    site: None,
-                },
-            };
-            DecodedInst::cti(pc, info, self.dep_for(pc, 0))
+            DecodedInst::cti(pc, block.term.cti_info(), self.dep_for(pc, 0))
         }
     }
 

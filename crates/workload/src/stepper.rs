@@ -127,11 +127,7 @@ impl Stepper {
                 self.pc = self.pc.next();
                 None
             }
-            Some(info) => {
-                let resolved = self.resolve(info, choices);
-                self.pc = resolved.next_pc;
-                Some(resolved)
-            }
+            Some(info) => Some(self.resolve(info, choices)),
         };
         ExecStep {
             inst,
@@ -148,13 +144,25 @@ impl Stepper {
         self.insts += n;
     }
 
+    /// Executes the CTI at the current PC, described by `info`, without
+    /// decoding it: the caller read `info` from the CTI's block. The
+    /// stepper ends as [`step`](Self::step) would leave it, and the
+    /// choice is drawn as `step` draws it.
+    #[inline]
+    pub(crate) fn step_cti<C: Choices>(&mut self, info: CtiInfo, choices: &mut C) -> ResolvedCti {
+        self.insts += 1;
+        self.resolve(info, choices)
+    }
+
+    /// Resolves the CTI at the current PC, described by `info`, and
+    /// moves the PC to where it goes.
     #[inline]
     fn resolve<C: Choices>(&mut self, info: CtiInfo, choices: &mut C) -> ResolvedCti {
         let taken = |next_pc| ResolvedCti {
             outcome: Outcome::Taken,
             next_pc,
         };
-        match info.kind {
+        let resolved = match info.kind {
             CtiKind::CondBranch => {
                 let outcome = choices.cond_outcome(info.site, self.ghist);
                 self.ghist = (self.ghist << 1) | outcome.as_bit();
@@ -179,6 +187,8 @@ impl Stepper {
                     .unwrap_or_else(|| self.call_stack.pop().unwrap_or(CODE_BASE)),
             ),
             CtiKind::IndirectJump => taken(choices.indirect_target(self.pc)),
-        }
+        };
+        self.pc = resolved.next_pc;
+        resolved
     }
 }

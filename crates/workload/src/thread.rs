@@ -5,7 +5,7 @@ use crate::inst::DecodedInst;
 use crate::program::StaticProgram;
 use crate::stepper::{Choices, ExecStep, Stepper};
 use crate::util::{mix2, unit_f64};
-use bw_types::{Addr, Outcome, INST_BYTES};
+use bw_types::{Addr, CtiKind, Outcome, INST_BYTES};
 
 /// Executes a [`StaticProgram`] along the architecturally correct path,
 /// resolving branch outcomes in program order.
@@ -36,14 +36,7 @@ use bw_types::{Addr, Outcome, INST_BYTES};
 pub struct Thread<'p> {
     arch: Stepper,
     draws: Draws<'p>,
-    /// Loads and stores in each laid-out block's body, by block index
-    /// ([`UNCOUNTED`] until first needed); allocated by the first
-    /// [`Thread::step_to_cti`], so [`Thread::step`] never touches it.
-    body_mem: Vec<u32>,
 }
-
-/// A [`Thread::body_mem`] entry not yet counted.
-const UNCOUNTED: u32 = u32::MAX;
 
 /// A thread's choices: behaviour automata and data-model state, all
 /// fed by one counter of hash draws.
@@ -77,7 +70,6 @@ impl<'p> Thread<'p> {
     ) -> Self {
         Thread {
             arch: Stepper::new(program.entry()),
-            body_mem: Vec::new(),
             draws: Draws {
                 program,
                 sites: vec![SiteState::default(); program.site_count()],
@@ -119,82 +111,128 @@ impl<'p> Thread<'p> {
         self.arch.step(&mut self.draws)
     }
 
-    /// Runs the rest of the current basic block's straight-line body
-    /// without decoding it, then executes the block's terminator and
-    /// returns that step.
-    ///
-    /// The result is exactly the CTI that calling [`step`](Self::step)
-    /// until one returns a CTI would reach, and the thread is left in
-    /// the same state: PC, instruction count, history, and every later
-    /// step, data addresses included. Each skipped load or store still
-    /// advances the data model as its address would, at one hash
-    /// instead of a decode and an address. Outside the laid-out code
-    /// it steps one instruction at a time.
-    pub fn step_to_cti(&mut self) -> ExecStep {
-        let (program, pc) = (self.draws.program, self.arch.pc());
-        if let Some((idx, block, is_main)) = program.block_at(pc) {
-            let mem = if pc == block.start {
-                if self.body_mem.is_empty() {
-                    self.body_mem = vec![UNCOUNTED; program.block_count()];
-                }
-                let count = &mut self.body_mem[idx];
-                if *count == UNCOUNTED {
-                    *count = program.body_mem_ops(block, is_main, pc);
-                }
-                *count
-            } else {
-                program.body_mem_ops(block, is_main, pc)
-            };
-            for _ in 0..mem {
-                self.draws.draw_access();
-            }
-            self.arch
-                .skip_straight((block.term_pc().0 - pc.0) / INST_BYTES);
-        }
-        loop {
-            let step = self.step();
-            if step.control.is_some() {
-                return step;
-            }
+    /// Consumes the thread into the stream of the CTIs it executes from
+    /// here on, in program order (see [`Ctis`]).
+    #[must_use]
+    pub fn into_ctis(self) -> Ctis<'p> {
+        let blocks = self.draws.program.block_count();
+        Ctis {
+            thread: self,
+            body_mem: vec![UNCOUNTED; blocks],
         }
     }
 }
 
-/// The band one data access falls in, with the hash that drew it.
-enum Access {
-    /// Scattered over the whole working set.
-    Cold(u64),
-    /// The next address of the sequential stream (the cursor has
-    /// already advanced).
-    Stream,
-    /// The hot stack/locals region.
-    Hot(u64),
+/// One architecturally executed CTI, as a [`Ctis`] stream yields it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ExecCti {
+    /// The CTI's index in the instruction stream: the instructions the
+    /// thread had executed before it.
+    pub index: u64,
+    /// The CTI's address.
+    pub pc: Addr,
+    /// What kind of control transfer it is.
+    pub kind: CtiKind,
+    /// Its direction ([`Outcome::Taken`] for unconditional CTIs).
+    pub outcome: Outcome,
 }
 
-impl Draws<'_> {
-    /// Draws the next data access's band: one hash, and for a
-    /// streaming access one step of the stream cursor. Everything a
-    /// load or store changes in the thread happens here.
-    #[inline]
-    fn draw_access(&mut self) -> Access {
-        /// Fraction of accesses streaming sequentially through the
-        /// working set (one cold line per few accesses).
-        const STREAM_FRAC: f64 = 0.10;
-        self.draws += 1;
-        let h = mix2(self.data_salt, self.draws);
-        let u = unit_f64(h);
-        // `random_frac` is the model's scatter knob; only a slice of it
-        // produces truly cold accesses — the rest of the program's
-        // references hit the hot region, like real codes.
-        let cold_frac = self.random_frac * 0.03;
-        if u < cold_frac {
-            Access::Cold(h)
-        } else if u < cold_frac + STREAM_FRAC {
-            self.stream_cursor = self.stream_cursor.wrapping_add(8);
-            Access::Stream
+impl ExecCti {
+    /// The CTI `step` executed, as the `index`-th instruction of the
+    /// stream; `None` when `step` executed no CTI.
+    #[must_use]
+    pub fn of_step(index: u64, step: &ExecStep) -> Option<Self> {
+        let (cti, control) = (step.inst.cti?, step.control?);
+        Some(ExecCti {
+            index,
+            pc: step.inst.pc,
+            kind: cti.kind,
+            outcome: control.outcome,
+        })
+    }
+}
+
+/// The control-only view of a [`Thread`]: the endless stream of the
+/// CTIs it executes, which is all branch characterization reads.
+///
+/// Each item is exactly the CTI that calling [`Thread::step`] until one
+/// returns a CTI would reach: the same index, PC, kind and outcome. The
+/// stream computes nothing else:
+///
+/// - a block's straight-line body is skipped. Each of its loads and
+///   stores still advances the draw counter that every later outcome
+///   hashes, as its data address would, but no address is hashed. The
+///   count comes from the op classes decode uses (explicit op tables
+///   included) and is memoized per block;
+/// - the terminator is resolved from its block's
+///   [`Terminator`](crate::Terminator), so it is never decoded.
+///
+/// The data model's stream cursor is left behind. The stream owns its
+/// thread, so nothing can step the thread afterwards and read an
+/// address from the stale cursor. Outside the laid-out code the stream
+/// steps one instruction at a time.
+///
+/// # Examples
+///
+/// ```
+/// use bw_workload::{benchmark, ExecCti, Thread};
+///
+/// let program = benchmark("gzip").unwrap().build_program(3);
+/// let mut thread = Thread::new(&program, 3);
+/// let first = loop {
+///     let step = thread.step();
+///     if let Some(cti) = ExecCti::of_step(thread.insts() - 1, &step) {
+///         break cti;
+///     }
+/// };
+/// assert_eq!(Thread::new(&program, 3).into_ctis().next(), Some(first));
+/// ```
+#[derive(Clone, Debug)]
+pub struct Ctis<'p> {
+    thread: Thread<'p>,
+    /// Loads and stores in each laid-out block's body, by block index
+    /// ([`UNCOUNTED`] until the stream first enters the block at its
+    /// start).
+    body_mem: Vec<u32>,
+}
+
+/// A [`Ctis::body_mem`] entry not yet counted.
+const UNCOUNTED: u32 = u32::MAX;
+
+impl Iterator for Ctis<'_> {
+    type Item = ExecCti;
+
+    fn next(&mut self) -> Option<ExecCti> {
+        let Thread { arch, draws } = &mut self.thread;
+        let (program, pc) = (draws.program, arch.pc());
+        let Some((idx, block, is_main)) = program.block_at(pc) else {
+            // Outside the laid-out code: one instruction at a time.
+            loop {
+                let step = self.thread.step();
+                if let Some(cti) = ExecCti::of_step(self.thread.insts() - 1, &step) {
+                    return Some(cti);
+                }
+            }
+        };
+        let mem = if pc == block.start {
+            let count = &mut self.body_mem[idx];
+            if *count == UNCOUNTED {
+                *count = program.body_mem_ops(block, is_main, pc);
+            }
+            *count
         } else {
-            Access::Hot(h)
-        }
+            program.body_mem_ops(block, is_main, pc)
+        };
+        draws.draws += u64::from(mem);
+        arch.skip_straight((block.term_pc().0 - pc.0) / INST_BYTES);
+        let (index, pc, info) = (arch.insts(), arch.pc(), block.term.cti_info());
+        let outcome = arch.step_cti(info, draws).outcome;
+        Some(ExecCti {
+            index,
+            pc,
+            kind: info.kind,
+            outcome,
+        })
     }
 }
 
@@ -208,13 +246,27 @@ impl Choices for Draws<'_> {
         /// Stack/locals region that dominates accesses (high temporal
         /// locality, L1-resident).
         const HOT_BYTES: u64 = 8 * 1024;
-        let offset = match self.draw_access() {
-            Access::Cold(h) => mix2(h, 0x5ca7) % self.working_set,
+        /// Fraction of accesses streaming sequentially through the
+        /// working set (one cold line per few accesses).
+        const STREAM_FRAC: f64 = 0.10;
+        self.draws += 1;
+        let h = mix2(self.data_salt, self.draws);
+        let u = unit_f64(h);
+        // `random_frac` is the model's scatter knob; only a slice of it
+        // produces truly cold accesses — the rest of the program's
+        // references hit the hot region, like real codes.
+        let cold_frac = self.random_frac * 0.03;
+        let offset = if u < cold_frac {
+            mix2(h, 0x5ca7) % self.working_set
+        } else if u < cold_frac + STREAM_FRAC {
             // The stream wraps within an L2-resident window so steady
-            // state produces L1-miss/L2-hit traffic; cold accesses
+            // state produces L1-miss/L2-hit traffic; cold accesses above
             // are what reach memory.
-            Access::Stream => self.stream_cursor % self.working_set.min(256 * 1024),
-            Access::Hot(h) => mix2(h, 0x407b) % HOT_BYTES,
+            let window = self.working_set.min(256 * 1024);
+            self.stream_cursor = self.stream_cursor.wrapping_add(8);
+            self.stream_cursor % window
+        } else {
+            mix2(h, 0x407b) % HOT_BYTES
         };
         Addr(DATA_BASE + (offset & !7))
     }
@@ -383,51 +435,40 @@ mod tests {
         }
     }
 
-    /// Steps `slow` one instruction at a time up to and including the
-    /// next CTI, and checks that `fast.step_to_cti()` lands on the same
-    /// step in the same state.
-    fn assert_skip_matches(fast: &mut Thread<'_>, slow: &mut Thread<'_>, label: &str) {
-        let want = loop {
-            let s = slow.step();
-            if s.control.is_some() {
-                break s;
-            }
-        };
-        assert_eq!(fast.step_to_cti(), want, "{label}");
-        assert_eq!(fast.insts(), slow.insts(), "{label}");
-        assert_eq!(fast.global_history(), slow.global_history(), "{label}");
-    }
-
-    /// Runs the differential on `program`: block skips, with a single
-    /// step now and then so some skips start mid-block, then plain
-    /// steps from both threads, whose data addresses show that every
-    /// skipped load and store advanced the data model exactly.
-    fn assert_block_stepping_exact(fast: &mut Thread<'_>, slow: &mut Thread<'_>, label: &str) {
-        for round in 0..2_000 {
-            if round % 7 == 3 {
-                assert_eq!(fast.step(), slow.step(), "{label} round {round}");
-            }
-            assert_skip_matches(fast, slow, &format!("{label} round {round}"));
+    /// Starts the CTI stream after `skip` single steps, so its counting
+    /// may start mid-block, and checks its first 2 000 CTIs against
+    /// stepping a twin one instruction at a time. A miscounted load or
+    /// store shows: the draw counter it advances feeds every later
+    /// outcome.
+    fn assert_stream_matches_stepping(mut thread: Thread<'_>, skip: usize, label: &str) {
+        for _ in 0..skip {
+            thread.step();
         }
-        for i in 0..5_000 {
-            assert_eq!(fast.step(), slow.step(), "{label} step {i} after skipping");
+        let mut slow = thread.clone();
+        for (n, got) in thread.into_ctis().take(2_000).enumerate() {
+            let want = loop {
+                let step = slow.step();
+                if let Some(cti) = ExecCti::of_step(slow.insts() - 1, &step) {
+                    break cti;
+                }
+            };
+            assert_eq!(got, want, "{label}, {skip} single steps, CTI {n}");
         }
     }
 
     #[test]
-    fn step_to_cti_matches_stepping_to_the_next_cti() {
-        for model in crate::all_benchmarks() {
-            for seed in [3, 11] {
+    fn cti_stream_matches_stepping_on_every_model() {
+        for (i, model) in crate::all_benchmarks().iter().enumerate() {
+            for (j, seed) in [3, 11].into_iter().enumerate() {
                 let p = model.build_program(seed);
-                let (mut fast, mut slow) = (model.thread(&p, seed), model.thread(&p, seed));
                 let label = format!("{} seed {seed}", model.name);
-                assert_block_stepping_exact(&mut fast, &mut slow, &label);
+                assert_stream_matches_stepping(model.thread(&p, seed), (2 * i + j) % 7, &label);
             }
         }
     }
 
     #[test]
-    fn step_to_cti_reads_an_explicit_op_table() {
+    fn cti_stream_reads_an_explicit_op_table() {
         // Imported traces carry their op classes in a table, not in the
         // mix; alternate loads and stores so every body has some.
         let p = crate::benchmark("gcc").unwrap().build_program(3);
@@ -441,8 +482,9 @@ mod tests {
             })
             .collect();
         let p = p.with_explicit_main_ops(ops).unwrap();
-        let (mut fast, mut slow) = (Thread::new(&p, 3), Thread::new(&p, 3));
-        assert_block_stepping_exact(&mut fast, &mut slow, "gcc with explicit ops");
+        for skip in 0..7 {
+            assert_stream_matches_stepping(Thread::new(&p, 3), skip, "gcc with explicit ops");
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! [`STEPS`] lists them in the order `verify` runs them: tier-1 (the
 //! release build and the root package's tests), every workspace
 //! crate (the chaos suites included), bwbench's unit tests and its two
-//! seed-1 golden runs, then clippy with warnings denied (which also
+//! seed-1 golden runs, the bit-exact characterization check at the
+//! paper's budget, then clippy with warnings denied (which also
 //! rejects a `cfg(feature)` naming an undeclared feature) and the repo
 //! lint. Each step is a one-line `run:` step of
 //! `.github/workflows/ci.yml`, word for word; a unit test reads the
@@ -17,6 +18,7 @@ pub const STEPS: &[&str] = &[
     "cargo test -q --offline --manifest-path bwbench/Cargo.toml",
     "cargo run --release --offline --manifest-path bwbench/Cargo.toml -- run --workload paper --seed 1 --trace 0",
     "cargo run --release --offline --manifest-path bwbench/Cargo.toml -- run --workload replay --seed 1 --trace 0",
+    "cargo test --release -q -p bw-core --lib paper_budget -- --ignored",
     "cargo clippy --workspace --all-targets -- -D warnings",
     "cargo run -p xtask -- lint",
 ];
